@@ -1,23 +1,16 @@
 """Select the reduction kernel backend.
 
-Prefers the compiled extension when it was built; set FOURFOLD_PURE=1 to
-force the pure Python kernel.  BACKEND names the choice for reporting.
+Uses the compiled extension when it was built and the pure Python kernel
+otherwise.  BACKEND names the choice for reporting.
 """
 
-import os
+try:
+    from fourfold._snf_cy import snf_inplace
 
-if os.environ.get("FOURFOLD_PURE"):
+    BACKEND = "compiled"
+except ImportError:
     from fourfold._snf_py import snf_inplace
 
     BACKEND = "python"
-else:
-    try:
-        from fourfold._snf_cy import snf_inplace
-
-        BACKEND = "compiled"
-    except ImportError:
-        from fourfold._snf_py import snf_inplace
-
-        BACKEND = "python"
 
 __all__ = ["snf_inplace", "BACKEND"]

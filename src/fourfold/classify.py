@@ -169,7 +169,7 @@ def kreck_equivalent(m1, m2):
         raise TypeMismatch("records disagree on the degree-4 homology")
     start = m1.class_h4
     target = m2.class_h4
-    gens = tuple(m1.aut_multipliers) + tuple(m2.aut_multipliers)
+    gens = tuple(dict.fromkeys(tuple(m1.aut_multipliers) + tuple(m2.aut_multipliers)))
     if not gens:
         gens = (1,)
     seen = {start: (1, 1)}
@@ -377,7 +377,7 @@ def _chain_map_to_resolution(c, res):
     resolution, one degree at a time by solving over the ring."""
     from fourfold.groupring import RingMatrix, ring_one
     from fourfold.groupring import ring_matrix_from_columns, deexpand_vector
-    from fourfold.intmat import solve_integer
+    from fourfold.intmat import solve_columns
 
     group = c.group
     n = group.order()
@@ -386,20 +386,14 @@ def _chain_map_to_resolution(c, res):
     cmap = {0: RingMatrix.identity(group, 1)}
     top = min(c.top_degree, res.bound - 1)
     for i in range(1, top + 1):
-        prev = cmap[i - 1]
-        rhs = prev * c.d(i)
-        delta = res.d(i)
-        dexp = delta.expand()
-        cols = []
-        rhs_exp = rhs.expand()
-        for j in range(c.ranks[i]):
-            target = rhs_exp.column(j * n)
-            sol = solve_integer(dexp, target)
-            if sol is None:
-                raise HypothesisViolated(
-                    "no chain lift in degree %d; resolution not exact there" % i
-                )
-            cols.append(deexpand_vector(group, sol, res.ranks[i]))
+        rhs_exp = (cmap[i - 1] * c.d(i)).expand()
+        targets = [rhs_exp.column(j * n) for j in range(c.ranks[i])]
+        sols = solve_columns(res.d(i).expand(), targets)
+        if None in sols:
+            raise HypothesisViolated(
+                "no chain lift in degree %d; resolution not exact there" % i
+            )
+        cols = [deexpand_vector(group, sol, res.ranks[i]) for sol in sols]
         cmap[i] = ring_matrix_from_columns(group, cols, res.ranks[i])
     return cmap
 

@@ -220,14 +220,15 @@ def _cmd_ext_class(args):
     cls = pi2_extension(c)
     seq_ok = pi2_sequence_check(c)
     inv = cls.context.ext_invariants()
+    trivial = cls.is_trivial()
     result = {
         "ext_invariants": invariants_to_json(inv),
-        "class_trivial": cls.is_trivial(),
+        "class_trivial": trivial,
         "sequence_exact": seq_ok,
     }
     lines = [
         "extension group: %s" % inv,
-        "class trivial: %s" % cls.is_trivial(),
+        "class trivial: %s" % trivial,
         "sequence exact: %s" % seq_ok,
     ]
     _emit(args, "ext-class", "ok" if seq_ok else "negative", result, lines)

@@ -35,8 +35,7 @@ from fourfold.intmat import (
     kernel_basis,
     preimage_kernel,
     quotient_invariants,
-    solve_integer,
-    solve_with_kernel,
+    solve_columns,
     subgroup_membership,
     vstack,
 )
@@ -423,8 +422,7 @@ def _vec_in_source_coords(source, ambient_cols):
     n = source.group.order()
     s = source.num_gens
     vec = []
-    for j in range(ambient_cols.cols):
-        x = solve_integer(source.gen_vecs, ambient_cols.column(j))
+    for j, x in enumerate(solve_columns(source.gen_vecs, ambient_cols.columns())):
         if x is None:
             raise NotACycle("column %d is not in the kernel sublattice" % j)
         block = [0] * (s * n)
@@ -445,12 +443,9 @@ def pi2_sequence_check(c):
     amb = d2x.cols
     k = kernel_basis(d2x)
     s = k.cols
-    xcols = []
-    for j in range(d3x.cols):
-        sol = solve_integer(k, d3x.column(j))
-        if sol is None:
-            return False
-        xcols.append(sol)
+    xcols = solve_columns(k, d3x.columns())
+    if None in xcols:
+        return False
     xmat = IntMatrix.from_columns(xcols, s)
     # middle = Z^amb (+) Z^s / L_mid,  L_mid = {(0, x_j)}
     l_mid = vstack(IntMatrix.zeros(amb, xmat.cols), xmat)
@@ -463,21 +458,13 @@ def pi2_sequence_check(c):
     # second map (c, h) |-> c + k h mod im d_3
     second = hstack(IntMatrix.identity(amb), k)
     # composite is zero mod im d_3
-    for j in range(iota.cols):
-        img = second.mul_vec(iota.column(j))
-        if not subgroup_membership(d3x, img):
-            return False
+    if None in solve_columns(d3x, (second * iota).columns()):
+        return False
     # kernel of the second map equals the image of the first, inside middle
     ker_mid = preimage_kernel(second, d3x)
-    im_gens = hstack(iota, l_mid)
-    for j in range(ker_mid.cols):
-        if not subgroup_membership(im_gens, ker_mid.column(j)):
-            return False
-    ker_gens = hstack(ker_mid, l_mid)
-    for j in range(iota.cols):
-        if not subgroup_membership(ker_gens, iota.column(j)):
-            return False
-    return True
+    if None in solve_columns(hstack(iota, l_mid), ker_mid.columns()):
+        return False
+    return None not in solve_columns(hstack(ker_mid, l_mid), iota.columns())
 
 
 def psi_chase(resolution, c2, w, z, rng=None):
@@ -594,17 +581,20 @@ def _solve_blocks(cmat, rhs, blocks, rng):
     group = cmat.group
     n = group.order()
     expanded = cmat.expand()
-    out = []
+    targets = []
     for b in range(blocks):
-        seg = rhs[b * cmat.rows : (b + 1) * cmat.rows]
         target = []
-        for e in seg:
+        for e in rhs[b * cmat.rows : (b + 1) * cmat.rows]:
             target.extend(_vec_of_element(group, e, n))
-        x, kb = solve_with_kernel(expanded, tuple(target))
-        if x is None:
-            raise NotACycle("no lift exists; input rows are not exact")
+        targets.append(target)
+    sols = solve_columns(expanded, targets)
+    if None in sols:
+        raise NotACycle("no lift exists; input rows are not exact")
+    kb = kernel_basis(expanded) if rng is not None else None
+    out = []
+    for x in sols:
         x = list(x)
-        if rng is not None and kb.cols:
+        if kb is not None:
             for j in range(kb.cols):
                 coeff = rng.randint(-2, 2)
                 if coeff:

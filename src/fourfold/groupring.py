@@ -37,10 +37,6 @@ __all__ = [
     "RingMatrix",
 ]
 
-# full group-law verification is only run up to this order; the cyclic
-# product construction is associative by construction above it
-_VERIFY_ORDER_BOUND = 64
-
 _descriptor_cache = {}
 
 
@@ -127,10 +123,7 @@ class GroupDescriptor:
 def _get_descriptor(orders, laurent_rank):
     key = (tuple(orders), laurent_rank)
     if key not in _descriptor_cache:
-        g = GroupDescriptor(key[0], laurent_rank)
-        _descriptor_cache[key] = g
-        if g.is_finite and g.order() <= _VERIFY_ORDER_BOUND:
-            _verify_group_law(g)
+        _descriptor_cache[key] = GroupDescriptor(key[0], laurent_rank)
     return _descriptor_cache[key]
 
 
@@ -143,22 +136,6 @@ def _element_table(g):
         els = [tuple(t) for t in itertools.product(*(range(o) for o in g.orders))]
         _element_tables[key] = (els, {e: i for i, e in enumerate(els)})
     return _element_tables[key]
-
-
-def _verify_group_law(g):
-    els = g.elements()
-    e = g.identity
-    for a in els:
-        if g.mul(a, e) != a or g.mul(e, a) != a:
-            raise AssertionError("identity fails in %s" % g)
-        if g.mul(a, g.inv(a)) != e:
-            raise AssertionError("inverse fails in %s" % g)
-    for a in els:
-        for b in els:
-            ab = g.mul(a, b)
-            for c in els:
-                if g.mul(ab, c) != g.mul(a, g.mul(b, c)):
-                    raise AssertionError("associativity fails in %s" % g)
 
 
 def trivial_group():

@@ -15,6 +15,7 @@ from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
     InfiniteGroup,
+    ParseError,
     UnsupportedCharacter,
     UnsupportedGroup,
 )
@@ -57,11 +58,12 @@ MAX_CYCLIC_FACTORS = 3
 
 
 def generator_budget():
-    """Resolution size cap; override with the FOURFOLD_BUDGET variable."""
+    """Bar-construction size cap; override with the FOURFOLD_BUDGET variable."""
+    raw = os.environ.get("FOURFOLD_BUDGET", "100000")
     try:
-        return int(os.environ.get("FOURFOLD_BUDGET", "100000"))
+        return int(raw)
     except ValueError:
-        return 100000
+        raise ParseError("FOURFOLD_BUDGET must be an integer, got %r" % raw) from None
 
 
 class Resolution:

@@ -19,6 +19,7 @@ __all__ = [
     "cokernel_invariants",
     "kernel_basis",
     "solve_integer",
+    "solve_columns",
     "solve_with_kernel",
     "subgroup_membership",
     "column_span_basis",
@@ -259,10 +260,37 @@ def kernel_basis(A):
     returned columns are a basis of it (they are columns of a unimodular
     transform, hence primitive).
     """
-    s = smith_normal_form(A)
+    return _smith_kernel(smith_normal_form(A))
+
+
+def _smith_kernel(s):
+    n = s.V.rows
+    return IntMatrix.from_columns([s.V.column(j) for j in range(len(s.diag), n)], n)
+
+
+def _span_coordinates(s, b):
+    """Coordinates of b in the basis diag[i] * Uinv[:, i] of the column
+    span of the matrix with Smith form s, or None when b lies outside."""
+    if len(b) != s.U.rows:
+        raise DimensionMismatch("rhs length %d, expected %d" % (len(b), s.U.rows))
+    c = s.U.mul_vec(b)
     r = len(s.diag)
-    cols = [s.V.column(j) for j in range(r, A.cols)]
-    return IntMatrix.from_columns(cols, A.cols)
+    if any(c[r:]):
+        return None
+    y = []
+    for ci, d in zip(c, s.diag):
+        q, rem = divmod(ci, d)
+        if rem:
+            return None
+        y.append(q)
+    return tuple(y)
+
+
+def _smith_solve(s, b):
+    y = _span_coordinates(s, b)
+    if y is None:
+        return None
+    return s.V.mul_vec(y + (0,) * (s.V.rows - len(y)))
 
 
 def solve_integer(A, b):
@@ -271,44 +299,27 @@ def solve_integer(A, b):
     The solution returned is the one with zero free coordinates in the
     Smith-reduced coordinate system, which makes it deterministic.
     """
-    x, _ = _solve(A, b, want_kernel=False)
-    return x
+    return solve_columns(A, [b])[0]
+
+
+def solve_columns(A, cols):
+    """solve_integer for every right-hand side in cols, reducing A once.
+
+    Returns a list holding one solution tuple, or None, per column.
+    """
+    s = smith_normal_form(A)
+    return [_smith_solve(s, b) for b in cols]
 
 
 def solve_with_kernel(A, b):
     """(particular solution or None, kernel basis of A)."""
-    return _solve(A, b, want_kernel=True)
-
-
-def _solve(A, b, want_kernel):
-    if len(b) != A.rows:
-        raise DimensionMismatch("rhs length %d, expected %d" % (len(b), A.rows))
     s = smith_normal_form(A)
-    r = len(s.diag)
-    c = s.U.mul_vec(b)
-    y = [0] * A.cols
-    ok = True
-    for i in range(r):
-        q, rem = divmod(c[i], s.diag[i])
-        if rem:
-            ok = False
-            break
-        y[i] = q
-    if ok:
-        for i in range(r, A.rows):
-            if c[i]:
-                ok = False
-                break
-    x = tuple(s.V.mul_vec(y)) if ok else None
-    if not want_kernel:
-        return x, None
-    kb = IntMatrix.from_columns([s.V.column(j) for j in range(r, A.cols)], A.cols)
-    return x, kb
+    return _smith_solve(s, b), _smith_kernel(s)
 
 
 def subgroup_membership(gens, v):
     """Is v in the subgroup of Z^rows generated by the columns of gens?"""
-    return solve_integer(gens, v) is not None
+    return solve_columns(gens, [v])[0] is not None
 
 
 def column_span_basis(A):
@@ -339,15 +350,16 @@ def quotient_invariants(big_gens, sub_gens):
     Requires span(sub_gens) <= span(big_gens); raises otherwise since a
     failed exact division here means a logic error upstream.
     """
-    basis = column_span_basis(big_gens)
-    cols = []
-    for j in range(sub_gens.cols):
-        x = solve_integer(basis, sub_gens.column(j))
-        if x is None:
-            raise ValueError("sub lattice is not contained in the big lattice")
-        cols.append(x)
-    rel = IntMatrix.from_columns(cols, basis.cols)
-    return cokernel_invariants(rel)
+    return _smith_quotient(smith_normal_form(big_gens), sub_gens)
+
+
+def _smith_quotient(s, sub_gens):
+    """quotient_invariants with the big lattice given by its Smith form:
+    the relations are the coordinates of sub_gens in the span basis."""
+    cols = [_span_coordinates(s, v) for v in sub_gens.columns()]
+    if None in cols:
+        raise ValueError("sub lattice is not contained in the big lattice")
+    return cokernel_invariants(IntMatrix.from_columns(cols, len(s.diag)))
 
 
 class SubquotientMap:
@@ -379,30 +391,21 @@ def induced_map_invariants(A, z1, b1, z2, b2):
     Checks that A maps the domain data into the codomain data and
     returns kernel and cokernel invariants.
     """
-    imgs = []
-    for j in range(z1.cols):
-        img = A.mul_vec(z1.column(j))
-        if not subgroup_membership(hstack(z2, b2), img):
-            raise ValueError("map does not carry cycles into cycles")
-        imgs.append(img)
-    img_mat = IntMatrix.from_columns(imgs, A.rows)
-    for j in range(b1.cols):
-        img = A.mul_vec(b1.column(j))
-        if not subgroup_membership(b2, img):
-            raise ValueError("map does not carry boundaries into boundaries")
-    coker = quotient_invariants(hstack(z2, b2), hstack(img_mat, b2))
+    img_mat = A * z1
+    codomain_smith = smith_normal_form(hstack(z2, b2))
+    try:
+        coker = _smith_quotient(codomain_smith, hstack(img_mat, b2))
+    except ValueError:
+        raise ValueError("map does not carry cycles into cycles") from None
+    if None in solve_columns(b2, (A * b1).columns()):
+        raise ValueError("map does not carry boundaries into boundaries")
     # kernel: solutions of A z1 y in span(b2), modulo b1 written in z1 coords
-    ker_lattice = preimage_kernel(img_mat, b2)
-    sub_cols = []
-    for j in range(b1.cols):
-        x = solve_integer(z1, b1.column(j))
-        if x is None:
-            raise ValueError("sub lattice is not inside the cycle lattice")
-        sub_cols.append(x)
-    sub = IntMatrix.from_columns(sub_cols, z1.cols)
-    kernel = quotient_invariants(ker_lattice, sub)
+    sub_cols = solve_columns(z1, b1.columns())
+    if None in sub_cols:
+        raise ValueError("sub lattice is not inside the cycle lattice")
+    kernel = quotient_invariants(preimage_kernel(img_mat, b2), IntMatrix.from_columns(sub_cols, z1.cols))
     domain = quotient_invariants(hstack(z1, b1), b1)
-    codomain = quotient_invariants(hstack(z2, b2), b2)
+    codomain = _smith_quotient(codomain_smith, b2)
     return SubquotientMap(kernel, coker, domain, codomain)
 
 
@@ -411,23 +414,20 @@ def homology_invariants(d_out, d_in, dim):
 
     d_out maps the group down (dim columns), d_in maps into it (dim
     rows); either may be None for a zero map.  Requires d_out . d_in = 0.
+
+    Z^dim / ker(d_out) embeds in the free target of d_out, so
+    coker(d_in) = H + Z^rank(d_out): the torsion of H is the Smith
+    diagonal of d_in without its units, and H has free rank
+    dim - rank(d_out) - rank(d_in).
     """
-    if d_out is None:
-        z = IntMatrix.identity(dim)
-    else:
-        if d_out.cols != dim:
-            raise DimensionMismatch("boundary out has %d cols, chain rank %d" % (d_out.cols, dim))
-        z = kernel_basis(d_out)
+    if d_out is not None and d_out.cols != dim:
+        raise DimensionMismatch("boundary out has %d cols, chain rank %d" % (d_out.cols, dim))
+    if d_in is not None and d_in.rows != dim:
+        raise DimensionMismatch("boundary in has %d rows, chain rank %d" % (d_in.rows, dim))
+    if d_out is not None and d_in is not None and not (d_out * d_in).is_zero():
+        raise ValueError("image is not contained in the kernel; not a complex")
+    free = dim - (rank(d_out) if d_out is not None else 0)
     if d_in is None:
-        x = IntMatrix.zeros(z.cols, 0)
-    else:
-        if d_in.rows != dim:
-            raise DimensionMismatch("boundary in has %d rows, chain rank %d" % (d_in.rows, dim))
-        cols = []
-        for j in range(d_in.cols):
-            sol = solve_integer(z, d_in.column(j))
-            if sol is None:
-                raise ValueError("image is not contained in the kernel; not a complex")
-            cols.append(sol)
-        x = IntMatrix.from_columns(cols, z.cols)
-    return cokernel_invariants(x)
+        return AbelianInvariants(free, ())
+    diag = smith_normal_form(d_in).diag
+    return AbelianInvariants(free - len(diag), tuple(d for d in diag if d > 1))

@@ -40,6 +40,11 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 
+def _is_int(x):
+    """A JSON integer; json.loads gives booleans, which are ints in Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_group_spec(spec):
     """Grammar: "trivial" | "cyclic:P" | "product:A,B,..." with an
     optional "*Z^k" (or "*Z") suffix for free directions."""
@@ -143,7 +148,7 @@ def _group_from_obj(obj, path):
         return trivial_group()
     if t == "cyclic":
         order = obj.get("order")
-        if not isinstance(order, int) or order < 1:
+        if not _is_int(order) or order < 1:
             raise ParseError("%s.order: need a positive integer" % path)
         return cyclic_group(order)
     if t == "product":
@@ -151,13 +156,13 @@ def _group_from_obj(obj, path):
         if (
             not isinstance(orders, list)
             or not orders
-            or any(not isinstance(o, int) or o < 1 for o in orders)
+            or any(not _is_int(o) or o < 1 for o in orders)
         ):
             raise ParseError("%s.orders: need a list of positive integers" % path)
         return product_group(tuple(orders))
     if t == "laurent":
         rank = obj.get("rank")
-        if not isinstance(rank, int) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise ParseError("%s.rank: need a positive integer" % path)
         base = _group_from_obj(obj.get("base"), path + ".base")
         return laurent_extension(base, rank)
@@ -181,7 +186,7 @@ def _element_from_terms(group, terms, path):
         if (
             not isinstance(term, list)
             or len(term) != 2
-            or not isinstance(term[0], int)
+            or not _is_int(term[0])
             or not isinstance(term[1], list)
         ):
             raise ParseError("%s: term must be [coefficient, exponent list]" % tp)
@@ -191,7 +196,7 @@ def _element_from_terms(group, terms, path):
                 "%s: %d exponents for a group with %d generators"
                 % (tp, len(exps), group.ngens)
             )
-        if any(not isinstance(x, int) for x in exps):
+        if any(not _is_int(x) for x in exps):
             raise ParseError("%s: exponents must be integers" % tp)
         el = group.reduce(tuple(exps))
         acc[el] = acc.get(el, 0) + coeff
@@ -211,7 +216,7 @@ def parse_complex(text):
     if w_field is None:
         w = trivial_char(group)
     else:
-        if not isinstance(w_field, list) or any(s not in (1, -1) for s in w_field):
+        if not isinstance(w_field, list) or any(not _is_int(s) or s not in (1, -1) for s in w_field):
             raise ParseError("w: must be a list of 1/-1 entries")
         if len(w_field) != group.ngens:
             raise ParseError(
@@ -220,7 +225,7 @@ def parse_complex(text):
         w = char_from_signs(group, tuple(w_field))
     ranks = doc.get("ranks")
     if not isinstance(ranks, list) or not ranks or any(
-        not isinstance(r, int) or r < 0 for r in ranks
+        not _is_int(r) or r < 0 for r in ranks
     ):
         raise ParseError("ranks: must be a nonempty list of nonnegative integers")
     bnds = doc.get("boundaries")
@@ -281,7 +286,7 @@ def parse_int_matrix(text):
         raise ParseError("matrix must be a nonempty list of rows")
     width = None
     for i, row in enumerate(doc):
-        if not isinstance(row, list) or any(not isinstance(x, int) for x in row):
+        if not isinstance(row, list) or any(not _is_int(x) for x in row):
             raise ParseError("row %d: must be a list of integers" % i)
         if width is None:
             width = len(row)
@@ -306,7 +311,7 @@ def parse_record_document(text):
         group = _group_from_obj(graw, "group")
     w_field = doc.get("w", "trivial")
     if isinstance(w_field, list):
-        if any(s not in (1, -1) for s in w_field) or len(w_field) != group.ngens:
+        if any(not _is_int(s) or s not in (1, -1) for s in w_field) or len(w_field) != group.ngens:
             raise ParseError("w: need %d entries of 1/-1" % group.ngens)
         signs = tuple(w_field)
     elif w_field == "trivial":
@@ -314,11 +319,11 @@ def parse_record_document(text):
     else:
         raise ParseError("w: expected \"trivial\" or a sign list")
     cls = doc.get("class_h4")
-    if not isinstance(cls, list) or any(not isinstance(x, int) for x in cls):
+    if not isinstance(cls, list) or any(not _is_int(x) for x in cls):
         raise ParseError("class_h4: must be a list of integers")
     mults = doc.get("aut_multipliers")
     if mults is not None and (
-        not isinstance(mults, list) or any(not isinstance(x, int) for x in mults)
+        not isinstance(mults, list) or any(not _is_int(x) for x in mults)
     ):
         raise ParseError("aut_multipliers: must be a list of integers")
     return group, signs, tuple(cls), (tuple(mults) if mults is not None else None)

@@ -197,6 +197,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_boolean_inputs_exit_2(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "bools.json"
+    f.write_text("[[true, 2], [3, false]]")
+    code, out, err = run(capsys, ["snf", str(f)])
+    assert code == 2
+    assert out == "" and err.startswith("error: row 0") and "Traceback" not in err
+    monkeypatch.setenv("FOURFOLD_BUDGET", "lots")
+    code, out, err = run(capsys, ["group-homology", "--group", "cyclic:2", "--degree", "1", "--oracle", "bar"])
+    assert code == 2
+    assert err.startswith("error: FOURFOLD_BUDGET") and "Traceback" not in err
+
+
 def test_json_error_envelope(tmp_path, capsys):
     code, out, _ = run(capsys, ["--json", "snf", str(tmp_path / "missing.json")])
     assert code == 2

@@ -58,6 +58,23 @@ def test_group_law_random():
             assert g.mul(a, g.inv(a)) == g.identity
 
 
+@pytest.mark.parametrize("orders", [(), (1,), (7,), (12,), (2, 2), (3, 5), (2, 2, 2), (2, 4, 8)])
+def test_group_law_exhaustive(orders):
+    """Identity, inverses and associativity on every element, for groups of
+    order at most 64; the coordinatewise law makes them hold for all orders."""
+    g = product_group(orders)
+    els = g.elements()
+    e = g.identity
+    for a in els:
+        assert g.mul(a, e) == a == g.mul(e, a)
+        assert g.mul(a, g.inv(a)) == e
+    for a in els:
+        for b in els:
+            ab = g.mul(a, b)
+            for c in els:
+                assert g.mul(ab, c) == g.mul(a, g.mul(b, c))
+
+
 def test_laurent_extension():
     g = laurent_extension(cyclic_group(4))
     assert not g.is_finite

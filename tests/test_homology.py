@@ -36,6 +36,7 @@ from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
     InfiniteGroup,
+    ParseError,
     UnsupportedCharacter,
     UnsupportedGroup,
 )
@@ -144,6 +145,9 @@ def test_bar_oracle_budget(monkeypatch):
     g = product_group((2, 2))
     with pytest.raises(BudgetExceeded):
         bar_homology_oracle(g, trivial_char(g), 4)
+    monkeypatch.setenv("FOURFOLD_BUDGET", "lots")
+    with pytest.raises(ParseError):
+        bar_homology_oracle(g, trivial_char(g), 1)
 
 
 def test_tensor_resolution_matches_direct_build():

@@ -1,10 +1,7 @@
 """The compiled and pure Python reduction kernels must agree bit for bit:
 same diagonal, same transforms, same inverses, on identical inputs."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -51,16 +48,3 @@ def test_backends_agree_on_big_entries():
 
 def test_selector_reports_backend():
     assert _kernels.BACKEND in ("python", "compiled")
-
-
-def test_pure_env_forces_python_backend():
-    env = dict(os.environ)
-    env["FOURFOLD_PURE"] = "1"
-    out = subprocess.run(
-        [sys.executable, "-c", "import fourfold; print(fourfold.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"

@@ -105,6 +105,14 @@ def test_parse_complex_field_errors_carry_paths():
         "boundaries[2][0][0][0]",
         lambda d: d["boundaries"][2][0].__setitem__(0, [["x", [1]]]),
     )
+    # JSON booleans are not integers anywhere an integer is expected
+    expect("group.order", lambda d: d["group"].update(order=True))
+    expect("w", lambda d: d.update(w=[True]))
+    expect("ranks", lambda d: d.update(ranks=[1, 1, 1, True, 1]))
+    expect("boundaries[0][0][0][0]", lambda d: d["boundaries"][0][0][0][0].__setitem__(0, True))
+    expect("boundaries[0][0][0][0]", lambda d: d["boundaries"][0][0][0][0].__setitem__(1, [False]))
+    expect("group.orders", lambda d: d.update(group={"type": "product", "orders": [2, True]}))
+    expect("group.rank", lambda d: d.update(group={"type": "laurent", "rank": True, "base": d["group"]}))
     with pytest.raises(ParseError):
         parse_complex("{nope")
     with pytest.raises(ParseError):
@@ -137,7 +145,7 @@ def test_parse_complex_accumulates_duplicate_terms():
 def test_parse_int_matrix():
     m = parse_int_matrix("[[1,2],[3,4]]")
     assert m.rows == 2 and m.data[1][1] == 4
-    for bad in ("{}", "[]", "[[1],[2,3]]", "[[1,\"x\"]]", "nope"):
+    for bad in ("{}", "[]", "[[1],[2,3]]", "[[1,\"x\"]]", "nope", "[[true,2],[3,false]]"):
         with pytest.raises(ParseError):
             parse_int_matrix(bad)
 
@@ -170,6 +178,10 @@ def test_parse_record_document():
         json.dumps({"group": "cyclic:5", "class_h4": "x"}),
         json.dumps({"group": "cyclic:5", "class_h4": [1], "w": [1, 1]}),
         json.dumps({"group": "cyclic:5", "class_h4": [1], "aut_multipliers": 3}),
+        json.dumps({"group": "cyclic:5", "class_h4": [True]}),
+        json.dumps({"group": "cyclic:5", "class_h4": [1], "aut_multipliers": [1, True]}),
+        json.dumps({"group": "cyclic:2", "class_h4": [1], "w": [True]}),
+        json.dumps({"group": {"type": "cyclic", "order": True}, "class_h4": [1]}),
     ):
         with pytest.raises(ParseError):
             parse_record_document(bad)
