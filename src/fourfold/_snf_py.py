@@ -1,164 +1,104 @@
-"""Pure Python Smith normal form reduction kernel.
+"""Smith normal form reduction kernel.
 
-This is the hot inner loop of the whole package.  A compiled twin lives in
-_snf_cy.pyx with identical semantics; _kernels picks one at import time.
-Entries are arbitrary precision Python ints throughout, so the two
-implementations produce bit-identical output.
+This is the hot inner loop of the whole package.  Entries are arbitrary
+precision Python ints throughout.
 
 The routine reduces d in place to Smith normal form while maintaining the
-row transform u (and its inverse uinv) and the column transform v (and
-vinv), so that on exit
+row transform u and the column transform v, so that on exit
 
-    u_end * d_start * v_end == d_end,   u * uinv == I,   vinv * v == I.
+    u_end * d_start * v_end == d_end.
 
 Pivot choice is the minimal nonzero absolute value in the remaining
 submatrix, ties broken by smallest row then column index, which makes the
-reduction fully deterministic.
+reduction fully deterministic.  The scan stops at the first entry of
+absolute value 1: no entry is smaller, and the scan runs in row-major
+order, so it is the entry the full scan would pick.
+
+Before step t every row i >= t of d is zero left of column t and every
+row i < t is zero right of column i; the sweeps rely on that to visit
+only the nonzero entries of the pivot row and column.
 """
 
+from itertools import compress
 
-def snf_inplace(d, u, uinv, v, vinv, m, n):
+
+def snf_inplace(d, u, v, m, n):
     t = 0
     mn = m if m < n else n
     while t < mn:
         # locate the minimal-|.|-value nonzero entry of d[t:, t:]
         bi = -1
-        bj = -1
         bv = 0
         for i in range(t, m):
-            di = d[i]
-            for j in range(t, n):
-                x = di[j]
-                if x:
-                    if x < 0:
-                        x = -x
-                    if bi < 0 or x < bv:
-                        bi = i
-                        bj = j
-                        bv = x
+            x = min(map(abs, filter(None, d[i][t:])), default=0)
+            if x and (bi < 0 or x < bv):
+                bi = i
+                bv = x
+                if x == 1:
+                    break
         if bi < 0:
             break
+        row = d[bi]
+        bj = t
+        while row[bj] != bv and row[bj] != -bv:
+            bj += 1
         if bi != t:
-            _swap_rows(d, u, uinv, t, bi)
+            d[t], d[bi] = d[bi], d[t]
+            u[t], u[bi] = u[bi], u[t]
         if bj != t:
-            _swap_cols(d, v, vinv, t, bj)
-        if d[t][t] < 0:
-            _negate_row(d, u, uinv, t, m)
-        p = d[t][t]
+            for i in range(t, m):
+                r = d[i]
+                r[t], r[bj] = r[bj], r[t]
+            for r in v:
+                r[t], r[bj] = r[bj], r[t]
+        dt = d[t]
+        if dt[t] < 0:
+            dt = d[t] = [-x for x in dt]
+            u[t] = [-x for x in u[t]]
+        p = dt[t]
         dirty = False
+        # row sweep: rows below t minus multiples of row t, which stays fixed
+        dcols = list(compress(range(n), dt))
+        ut = u[t]
+        ucols = list(compress(range(m), ut))
         for i in range(t + 1, m):
-            x = d[i][t]
+            di = d[i]
+            x = di[t]
             if x:
                 q = x // p
                 if q:
-                    _row_sub(d, u, uinv, i, t, q, m)
-                if d[i][t]:
+                    for j in dcols:
+                        di[j] -= q * dt[j]
+                    ui = u[i]
+                    for j in ucols:
+                        ui[j] -= q * ut[j]
+                if di[t]:
                     dirty = True
-        for j in range(t + 1, n):
-            x = d[t][j]
-            if x:
-                q = x // p
-                if q:
-                    _col_sub(d, v, vinv, j, t, q, m, n)
-                if d[t][j]:
-                    dirty = True
+        # column sweep: columns right of t minus multiples of column t,
+        # which stays fixed; row t is zero left of the pivot, so dcols[0]
+        # is t and dcols[1:] are the columns to clear
+        drows = [(d[i], d[i][t]) for i in range(t, m) if d[i][t]]
+        vrows = [(r, r[t]) for r in v if r[t]]
+        for j in dcols[1:]:
+            q = dt[j] // p
+            if q:
+                for r, y in drows:
+                    r[j] -= q * y
+                for r, y in vrows:
+                    r[j] -= q * y
+            if dt[j]:
+                dirty = True
         if dirty:
             # a remainder smaller than the pivot appeared; re-pick
             continue
-        bad = -1
-        for i in range(t + 1, m):
-            di = d[i]
-            for j in range(t + 1, n):
-                if di[j] % p:
-                    bad = i
-                    break
-            if bad >= 0:
-                break
-        if bad >= 0:
-            _row_add(d, u, uinv, t, bad, m)
-            continue
+        if p != 1:
+            # every entry below and right of the pivot must be a multiple
+            # of it; rows below t are zero up to column t
+            mod = p.__rmod__
+            bad = next((b for b in range(t + 1, m) if any(map(mod, d[b]))), 0)
+            if bad:
+                # row_t += row_bad, then re-pick
+                d[t] = [x + y for x, y in zip(dt, d[bad])]
+                u[t] = [x + y for x, y in zip(ut, u[bad])]
+                continue
         t += 1
-
-
-def _swap_rows(d, u, uinv, a, b):
-    d[a], d[b] = d[b], d[a]
-    u[a], u[b] = u[b], u[a]
-    for r in uinv:
-        r[a], r[b] = r[b], r[a]
-
-
-def _swap_cols(d, v, vinv, a, b):
-    for r in d:
-        r[a], r[b] = r[b], r[a]
-    for r in v:
-        r[a], r[b] = r[b], r[a]
-    vinv[a], vinv[b] = vinv[b], vinv[a]
-
-
-def _negate_row(d, u, uinv, t, m):
-    dt = d[t]
-    for j in range(len(dt)):
-        dt[j] = -dt[j]
-    ut = u[t]
-    for j in range(m):
-        ut[j] = -ut[j]
-    for r in uinv:
-        r[t] = -r[t]
-
-
-def _row_sub(d, u, uinv, i, t, q, m):
-    # row_i -= q * row_t
-    di = d[i]
-    dt = d[t]
-    for j in range(len(dt)):
-        x = dt[j]
-        if x:
-            di[j] -= q * x
-    ui = u[i]
-    ut = u[t]
-    for j in range(m):
-        x = ut[j]
-        if x:
-            ui[j] -= q * x
-    for r in uinv:
-        x = r[i]
-        if x:
-            r[t] += q * x
-
-
-def _row_add(d, u, uinv, t, b, m):
-    # row_t += row_b
-    dt = d[t]
-    db = d[b]
-    for j in range(len(dt)):
-        x = db[j]
-        if x:
-            dt[j] += x
-    ut = u[t]
-    ub = u[b]
-    for j in range(m):
-        x = ub[j]
-        if x:
-            ut[j] += x
-    for r in uinv:
-        x = r[t]
-        if x:
-            r[b] -= x
-
-
-def _col_sub(d, v, vinv, j, t, q, m, n):
-    # col_j -= q * col_t
-    for i in range(m):
-        x = d[i][t]
-        if x:
-            d[i][j] -= q * x
-    for i in range(n):
-        x = v[i][t]
-        if x:
-            v[i][j] -= q * x
-    vt = vinv[t]
-    vj = vinv[j]
-    for k in range(n):
-        x = vj[k]
-        if x:
-            vt[k] += q * x

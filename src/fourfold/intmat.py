@@ -2,12 +2,14 @@
 
 All entries are Python ints, so intermediate growth is handled by
 arbitrary precision arithmetic; nothing here ever rounds.  The Smith
-reduction itself lives in _snf_py / _snf_cy and is chosen by _kernels.
+reduction itself lives in _snf_py and tracks the two transforms U and V;
+everything that needs U^-1 reads it off A * V instead.
 """
 
+import math
 from dataclasses import dataclass
 
-from fourfold import _kernels
+from fourfold._snf_py import snf_inplace
 from fourfold.errors import DimensionMismatch
 
 __all__ = [
@@ -49,6 +51,16 @@ class IntMatrix:
         self.data = [list(r) for r in data]
 
     @classmethod
+    def _adopt(cls, rows, cols, data):
+        """Wrap rows that the caller built and hands over, without the copy
+        and the shape check of the constructor."""
+        self = cls.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        return self
+
+    @classmethod
     def from_rows(cls, data):
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -60,7 +72,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(n, n, _identity_rows(n))
 
     @classmethod
     def from_columns(cls, columns, rows):
@@ -71,7 +83,9 @@ class IntMatrix:
         return tuple(r[j] for r in self.data)
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.data))
 
     def transpose(self):
         return IntMatrix(
@@ -100,7 +114,7 @@ class IntMatrix:
                         b = brow[j]
                         if b:
                             orow[j] += a * b
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._adopt(self.rows, other.cols, out)
 
     def __neg__(self):
         return IntMatrix(self.rows, self.cols, [[-x for x in r] for r in self.data])
@@ -126,6 +140,13 @@ class IntMatrix:
 
     def __repr__(self):
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
+
+
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def hstack(a, b):
@@ -158,13 +179,25 @@ class AbelianInvariants:
 
     @classmethod
     def from_diag(cls, free_rank, diag):
-        """Canonicalize an unordered list of cyclic orders (> 0)."""
-        entries = [d for d in diag if d != 1]
-        if not entries:
-            return cls(free_rank, ())
-        m = IntMatrix(len(entries), len(entries), [[entries[i] if i == j else 0 for j in range(len(entries))] for i in range(len(entries))])
-        inv = cokernel_invariants(m)
-        return cls(free_rank + inv.free_rank, inv.torsion)
+        """Canonicalize an unordered list of cyclic orders.
+
+        Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  Applying that to every
+        pair i < j in turn leaves entry i dividing each later entry, so
+        the entries end as a divisibility chain.  An order 0 is a free
+        summand Z.
+        """
+        entries = []
+        for d in diag:
+            if d:
+                entries.append(abs(d))
+            else:
+                free_rank += 1
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                a, b = entries[i], entries[j]
+                g = math.gcd(a, b)
+                entries[i], entries[j] = g, a // g * b
+        return cls(free_rank, tuple(d for d in entries if d > 1))
 
     @property
     def is_trivial(self):
@@ -207,8 +240,6 @@ class SmithForm:
     D: IntMatrix
     V: IntMatrix
     diag: tuple
-    Uinv: IntMatrix
-    Vinv: IntMatrix
 
 
 def smith_normal_form(A):
@@ -220,11 +251,9 @@ def smith_normal_form(A):
     """
     m, n = A.rows, A.cols
     d = [list(r) for r in A.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _kernels.snf_inplace(d, u, uinv, v, vinv, m, n)
+    u = _identity_rows(m)
+    v = _identity_rows(n)
+    snf_inplace(d, u, v, m, n)
     diag = []
     for i in range(min(m, n)):
         if d[i][i]:
@@ -232,12 +261,10 @@ def smith_normal_form(A):
         else:
             break
     return SmithForm(
-        U=IntMatrix(m, m, u),
-        D=IntMatrix(m, n, d),
-        V=IntMatrix(n, n, v),
+        U=IntMatrix._adopt(m, m, u),
+        D=IntMatrix._adopt(m, n, d),
+        V=IntMatrix._adopt(n, n, v),
         diag=tuple(diag),
-        Uinv=IntMatrix(m, m, uinv),
-        Vinv=IntMatrix(n, n, vinv),
     )
 
 
@@ -264,33 +291,45 @@ def kernel_basis(A):
 
 
 def _smith_kernel(s):
-    n = s.V.rows
-    return IntMatrix.from_columns([s.V.column(j) for j in range(len(s.diag), n)], n)
-
-
-def _span_coordinates(s, b):
-    """Coordinates of b in the basis diag[i] * Uinv[:, i] of the column
-    span of the matrix with Smith form s, or None when b lies outside."""
-    if len(b) != s.U.rows:
-        raise DimensionMismatch("rhs length %d, expected %d" % (len(b), s.U.rows))
-    c = s.U.mul_vec(b)
     r = len(s.diag)
-    if any(c[r:]):
-        return None
-    y = []
-    for ci, d in zip(c, s.diag):
-        q, rem = divmod(ci, d)
-        if rem:
-            return None
-        y.append(q)
-    return tuple(y)
+    return IntMatrix._adopt(s.V.rows, s.V.cols - r, [row[r:] for row in s.V.data])
 
 
-def _smith_solve(s, b):
-    y = _span_coordinates(s, b)
-    if y is None:
-        return None
-    return s.V.mul_vec(y + (0,) * (s.V.rows - len(y)))
+def _leading_columns(M, r):
+    return IntMatrix._adopt(M.rows, r, [row[:r] for row in M.data])
+
+
+def _span_coordinates(s, cols):
+    """Coordinates of each b in cols in the basis diag[i] * (U^-1)[:, i]
+    of the column span of the matrix with Smith form s, or None for a b
+    that lies outside.  One product with U serves every column."""
+    m = s.U.rows
+    for b in cols:
+        if len(b) != m:
+            raise DimensionMismatch("rhs length %d, expected %d" % (len(b), m))
+    r = len(s.diag)
+    units = not r or s.diag[-1] == 1
+    out = []
+    for c in (s.U * IntMatrix.from_columns(cols, m)).columns():
+        y = None if any(c[r:]) else list(c[:r])
+        if y is not None and not units:
+            for i, d in enumerate(s.diag):
+                q, rem = divmod(y[i], d)
+                if rem:
+                    y = None
+                    break
+                y[i] = q
+        out.append(y)
+    return out
+
+
+def _smith_solve(s, cols):
+    """One solution V (y, 0) per column, or None, from its span coordinates y."""
+    ys = _span_coordinates(s, cols)
+    hits = [y for y in ys if y is not None]
+    r = len(s.diag)
+    xs = iter((_leading_columns(s.V, r) * IntMatrix.from_columns(hits, r)).columns())
+    return [None if y is None else next(xs) for y in ys]
 
 
 def solve_integer(A, b):
@@ -307,14 +346,13 @@ def solve_columns(A, cols):
 
     Returns a list holding one solution tuple, or None, per column.
     """
-    s = smith_normal_form(A)
-    return [_smith_solve(s, b) for b in cols]
+    return _smith_solve(smith_normal_form(A), cols)
 
 
 def solve_with_kernel(A, b):
     """(particular solution or None, kernel basis of A)."""
     s = smith_normal_form(A)
-    return _smith_solve(s, b), _smith_kernel(s)
+    return _smith_solve(s, [b])[0], _smith_kernel(s)
 
 
 def subgroup_membership(gens, v):
@@ -323,14 +361,13 @@ def subgroup_membership(gens, v):
 
 
 def column_span_basis(A):
-    """A basis (as columns) of the lattice spanned by the columns of A."""
+    """A basis (as columns) of the lattice spanned by the columns of A.
+
+    A V = U^-1 D, so the first rank columns of A V are diag[i] times the
+    columns of U^-1, a basis of the span.
+    """
     s = smith_normal_form(A)
-    r = len(s.diag)
-    cols = []
-    for i in range(r):
-        d = s.diag[i]
-        cols.append(tuple(d * x for x in s.Uinv.column(i)))
-    return IntMatrix.from_columns(cols, A.rows)
+    return A * _leading_columns(s.V, len(s.diag))
 
 
 def preimage_kernel(M, L):
@@ -356,7 +393,7 @@ def quotient_invariants(big_gens, sub_gens):
 def _smith_quotient(s, sub_gens):
     """quotient_invariants with the big lattice given by its Smith form:
     the relations are the coordinates of sub_gens in the span basis."""
-    cols = [_span_coordinates(s, v) for v in sub_gens.columns()]
+    cols = _span_coordinates(s, sub_gens.columns())
     if None in cols:
         raise ValueError("sub lattice is not contained in the big lattice")
     return cokernel_invariants(IntMatrix.from_columns(cols, len(s.diag)))

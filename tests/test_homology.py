@@ -8,12 +8,14 @@ feasible for small groups and degrees.
 
 import pytest
 
+from fourfold.complexes import LambdaComplex
 from fourfold.extensions import fpmodule_cokernel, fpmodule_free
 from fourfold.groupring import (
     RingMatrix,
     char_from_signs,
     cyclic_group,
     laurent_extension,
+    norm_element,
     product_group,
     ring_generator,
     ring_one,
@@ -21,6 +23,7 @@ from fourfold.groupring import (
     trivial_group,
 )
 from fourfold.homology import (
+    Resolution,
     bar_homology_oracle,
     group_homology,
     h4_of_pi_cross_Z,
@@ -54,6 +57,25 @@ def test_periodic_resolution_is_exact():
         res = periodic_resolution(p)
         assert res.check_exactness()
         assert res.ranks == (1,) * (res.bound + 1)
+
+
+@pytest.mark.parametrize(
+    "d1_scale, d2_scale, message",
+    [
+        # H_0 = coker(2(t - 1)) = Z + (Z/2)^4
+        (2, 1, "H_0"),
+        # H_1 = ker(t - 1) / im(2N) = Z/2
+        (1, 2, "degree 1"),
+    ],
+)
+def test_check_exactness_rejects_a_complex_that_is_not_exact(d1_scale, d2_scale, message):
+    g = cyclic_group(5)
+    tm1 = ring_generator(g, 0) - ring_one(g)
+    d1 = RingMatrix(g, 1, 1, [[d1_scale * tm1]])
+    d2 = RingMatrix(g, 1, 1, [[d2_scale * norm_element(g)]])
+    c = LambdaComplex(g, trivial_char(g), (1, 1, 1), (d1, d2))
+    with pytest.raises(AssertionError, match=message):
+        Resolution(c, 2)
 
 
 def test_resolution_for_products():

@@ -1,5 +1,6 @@
-"""Property tests for homology from elementary divisors and for solving
-many right-hand sides against one reduction.
+"""Property tests for homology from elementary divisors, for solving
+many right-hand sides against one reduction, and for the gcd/lcm
+canonical form of a list of cyclic orders.
 
 Two oracles that share no code with the routes under test: sympy's
 invariant factors on a complex whose homology is known by construction,
@@ -132,3 +133,12 @@ def test_solve_columns_matches_per_column_route(system):
     for b, x in zip(cols, got):
         if x is not None:
             assert A.mul_vec(x) == tuple(b)
+
+
+@PROPERTY
+@given(st.integers(0, 3), st.lists(st.integers(-40, 40), max_size=7))
+def test_from_diag_matches_sympy_invariant_factors(free, orders):
+    k = len(orders)
+    factors = sympy_factors(k, k, [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)])
+    expected = AbelianInvariants(free + k - len(factors), tuple(d for d in factors if d > 1))
+    assert AbelianInvariants.from_diag(free, orders) == expected
