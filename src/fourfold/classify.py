@@ -8,6 +8,7 @@ quotient of pi_2, and the order bookkeeping of the low-degree exact
 sequence linking manifold homology to group homology.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from fourfold.complexes import homology_Lambda, homology_Zw
@@ -22,12 +23,15 @@ from fourfold.errors import (
 )
 from fourfold.extensions import EmFamily, recover_m
 from fourfold.groupring import (
+    RingMatrix,
     cyclic_group,
     laurent_extension,
+    ring_matrix_from_coordinates,
     trivial_char,
 )
 from fourfold.homology import (
     group_homology,
+    h4_of_pi_cross_Z,
     homology_of_laurent_extension,
     module_homology,
     resolution_for,
@@ -40,6 +44,7 @@ from fourfold.intmat import (
     kernel_basis,
     preimage_kernel,
     smith_normal_form,
+    solve_columns,
 )
 from fourfold.manifolds import (
     LensSpace,
@@ -104,15 +109,9 @@ def squares_mod(n):
         return (1,)
     out = []
     for r in range(1, n):
-        if _gcd(r, n) == 1:
+        if math.gcd(r, n) == 1:
             out.append((r * r) % n)
     return tuple(sorted(set(out)))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def lens_times_circle_record(p, q):
@@ -124,15 +123,11 @@ def lens_times_circle_record(p, q):
     """
     lens = LensSpace(p, q)
     g = laurent_extension(cyclic_group(p), 1)
-    base = cyclic_group(p)
-    h4 = group_homology(base, trivial_char(base), 4).direct_sum(
-        group_homology(base, trivial_char(base), 3)
-    )
     return ManifoldRecord(
         group=g,
         w_signs=(1,) * g.ngens,
         class_h4=(fundamental_class_invariant(lens),),
-        h4=h4,
+        h4=h4_of_pi_cross_Z(g, trivial_char(g)),
         aut_multipliers=squares_mod(p),
     )
 
@@ -172,6 +167,10 @@ def kreck_equivalent(m1, m2):
     gens = tuple(dict.fromkeys(tuple(m1.aut_multipliers) + tuple(m2.aut_multipliers)))
     if not gens:
         gens = (1,)
+    # A nonzero multiplier never shrinks a free coordinate, so a class whose
+    # free part outgrows the target's can only lead to the zero class (met
+    # at once through a zero multiplier); dropping it keeps the orbit finite.
+    caps = [abs(x) for x in target[: m1.h4.free_rank]]
     seen = {start: (1, 1)}
     frontier = [start]
     while frontier:
@@ -180,7 +179,7 @@ def kreck_equivalent(m1, m2):
             mult, sign = seen[vec]
             for m in gens:
                 cand = m1.reduce(tuple(m * x for x in vec))
-                if cand not in seen:
+                if cand not in seen and all(abs(x) <= c for x, c in zip(cand, caps)):
                     seen[cand] = (mult * m, sign)
                     nxt.append(cand)
             cand = m1.reduce(tuple(-x for x in vec))
@@ -245,7 +244,7 @@ def classify_lens_family(p, q1, q2):
 def _signed_square_relation(p, a, b):
     """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert)."""
     for r in range(1, max(p, 2)):
-        if _gcd(r, p) != 1:
+        if math.gcd(r, p) != 1:
             continue
         if (r * r * a - b) % p == 0:
             return True, {"r": r, "sign": 1}
@@ -375,26 +374,19 @@ def _divides(checks, notes, name, small, big):
 def _chain_map_to_resolution(c, res):
     """Lift the identity of Z to a chain map from the complex into the
     resolution, one degree at a time by solving over the ring."""
-    from fourfold.groupring import RingMatrix, ring_one
-    from fourfold.groupring import ring_matrix_from_columns, deexpand_vector
-    from fourfold.intmat import solve_columns
-
     group = c.group
-    n = group.order()
     if c.ranks[0] != 1:
         raise DimensionMismatch("complex needs a single generator in degree 0")
     cmap = {0: RingMatrix.identity(group, 1)}
     top = min(c.top_degree, res.bound - 1)
     for i in range(1, top + 1):
-        rhs_exp = (cmap[i - 1] * c.d(i)).expand()
-        targets = [rhs_exp.column(j * n) for j in range(c.ranks[i])]
+        targets = (cmap[i - 1] * c.d(i)).column_coordinates()
         sols = solve_columns(res.d(i).expand(), targets)
         if None in sols:
             raise HypothesisViolated(
                 "no chain lift in degree %d; resolution not exact there" % i
             )
-        cols = [deexpand_vector(group, sol, res.ranks[i]) for sol in sols]
-        cmap[i] = ring_matrix_from_columns(group, cols, res.ranks[i])
+        cmap[i] = ring_matrix_from_coordinates(group, sols, res.ranks[i])
     return cmap
 
 

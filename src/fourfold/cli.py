@@ -7,6 +7,7 @@ under --json.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,7 +46,7 @@ def _read_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
@@ -71,12 +72,16 @@ def _parse_invariants(spec):
         free = int(parts[0])
     except ValueError:
         raise ParseError("bad free rank %r" % parts[0])
+    if free < 0:
+        raise ParseError("free rank must be >= 0, got %d" % free)
     torsion = []
     if parts[1]:
         try:
             torsion = [int(x) for x in parts[1].split(",")]
         except ValueError:
             raise ParseError("bad torsion list %r" % parts[1])
+    if any(t < 1 for t in torsion):
+        raise ParseError("torsion orders must be >= 1, got %r" % parts[1])
     return AbelianInvariants.from_diag(free, torsion)
 
 
@@ -404,8 +409,14 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call and reused for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

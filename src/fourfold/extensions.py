@@ -4,7 +4,10 @@ Everything is reduced to integer lattice arithmetic through the regular
 representation: a module presented over the group ring of a finite group
 expands to a sublattice of Z^(k*|pi|) stable under the group action, and
 Hom / Ext computations become kernel, image and membership questions for
-integer matrices.  Class equality is always decided by exact membership
+integer matrices.  The coordinates come from groupring: a value matrix in
+Hom(R^k, N) is flattened by its column coordinates (hom_vec), precomposing
+with a is the expansion of a^T (x) I_s, and the relations of N repeat
+down the diagonal.  Class equality is always decided by exact membership
 in the coboundary lattice, never by comparing invariants.
 """
 
@@ -21,14 +24,15 @@ from fourfold.errors import (
 from fourfold.groupring import (
     RingMatrix,
     deexpand_vector,
-    regular_representation,
     ring_matrix_from_columns,
+    ring_matrix_from_coordinates,
     ring_one,
     ring_zero,
 )
 from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
+    block_diagonal,
     cokernel_invariants,
     column_span_basis,
     hstack,
@@ -80,7 +84,6 @@ class FPModule:
         self.relations = relations
         self.gen_vecs = gen_vecs
         self._rel_lattice = None
-        self._action = {}
 
     @property
     def num_gens(self):
@@ -95,24 +98,6 @@ class FPModule:
 
     def abelian_invariants(self):
         return cokernel_invariants(self.rel_lattice)
-
-    def action_matrix(self, elem):
-        """Integer matrix of multiplication by a ring element on Z^(s*|pi|)."""
-        key = tuple(sorted(elem.terms.items()))
-        if key not in self._action:
-            n = self.group.order()
-            s = self.num_gens
-            block = regular_representation(elem)
-            data = [[0] * (s * n) for _ in range(s * n)]
-            for b in range(s):
-                for i in range(n):
-                    row = data[b * n + i]
-                    brow = block.data[i]
-                    for j in range(n):
-                        if brow[j]:
-                            row[b * n + j] = brow[j]
-            self._action[key] = IntMatrix(s * n, s * n, data)
-        return self._action[key]
 
     def __repr__(self):
         return "FPModule(%s, %d gens, %d relations)" % (self.group, self.num_gens, self.relations.cols)
@@ -144,21 +129,13 @@ def fpmodule_homology(d_out, d_in):
 
 
 def _module_from_gens(group, ambient_rank, gen_vecs, modulo):
-    n = group.order()
-    s = gen_vecs.cols
-    cols = []
-    for j in range(s):
-        cols.append(deexpand_vector(group, gen_vecs.column(j), ambient_rank))
-    lift = ring_matrix_from_columns(group, cols, ambient_rank)
+    lift = ring_matrix_from_coordinates(group, gen_vecs.columns(), ambient_rank)
     lifted = lift.expand()
     if modulo is None:
         rel_int = kernel_basis(lifted)
     else:
         rel_int = preimage_kernel(lifted, modulo)
-    rel_cols = []
-    for j in range(rel_int.cols):
-        rel_cols.append(deexpand_vector(group, rel_int.column(j), s))
-    relations = ring_matrix_from_columns(group, rel_cols, s)
+    relations = ring_matrix_from_coordinates(group, rel_int.columns(), gen_vecs.cols)
     mod = FPModule(group, relations, gen_vecs=gen_vecs)
     mod.lift = lift
     return mod
@@ -168,55 +145,22 @@ def _precompose_matrix(a, module):
     """Integer matrix of Hom(R^k, N) -> Hom(R^k', N), F |-> F . a.
 
     a is a k x k' ring matrix (a map R^k' -> R^k); Hom coordinates are
-    the concatenated expanded columns of the value matrix.
+    the concatenated column coordinates of the value matrix (hom_vec), so
+    the map is the expansion of a^T (x) I_s for an s-generator N.
     """
-    n = module.group.order()
-    s = module.num_gens
-    block_dim = s * n
-    k = a.rows
-    kp = a.cols
-    data = [[0] * (k * block_dim) for _ in range(kp * block_dim)]
-    for jp in range(kp):
-        for j in range(k):
-            e = a.entries[j][jp]
-            if e.is_zero():
-                continue
-            act = module.action_matrix(e)
-            for bi in range(block_dim):
-                row = data[jp * block_dim + bi]
-                arow = act.data[bi]
-                for bj in range(block_dim):
-                    if arow[bj]:
-                        row[j * block_dim + bj] += arow[bj]
-    return IntMatrix(kp * block_dim, k * block_dim, data)
+    return a.transpose().kron_identity(module.num_gens).expand()
 
 
 def _ambiguity_lattice(k, module):
     """Per-column relation span of N inside Hom(R^k, N) free coordinates."""
-    rel = module.rel_lattice
-    block_dim = module.num_gens * module.group.order()
-    data = [[0] * (k * rel.cols) for _ in range(k * block_dim)]
-    for c in range(k):
-        for i in range(block_dim):
-            row = data[c * block_dim + i]
-            rrow = rel.data[i]
-            for j in range(rel.cols):
-                if rrow[j]:
-                    row[c * rel.cols + j] = rrow[j]
-    return IntMatrix(k * block_dim, k * rel.cols, data)
+    return block_diagonal(module.rel_lattice, k)
 
 
 def hom_vec(f, module):
     """Flatten a value matrix in Hom(R^k, N) to integer coordinates."""
-    expanded = f.expand()
-    block_dim = module.num_gens * module.group.order()
-    if expanded.rows != block_dim:
+    if f.rows != module.num_gens:
         raise DimensionMismatch("value matrix has %d gen rows, module has %d" % (f.rows, module.num_gens))
-    vec = []
-    for j in range(f.cols):
-        col = expanded.column(j)
-        vec.extend(col)
-    return tuple(vec)
+    return tuple(x for col in f.column_coordinates() for x in col)
 
 
 @dataclass
@@ -242,31 +186,17 @@ def hom_lambda(m, n):
     lifts = preimage_kernel(pre, _ambiguity_lattice(a.cols, n))
     zero = _ambiguity_lattice(m.num_gens, n)
     inv = quotient_invariants(lifts, zero)
+    block = n.num_gens * n.group.order()
     gens = []
-    for j in range(lifts.cols):
-        cols = _split_hom_columns(n, lifts.column(j), m.num_gens)
-        gens.append(ring_matrix_from_columns(n.group, cols, n.num_gens))
+    for vec in lifts.columns():
+        cols = [vec[j * block : (j + 1) * block] for j in range(m.num_gens)]
+        gens.append(ring_matrix_from_coordinates(n.group, cols, n.num_gens))
     return HomGroup(inv, gens, lifts, zero)
-
-
-def _split_hom_columns(module, vec, k):
-    n = module.group.order()
-    s = module.num_gens
-    block_dim = s * n
-    cols = []
-    for j in range(k):
-        block = vec[j * block_dim : (j + 1) * block_dim]
-        cols.append(deexpand_vector(module.group, block, s))
-    return cols
 
 
 def _free_cover_of_kernel(rel):
     """A ring matrix whose columns generate ker of the map given by rel."""
-    k = kernel_basis(rel.expand())
-    cols = []
-    for j in range(k.cols):
-        cols.append(deexpand_vector(rel.group, k.column(j), rel.cols))
-    return ring_matrix_from_columns(rel.group, cols, rel.cols)
+    return ring_matrix_from_coordinates(rel.group, kernel_basis(rel.expand()).columns(), rel.cols)
 
 
 def ext1(m, n):
@@ -399,37 +329,21 @@ def pi2_extension(c):
     source = fpmodule_kernel(d2)
     p2 = _free_cover_of_kernel(d3)
     ctx = ExtContext(source, d3, p2, label="pi2")
-    rep = _vec_in_source_coords(source, _generator_image_columns(d3))
+    rep = _vec_in_source_coords(source, d3.column_coordinates())
     cls = ctx.make_class(rep)
     if not ctx.check_cocycle(cls.rep):
         raise NotACycle("d_3 does not define a cocycle; complex is broken")
     return cls
 
 
-def _generator_image_columns(rm):
-    """Integer columns of the images of the free generators of the source
-    of a ring matrix (the identity-coordinate columns of the expansion)."""
-    n = rm.group.order()
-    full = rm.expand()
-    cols = [full.column(j * n) for j in range(rm.cols)]
-    return IntMatrix.from_columns(cols, full.rows)
-
-
 def _vec_in_source_coords(source, ambient_cols):
     """Express ambient integer columns in the generator basis of a kernel
-    module and flatten to Hom coordinates (integer coefficients sit on
-    the identity component of each generator block)."""
-    n = source.group.order()
-    s = source.num_gens
-    vec = []
-    for j, x in enumerate(solve_columns(source.gen_vecs, ambient_cols.columns())):
-        if x is None:
-            raise NotACycle("column %d is not in the kernel sublattice" % j)
-        block = [0] * (s * n)
-        for i in range(s):
-            block[i * n] = x[i]
-        vec.extend(block)
-    return tuple(vec)
+    module and flatten to Hom coordinates of the integer value matrix."""
+    xs = solve_columns(source.gen_vecs, ambient_cols)
+    if None in xs:
+        raise NotACycle("column %d is not in the kernel sublattice" % xs.index(None))
+    values = IntMatrix.from_columns(xs, source.num_gens)
+    return hom_vec(RingMatrix.from_int_matrix(source.group, values), source)
 
 
 def pi2_sequence_check(c):
@@ -515,7 +429,7 @@ def psi_chase(resolution, c2, w, z, rng=None):
         img = [sum((c_d2.entries[r][k] * vmat.entries[k][j] for k in range(b2)), ring_zero(group)) for r in range(c_d2.rows)]
         if any(not e.is_zero() for e in img):
             raise NotACycle("chase output escaped ker d_2")
-    rep = _vec_in_source_coords(source, _generator_image_columns(vmat))
+    rep = _vec_in_source_coords(source, vmat.column_coordinates())
     if not ctx.check_cocycle(rep):
         raise NotACycle("chase output is not a cocycle for the dual boundary")
     return ctx.make_class(rep)
@@ -579,15 +493,10 @@ def _solve_blocks(cmat, rhs, blocks, rng):
     added to each particular solution.
     """
     group = cmat.group
-    n = group.order()
+    r = cmat.rows
     expanded = cmat.expand()
-    targets = []
-    for b in range(blocks):
-        target = []
-        for e in rhs[b * cmat.rows : (b + 1) * cmat.rows]:
-            target.extend(_vec_of_element(group, e, n))
-        targets.append(target)
-    sols = solve_columns(expanded, targets)
+    targets = ring_matrix_from_columns(group, [rhs[b * r : (b + 1) * r] for b in range(blocks)], r)
+    sols = solve_columns(expanded, targets.column_coordinates())
     if None in sols:
         raise NotACycle("no lift exists; input rows are not exact")
     kb = kernel_basis(expanded) if rng is not None else None
@@ -603,13 +512,6 @@ def _solve_blocks(cmat, rhs, blocks, rng):
                         x[i] += coeff * col[i]
         out.extend(deexpand_vector(group, x, cmat.cols))
     return out
-
-
-def _vec_of_element(group, e, n):
-    vec = [0] * n
-    for el, coeff in e.terms.items():
-        vec[group.element_index(el)] = coeff
-    return vec
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,14 @@ exponent tuples, one coordinate per generator; finite coordinates are
 reduced mod their order, Laurent coordinates are signed integers.  The
 enumeration of a finite group is lexicographic in the exponent tuple and
 fixed once, so every matrix expansion downstream is reproducible.
+
+This module owns the integer coordinates of Z[pi]-matrices, finite pi:
+block (i, j) of RingMatrix.expand is the regular representation of entry
+(i, j), the image of source generator j is column j*|pi| and is what
+RingMatrix.column_coordinates returns, ring_matrix_from_coordinates and
+deexpand_vector invert it, and kron_identity turns a matrix into the map
+it induces on the coordinates of an s-generator module.  Other modules
+call these and never place coordinates themselves.
 """
 
 import itertools
@@ -453,31 +461,73 @@ class RingMatrix:
             data = [[e.twisted_augmentation(w) for e in r] for r in self.entries]
         return IntMatrix(self.rows, self.cols, data)
 
+    def transpose(self):
+        """Plain transpose, without the involution."""
+        return RingMatrix(
+            self.group, self.cols, self.rows, [[r[j] for r in self.entries] for j in range(self.cols)]
+        )
+
+    def kron_identity(self, s):
+        """M (x) I_s: entry (i*s+b, j*s+b) is M[i][j], every other entry 0.
+
+        Expanded, this is the map M induces on s-generator coordinates:
+        e * I_s acts on Z^(s*|pi|) as multiplication by e.
+        """
+        z = ring_zero(self.group)
+        out = []
+        for row in self.entries:
+            for b in range(s):
+                r = [z] * (self.cols * s)
+                r[b::s] = row
+                out.append(r)
+        return RingMatrix(self.group, self.rows * s, self.cols * s, out)
+
     def expand(self):
         """Integer block matrix of the map on Z-coordinates, finite pi.
 
-        Each entry becomes its regular representation block; a column of
-        the result is the coordinate vector of the image of one basis
-        element of the source.
+        Block (i, j) is the regular representation of entry (i, j), so
+        column j*|pi| of the result holds the coordinates of the image of
+        source generator j (see column_coordinates).  Each distinct entry
+        is represented once per call.
         """
         g = self.group
         if not g.is_finite:
             raise InfiniteGroup("expansion needs a finite group")
         n = g.order()
         data = [[0] * (self.cols * n) for _ in range(self.rows * n)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i][j]
-                if e.is_zero():
+        blocks = {}
+        for i, row in enumerate(self.entries):
+            band = data[i * n : (i + 1) * n]
+            for j, e in enumerate(row):
+                if not e.terms:
                     continue
-                block = regular_representation(e)
-                for bi in range(n):
-                    row = data[i * n + bi]
-                    brow = block.data[bi]
-                    for bj in range(n):
-                        if brow[bj]:
-                            row[j * n + bj] = brow[bj]
-        return IntMatrix(self.rows * n, self.cols * n, data)
+                block = blocks.get(e)
+                if block is None:
+                    block = blocks[e] = regular_representation(e).data
+                for drow, brow in zip(band, block):
+                    drow[j * n : (j + 1) * n] = brow
+        return IntMatrix._adopt(self.rows * n, self.cols * n, data)
+
+    def column_coordinates(self):
+        """Integer coordinates of each column, finite pi.
+
+        Column j is the concatenation of the coordinates of its entries
+        in the fixed element enumeration: the image of source generator j,
+        column j*|pi| of expand().
+        """
+        g = self.group
+        if not g.is_finite:
+            raise InfiniteGroup("coordinates need a finite group")
+        index = _element_table(g)[1]
+        n = len(index)
+        out = []
+        for j in range(self.cols):
+            vec = [0] * (self.rows * n)
+            for i, row in enumerate(self.entries):
+                for el, c in row[j].terms.items():
+                    vec[i * n + index[el]] = c
+            out.append(tuple(vec))
+        return out
 
     def __repr__(self):
         return "RingMatrix(%s, %d, %d)" % (self.group, self.rows, self.cols)
@@ -508,3 +558,9 @@ def deexpand_vector(group, vec, ranks):
                 terms[el] = c
         out.append(RingElement(group, terms))
     return out
+
+
+def ring_matrix_from_coordinates(group, columns, rows):
+    """Inverse of RingMatrix.column_coordinates: the RingMatrix with the
+    given number of rows whose column j has integer coordinates columns[j]."""
+    return ring_matrix_from_columns(group, [deexpand_vector(group, c, rows) for c in columns], rows)

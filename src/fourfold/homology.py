@@ -32,6 +32,7 @@ from fourfold.groupring import (
 from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
+    block_diagonal,
     cokernel_invariants,
     homology_invariants,
     quotient_invariants,
@@ -335,51 +336,22 @@ def module_homology(res, w, module, degree):
     """H_degree(pi; M^w) for a presented module M over the same group.
 
     The chain groups are presented as free integer lattices modulo the
-    per-block relation span of M; boundaries act through the regular
-    representation twisted by the character.
+    per-block relation span of M; a boundary d acts as the expansion of
+    d^w (x) I_s for an s-generator M.
     """
     if degree < 0 or degree + 1 > res.bound:
         raise DegreeOutOfRange("degree %d outside resolution bound" % degree)
     rel = module.rel_lattice
-    block = module.num_gens * module.group.order()
-
-    def chain_relations(k):
-        # block diagonal copies of the relation lattice
-        data = [[0] * (k * rel.cols) for _ in range(k * block)]
-        for c in range(k):
-            for i in range(block):
-                row = data[c * block + i]
-                rrow = rel.data[i]
-                for j in range(rel.cols):
-                    if rrow[j]:
-                        row[c * rel.cols + j] = rrow[j]
-        return IntMatrix(k * block, k * rel.cols, data)
+    s = module.num_gens
 
     def boundary_matrix(i):
-        delta = res.d(i).twist(w)
-        data = [[0] * (delta.cols * block) for _ in range(delta.rows * block)]
-        for r in range(delta.rows):
-            for c in range(delta.cols):
-                entry = delta.entries[r][c]
-                if entry.is_zero():
-                    continue
-                act = module.action_matrix(entry)
-                for bi in range(block):
-                    row = data[r * block + bi]
-                    arow = act.data[bi]
-                    for bj in range(block):
-                        if arow[bj]:
-                            row[c * block + bj] += arow[bj]
-        return IntMatrix(delta.rows * block, delta.cols * block, data)
+        return res.d(i).twist(w).kron_identity(s).expand()
 
-    dim = res.ranks[degree] * block
-    rel_here = chain_relations(res.ranks[degree])
+    rel_here = block_diagonal(rel, res.ranks[degree])
     if degree >= 1:
-        d_out = boundary_matrix(degree)
-        rel_below = chain_relations(res.ranks[degree - 1])
-        cycles = preimage_kernel(d_out, rel_below)
+        rel_below = block_diagonal(rel, res.ranks[degree - 1])
+        cycles = preimage_kernel(boundary_matrix(degree), rel_below)
     else:
-        cycles = IntMatrix.identity(dim)
-    d_in = boundary_matrix(degree + 1)
-    bound_gens = hstack(d_in, rel_here)
+        cycles = IntMatrix.identity(rel_here.rows)
+    bound_gens = hstack(boundary_matrix(degree + 1), rel_here)
     return quotient_invariants(cycles, bound_gens)

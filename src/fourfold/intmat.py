@@ -32,6 +32,7 @@ __all__ = [
     "induced_map_invariants",
     "hstack",
     "vstack",
+    "block_diagonal",
 ]
 
 
@@ -159,6 +160,16 @@ def vstack(a, b):
     if a.cols != b.cols:
         raise DimensionMismatch("vstack of %d and %d cols" % (a.cols, b.cols))
     return IntMatrix(a.rows + b.rows, a.cols, a.data + b.data)
+
+
+def block_diagonal(M, k):
+    """k copies of M down the diagonal."""
+    data = []
+    for c in range(k):
+        left = [0] * (c * M.cols)
+        right = [0] * ((k - 1 - c) * M.cols)
+        data.extend(left + r + right for r in M.data)
+    return IntMatrix._adopt(k * M.rows, k * M.cols, data)
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,21 @@ def test_kreck_negation_on_free_part():
     assert not kreck_equivalent(a, d)[0]
 
 
+def test_kreck_orbit_search_ends_on_a_growing_free_part():
+    # multiplying a free coordinate by 2 never cycles; the search must still end
+    g = trivial_group()
+    h4 = AbelianInvariants(1, (2,))
+
+    def rec(cls):
+        return ManifoldRecord(group=g, w_signs=(), class_h4=cls, h4=h4, aut_multipliers=(2, 3))
+
+    assert kreck_equivalent(rec((1, 1)), rec((-12, 0))) == (True, {"multiplier": 12, "sign": -1})
+    assert kreck_equivalent(rec((1, 1)), rec((5, 1))) == (False, None)
+    assert kreck_equivalent(rec((1, 1)), rec((0, 1))) == (False, None)
+    zero = ManifoldRecord(group=g, w_signs=(), class_h4=(0, 0), h4=h4, aut_multipliers=(0, 2))
+    assert kreck_equivalent(rec((3, 1)), zero) == (True, {"multiplier": 0, "sign": 1})
+
+
 def test_lens_family_anchors():
     rep = classify_lens_family(5, 1, 2)
     assert not rep.equivalent

@@ -195,6 +195,15 @@ def test_input_errors_exit_2(tmp_path, capsys):
     pres.write_text(emit_complex(presentation_complex(cyclic_group(3))))
     code, _, err = run(capsys, ["em-torsion", str(pres), "2"])
     assert code == 2
+    # invariants specs: free rank >= 0, torsion orders >= 1
+    t4 = tmp_path / "t4.json"
+    t4.write_text(emit_complex(torus4_complex()))
+    code, out, _ = run(capsys, ["--json", "classify-aspherical", str(t4), "--", "-5:2"])
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
+    code, out, err = run(capsys, ["recover-m", str(t4), "6:-3,-3,-3,-3"])
+    assert code == 2
+    assert out == "" and err.startswith("error: torsion orders")
 
 
 def test_boolean_inputs_exit_2(tmp_path, capsys, monkeypatch):

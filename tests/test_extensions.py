@@ -64,17 +64,21 @@ def test_fpmodule_basics():
 
 
 def test_action_matrix_multiplicative_on_free_module():
+    # multiplication by e on an s-generator module is e * I_s, expanded
     rng = random.Random(3)
     g = product_group((2, 2))
-    free = fpmodule_free(g, 1)
     els = g.elements()
     from fourfold.groupring import RingElement
+
+    def action(e, s):
+        return RingMatrix(g, 1, 1, [[e]]).kron_identity(s).expand()
 
     for _ in range(30):
         a = RingElement(g, {rng.choice(els): rng.randint(-3, 3)})
         b = RingElement(g, {rng.choice(els): rng.randint(-3, 3)})
-        assert free.action_matrix(a * b) == free.action_matrix(a) * free.action_matrix(b)
-        assert free.action_matrix(a) == regular_representation(a)
+        for s in (1, 2, 3):
+            assert action(a * b, s) == action(a, s) * action(b, s)
+        assert action(a, 1) == regular_representation(a)
 
 
 def test_hom_lambda_free_source():
@@ -87,6 +91,23 @@ def test_hom_lambda_free_source():
     # Hom(Z, Z) = Z, Hom(Z, Lambda) = fixed points = norm multiples = Z
     assert hom_lambda(triv, triv).invariants == Z
     assert hom_lambda(triv, free).invariants == Z
+
+
+def test_hom_group_contains_its_own_generators():
+    # m = R^2 / (0, t - 1) over Z/3, n = R: (1, 0) is a homomorphism m -> n,
+    # (0, 1) is not, since t - 1 does not die in R
+    g = cyclic_group(3)
+    one = ring_one(g)
+    zero = one * 0
+    t = ring_generator(g, 0)
+    m = fpmodule_cokernel(RingMatrix(g, 2, 1, [[zero], [t - one]]))
+    n = fpmodule_free(g, 1)
+    hom = hom_lambda(m, n)
+    assert hom.contains(RingMatrix(g, 1, 2, [[one, zero]]), n)
+    assert not hom.contains(RingMatrix(g, 1, 2, [[zero, one]]), n)
+    assert hom.contains(RingMatrix(g, 1, 2, [[zero, norm_element(g)]]), n)
+    assert hom.generators
+    assert all(hom.contains(f, n) for f in hom.generators)
 
 
 def test_ext1_frozen_values():
