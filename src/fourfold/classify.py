@@ -86,20 +86,19 @@ class ManifoldRecord:
     aut_multipliers: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "class_h4", self.reduce(self.class_h4))
-
-    def reduce(self, vec):
-        vec = tuple(int(x) for x in vec)
+        vec = tuple(int(x) for x in self.class_h4)
         if len(vec) != self.h4.free_rank + len(self.h4.torsion):
             raise DimensionMismatch(
                 "class has %d coordinates, homology needs %d"
                 % (len(vec), self.h4.free_rank + len(self.h4.torsion))
             )
-        free = vec[: self.h4.free_rank]
-        tors = tuple(
-            x % t for x, t in zip(vec[self.h4.free_rank :], self.h4.torsion)
-        )
-        return free + tors
+        object.__setattr__(self, "class_h4", self.reduce(vec))
+
+    def reduce(self, vec):
+        """Torsion coordinates mod their orders; vec is a tuple of ints of
+        the class's length (checked once, in __post_init__)."""
+        k = self.h4.free_rank
+        return vec[:k] + tuple(x % t for x, t in zip(vec[k:], self.h4.torsion))
 
 
 def squares_mod(n):
@@ -378,7 +377,7 @@ def _chain_map_to_resolution(c, res):
     if c.ranks[0] != 1:
         raise DimensionMismatch("complex needs a single generator in degree 0")
     cmap = {0: RingMatrix.identity(group, 1)}
-    top = min(c.top_degree, res.bound - 1)
+    top = min(c.top_degree, res.top_degree - 1)
     for i in range(1, top + 1):
         targets = (cmap[i - 1] * c.d(i)).column_coordinates()
         sols = solve_columns(res.d(i).expand(), targets)

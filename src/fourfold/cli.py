@@ -23,7 +23,7 @@ from fourfold.classify import (
     squares_mod,
 )
 from fourfold.complexes import homology_Lambda, homology_Zw
-from fourfold.errors import FourfoldError, ParseError
+from fourfold.errors import DegreeOutOfRange, FourfoldError, ParseError
 from fourfold.extensions import pi2_extension, pi2_sequence_check
 from fourfold.homology import bar_homology_oracle, group_homology
 from fourfold.intmat import AbelianInvariants, smith_normal_form
@@ -134,6 +134,8 @@ def _cmd_homology(args):
 def _cmd_group_homology(args):
     group = parse_group_spec(args.group)
     w = parse_char_spec(args.w, group)
+    if args.degree < 0:
+        raise DegreeOutOfRange("negative degree")
     inv = group_homology(group, w, args.degree) if group.is_finite else None
     if inv is None:
         from fourfold.homology import homology_of_laurent_extension
@@ -340,6 +342,8 @@ def build_parser():
     )
     ap.add_argument("--json", action="store_true", help="emit a JSON report envelope")
     sub = ap.add_subparsers(dest="command", required=True)
+    # argparse takes "-1,1" after a space for an option, so signs need "="
+    w_help = '"trivial" or one sign per generator, written --w=-1,1'
 
     p = sub.add_parser("snf", help="Smith form of an integer matrix file")
     p.add_argument("file")
@@ -352,7 +356,7 @@ def build_parser():
 
     p = sub.add_parser("group-homology", help="twisted group homology")
     p.add_argument("--group", required=True, help='e.g. "cyclic:5", "product:2,2", "cyclic:3*Z"')
-    p.add_argument("--w", default="trivial", help='"trivial" or signs like "-1,1"')
+    p.add_argument("--w", default="trivial", help=w_help)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--oracle", choices=("bar",), default=None)
     p.set_defaults(func=_cmd_group_homology)
@@ -399,7 +403,7 @@ def build_parser():
 
     p = sub.add_parser("bordism", help="stable bordism of a 1-type")
     p.add_argument("--group", required=True)
-    p.add_argument("--w", default="trivial")
+    p.add_argument("--w", default="trivial", help=w_help)
     p.set_defaults(func=_cmd_bordism)
 
     p = sub.add_parser("hopf-check", help="exact sequence bookkeeping for a 4-complex")

@@ -2,8 +2,10 @@
 
 A complex stores ranks C_0..C_n and boundary matrices d_i: C_i -> C_{i-1}
 (shape ranks[i-1] x ranks[i]) together with an orientation character.
-Construction checks shapes only; validate() checks d.d = 0 exactly, and
-every built-in constructor calls it.
+Construction checks shapes only; validate() checks d.d = 0 exactly.  It
+runs where a complex comes from outside the package (a parsed document,
+the factors of tensor_complex); the built-in constructors satisfy
+d.d = 0 by construction, and the test suite checks each of them.
 """
 
 from fourfold.errors import (
@@ -167,9 +169,7 @@ def presentation_complex(group, wedge_cells=0):
     d2 = RingMatrix(
         group, k, len(cols), [[cols[c][r] for c in range(len(cols))] for r in range(k)]
     )
-    c = LambdaComplex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
-    validate(c)
-    return c
+    return LambdaComplex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
 
 
 def _power_relator_column(group, i):
@@ -215,12 +215,15 @@ def tensor_complex(a, b):
 
     Degree n is the direct sum of A_i (x) B_j over i + j = n, blocks
     ordered by increasing i, pairs within a block ordered row-major.  The
-    boundary is dA (x) id + (-1)^i id (x) dB.
+    boundary is dA (x) id + (-1)^i id (x) dB.  The factors are validated;
+    the product then satisfies d.d = 0 because of the Koszul sign.
     """
     if a.group != b.group:
         raise GroupMismatch("tensor factors live over different groups")
     if a.w != b.w:
         raise GroupMismatch("tensor factors carry different characters")
+    validate(a)
+    validate(b)
     g = a.group
     na, nb = a.top_degree, b.top_degree
     n = na + nb
@@ -283,9 +286,7 @@ def tensor_complex(a, b):
                         for ai in range(a.ranks[i]):
                             entries[dst_off + ai * rbm + bi][src_off + ai * rb + bj] = e
         boundaries.append(RingMatrix(g, rows, cols, entries))
-    out = LambdaComplex(g, a.w, tuple(ranks), tuple(boundaries))
-    validate(out)
-    return out
+    return LambdaComplex(g, a.w, tuple(ranks), tuple(boundaries))
 
 
 def euler_char_mod2(c):

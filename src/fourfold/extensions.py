@@ -452,9 +452,10 @@ def _psi_context(resolution, c2, w):
     Keyed structurally so rebuilding an equal complex lands in the same
     context and classes stay comparable."""
     key = (
-        id(resolution),
         resolution.group,
         w.signs,
+        _matrix_signature(resolution.d(1)),
+        _matrix_signature(resolution.d(2)),
         _matrix_signature(c2.d(2)),
     )
     ctx = _psi_contexts.get(key)

@@ -8,7 +8,7 @@ classification, the mapping tori L x S^1, and the small closed
 import math
 from dataclasses import dataclass
 
-from fourfold.complexes import LambdaComplex, cross_circle, point_complex, validate
+from fourfold.complexes import LambdaComplex, cross_circle, point_complex
 from fourfold.errors import InvalidLens, OrderMismatch
 from fourfold.groupring import (
     RingMatrix,
@@ -65,9 +65,7 @@ def lens_complex(lens):
     d1 = RingMatrix(g, 1, 1, [[t - one]])
     d2 = RingMatrix(g, 1, 1, [[norm_element(g)]])
     d3 = RingMatrix(g, 1, 1, [[ring_generator(g, 0, e) - one]])
-    c = LambdaComplex(g, trivial_char(g), (1, 1, 1, 1), (d1, d2, d3))
-    validate(c)
-    return c
+    return LambdaComplex(g, trivial_char(g), (1, 1, 1, 1), (d1, d2, d3))
 
 
 def fundamental_class_invariant(lens):
@@ -136,9 +134,7 @@ def linking_isometric(f1, f2):
 
 def lens_times_circle(lens):
     """The 4-manifold L_{p,q} x S^1 over Z[Z/p x Z]."""
-    c = cross_circle(lens_complex(lens))
-    validate(c)
-    return c
+    return cross_circle(lens_complex(lens))
 
 
 def s4_complex():
@@ -149,9 +145,7 @@ def s4_complex():
     z01 = RingMatrix.zeros(g, 1, 0)
     z00 = RingMatrix.zeros(g, 0, 0)
     z10 = RingMatrix.zeros(g, 0, 1)
-    c = LambdaComplex(g, w, (1, 0, 0, 0, 1), (z01, z00, z00, z10))
-    validate(c)
-    return c
+    return LambdaComplex(g, w, (1, 0, 0, 0, 1), (z01, z00, z00, z10))
 
 
 def cp2_complex():
@@ -159,7 +153,7 @@ def cp2_complex():
     base = point_complex()
     g = base.group
     w = base.w
-    c = LambdaComplex(
+    return LambdaComplex(
         g,
         w,
         (1, 0, 1, 0, 1),
@@ -170,8 +164,6 @@ def cp2_complex():
             RingMatrix.zeros(g, 0, 1),
         ),
     )
-    validate(c)
-    return c
 
 
 def rp4_complex():
@@ -182,9 +174,7 @@ def rp4_complex():
     minus = RingMatrix(g, 1, 1, [[t - one]])
     plus = RingMatrix(g, 1, 1, [[t + one]])
     w = char_from_signs(g, (-1,))
-    c = LambdaComplex(g, w, (1, 1, 1, 1, 1), (minus, plus, minus, plus))
-    validate(c)
-    return c
+    return LambdaComplex(g, w, (1, 1, 1, 1, 1), (minus, plus, minus, plus))
 
 
 def torus4_complex():
@@ -192,7 +182,6 @@ def torus4_complex():
     c = point_complex()
     for _ in range(4):
         c = cross_circle(c)
-    validate(c)
     return c
 
 

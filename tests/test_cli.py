@@ -204,6 +204,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, ["recover-m", str(t4), "6:-3,-3,-3,-3"])
     assert code == 2
     assert out == "" and err.startswith("error: torsion orders")
+    # a negative degree is refused for Laurent extensions as for finite groups
+    for group in ("cyclic:2", "cyclic:2*Z"):
+        code, out, err = run(capsys, ["group-homology", "--group", group, "--degree=-1"])
+        assert code == 2
+        assert out == "" and err.startswith("error: negative degree")
 
 
 def test_boolean_inputs_exit_2(tmp_path, capsys, monkeypatch):
@@ -216,6 +221,31 @@ def test_boolean_inputs_exit_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["group-homology", "--group", "cyclic:2", "--degree", "1", "--oracle", "bar"])
     assert code == 2
     assert err.startswith("error: FOURFOLD_BUDGET") and "Traceback" not in err
+
+
+def test_sign_list_characters_are_written_with_equals(capsys):
+    from fourfold.groupring import char_from_signs, product_group
+    from fourfold.homology import group_homology
+
+    g = product_group((2, 2))
+    expect = group_homology(g, char_from_signs(g, (-1, 1)), 2)
+    code, out, _ = run(
+        capsys, ["--json", "group-homology", "--group", "product:2,2", "--w=-1,1", "--degree", "2"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["invariants"] == {"free": expect.free_rank, "torsion": list(expect.torsion)}
+    # with a space, argparse reads "-1,1" as an option: a usage error, exit 2
+    for bad in (
+        ["group-homology", "--group", "product:2,2", "--w", "-1,1", "--degree", "2"],
+        ["bordism", "--group", "product:2,2", "--w", "-1,1"],
+    ):
+        code, out, err = run(capsys, bad)
+        assert code == 2
+        assert "--w" in err and "Traceback" not in err
+        # the help of both verbs shows the form that works
+        code, out, _ = run(capsys, [bad[0], "--help"])
+        assert code == 0 and "--w=-1,1" in out
 
 
 def test_json_error_envelope(tmp_path, capsys):

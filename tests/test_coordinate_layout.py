@@ -284,7 +284,7 @@ def test_module_homology_boundaries_over_resolutions():
         w = char_from_signs(g, [-1] + [1] * (g.ngens - 1))
         c = presentation_complex(g)
         module = homology_Lambda(c, 1)[1]
-        for delta in (res.d(i).twist(w) for i in range(1, res.bound + 1)):
+        for delta in (res.d(i).twist(w) for i in range(1, res.top_degree + 1)):
             assert delta.kron_identity(module.num_gens).expand() == ref_boundary_matrix(delta, module)
         for k in set(res.ranks):
             assert block_diagonal(module.rel_lattice, k) == ref_chain_relations(module, k)

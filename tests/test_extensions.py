@@ -212,6 +212,30 @@ def test_psi_chase_klein_four_sees_distinct_classes():
     assert not a.same_class(b)
 
 
+def test_psi_context_is_keyed_on_the_resolution_boundaries():
+    from fourfold.complexes import LambdaComplex
+    from fourfold.extensions import _psi_context
+
+    g = cyclic_group(2)
+    w = trivial_char(g)
+    c2 = presentation_complex(g)
+    t = ring_generator(g, 0)
+    one = ring_one(g)
+    nm = RingMatrix(g, 1, 1, [[norm_element(g)]])
+
+    def resolution(d1_entry):
+        d1 = RingMatrix(g, 1, 1, [[d1_entry]])
+        return LambdaComplex(g, w, (1,) * 5, (d1, nm, d1, nm))
+
+    plus, minus = resolution(t - one), resolution(one - t)
+    ctx_plus, ctx_minus = _psi_context(plus, c2, w), _psi_context(minus, c2, w)
+    assert ctx_plus is not ctx_minus
+    for res, ctx in ((plus, ctx_plus), (minus, ctx_minus)):
+        assert ctx.p2 == res.d(1).twist(w).transpose_involute()
+        # an equal rebuild, alive at the same time, shares the context
+        assert _psi_context(resolution(res.d(1).entries[0][0]), c2, w) is ctx
+
+
 def test_em_family_shape():
     m = IntMatrix.from_rows([[2, 0], [0, 6], [0, 0]])
     fam = EmFamily.from_matrix(m)
