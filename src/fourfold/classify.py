@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from fourfold.complexes import homology_Lambda, homology_Zw
 from fourfold.errors import (
+    DegreeOutOfRange,
     DimensionMismatch,
     HypothesisViolated,
     InfiniteGroup,
@@ -26,7 +27,6 @@ from fourfold.groupring import (
     RingMatrix,
     cyclic_group,
     laurent_extension,
-    ring_matrix_from_coordinates,
     trivial_char,
 )
 from fourfold.homology import (
@@ -44,7 +44,6 @@ from fourfold.intmat import (
     kernel_basis,
     preimage_kernel,
     smith_normal_form,
-    solve_columns,
 )
 from fourfold.manifolds import (
     LensSpace,
@@ -324,6 +323,10 @@ def hopf_check(c):
     group = c.group
     if not group.is_finite:
         raise InfiniteGroup("the sequence check needs a finite group")
+    if c.top_degree < 4:
+        raise DegreeOutOfRange(
+            "the sequence check needs a 4-complex, got top degree %d" % c.top_degree
+        )
     w = c.w
     res = resolution_for(group)
     cmap = _chain_map_to_resolution(c, res)
@@ -379,13 +382,11 @@ def _chain_map_to_resolution(c, res):
     cmap = {0: RingMatrix.identity(group, 1)}
     top = min(c.top_degree, res.top_degree - 1)
     for i in range(1, top + 1):
-        targets = (cmap[i - 1] * c.d(i)).column_coordinates()
-        sols = solve_columns(res.d(i).expand(), targets)
-        if None in sols:
+        cmap[i] = res.d(i).solve(cmap[i - 1] * c.d(i))
+        if cmap[i] is None:
             raise HypothesisViolated(
                 "no chain lift in degree %d; resolution not exact there" % i
             )
-        cmap[i] = ring_matrix_from_coordinates(group, sols, res.ranks[i])
     return cmap
 
 

@@ -19,6 +19,7 @@ from fourfold.extensions import fpmodule_homology
 from fourfold.groupring import (
     OrientationChar,
     RingMatrix,
+    factor_norm,
     laurent_extension,
     ring_generator,
     ring_one,
@@ -156,7 +157,7 @@ def presentation_complex(group, wedge_cells=0):
     cols = []
     for i in range(k):
         col = [zero] * k
-        col[i] = _power_relator_column(group, i)
+        col[i] = factor_norm(group, i)
         cols.append(col)
     for i in range(k):
         for j in range(i + 1, k):
@@ -170,15 +171,6 @@ def presentation_complex(group, wedge_cells=0):
         group, k, len(cols), [[cols[c][r] for c in range(len(cols))] for r in range(k)]
     )
     return LambdaComplex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
-
-
-def _power_relator_column(group, i):
-    """1 + g + ... + g^(order-1) for the i-th generator."""
-    order = group.orders[i]
-    acc = ring_zero(group)
-    for e in range(order):
-        acc = acc + ring_generator(group, i, e)
-    return acc
 
 
 def cross_circle(c, sign=1):
@@ -210,13 +202,14 @@ def cross_circle(c, sign=1):
     return tensor_complex(lifted, circle)
 
 
-def tensor_complex(a, b):
-    """Tensor product over a common group ring.
+def tensor_complex(a, b, top=None):
+    """Tensor product over a common group ring, through degree top.
 
     Degree n is the direct sum of A_i (x) B_j over i + j = n, blocks
     ordered by increasing i, pairs within a block ordered row-major.  The
     boundary is dA (x) id + (-1)^i id (x) dB.  The factors are validated;
-    the product then satisfies d.d = 0 because of the Koszul sign.
+    the product then satisfies d.d = 0 because of the Koszul sign.  With
+    top, degrees above it are not built; by default the product is full.
     """
     if a.group != b.group:
         raise GroupMismatch("tensor factors live over different groups")
@@ -226,7 +219,7 @@ def tensor_complex(a, b):
     validate(b)
     g = a.group
     na, nb = a.top_degree, b.top_degree
-    n = na + nb
+    n = na + nb if top is None else min(top, na + nb)
 
     def blocks(deg):
         out = []

@@ -9,10 +9,6 @@ class DimensionMismatch(FourfoldError):
     """Matrix or vector shapes are incompatible."""
 
 
-class NoSolution(FourfoldError):
-    """An integer linear system has no solution."""
-
-
 class GroupMismatch(FourfoldError):
     """Operands live over different group rings."""
 

@@ -7,8 +7,10 @@ Hom / Ext computations become kernel, image and membership questions for
 integer matrices.  The coordinates come from groupring: a value matrix in
 Hom(R^k, N) is flattened by its column coordinates (hom_vec), precomposing
 with a is the expansion of a^T (x) I_s, and the relations of N repeat
-down the diagonal.  Class equality is always decided by exact membership
-in the coboundary lattice, never by comparing invariants.
+down the diagonal.  Free covers of kernels and lifts over the ring come
+from RingMatrix.kernel and RingMatrix.solve.  Class equality is always
+decided by exact membership in the coboundary lattice, never by comparing
+invariants.
 """
 
 import math
@@ -21,14 +23,7 @@ from fourfold.errors import (
     InfiniteGroup,
     NotACycle,
 )
-from fourfold.groupring import (
-    RingMatrix,
-    deexpand_vector,
-    ring_matrix_from_columns,
-    ring_matrix_from_coordinates,
-    ring_one,
-    ring_zero,
-)
+from fourfold.groupring import RingMatrix, ring_matrix_from_coordinates
 from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
@@ -115,8 +110,9 @@ def fpmodule_kernel(d):
     """ker of a ring matrix d, presented on the integer kernel basis.
 
     The integer kernel of the expansion is the expansion of the ring
-    kernel, so its basis columns generate the kernel over the ring; the
-    relations are the ring combinations of those generators that vanish.
+    kernel (RingMatrix.kernel), so its basis columns generate the kernel
+    over the ring; the relations are the ring combinations of those
+    generators that vanish.
     """
     k = kernel_basis(d.expand())
     return _module_from_gens(d.group, d.cols, k, None)
@@ -130,15 +126,12 @@ def fpmodule_homology(d_out, d_in):
 
 def _module_from_gens(group, ambient_rank, gen_vecs, modulo):
     lift = ring_matrix_from_coordinates(group, gen_vecs.columns(), ambient_rank)
-    lifted = lift.expand()
     if modulo is None:
-        rel_int = kernel_basis(lifted)
+        relations = lift.kernel()
     else:
-        rel_int = preimage_kernel(lifted, modulo)
-    relations = ring_matrix_from_coordinates(group, rel_int.columns(), gen_vecs.cols)
-    mod = FPModule(group, relations, gen_vecs=gen_vecs)
-    mod.lift = lift
-    return mod
+        rel_int = preimage_kernel(lift.expand(), modulo)
+        relations = ring_matrix_from_coordinates(group, rel_int.columns(), gen_vecs.cols)
+    return FPModule(group, relations, gen_vecs=gen_vecs)
 
 
 def _precompose_matrix(a, module):
@@ -168,7 +161,6 @@ class HomGroup:
     invariants: AbelianInvariants
     generators: list
     lift_lattice: IntMatrix = field(repr=False, default=None)
-    zero_lattice: IntMatrix = field(repr=False, default=None)
 
     def contains(self, f, module):
         return subgroup_membership(self.lift_lattice, hom_vec(f, module))
@@ -191,26 +183,16 @@ def hom_lambda(m, n):
     for vec in lifts.columns():
         cols = [vec[j * block : (j + 1) * block] for j in range(m.num_gens)]
         gens.append(ring_matrix_from_coordinates(n.group, cols, n.num_gens))
-    return HomGroup(inv, gens, lifts, zero)
-
-
-def _free_cover_of_kernel(rel):
-    """A ring matrix whose columns generate ker of the map given by rel."""
-    return ring_matrix_from_coordinates(rel.group, kernel_basis(rel.expand()).columns(), rel.cols)
+    return HomGroup(inv, gens, lifts)
 
 
 def ext1(m, n):
     """Ext^1 over the group ring via a length-2 partial free resolution.
 
     The resolution of m is P_1 = R^(cols of relations) --relations--> P_0;
-    P_2 is a free cover of the kernel of that map, obtained from the
-    integer kernel basis of the expansion.
+    P_2 is a free cover of the kernel of that map (RingMatrix.kernel).
     """
-    p1 = m.relations
-    p2 = _free_cover_of_kernel(p1)
-    cocycles = preimage_kernel(_precompose_matrix(p2, n), _ambiguity_lattice(p2.cols, n))
-    cobound = hstack(_precompose_matrix(p1, n), _ambiguity_lattice(p1.cols, n))
-    return quotient_invariants(cocycles, cobound)
+    return ExtContext(n, m.relations, m.relations.kernel()).ext_invariants()
 
 
 def ext_vanishing_check(c):
@@ -231,11 +213,10 @@ class ExtContext:
     the image of Hom(P_0, source) plus the per-column ambiguity.
     """
 
-    def __init__(self, source, p1, p2, label=""):
+    def __init__(self, source, p1, p2):
         self.source = source
         self.p1 = p1
         self.p2 = p2
-        self.label = label
         self.hom_rank = p1.cols
         self._cobound = None
         self._pre_p2 = None
@@ -249,27 +230,26 @@ class ExtContext:
             )
         return self._cobound
 
-    def check_cocycle(self, vec):
-        if self.p2 is None:
-            return True
+    def _p2_lattices(self):
+        """(precomposition with p2, its ambiguity lattice), built once."""
         if self._pre_p2 is None:
             self._pre_p2 = (
                 _precompose_matrix(self.p2, self.source),
                 _ambiguity_lattice(self.p2.cols, self.source),
             )
-        pre, amb = self._pre_p2
-        image = pre.mul_vec(vec)
-        return subgroup_membership(amb, image)
+        return self._pre_p2
+
+    def check_cocycle(self, vec):
+        if self.p2 is None:
+            return True
+        pre, amb = self._p2_lattices()
+        return subgroup_membership(amb, pre.mul_vec(vec))
 
     def ext_invariants(self):
         """Invariants of cocycles mod coboundaries (needs p2)."""
         if self.p2 is None:
             raise ContextMismatch("context has no cocycle data")
-        cocycles = preimage_kernel(
-            _precompose_matrix(self.p2, self.source),
-            _ambiguity_lattice(self.p2.cols, self.source),
-        )
-        return quotient_invariants(cocycles, self.cobound)
+        return quotient_invariants(preimage_kernel(*self._p2_lattices()), self.cobound)
 
     def make_class(self, vec):
         vec = tuple(vec)
@@ -327,8 +307,7 @@ def pi2_extension(c):
     d2 = c.d(2)
     d3 = c.d(3)
     source = fpmodule_kernel(d2)
-    p2 = _free_cover_of_kernel(d3)
-    ctx = ExtContext(source, d3, p2, label="pi2")
+    ctx = ExtContext(source, d3, d3.kernel())
     rep = _vec_in_source_coords(source, d3.column_coordinates())
     cls = ctx.make_class(rep)
     if not ctx.check_cocycle(cls.rep):
@@ -394,12 +373,13 @@ def psi_chase(resolution, c2, w, z, rng=None):
     kernel element; the class of the output must not change.
     """
     group = resolution.group
-    d = {i: resolution.d(i).twist(w) for i in (1, 2, 3, 4)}
-    a = {i: resolution.ranks[i] for i in range(5)}
-    if len(z) != a[4]:
-        raise DimensionMismatch("cycle length %d, rank of degree 4 is %d" % (len(z), a[4]))
-    aug4 = d[4].augment()
-    if any(v != 0 for v in aug4.mul_vec(z)):
+    a4 = resolution.ranks[4]
+    if len(z) != a4:
+        raise DimensionMismatch("cycle length %d, rank of degree 4 is %d" % (len(z), a4))
+    # chains on D_p (x) C_q are ring matrices with a row per C-index and a
+    # column per D-index: d^C acts on the left, delta (x) id is F * delta^T
+    dt = {i: resolution.d(i).twist(w).transpose() for i in (2, 3, 4)}
+    if any(v != 0 for v in resolution.d(4).augment(w).mul_vec(z)):
         raise NotACycle("input chain is not a cycle for the twisted boundary")
 
     c_d1 = c2.d(1)
@@ -407,29 +387,28 @@ def psi_chase(resolution, c2, w, z, rng=None):
     if c2.ranks[0] != 1:
         raise DimensionMismatch("chase needs a presentation complex with one 0-cell")
     ctx = _psi_context(resolution, c2, w)
-    source = ctx.source
 
-    # row 4: lift z to D_4 (x) C_0 on identity coefficients
-    one = ring_one(group)
-    f40 = [one * int(zi) for zi in z]
-    # down to row 3
-    u3 = _apply_vertical(d[4], f40, 1)
-    # lift across id (x) d_1
-    f31 = _solve_blocks(c_d1, u3, a[3], rng)
-    u2 = _apply_vertical(d[3], f31, c_d1.cols)
-    f22 = _solve_blocks(c_d2, u2, a[2], rng)
-    v = _apply_vertical(d[2], f22, c_d2.cols)
-    # v has a_1 blocks, each a column vector in C_2 that lies in ker d_2
-    b2 = c_d2.cols
-    cols = []
-    for i in range(a[1]):
-        cols.append(v[i * b2 : (i + 1) * b2])
-    vmat = ring_matrix_from_columns(group, cols, b2)
-    for j in range(a[1]):
-        img = [sum((c_d2.entries[r][k] * vmat.entries[k][j] for k in range(b2)), ring_zero(group)) for r in range(c_d2.rows)]
-        if any(not e.is_zero() for e in img):
-            raise NotACycle("chase output escaped ker d_2")
-    rep = _vec_in_source_coords(source, vmat.column_coordinates())
+    def lift(cmat, rhs):
+        """A solution of cmat * X == rhs, shifted by a random kernel
+        combination when rng is given."""
+        x = cmat.solve(rhs)
+        if x is None:
+            raise NotACycle("no lift exists; input rows are not exact")
+        if rng is not None:
+            k = cmat.kernel()
+            coeffs = [[rng.randint(-2, 2) for _ in range(k.cols)] for _ in range(x.cols)]
+            x = x + k * RingMatrix.from_int_matrix(group, IntMatrix.from_columns(coeffs, k.cols))
+        return x
+
+    # row 4: z on D_4 (x) C_0, down to row 3, across id (x) d_1, and so on
+    f40 = RingMatrix.from_int_matrix(group, IntMatrix(1, a4, [[int(x) for x in z]]))
+    f31 = lift(c_d1, f40 * dt[4])
+    f22 = lift(c_d2, f31 * dt[3])
+    v = f22 * dt[2]
+    # column i of v is a vector in C_2 that must lie in ker d_2
+    if not (c_d2 * v).is_zero():
+        raise NotACycle("chase output escaped ker d_2")
+    rep = _vec_in_source_coords(ctx.source, v.column_coordinates())
     if not ctx.check_cocycle(rep):
         raise NotACycle("chase output is not a cocycle for the dual boundary")
     return ctx.make_class(rep)
@@ -463,56 +442,9 @@ def _psi_context(resolution, c2, w):
         source = fpmodule_kernel(c2.d(2))
         d1t = resolution.d(1).twist(w).transpose_involute()
         d2t = resolution.d(2).twist(w).transpose_involute()
-        ctx = ExtContext(source, d2t, d1t, label="psi")
+        ctx = ExtContext(source, d2t, d1t)
         _psi_contexts[key] = ctx
     return ctx
-
-
-def _apply_vertical(delta, vec, block_cols):
-    """(delta (x) id) on a chain stored as D-index major list of ring elements."""
-    rows = delta.rows
-    cols = delta.cols
-    z = ring_zero(delta.group)
-    out = [z] * (rows * block_cols)
-    for ip in range(rows):
-        for i in range(cols):
-            e = delta.entries[ip][i]
-            if e.is_zero():
-                continue
-            for cidx in range(block_cols):
-                x = vec[i * block_cols + cidx]
-                if x.terms:
-                    out[ip * block_cols + cidx] = out[ip * block_cols + cidx] + e * x
-    return out
-
-
-def _solve_blocks(cmat, rhs, blocks, rng):
-    """Solve (id_blocks (x) cmat) X = rhs over the ring via expansion.
-
-    rhs holds blocks many column vectors of length cmat.rows; each block
-    is solved independently.  With rng, a random kernel combination is
-    added to each particular solution.
-    """
-    group = cmat.group
-    r = cmat.rows
-    expanded = cmat.expand()
-    targets = ring_matrix_from_columns(group, [rhs[b * r : (b + 1) * r] for b in range(blocks)], r)
-    sols = solve_columns(expanded, targets.column_coordinates())
-    if None in sols:
-        raise NotACycle("no lift exists; input rows are not exact")
-    kb = kernel_basis(expanded) if rng is not None else None
-    out = []
-    for x in sols:
-        x = list(x)
-        if kb is not None:
-            for j in range(kb.cols):
-                coeff = rng.randint(-2, 2)
-                if coeff:
-                    col = kb.column(j)
-                    for i in range(len(x)):
-                        x[i] += coeff * col[i]
-        out.extend(deexpand_vector(group, x, cmat.cols))
-    return out
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,11 @@ block (i, j) of RingMatrix.expand is the regular representation of entry
 (i, j), the image of source generator j is column j*|pi| and is what
 RingMatrix.column_coordinates returns, ring_matrix_from_coordinates and
 deexpand_vector invert it, and kron_identity turns a matrix into the map
-it induces on the coordinates of an s-generator module.  Other modules
-call these and never place coordinates themselves.
+it induces on the coordinates of an s-generator module.  It also owns the
+two ring-level questions that go through those coordinates:
+RingMatrix.solve (the X with A X = B) and RingMatrix.kernel (a matrix
+whose columns generate the kernel).  Other modules call these and never
+place coordinates themselves.
 """
 
 import itertools
@@ -25,7 +28,7 @@ from fourfold.errors import (
     UnsupportedCharacter,
     UnsupportedGroup,
 )
-from fourfold.intmat import IntMatrix
+from fourfold.intmat import IntMatrix, kernel_basis, solve_columns
 
 __all__ = [
     "GroupDescriptor",
@@ -41,6 +44,7 @@ __all__ = [
     "ring_one",
     "ring_generator",
     "norm_element",
+    "factor_norm",
     "regular_representation",
     "RingMatrix",
 ]
@@ -333,6 +337,12 @@ def norm_element(group):
     return RingElement(group, {el: 1 for el in group.elements()})
 
 
+def factor_norm(group, i):
+    """1 + t + ... + t^(n-1) for the generator t of cyclic factor i, of order n."""
+    e = group.identity
+    return RingElement(group, {e[:i] + (k,) + e[i + 1 :]: 1 for k in range(group.orders[i])})
+
+
 def regular_representation(a):
     """Integer matrix of multiplication by a on Z[pi], finite pi.
 
@@ -528,6 +538,25 @@ class RingMatrix:
                     vec[i * n + index[el]] = c
             out.append(tuple(vec))
         return out
+
+    def solve(self, b):
+        """The X with self * X == b over Z[pi], finite pi, or None.
+
+        One expansion and one Smith form serve every column of b; column j
+        of X is the lattice solution for the coordinates of column j of b.
+        """
+        sols = solve_columns(self.expand(), b.column_coordinates())
+        if None in sols:
+            return None
+        return ring_matrix_from_coordinates(self.group, sols, self.cols)
+
+    def kernel(self):
+        """A ring matrix whose columns generate the kernel, finite pi.
+
+        The integer kernel of the expansion is the expansion of the ring
+        kernel, so its basis columns generate the kernel over the ring.
+        """
+        return ring_matrix_from_coordinates(self.group, kernel_basis(self.expand()).columns(), self.cols)
 
     def __repr__(self):
         return "RingMatrix(%s, %d, %d)" % (self.group, self.rows, self.cols)

@@ -6,6 +6,11 @@ normalized bar resolution (the oracle, exponentially larger but assembled
 straight from the group law).  The acceptance suite insists the two
 agree; the bar route exists so nothing is ever checked against itself.
 
+The periodic resolution of each factor is written directly over the
+requested group (t_i - 1 in odd degree, the norm of factor i in even
+degree), and the factors are tensored only through the requested bound,
+so no boundary is built over another group or above the bound.
+
 A resolution is a plain LambdaComplex over Z[pi] with trivial character,
 truncated at top_degree: its augmented homology is Z in degree 0 and
 zero in degrees 1..top_degree-1.  That holds by construction (the
@@ -28,12 +33,10 @@ from fourfold.errors import (
 from fourfold.groupring import (
     RingMatrix,
     cyclic_group,
-    norm_element,
-    product_group,
+    factor_norm,
     ring_generator,
     ring_one,
     trivial_char,
-    trivial_group,
 )
 from fourfold.intmat import (
     AbelianInvariants,
@@ -48,7 +51,6 @@ from fourfold.intmat import (
 
 __all__ = [
     "periodic_resolution",
-    "tensor_resolution",
     "group_homology",
     "bar_homology_oracle",
     "h4_of_pi_cross_Z",
@@ -73,54 +75,20 @@ def generator_budget():
 
 
 def periodic_resolution(p, bound=DEFAULT_DEGREE_BOUND):
-    """The rank-one periodic resolution of Z over Z[Z/p].
+    """The rank-one periodic resolution of Z over Z[Z/p]: resolution_for
+    with one cyclic factor.
 
     Boundaries alternate t - 1 in odd degree and the norm in even degree.
     """
-    g = cyclic_group(p)
-    t = ring_generator(g, 0)
-    one = ring_one(g)
-    tm1 = RingMatrix(g, 1, 1, [[t - one]])
-    nm = RingMatrix(g, 1, 1, [[norm_element(g)]])
-    boundaries = tuple(tm1 if i % 2 == 1 else nm for i in range(1, bound + 1))
-    return LambdaComplex(g, trivial_char(g), (1,) * (bound + 1), boundaries)
+    return resolution_for(cyclic_group(p), bound)
 
 
-def trivial_resolution(bound=DEFAULT_DEGREE_BOUND):
-    g = trivial_group()
-    zero_first = RingMatrix.zeros(g, 1, 0)
-    zeros = RingMatrix.zeros(g, 0, 0)
-    boundaries = (zero_first,) + (zeros,) * (bound - 1)
-    return LambdaComplex(g, trivial_char(g), (1,) + (0,) * bound, boundaries)
-
-
-def tensor_resolution(r1, r2):
-    """Resolution of Z over the product group from resolutions of the
-    factors, truncated to the smaller bound."""
-    bound = min(r1.top_degree, r2.top_degree)
-    g = product_group(r1.group.orders + r2.group.orders)
-    k1 = len(r1.group.orders)
-    k2 = len(r2.group.orders)
-
-    def embed_left(el):
-        return el + (0,) * k2
-
-    def embed_right(el):
-        return (0,) * k1 + el
-
-    w = trivial_char(g)
-    left = _push_complex(r1, g, embed_left, w, bound)
-    right = _push_complex(r2, g, embed_right, w, bound)
-    c = tensor_complex(left, right)
-    return LambdaComplex(g, w, c.ranks[: bound + 1], c.boundaries[:bound])
-
-
-def _push_complex(c, group, embed, w, bound):
-    ranks = c.ranks[: bound + 1]
-    bs = tuple(
-        b.map_entries(lambda e: e.map_group(group, embed), group) for b in c.boundaries[:bound]
-    )
-    return LambdaComplex(group, w, ranks, bs)
+def _periodic_factor(group, i, bound):
+    """The periodic resolution of cyclic factor i, written over group."""
+    odd = RingMatrix(group, 1, 1, [[ring_generator(group, i) - ring_one(group)]])
+    even = RingMatrix(group, 1, 1, [[factor_norm(group, i)]])
+    boundaries = tuple(odd if k % 2 else even for k in range(1, bound + 1))
+    return LambdaComplex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
 
 
 _resolution_cache = {}
@@ -129,8 +97,11 @@ _resolution_cache = {}
 def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
     """A resolution of Z for a finite product of cyclic groups.
 
-    Cached per (group, bound): callers share coordinates, so classes
-    computed against the same resolution stay comparable.
+    The tensor product, through degree bound, of the periodic resolutions
+    of the factors of order > 1, each written over group itself; with no
+    such factor it is Z in degree 0.  Cached per (group, bound): callers
+    share coordinates, so classes computed against the same resolution
+    stay comparable.
     """
     if not group.is_finite:
         raise InfiniteGroup("resolutions are built for finite groups only")
@@ -138,38 +109,21 @@ def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
     cached = _resolution_cache.get(key)
     if cached is not None:
         return cached
-    orders = [o for o in group.orders if o > 1]
-    if len(orders) > MAX_CYCLIC_FACTORS:
+    factors = [i for i, o in enumerate(group.orders) if o > 1]
+    if len(factors) > MAX_CYCLIC_FACTORS:
         raise UnsupportedGroup(
-            "%d cyclic factors exceeds the default budget of %d" % (len(orders), MAX_CYCLIC_FACTORS)
+            "%d cyclic factors exceeds the default budget of %d" % (len(factors), MAX_CYCLIC_FACTORS)
         )
-    if not orders:
-        res = trivial_resolution(bound)
+    if not factors:
+        ranks = (1,) + (0,) * bound
+        boundaries = tuple(RingMatrix.zeros(group, ranks[i - 1], ranks[i]) for i in range(1, bound + 1))
+        res = LambdaComplex(group, trivial_char(group), ranks, boundaries)
     else:
-        res = periodic_resolution(orders[0], bound)
-        for o in orders[1:]:
-            res = tensor_resolution(res, periodic_resolution(o, bound))
-    # align the element coordinates with the requested descriptor
-    if res.group != group:
-        res = _relabel_resolution(res, group)
+        res = _periodic_factor(group, factors[0], bound)
+        for i in factors[1:]:
+            res = tensor_complex(res, _periodic_factor(group, i, bound), top=bound)
     _resolution_cache[key] = res
     return res
-
-
-def _relabel_resolution(res, group):
-    src = res.group
-    keep = [i for i, o in enumerate(group.orders) if o > 1]
-    if tuple(group.orders[i] for i in keep) != src.orders:
-        raise UnsupportedGroup("cannot align %s with %s" % (src, group))
-
-    def embed(el):
-        out = [0] * group.ngens
-        for j, i in enumerate(keep):
-            out[i] = el[j]
-        return tuple(out)
-
-    w = trivial_char(group)
-    return _push_complex(res, group, embed, w, res.top_degree)
 
 
 _homology_cache = {}

@@ -17,11 +17,14 @@ from fourfold.classify import (
     lens_times_circle_record,
     squares_mod,
 )
+from fourfold.complexes import presentation_complex
 from fourfold.extensions import em_torsion
 from fourfold.groupring import (
+    RingMatrix,
     char_from_signs,
     cyclic_group,
     laurent_extension,
+    product_group,
     trivial_char,
     trivial_group,
 )
@@ -33,6 +36,7 @@ from fourfold.manifolds import (
     torus4_complex,
 )
 from fourfold.errors import (
+    DegreeOutOfRange,
     DimensionMismatch,
     HypothesisViolated,
     InfiniteGroup,
@@ -271,3 +275,12 @@ def test_hopf_check_rp4():
 def test_hopf_check_needs_finite_group():
     with pytest.raises(InfiniteGroup):
         hopf_check(torus4_complex())
+
+
+def test_hopf_check_refuses_a_complex_below_degree_4_before_expanding(monkeypatch):
+    def refuse(self):
+        raise AssertionError("expand called")
+
+    monkeypatch.setattr(RingMatrix, "expand", refuse)
+    with pytest.raises(DegreeOutOfRange):
+        hopf_check(presentation_complex(product_group((2, 2))))

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from fourfold.cli import main
+from fourfold.complexes import presentation_complex
+from fourfold.groupring import product_group
 from fourfold.manifolds import LensSpace, lens_times_circle, rp4_complex, torus4_complex
 from fourfold.serialize import emit_complex, validate_report
 
@@ -176,6 +178,14 @@ def test_hopf_check_command(rp4_file, capsys):
     code, out, _ = run(capsys, ["hopf-check", rp4_file])
     assert code == 0
     assert "passed: True" in out
+
+
+def test_hopf_check_on_a_2_complex_exits_2(tmp_path, capsys):
+    p = tmp_path / "klein.json"
+    p.write_text(emit_complex(presentation_complex(product_group((2, 2)))))
+    code, _, err = run(capsys, ["hopf-check", str(p)])
+    assert code == 2
+    assert "Traceback" not in err
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

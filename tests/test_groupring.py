@@ -10,6 +10,7 @@ from fourfold.groupring import (
     char_from_signs,
     cyclic_group,
     deexpand_vector,
+    factor_norm,
     laurent_extension,
     norm_element,
     product_group,
@@ -224,6 +225,34 @@ def test_expand_deexpand_round_trip():
     assert back[1] == 2 * t
     with pytest.raises(GroupMismatch):
         deexpand_vector(g, [0] * 5, 2)
+
+
+def test_ring_solve_and_kernel():
+    g = product_group((3, 2))
+    t = ring_generator(g, 0)
+    one = ring_one(g)
+    a = RingMatrix(g, 1, 1, [[t - one]])
+    b = RingMatrix(g, 1, 2, [[t * t - one, (t - one) * ring_generator(g, 1)]])
+    x = a.solve(b)
+    assert x.rows == 1 and x.cols == 2
+    assert a * x == b
+    # 1 has augmentation 1, so it is not a multiple of t - 1
+    assert a.solve(RingMatrix(g, 1, 1, [[one]])) is None
+    k = a.kernel()
+    assert (a * k).is_zero()
+    # the kernel of t - 1 is the multiples of the norm of the first factor
+    n = factor_norm(g, 0)
+    assert a.solve(RingMatrix(g, 1, 1, [[n]])) is None
+    assert RingMatrix(g, 1, 1, [[n]]).solve(k) is not None
+    assert k.solve(RingMatrix(g, 1, 1, [[n]])) is not None
+
+
+def test_factor_norm():
+    g = product_group((3, 1, 4))
+    assert factor_norm(g, 0) == sum((ring_generator(g, 0, e) for e in range(3)), ring_zero(g))
+    assert factor_norm(g, 1) == ring_one(g)
+    assert factor_norm(g, 2).augmentation() == 4
+    assert factor_norm(cyclic_group(5), 0) == norm_element(cyclic_group(5))
 
 
 def test_expand_requires_finite_group():
