@@ -8,6 +8,7 @@ quotient of pi_2, and the order bookkeeping of the low-degree exact
 sequence linking manifold homology to group homology.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -96,8 +97,12 @@ class ManifoldRecord:
     def reduce(self, vec):
         """Torsion coordinates mod their orders; vec is a tuple of ints of
         the class's length (checked once, in __post_init__)."""
-        k = self.h4.free_rank
-        return vec[:k] + tuple(x % t for x, t in zip(vec[k:], self.h4.torsion))
+        return _reduce(self.h4, vec)
+
+
+def _reduce(h4, vec):
+    k = h4.free_rank
+    return vec[:k] + tuple(x % t for x, t in zip(vec[k:], h4.torsion))
 
 
 def squares_mod(n):
@@ -112,19 +117,30 @@ def squares_mod(n):
     return tuple(sorted(set(out)))
 
 
+# An entry is one record: a few short tuples over a group descriptor and
+# homology invariants that are shared, well under a kilobyte, so 1024
+# records stay under a megabyte.
+_RECORD_CACHE_SIZE = 1024
+
+
 def lens_times_circle_record(p, q):
     """Record for the circle product of a lens space.
 
     The group is Z/p x Z, the character is trivial, the degree-4 class
     is the standard invariant q^{-1} mod p, and the automorphism orbit
-    is by signed squares of units.
+    is by signed squares of units.  The record depends on p and that
+    class only, and is built once per pair for the process.
     """
-    lens = LensSpace(p, q)
+    return _lens_times_circle_record(p, fundamental_class_invariant(LensSpace(p, q)))
+
+
+@functools.lru_cache(maxsize=_RECORD_CACHE_SIZE)
+def _lens_times_circle_record(p, invariant):
     g = laurent_extension(cyclic_group(p), 1)
     return ManifoldRecord(
         group=g,
         w_signs=(1,) * g.ngens,
-        class_h4=(fundamental_class_invariant(lens),),
+        class_h4=(invariant,),
         h4=h4_of_pi_cross_Z(g, trivial_char(g)),
         aut_multipliers=squares_mod(p),
     )
@@ -154,21 +170,43 @@ def kreck_equivalent(m1, m2):
     degree-4 classes under signed automorphism multipliers.
 
     Returns (bool, certificate); the certificate names the multiplier
-    and sign that carry the first class to the second, or None.
+    and sign that carry the first class to the second, or None.  It is
+    the first breadth-first discovery of the second class from the
+    first, so reachability is directed: a non-unit multiplier can carry
+    one class to another and not back.  The search from a start class
+    reads only the target's free coordinates, so it is memoised per
+    process in a bounded cache and each query is one lookup.
     """
     if m1.group != m2.group or m1.w_signs != m2.w_signs:
         raise TypeMismatch("records carry different groups or characters")
     if m1.h4 != m2.h4:
         raise TypeMismatch("records disagree on the degree-4 homology")
-    start = m1.class_h4
     target = m2.class_h4
-    gens = tuple(dict.fromkeys(tuple(m1.aut_multipliers) + tuple(m2.aut_multipliers)))
-    if not gens:
-        gens = (1,)
+    gens = tuple(dict.fromkeys(tuple(m1.aut_multipliers) + tuple(m2.aut_multipliers))) or (1,)
+    caps = tuple(abs(x) for x in target[: m1.h4.free_rank])
+    hit = _orbit(m1.h4, m1.class_h4, gens, caps).get(target)
+    if hit is None:
+        return False, None
+    mult, sign = hit
+    return True, {"multiplier": mult, "sign": sign}
+
+
+# An entry is one orbit: at most |H_4| classes when H_4 is finite (with a
+# free part, those whose free coordinates lie within caps), each a short
+# tuple mapped to a (multiplier, sign) pair, about 110 bytes a class.  256
+# orbits of up to 1000 classes stay under 30 MB.
+_ORBIT_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_ORBIT_CACHE_SIZE)
+def _orbit(h4, start, gens, caps):
+    """Every class reachable from start by the multipliers gens and the
+    global sign, breadth-first, each mapped to the (multiplier, sign) of
+    its first discovery.  The returned dict is shared; do not mutate it."""
     # A nonzero multiplier never shrinks a free coordinate, so a class whose
-    # free part outgrows the target's can only lead to the zero class (met
-    # at once through a zero multiplier); dropping it keeps the orbit finite.
-    caps = [abs(x) for x in target[: m1.h4.free_rank]]
+    # free part outgrows the caps (the target's) can only lead to the zero
+    # class (met at once through a zero multiplier); dropping it keeps the
+    # orbit finite.
     seen = {start: (1, 1)}
     frontier = [start]
     while frontier:
@@ -176,19 +214,16 @@ def kreck_equivalent(m1, m2):
         for vec in frontier:
             mult, sign = seen[vec]
             for m in gens:
-                cand = m1.reduce(tuple(m * x for x in vec))
+                cand = _reduce(h4, tuple(m * x for x in vec))
                 if cand not in seen and all(abs(x) <= c for x, c in zip(cand, caps)):
                     seen[cand] = (mult * m, sign)
                     nxt.append(cand)
-            cand = m1.reduce(tuple(-x for x in vec))
+            cand = _reduce(h4, tuple(-x for x in vec))
             if cand not in seen:
                 seen[cand] = (mult, -sign)
                 nxt.append(cand)
         frontier = nxt
-    if target in seen:
-        mult, sign = seen[target]
-        return True, {"multiplier": mult, "sign": sign}
-    return False, None
+    return seen
 
 
 def classify_lens_family(p, q1, q2):

@@ -413,7 +413,7 @@ def build_parser():
     return ap
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _parser():
     """The parser, built on the first call and reused for the process."""
     return build_parser()

@@ -217,6 +217,12 @@ def tensor_complex(a, b, top=None):
         raise GroupMismatch("tensor factors carry different characters")
     validate(a)
     validate(b)
+    return _tensor_product(a, b, top)
+
+
+def _tensor_product(a, b, top=None):
+    """tensor_complex without its checks, for factors over one group ring
+    and character that are complexes by construction."""
     g = a.group
     na, nb = a.top_degree, b.top_degree
     n = na + nb if top is None else min(top, na + nb)

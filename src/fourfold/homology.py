@@ -18,10 +18,11 @@ periodic resolution of Z/p, and the Kunneth theorem for tensor
 products), so it is checked by the test suite, not at run time.
 """
 
+import functools
 import itertools
 import os
 
-from fourfold.complexes import LambdaComplex, tensor_complex
+from fourfold.complexes import LambdaComplex, _tensor_product
 from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -91,7 +92,12 @@ def _periodic_factor(group, i, bound):
     return LambdaComplex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
 
 
-_resolution_cache = {}
+# An entry is one resolution: bound + 1 boundaries of sparse Z[pi]
+# entries, from a few kB for one small cyclic factor to about 150 kB for
+# Z/4 x Z/4 x Z/4 through degree 6, so 64 entries stay near 10 MB.
+_RESOLUTION_CACHE_SIZE = 64
+# An entry is one AbelianInvariants, a couple of hundred bytes.
+_HOMOLOGY_CACHE_SIZE = 1024
 
 
 def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
@@ -99,16 +105,17 @@ def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
 
     The tensor product, through degree bound, of the periodic resolutions
     of the factors of order > 1, each written over group itself; with no
-    such factor it is Z in degree 0.  Cached per (group, bound): callers
-    share coordinates, so classes computed against the same resolution
-    stay comparable.
+    such factor it is Z in degree 0.  Cached per (group, bound) in a
+    bounded cache; a rebuilt resolution is equal to the evicted one, so
+    classes computed against it keep their coordinates.
     """
     if not group.is_finite:
         raise InfiniteGroup("resolutions are built for finite groups only")
-    key = (group, bound)
-    cached = _resolution_cache.get(key)
-    if cached is not None:
-        return cached
+    return _resolution(group, bound)
+
+
+@functools.lru_cache(maxsize=_RESOLUTION_CACHE_SIZE)
+def _resolution(group, bound):
     factors = [i for i, o in enumerate(group.orders) if o > 1]
     if len(factors) > MAX_CYCLIC_FACTORS:
         raise UnsupportedGroup(
@@ -117,16 +124,11 @@ def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
     if not factors:
         ranks = (1,) + (0,) * bound
         boundaries = tuple(RingMatrix.zeros(group, ranks[i - 1], ranks[i]) for i in range(1, bound + 1))
-        res = LambdaComplex(group, trivial_char(group), ranks, boundaries)
-    else:
-        res = _periodic_factor(group, factors[0], bound)
-        for i in factors[1:]:
-            res = tensor_complex(res, _periodic_factor(group, i, bound), top=bound)
-    _resolution_cache[key] = res
+        return LambdaComplex(group, trivial_char(group), ranks, boundaries)
+    res = _periodic_factor(group, factors[0], bound)
+    for i in factors[1:]:
+        res = _tensor_product(res, _periodic_factor(group, i, bound), top=bound)
     return res
-
-
-_homology_cache = {}
 
 
 def group_homology(group, w, degree, bound=None):
@@ -142,16 +144,15 @@ def group_homology(group, w, degree, bound=None):
         bound = max(DEFAULT_DEGREE_BOUND, degree + 1)
     if degree + 1 > bound:
         raise DegreeOutOfRange("degree %d needs bound >= %d" % (degree, degree + 1))
-    key = (group, w.signs, degree, bound)
-    cached = _homology_cache.get(key)
-    if cached is not None:
-        return cached
+    return _group_homology(group, w, degree, bound)
+
+
+@functools.lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)
+def _group_homology(group, w, degree, bound):
     res = resolution_for(group, bound)
     d_out = res.d(degree).augment(w) if degree >= 1 else None
     d_in = res.d(degree + 1).augment(w)
-    out = homology_invariants(d_out, d_in, res.ranks[degree])
-    _homology_cache[key] = out
-    return out
+    return homology_invariants(d_out, d_in, res.ranks[degree])
 
 
 def _bar_tuples(els, k):

@@ -136,6 +136,35 @@ def test_classify_kreck_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["classify-kreck", str(a), str(d)])
     assert code == 0
     assert "EQUIVALENT" in out
+    # --json bytes captured before the orbit search was memoised; each query
+    # is asked twice, so the second answer comes from the memo
+    cases = [
+        # H_4(Z/4 x Z) = Z/4: multiplier 2 carries [1] to [2] but not back
+        ("cyclic:4*Z", 1, 2, 0, KRECK_EQUIVALENT),
+        ("cyclic:4*Z", 2, 1, 1, KRECK_NOT_EQUIVALENT),
+        # H_4(Z^4) = Z: the orbit of [1] under 2 and sign meets -4 but never 3
+        ("trivial*Z^4", 1, 3, 1, KRECK_NOT_EQUIVALENT),
+        ("trivial*Z^4", 1, -4, 0, KRECK_FREE_EQUIVALENT),
+    ]
+    for group, c1, c2, code, expect in cases:
+        a.write_text(json.dumps({"group": group, "class_h4": [c1], "aut_multipliers": [2]}))
+        b.write_text(json.dumps({"group": group, "class_h4": [c2], "aut_multipliers": [2]}))
+        for _ in range(2):
+            assert run(capsys, ["--json", "classify-kreck", str(a), str(b)])[:2] == (code, expect)
+
+
+KRECK_EQUIVALENT = (
+    '{"command": "classify-kreck", "result": {"certificate": {"multiplier": 2, "sign": 1}, '
+    '"verdict": "EQUIVALENT"}, "schema_version": "1", "status": "ok"}\n'
+)
+KRECK_NOT_EQUIVALENT = (
+    '{"command": "classify-kreck", "result": {"certificate": null, "verdict": "NOT_EQUIVALENT"}, '
+    '"schema_version": "1", "status": "negative"}\n'
+)
+KRECK_FREE_EQUIVALENT = (
+    '{"command": "classify-kreck", "result": {"certificate": {"multiplier": 4, "sign": -1}, '
+    '"verdict": "EQUIVALENT"}, "schema_version": "1", "status": "ok"}\n'
+)
 
 
 def test_classify_aspherical_command(t4_file, capsys):

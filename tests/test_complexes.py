@@ -164,6 +164,20 @@ def test_tensor_complex_unit_and_mismatch():
         tensor_complex(c, tw)
 
 
+def test_tensor_complex_validates_its_factors():
+    # factors passed from outside the package are checked for d.d = 0
+    g = cyclic_group(2)
+    w = trivial_char(g)
+    t = ring_generator(g, 0)
+    one = ring_one(g)
+    bad = LambdaComplex(g, w, (1, 1, 1), (RingMatrix(g, 1, 1, [[t - one]]), RingMatrix(g, 1, 1, [[one]])))
+    good = presentation_complex(g)
+    with pytest.raises(NotAComplex):
+        tensor_complex(good, bad)
+    with pytest.raises(NotAComplex):
+        tensor_complex(bad, good, top=2)
+
+
 def test_homology_lambda_needs_finite_group():
     x = cross_circle(point_complex())
     with pytest.raises(InfiniteGroup):

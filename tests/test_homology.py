@@ -13,6 +13,7 @@ model complexes are likewise checked for d.d = 0 here.
 
 import pytest
 
+from fourfold import complexes, homology
 from fourfold.complexes import LambdaComplex, presentation_complex, validate
 from fourfold.extensions import fpmodule_cokernel, fpmodule_free
 from fourfold.groupring import (
@@ -28,6 +29,7 @@ from fourfold.groupring import (
     trivial_group,
 )
 from fourfold.homology import (
+    DEFAULT_DEGREE_BOUND,
     bar_homology_oracle,
     group_homology,
     h4_of_pi_cross_Z,
@@ -257,6 +259,31 @@ def test_tensor_resolution_matches_direct_build():
     res = resolution_for(product_group((2, 3)))
     assert res.group == product_group((2, 3))
     assert check_exactness(res)
+
+
+def test_resolution_build_does_not_revalidate_its_factors(monkeypatch):
+    # the periodic factors and partial products are complexes by construction
+    def refuse(c):
+        raise AssertionError("validate called on a factor built by resolution_for")
+
+    monkeypatch.setattr(complexes, "validate", refuse)
+    homology._resolution.cache_clear()
+    res = resolution_for(product_group((2, 2, 2)), 6)
+    assert res.ranks == (1, 3, 6, 10, 15, 21, 28)
+    monkeypatch.undo()
+    assert check_exactness(res)
+
+
+def test_cache_keys_are_normalised():
+    g = product_group((2, 4))
+    w = trivial_char(g)
+    homology._resolution.cache_clear()
+    homology._group_homology.cache_clear()
+    assert resolution_for(g) is resolution_for(g, DEFAULT_DEGREE_BOUND)
+    assert homology._resolution.cache_info().currsize == 1
+    assert group_homology(g, w, 3) == group_homology(g, w, 3, bound=DEFAULT_DEGREE_BOUND)
+    assert homology._group_homology.cache_info().currsize == 1
+    assert homology._group_homology.cache_info().hits == 1
 
 
 def test_laurent_extension_homology():

@@ -1,0 +1,199 @@
+"""The Kreck orbit search runs once per start class and each lens record is
+built once.
+
+ref_kreck_equivalent below is a frozen copy of kreck_equivalent as it was
+before the breadth-first search moved into the memoised classify._orbit:
+one full search per query.  The memoised route must give the same verdict
+and the same certificate (the first breadth-first discovery) on every
+query, with the memo cold, warm and cleared again.  Reachability is
+directed, so the reference is asked in both orders.
+"""
+
+import importlib
+import inspect
+import math
+import pkgutil
+import random
+
+import fourfold
+from fourfold import classify
+from fourfold.classify import (
+    ManifoldRecord,
+    classify_lens_family,
+    kreck_equivalent,
+    lens_times_circle_record,
+)
+from fourfold.errors import TypeMismatch
+from fourfold.groupring import cyclic_group, laurent_extension, trivial_group
+from fourfold.intmat import AbelianInvariants
+
+
+# ---- frozen reference: the per-query search as it was ----------------------
+
+
+def ref_kreck_equivalent(m1, m2):
+    """Same stable class over a fixed 1-type: orbit membership of the
+    degree-4 classes under signed automorphism multipliers.
+
+    Returns (bool, certificate); the certificate names the multiplier
+    and sign that carry the first class to the second, or None.
+    """
+    if m1.group != m2.group or m1.w_signs != m2.w_signs:
+        raise TypeMismatch("records carry different groups or characters")
+    if m1.h4 != m2.h4:
+        raise TypeMismatch("records disagree on the degree-4 homology")
+    start = m1.class_h4
+    target = m2.class_h4
+    gens = tuple(dict.fromkeys(tuple(m1.aut_multipliers) + tuple(m2.aut_multipliers)))
+    if not gens:
+        gens = (1,)
+    # A nonzero multiplier never shrinks a free coordinate, so a class whose
+    # free part outgrows the target's can only lead to the zero class (met
+    # at once through a zero multiplier); dropping it keeps the orbit finite.
+    caps = [abs(x) for x in target[: m1.h4.free_rank]]
+    seen = {start: (1, 1)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for vec in frontier:
+            mult, sign = seen[vec]
+            for m in gens:
+                cand = m1.reduce(tuple(m * x for x in vec))
+                if cand not in seen and all(abs(x) <= c for x, c in zip(cand, caps)):
+                    seen[cand] = (mult * m, sign)
+                    nxt.append(cand)
+            cand = m1.reduce(tuple(-x for x in vec))
+            if cand not in seen:
+                seen[cand] = (mult, -sign)
+                nxt.append(cand)
+        frontier = nxt
+    if target in seen:
+        mult, sign = seen[target]
+        return True, {"multiplier": mult, "sign": sign}
+    return False, None
+
+
+# ---- helpers -----------------------------------------------------------------
+
+
+def units(p):
+    return [q for q in range(1, p) if math.gcd(q, p) == 1]
+
+
+def assert_matches_reference(pairs):
+    """Every pair agrees with the reference cold, warm and after a clear."""
+    expect = [ref_kreck_equivalent(a, b) for a, b in pairs]
+    classify._orbit.cache_clear()
+    for _ in range(2):
+        assert [kreck_equivalent(a, b) for a, b in pairs] == expect
+    classify._orbit.cache_clear()
+    assert [kreck_equivalent(a, b) for a, b in pairs] == expect
+    return expect
+
+
+def trivial_record(h4, cls, mults):
+    return ManifoldRecord(group=trivial_group(), w_signs=(), class_h4=cls, h4=h4, aut_multipliers=mults)
+
+
+# ---- the memoised search against the reference -------------------------------
+
+
+def test_every_lens_unit_pair_matches_reference_in_both_orders():
+    pairs = []
+    for p in range(2, 31):
+        recs = [lens_times_circle_record(p, q) for q in units(p)]
+        for i, a in enumerate(recs):
+            for b in recs[i:]:
+                pairs.append((a, b))
+                pairs.append((b, a))
+    expect = assert_matches_reference(pairs)
+    assert any(eq for eq, _ in expect) and not all(eq for eq, _ in expect)
+
+
+def test_random_records_match_reference():
+    rng = random.Random(20261018)
+    pool = (-1, 0, 1, 2, 3, 5, 6, 7)
+    pairs = []
+    for torsion in ((2,), (4,), (2, 4), (2, 2, 6)):
+        for free in (1, 2):
+            h4 = AbelianInvariants(free, torsion)
+            for _ in range(12):
+                cls = [tuple(rng.randint(-6, 6) for _ in range(free)) + tuple(rng.randrange(t) for t in torsion)
+                       for _ in range(2)]
+                m1 = tuple(rng.sample(pool, rng.randint(0, 3)))
+                m2 = tuple(rng.sample(pool, rng.randint(0, 3)))
+                a = trivial_record(h4, cls[0], m1)
+                b = trivial_record(h4, cls[1], m2)
+                # a target in the start's own orbit, so that some verdicts are True
+                c = trivial_record(h4, tuple(x * rng.choice((1, -1, 2)) for x in cls[0]), m2)
+                pairs += [(a, b), (b, a), (a, c), (c, a)]
+    expect = assert_matches_reference(pairs)
+    assert any(eq for eq, _ in expect) and not all(eq for eq, _ in expect)
+
+
+def test_non_unit_multipliers_differing_per_record_match_reference():
+    h4 = AbelianInvariants(1, (2, 4))
+    mult_sets = ((0,), (2,), (6,), (2, 6), (0, 2, 6), (3, 2), (6, 0, -1))
+    classes = [(f, a, b) for f in (-3, 0, 1, 2, 4) for a in range(2) for b in range(4)]
+    rng = random.Random(6)
+    pairs = []
+    for m1 in mult_sets:
+        for m2 in mult_sets:
+            if m1 == m2:
+                continue
+            for _ in range(6):
+                c1, c2 = rng.sample(classes, 2)
+                pairs.append((trivial_record(h4, c1, m1), trivial_record(h4, c2, m2)))
+                pairs.append((trivial_record(h4, c2, m2), trivial_record(h4, c1, m1)))
+    expect = assert_matches_reference(pairs)
+    assert any(eq for eq, _ in expect) and not all(eq for eq, _ in expect)
+
+
+def test_reachability_is_directed_for_a_non_unit_multiplier():
+    # H_4(Z/4 x Z) = Z/4; multiplying by 2 carries [1] to [2] but never back
+    g = laurent_extension(cyclic_group(4), 1)
+    h4 = AbelianInvariants(0, (4,))
+
+    def rec(c):
+        return ManifoldRecord(group=g, w_signs=(1, 1), class_h4=(c,), h4=h4, aut_multipliers=(2,))
+
+    expect = assert_matches_reference([(rec(1), rec(2)), (rec(2), rec(1))])
+    assert expect == [(True, {"multiplier": 2, "sign": 1}), (False, None)]
+
+
+# ---- the mechanism: one search per start class, one build per record ---------
+
+
+def test_lens_family_searches_once_per_start_class():
+    classify._orbit.cache_clear()
+    classify._lens_times_circle_record.cache_clear()
+    qs = units(7)
+    for q1 in qs:
+        for q2 in qs:
+            classify_lens_family(7, q1, q2)
+    assert len(qs) ** 2 == 36
+    assert classify._orbit.cache_info().misses == 6
+    assert classify._lens_times_circle_record.cache_info().misses == 6
+
+
+def test_lens_record_is_shared_by_equal_classes():
+    # q and q + p name the same lens class, so they share one record
+    assert lens_times_circle_record(7, 3) is lens_times_circle_record(7, 10)
+
+
+def test_every_lru_cache_is_bounded():
+    found = {}
+    for info in pkgutil.iter_modules(fourfold.__path__):
+        module = importlib.import_module("fourfold." + info.name)
+        owners = [module] + [c for c in vars(module).values() if inspect.isclass(c)]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_parameters"):
+                    found["%s.%s" % (info.name, name)] = value.cache_parameters()["maxsize"]
+    assert {
+        "classify._orbit",
+        "classify._lens_times_circle_record",
+        "homology._resolution",
+        "homology._group_homology",
+    } <= set(found)
+    assert all(size is not None for size in found.values()), found
