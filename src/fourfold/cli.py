@@ -428,12 +428,16 @@ def main(argv=None):
     try:
         return args.func(args)
     except FourfoldError as exc:
-        msg = "error: %s" % exc
-        if getattr(args, "json", False):
-            print(json.dumps(report_envelope(args.command, "error", {"message": str(exc)}), sort_keys=True))
-        else:
-            print(msg, file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        # Reported once the handler has ended, so the frames that the
+        # traceback holds, and the matrices in them, are freed first.
+        message = "out of memory"
+    if getattr(args, "json", False):
+        print(json.dumps(report_envelope(args.command, "error", {"message": message}), sort_keys=True))
+    else:
+        print("error: %s" % message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

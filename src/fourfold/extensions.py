@@ -8,9 +8,12 @@ integer matrices.  The coordinates come from groupring: a value matrix in
 Hom(R^k, N) is flattened by its column coordinates (hom_vec), precomposing
 with a is the expansion of a^T (x) I_s, and the relations of N repeat
 down the diagonal.  Free covers of kernels and lifts over the ring come
-from RingMatrix.kernel and RingMatrix.solve.  Class equality is always
-decided by exact membership in the coboundary lattice, never by comparing
-invariants.
+from RingMatrix.kernel and RingMatrix.solve.  Kernel and homology modules
+are presented on ring generators spun from the integer kernel basis
+(groupring.spin_generators), and their relations are spun the same way,
+so a presentation has a handful of generators and relations instead of
+one per lattice basis vector.  Class equality is always decided by exact
+membership in the coboundary lattice, never by comparing invariants.
 """
 
 import math
@@ -23,13 +26,12 @@ from fourfold.errors import (
     InfiniteGroup,
     NotACycle,
 )
-from fourfold.groupring import RingMatrix, ring_matrix_from_coordinates
+from fourfold.groupring import RingMatrix, ring_matrix_from_coordinates, spin_generators
 from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
     block_diagonal,
     cokernel_invariants,
-    column_span_basis,
     hstack,
     kernel_basis,
     preimage_kernel,
@@ -67,9 +69,10 @@ class FPModule:
     """Left module over Z[pi] given as coker of a matrix of relations.
 
     relations is s x m over the ring: the module is Z[pi]^s / (column
-    span).  Modules arising as kernels inside a free module also carry
-    gen_vecs, the integer coordinates of their generators in the ambient
-    free module (one column per generator).
+    span).  Modules arising as kernels or homology inside a free module
+    also carry gen_vecs, a ring matrix whose s columns are the generators
+    in the ambient free module: ring generators chosen by spinning
+    (groupring.spin_generators), not a Z-basis of the lattice they span.
     """
 
     def __init__(self, group, relations, gen_vecs=None):
@@ -107,31 +110,40 @@ def fpmodule_cokernel(rel):
 
 
 def fpmodule_kernel(d):
-    """ker of a ring matrix d, presented on the integer kernel basis.
+    """ker of a ring matrix d, presented on ring generators spun from the
+    integer kernel basis.
 
-    The integer kernel of the expansion is the expansion of the ring
-    kernel (RingMatrix.kernel), so its basis columns generate the kernel
-    over the ring; the relations are the ring combinations of those
-    generators that vanish.
+    The integer kernel of the expansion is a pi-stable lattice, the
+    expansion of the ring kernel; the generators are the basis columns
+    that spinning keeps, and the relations are spun the same way from
+    the integer kernel of the generator matrix.
     """
     k = kernel_basis(d.expand())
     return _module_from_gens(d.group, d.cols, k, None)
 
 
 def fpmodule_homology(d_out, d_in):
-    """ker(d_out) / im(d_in) as a module over the group ring."""
+    """ker(d_out) / im(d_in) as a module over the group ring.
+
+    Generators are spun from the integer kernel basis of d_out, and the
+    relations from the lattice of generator combinations that land in
+    im(d_in).
+    """
     k = kernel_basis(d_out.expand())
     return _module_from_gens(d_out.group, d_out.cols, k, d_in.expand())
 
 
-def _module_from_gens(group, ambient_rank, gen_vecs, modulo):
-    lift = ring_matrix_from_coordinates(group, gen_vecs.columns(), ambient_rank)
-    if modulo is None:
-        relations = lift.kernel()
-    else:
-        rel_int = preimage_kernel(lift.expand(), modulo)
-        relations = ring_matrix_from_coordinates(group, rel_int.columns(), gen_vecs.cols)
-    return FPModule(group, relations, gen_vecs=gen_vecs)
+def _module_from_gens(group, ambient_rank, basis, modulo):
+    """The module generated by the pi-stable lattice with Z-basis basis
+    inside Z[pi]^ambient_rank, modulo the lattice modulo (None for 0).
+
+    Generators and relations are both spun (groupring.spin_generators):
+    the relation lattice is every integer combination of the generator
+    orbits that vanishes, or lands in modulo."""
+    gens = spin_generators(group, ambient_rank, basis)
+    lift = gens.expand()
+    rel_basis = kernel_basis(lift) if modulo is None else preimage_kernel(lift, modulo)
+    return FPModule(group, spin_generators(group, gens.cols, rel_basis), gen_vecs=gens)
 
 
 def _precompose_matrix(a, module):
@@ -316,13 +328,13 @@ def pi2_extension(c):
 
 
 def _vec_in_source_coords(source, ambient_cols):
-    """Express ambient integer columns in the generator basis of a kernel
-    module and flatten to Hom coordinates of the integer value matrix."""
-    xs = solve_columns(source.gen_vecs, ambient_cols)
-    if None in xs:
-        raise NotACycle("column %d is not in the kernel sublattice" % xs.index(None))
-    values = IntMatrix.from_columns(xs, source.num_gens)
-    return hom_vec(RingMatrix.from_int_matrix(source.group, values), source)
+    """Write ambient integer columns as ring combinations of the generators
+    of a kernel module and flatten to Hom coordinates of the value matrix."""
+    gens = source.gen_vecs
+    values = gens.solve(ring_matrix_from_coordinates(source.group, ambient_cols, gens.rows))
+    if values is None:
+        raise NotACycle("a column is not in the kernel module")
+    return hom_vec(values, source)
 
 
 def pi2_sequence_check(c):

@@ -13,12 +13,14 @@ block (i, j) of RingMatrix.expand is the regular representation of entry
 RingMatrix.column_coordinates returns, ring_matrix_from_coordinates and
 deexpand_vector invert it, and kron_identity turns a matrix into the map
 it induces on the coordinates of an s-generator module.  It also owns the
-two ring-level questions that go through those coordinates:
-RingMatrix.solve (the X with A X = B) and RingMatrix.kernel (a matrix
-whose columns generate the kernel).  Other modules call these and never
-place coordinates themselves.
+ring-level questions that go through those coordinates:
+RingMatrix.solve (the X with A X = B), RingMatrix.kernel (a matrix whose
+columns generate the kernel) and spin_generators (a few ring generators
+of a pi-stable lattice, picked from a Z-basis of it).  Other modules call
+these and never place coordinates themselves.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -47,9 +49,8 @@ __all__ = [
     "factor_norm",
     "regular_representation",
     "RingMatrix",
+    "spin_generators",
 ]
-
-_descriptor_cache = {}
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,10 @@ class GroupDescriptor:
         """All elements of a finite group, lexicographic in exponents."""
         if not self.is_finite:
             raise InfiniteGroup("cannot enumerate a Laurent extension")
-        return _element_table(self)[0]
+        return _element_table(self.orders)[0]
 
     def element_index(self, el):
-        return _element_table(self)[1][self.reduce(el)]
+        return _element_table(self.orders)[1][self.reduce(el)]
 
     def finite_part(self):
         return _get_descriptor(self.orders, 0)
@@ -132,22 +133,27 @@ class GroupDescriptor:
         return base
 
 
+# A descriptor is a frozen pair of a short tuple and an int, a few hundred
+# bytes, so 1024 of them stay well under a megabyte.  An evicted descriptor
+# is rebuilt as an equal, not identical, object; RingElement._check falls
+# back to == for that case.
+_DESCRIPTOR_CACHE_SIZE = 1024
+# A table holds |pi| exponent tuples and their index, about 200 bytes per
+# element: 64 tables of groups of order up to 1000 stay under 13 MB.
+_ELEMENT_TABLE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_DESCRIPTOR_CACHE_SIZE)
 def _get_descriptor(orders, laurent_rank):
-    key = (tuple(orders), laurent_rank)
-    if key not in _descriptor_cache:
-        _descriptor_cache[key] = GroupDescriptor(key[0], laurent_rank)
-    return _descriptor_cache[key]
+    return GroupDescriptor(orders, laurent_rank)
 
 
-_element_tables = {}
-
-
-def _element_table(g):
-    key = (g.orders, g.laurent_rank)
-    if key not in _element_tables:
-        els = [tuple(t) for t in itertools.product(*(range(o) for o in g.orders))]
-        _element_tables[key] = (els, {e: i for i, e in enumerate(els)})
-    return _element_tables[key]
+@functools.lru_cache(maxsize=_ELEMENT_TABLE_CACHE_SIZE)
+def _element_table(orders):
+    """The elements of the finite group with these cyclic orders, in the
+    fixed enumeration, and the index of each."""
+    els = [tuple(t) for t in itertools.product(*(range(o) for o in orders))]
+    return els, {e: i for i, e in enumerate(els)}
 
 
 def trivial_group():
@@ -352,7 +358,7 @@ def regular_representation(a):
     g = a.group
     if not g.is_finite:
         raise InfiniteGroup("regular representation needs a finite group")
-    els, index = _element_table(g)
+    els, index = _element_table(g.orders)
     n = len(els)
     data = [[0] * n for _ in range(n)]
     for j, gj in enumerate(els):
@@ -528,7 +534,7 @@ class RingMatrix:
         g = self.group
         if not g.is_finite:
             raise InfiniteGroup("coordinates need a finite group")
-        index = _element_table(g)[1]
+        index = _element_table(g.orders)[1]
         n = len(index)
         out = []
         for j in range(self.cols):
@@ -593,3 +599,29 @@ def ring_matrix_from_coordinates(group, columns, rows):
     """Inverse of RingMatrix.column_coordinates: the RingMatrix with the
     given number of rows whose column j has integer coordinates columns[j]."""
     return ring_matrix_from_columns(group, [deexpand_vector(group, c, rows) for c in columns], rows)
+
+
+def spin_generators(group, rank, basis):
+    """Ring generators of a Z[pi]-submodule of Z[pi]^rank, finite pi.
+
+    basis holds, as columns, a Z-basis of a sublattice of Z^(rank*|pi|)
+    that pi maps into itself.  Its columns are walked in order, and a
+    column is kept only when it lies outside the Z[pi]-span of the columns
+    kept so far, which is the column span of their expansion.  One solve
+    against that span tests every later column; the columns inside stay
+    inside as the span grows, so only those outside are walked on.  When
+    none is left, every basis column lies in the span, so the span is the
+    whole lattice and the kept columns, as a RingMatrix with rank rows,
+    generate it over the ring.  This is the spinning step of the MeatAxe
+    (Parker 1984) with a span test in place of the dimension test, so the
+    lattice need not be saturated.
+    """
+    cols = basis.columns()
+    kept = []
+    while cols:
+        kept.append(cols[0])
+        cols = cols[1:]
+        if cols:
+            span = ring_matrix_from_coordinates(group, kept, rank).expand()
+            cols = [c for c, x in zip(cols, solve_columns(span, cols)) if x is None]
+    return ring_matrix_from_coordinates(group, kept, rank)

@@ -1,12 +1,17 @@
 """Command line behavior: exit codes, text output, JSON envelopes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import fourfold
 from fourfold.cli import main
-from fourfold.complexes import presentation_complex
-from fourfold.groupring import product_group
+from fourfold.complexes import LambdaComplex, presentation_complex
+from fourfold.groupring import RingMatrix, product_group
 from fourfold.manifolds import LensSpace, lens_times_circle, rp4_complex, torus4_complex
 from fourfold.serialize import emit_complex, validate_report
 
@@ -309,3 +314,53 @@ def test_lens_times_circle_document_survives_cli_homology(tmp_path, capsys):
     assert code == 0
     assert "H_1 = Z + Z/7" in out
     assert "H_4 = Z" in out
+
+
+def run_capped(argv, limit_mib, timeout=30):
+    """Run the CLI in a child process whose address space is capped."""
+    limit = limit_mib << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fourfold.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "fourfold.cli"] + argv,
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=timeout,
+    )
+
+
+def test_hopf_check_on_an_order_36_group_fits_in_one_gib(tmp_path):
+    # the Z/6 x Z/6 presentation complex with zero-rank cells in degrees 3-4
+    g = product_group((6, 6))
+    c = presentation_complex(g)
+    r = c.ranks
+    pad = (RingMatrix.zeros(g, r[2], 0), RingMatrix.zeros(g, 0, 0))
+    padded = LambdaComplex(g, c.w, r + (0, 0), c.boundaries + pad)
+    assert padded.ranks == (1, 2, 3, 0, 0)
+    f = tmp_path / "z6z6.json"
+    f.write_text(emit_complex(padded))
+    proc = run_capped(["--json", "hopf-check", str(f)], 1024)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["result"]["passed"] is True
+
+
+def test_out_of_memory_is_an_error_not_a_verdict(tmp_path):
+    # the expansions of the Z/40 x Z/40 presentation complex (order 1600)
+    # do not fit in 128 MiB
+    f = tmp_path / "z40z40.json"
+    f.write_text(emit_complex(presentation_complex(product_group((40, 40)))))
+    proc = run_capped(["--json", "homology", str(f), "--coeff", "lambda"], 128)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert validate_report(doc)
+    assert doc["status"] == "error" and doc["result"]["message"] == "out of memory"
+    proc = run_capped(["homology", str(f), "--coeff", "lambda"], 128)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr == "error: out of memory\n"

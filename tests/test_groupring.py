@@ -7,6 +7,8 @@ import pytest
 from fourfold.groupring import (
     OrientationChar,
     RingMatrix,
+    _element_table,
+    _get_descriptor,
     char_from_signs,
     cyclic_group,
     deexpand_vector,
@@ -245,6 +247,20 @@ def test_ring_solve_and_kernel():
     assert a.solve(RingMatrix(g, 1, 1, [[n]])) is None
     assert RingMatrix(g, 1, 1, [[n]]).solve(k) is not None
     assert k.solve(RingMatrix(g, 1, 1, [[n]])) is not None
+
+
+def test_ring_arithmetic_survives_an_evicted_descriptor():
+    g = product_group((3, 2))
+    t = ring_generator(g, 0)
+    m = RingMatrix(g, 1, 1, [[t - ring_one(g)]])
+    _get_descriptor.cache_clear()
+    _element_table.cache_clear()
+    h = product_group((3, 2))
+    assert h == g and h is not g
+    s = ring_generator(h, 1)
+    assert t * s == ring_generator(g, 0) * ring_generator(g, 1)
+    assert regular_representation(t * s) == regular_representation(t) * regular_representation(s)
+    assert m.solve(RingMatrix(h, 1, 1, [[(t - ring_one(h)) * s]])) == RingMatrix(h, 1, 1, [[s]])
 
 
 def test_factor_norm():

@@ -195,5 +195,7 @@ def test_every_lru_cache_is_bounded():
         "classify._lens_times_circle_record",
         "homology._resolution",
         "homology._group_homology",
+        "groupring._get_descriptor",
+        "groupring._element_table",
     } <= set(found)
     assert all(size is not None for size in found.values()), found
