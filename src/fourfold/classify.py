@@ -20,8 +20,6 @@ from fourfold.errors import (
     InfiniteGroup,
     InvalidLens,
     TypeMismatch,
-    UnsupportedCharacter,
-    UnsupportedGroup,
 )
 from fourfold.extensions import EmFamily, recover_m
 from fourfold.groupring import (
@@ -33,7 +31,6 @@ from fourfold.groupring import (
 from fourfold.homology import (
     group_homology,
     h4_of_pi_cross_Z,
-    homology_of_laurent_extension,
     module_homology,
     resolution_for,
 )
@@ -152,17 +149,8 @@ def bordism_group(group, w):
     The first factor is Z for trivial character and Z/2 otherwise; the
     second is the degree-4 twisted homology of the group.
     """
-    trivial_w = all(s == 1 for s in w.signs)
-    stable = AbelianInvariants(1, ()) if trivial_w else AbelianInvariants(0, (2,))
-    if group.is_finite:
-        h4 = group_homology(group, w, 4)
-    else:
-        if any(s != 1 for s in w.signs[len(group.orders) :]):
-            raise UnsupportedCharacter("character must be trivial on free directions")
-        base = group.finite_part()
-        w0 = w.restrict_finite()
-        h4 = homology_of_laurent_extension(base, w0, group.laurent_rank)[4]
-    return stable, h4
+    stable = AbelianInvariants(1, ()) if w.is_trivial else AbelianInvariants(0, (2,))
+    return stable, group_homology(group, w, 4)
 
 
 def kreck_equivalent(m1, m2):
@@ -235,20 +223,19 @@ def classify_lens_family(p, q1, q2):
     the lens spaces, and isometry of their linking forms.  The verdicts
     must agree; a split raises AssertionError.
     """
-    r1 = lens_times_circle_record(p, q1)
-    r2 = lens_times_circle_record(p, q2)
-    kreck, kreck_cert = kreck_equivalent(r1, r2)
+    l1, l2 = LensSpace(p, q1), LensSpace(p, q2)
+    inv1 = fundamental_class_invariant(l1)
+    inv2 = fundamental_class_invariant(l2)
+    kreck, kreck_cert = kreck_equivalent(
+        _lens_times_circle_record(p, inv1), _lens_times_circle_record(p, inv2)
+    )
 
-    inv1 = fundamental_class_invariant(LensSpace(p, q1))
-    inv2 = fundamental_class_invariant(LensSpace(p, q2))
     orbit, orbit_cert = _signed_square_relation(p, inv1, inv2)
 
     homot, r_wit, sign_wit = lens_homotopy_equivalent(p, q1, q2)
     homot_cert = {"r": r_wit, "sign": sign_wit} if homot else None
 
-    link, u_wit, lsign = linking_isometric(
-        linking_form(LensSpace(p, q1)), linking_form(LensSpace(p, q2))
-    )
+    link, u_wit, lsign = linking_isometric(linking_form(l1), linking_form(l2))
     link_cert = {"unit": u_wit, "sign": lsign} if link else None
 
     verdicts = {

@@ -1,7 +1,8 @@
 """Command line front-end.
 
 Exit codes: 0 for a completed computation (and positive verdicts), 1 for
-a negative verdict from a classify-style command, 2 for input errors.
+a negative verdict from a classify-style command, 2 for input errors and
+for a computation that runs out of memory.
 Every subcommand prints deterministic text, or a JSON report envelope
 under --json.
 """
@@ -23,8 +24,9 @@ from fourfold.classify import (
     squares_mod,
 )
 from fourfold.complexes import homology_Lambda, homology_Zw
-from fourfold.errors import DegreeOutOfRange, FourfoldError, ParseError
+from fourfold.errors import FourfoldError, ParseError
 from fourfold.extensions import pi2_extension, pi2_sequence_check
+from fourfold.groupring import char_from_signs
 from fourfold.homology import bar_homology_oracle, group_homology
 from fourfold.intmat import AbelianInvariants, smith_normal_form
 from fourfold.manifolds import LensSpace, linking_form, linking_isometric
@@ -134,16 +136,7 @@ def _cmd_homology(args):
 def _cmd_group_homology(args):
     group = parse_group_spec(args.group)
     w = parse_char_spec(args.w, group)
-    if args.degree < 0:
-        raise DegreeOutOfRange("negative degree")
-    inv = group_homology(group, w, args.degree) if group.is_finite else None
-    if inv is None:
-        from fourfold.homology import homology_of_laurent_extension
-
-        base = group.finite_part()
-        inv = homology_of_laurent_extension(
-            base, w.restrict_finite(), group.laurent_rank, top=max(4, args.degree)
-        )[args.degree]
+    inv = group_homology(group, w, args.degree)
     result = {
         "group": emit_group_spec(group),
         "degree": args.degree,
@@ -249,16 +242,11 @@ def _record_from_file(path):
             mults = squares_mod(group.orders[0])
         else:
             mults = (1,)
-    w = parse_char_spec(",".join(str(s) for s in signs), group)
-    if group.is_finite:
-        h4 = group_homology(group, w, 4)
-    else:
-        _stable, h4 = bordism_group(group, w)
     return ManifoldRecord(
         group=group,
         w_signs=signs,
         class_h4=cls,
-        h4=h4,
+        h4=group_homology(group, char_from_signs(group, signs), 4),
         aut_multipliers=mults,
     )
 

@@ -13,7 +13,16 @@ are presented on ring generators spun from the integer kernel basis
 (groupring.spin_generators), and their relations are spun the same way,
 so a presentation has a handful of generators and relations instead of
 one per lattice basis vector.  Class equality is always decided by exact
-membership in the coboundary lattice, never by comparing invariants.
+membership in the coboundary lattice, never by comparing invariants; that
+lattice is reduced once per ExtContext.
+
+What holds by construction is not re-checked at run time.  The pi_2
+class representative d_3 is a cocycle because the resolution extends it
+by ker d_3; the pi_2 sequence is exact exactly when d_2 . d_3 = 0
+(pi2_sequence_check); and em_torsion reads only its presentation, with
+em_closed_form kept as the independent route the tests compare it to.
+Hypotheses that come from the caller, such as the cycles and rows that
+psi_chase is given, are still checked.
 """
 
 import math
@@ -30,13 +39,14 @@ from fourfold.groupring import RingMatrix, ring_matrix_from_coordinates, spin_ge
 from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
+    _span_coordinates,
     block_diagonal,
     cokernel_invariants,
     hstack,
     kernel_basis,
     preimage_kernel,
     quotient_invariants,
-    solve_columns,
+    smith_normal_form,
     subgroup_membership,
     vstack,
 )
@@ -231,6 +241,7 @@ class ExtContext:
         self.p2 = p2
         self.hom_rank = p1.cols
         self._cobound = None
+        self._cobound_smith = None
         self._pre_p2 = None
 
     @property
@@ -241,6 +252,13 @@ class ExtContext:
                 _ambiguity_lattice(self.p1.cols, self.source),
             )
         return self._cobound
+
+    def is_coboundary(self, vec):
+        """Is vec in the coboundary lattice?  The lattice is reduced once
+        per context; each query is one span-coordinate step."""
+        if self._cobound_smith is None:
+            self._cobound_smith = smith_normal_form(self.cobound)
+        return _span_coordinates(self._cobound_smith, [vec])[0] is not None
 
     def _p2_lattices(self):
         """(precomposition with p2, its ambiguity lattice), built once."""
@@ -279,13 +297,12 @@ class ExtClass:
         self.rep = tuple(rep)
 
     def is_trivial(self):
-        return subgroup_membership(self.context.cobound, self.rep)
+        return self.context.is_coboundary(self.rep)
 
     def same_class(self, other):
         if self.context is not other.context:
             raise ContextMismatch("classes live over different contexts")
-        diff = tuple(a - b for a, b in zip(self.rep, other.rep))
-        return subgroup_membership(self.context.cobound, diff)
+        return self.context.is_coboundary(tuple(a - b for a, b in zip(self.rep, other.rep)))
 
     def scale(self, k):
         return ExtClass(self.context, tuple(k * x for x in self.rep))
@@ -313,18 +330,16 @@ def pi2_extension(c):
     """The class of 0 -> ker d_2 -> C_2 (+) H_2 -> coker d_3 -> 0.
 
     Represented by d_3 viewed as a value matrix in Hom(C_3, ker d_2); the
-    resolution of coker d_3 is C_3 -> C_2 extended by a free cover of
-    ker d_3.
+    resolution of coker d_3 is C_3 -> C_2 extended by a free cover p_2 of
+    ker d_3.  The representative is a cocycle by construction: rep . p_2 =
+    d_3 . p_2 = 0.  Writing d_3 in the generators of ker d_2 is the one
+    step that can fail, with NotACycle, when d_2 . d_3 != 0.
     """
     d2 = c.d(2)
     d3 = c.d(3)
     source = fpmodule_kernel(d2)
     ctx = ExtContext(source, d3, d3.kernel())
-    rep = _vec_in_source_coords(source, d3.column_coordinates())
-    cls = ctx.make_class(rep)
-    if not ctx.check_cocycle(cls.rep):
-        raise NotACycle("d_3 does not define a cocycle; complex is broken")
-    return cls
+    return ctx.make_class(_vec_in_source_coords(source, d3.column_coordinates()))
 
 
 def _vec_in_source_coords(source, ambient_cols):
@@ -340,36 +355,27 @@ def _vec_in_source_coords(source, ambient_cols):
 def pi2_sequence_check(c):
     """Exactness of 0 -> ker d_2 -> C_2 (+) H_2 -> coker d_3 -> 0 over Z.
 
-    Verified directly on integer presentations: injectivity, composite
-    zero, image equals kernel in the middle, surjectivity at the end.
+    The sequence is exact exactly when d_2 . d_3 = 0, so that is what is
+    tested, as a product of ring matrices.  Let K be an integer basis of
+    ker d_2 (of the expansion), and when d_2 . d_3 = 0 write d_3 = K X.
+    The middle term is Z^C_2 (+) Z^s modulo {(0, X y)}, the first map is
+    iota(a) = (K a, -a) and the second is (c, h) |-> c + K h mod im d_3.
+      - iota is injective: (K a, -a) = (0, X y) forces K a = 0, and K
+        has full column rank, so a = 0.
+      - The composite is K a - K a = 0, and the second map is onto,
+        since (c, 0) |-> c.
+      - If c + K h = d_3 y = K X y, then c = K (X y - h), so
+        (c, h) = iota(X y - h) + (0, X y) lies in the image of iota.
+    When some column of d_3 lies outside ker d_2 the sequence is not
+    defined as written, and the answer is False.
+
+    Raises InfiniteGroup for a Laurent group, whose modules are not
+    lattices, and DegreeOutOfRange for a complex of top degree below 3.
     """
-    d2x = c.d(2).expand()
-    d3x = c.d(3).expand()
-    amb = d2x.cols
-    k = kernel_basis(d2x)
-    s = k.cols
-    xcols = solve_columns(k, d3x.columns())
-    if None in xcols:
-        return False
-    xmat = IntMatrix.from_columns(xcols, s)
-    # middle = Z^amb (+) Z^s / L_mid,  L_mid = {(0, x_j)}
-    l_mid = vstack(IntMatrix.zeros(amb, xmat.cols), xmat)
-    # first map a |-> (k a, -a)
-    iota = vstack(k, -IntMatrix.identity(s))
-    # injectivity: nothing maps into L_mid except 0
-    pre = preimage_kernel(iota, l_mid)
-    if pre.cols != 0:
-        return False
-    # second map (c, h) |-> c + k h mod im d_3
-    second = hstack(IntMatrix.identity(amb), k)
-    # composite is zero mod im d_3
-    if None in solve_columns(d3x, (second * iota).columns()):
-        return False
-    # kernel of the second map equals the image of the first, inside middle
-    ker_mid = preimage_kernel(second, d3x)
-    if None in solve_columns(hstack(iota, l_mid), ker_mid.columns()):
-        return False
-    return None not in solve_columns(hstack(ker_mid, l_mid), iota.columns())
+    d2 = c.d(2)
+    if not c.group.is_finite:
+        raise InfiniteGroup("the pi_2 sequence is checked over finite groups only")
+    return (d2 * c.d(3)).is_zero()
 
 
 def psi_chase(resolution, c2, w, z, rng=None):
@@ -473,8 +479,6 @@ class EmFamily:
 
     @classmethod
     def from_matrix(cls, d3_aug):
-        from fourfold.intmat import smith_normal_form
-
         s = smith_normal_form(d3_aug)
         r = len(s.diag)
         return cls(d3_aug.cols - r, s.diag, d3_aug.rows - r)
@@ -498,17 +502,13 @@ def em_closed_form(fam, m):
 def em_torsion(d3_aug, m):
     """Invariants of (target (+) source) / {(D a, m a)} for D = d3_aug.
 
-    Computed from the explicit presentation; cross-checked against the
-    closed form derived from the Smith form of D.
+    Computed from the explicit presentation alone.  em_closed_form is
+    the independent route from the Smith form of D; the test suite checks
+    that the two agree.
     """
     cols = d3_aug.cols
     mid = IntMatrix(cols, cols, [[m if i == j else 0 for j in range(cols)] for i in range(cols)])
-    pres = cokernel_invariants(vstack(d3_aug, mid))
-    fam = EmFamily.from_matrix(d3_aug)
-    closed = em_closed_form(fam, m)
-    if pres != closed:
-        raise AssertionError("presentation %s disagrees with closed form %s" % (pres, closed))
-    return pres
+    return cokernel_invariants(vstack(d3_aug, mid))
 
 
 def recover_m(inv, fam):

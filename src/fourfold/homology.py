@@ -1,4 +1,5 @@
-"""Group homology of finite products of cyclic groups.
+"""Group homology of finite products of cyclic groups (and of their
+products with Z^r, through the Kunneth split).
 
 Two independent routes are implemented: tensor products of the periodic
 resolutions of the cyclic factors (the production route), and the
@@ -132,11 +133,15 @@ def _resolution(group, bound):
 
 
 def group_homology(group, w, degree, bound=None):
-    """H_degree(pi; Z^w) for a finite product of cyclic groups.
+    """H_degree(pi; Z^w) for a finite product of cyclic groups, or for
+    such a group times Z^r.
 
     Twisting happens at augmentation time: the resolution itself is
     untwisted and the boundary matrices are collapsed with the signed
-    augmentation.
+    augmentation.  On a Laurent extension the character must be +1 on
+    every free direction (UnsupportedCharacter otherwise), and the
+    Kunneth split of homology_of_laurent_extension gives the answer from
+    the finite part.
     """
     if degree < 0:
         raise DegreeOutOfRange("negative degree")
@@ -144,6 +149,12 @@ def group_homology(group, w, degree, bound=None):
         bound = max(DEFAULT_DEGREE_BOUND, degree + 1)
     if degree + 1 > bound:
         raise DegreeOutOfRange("degree %d needs bound >= %d" % (degree, degree + 1))
+    if not group.is_finite:
+        if any(s != 1 for s in w.signs[len(group.orders) :]):
+            raise UnsupportedCharacter("character must be trivial on free directions")
+        return homology_of_laurent_extension(
+            group.finite_part(), w.restrict_finite(), group.laurent_rank, top=degree
+        )[degree]
     return _group_homology(group, w, degree, bound)
 
 

@@ -208,6 +208,25 @@ def test_bordism_command(capsys):
     assert doc["result"]["h4"] == {"free": 0, "torsion": [5]}
 
 
+def test_laurent_character_must_be_trivial_on_free_directions(tmp_path, capsys):
+    # H_0 of trivial x Z with the free generator reversing orientation is
+    # Z/2, which the Kunneth split over the finite part cannot give; both
+    # verbs refuse it the same way
+    for group, w in (("trivial*Z", "-1"), ("cyclic:2*Z", "1,-1")):
+        for verb, extra in (("group-homology", ["--degree", "0"]), ("bordism", [])):
+            code, out, err = run(capsys, [verb, "--group", group, "--w=" + w] + extra)
+            assert code == 2, (verb, group)
+            assert out == "" and err == "error: character must be trivial on free directions\n"
+    record = tmp_path / "rec.json"
+    record.write_text(json.dumps({"group": "cyclic:2*Z", "w": [1, -1], "class_h4": [0]}))
+    code, _, err = run(capsys, ["classify-kreck", str(record), str(record)])
+    assert code == 2 and "free directions" in err
+    # a sign -1 on the finite factor is allowed
+    code, out, _ = run(capsys, ["group-homology", "--group", "cyclic:2*Z", "--w=-1,1", "--degree", "1"])
+    assert code == 0
+    assert out == "H_1(Z/2 x Z) = Z/2\n"
+
+
 def test_hopf_check_command(rp4_file, capsys):
     code, out, _ = run(capsys, ["hopf-check", rp4_file])
     assert code == 0

@@ -212,6 +212,36 @@ def test_psi_chase_klein_four_sees_distinct_classes():
     assert not a.same_class(b)
 
 
+def test_coboundary_lattice_is_reduced_once_per_context(monkeypatch):
+    from fourfold import extensions, intmat
+    from fourfold.intmat import kernel_basis
+
+    reduced = []
+    snf = intmat.smith_normal_form
+
+    def counting(a):
+        reduced.append(a)
+        return snf(a)
+
+    for module in (intmat, extensions):
+        monkeypatch.setattr(module, "smith_normal_form", counting, raising=False)
+    monkeypatch.setattr(extensions, "_psi_contexts", {})
+    g = product_group((2, 2))
+    res = resolution_for(g)
+    w = trivial_char(g)
+    k = kernel_basis(res.d(4).augment(w))
+    assert k.cols == 2
+    # the four 0/1 combinations of the two basis cycles: four classes
+    chains = [[x * a + y * b for a, b in zip(k.column(0), k.column(1))] for x in (0, 1) for y in (0, 1)]
+    classes = [psi_chase(res, presentation_complex(g), w, z) for z in chains]
+    ctx = classes[0].context
+    pairs = [(a, b) for a in classes for b in classes]
+    assert [a.same_class(b) for a, b in pairs] == [a is b for a, b in pairs]
+    assert [a.is_trivial() for a in classes] == [True, False, False, False]
+    assert len(pairs) == 16
+    assert sum(a is ctx.cobound for a in reduced) == 1
+
+
 def test_psi_context_is_keyed_on_the_resolution_boundaries():
     from fourfold.complexes import LambdaComplex
     from fourfold.extensions import _psi_context
@@ -256,8 +286,8 @@ def test_em_closed_form_symmetry_and_values():
 
 
 def test_em_torsion_random_sweep():
-    # the presentation route carries its own cross-check against the
-    # closed form; the sweep drives both through varied shapes
+    # the presentation route and the closed form share no code; the
+    # sweep drives both through varied shapes
     rng = random.Random(2024)
     for _ in range(60):
         rows = rng.randint(1, 5)

@@ -1,9 +1,8 @@
 """Golden --json output: the envelopes pinned in perfbench/data/pinned.json.
 
-Every pinned query runs through cli.main and must print its pinned
-envelope byte for byte.  Five of the six ext-class queries on lens
-spaces L(9, q) are left out to keep the run short; the one kept covers
-that order.  The pinned files are only read, never written.
+Every pinned query, including all the ext-class queries on lens spaces,
+runs through cli.main and must print its pinned envelope byte for byte.
+The pinned files are only read, never written.
 """
 
 import contextlib
@@ -22,16 +21,14 @@ sys.path.append(PERFBENCH)
 
 import workloads  # noqa: E402
 
-SKIPPED = {"ext-class L9_2", "ext-class L9_4", "ext-class L9_5", "ext-class L9_7", "ext-class L9_8"}
-
 with open(os.path.join(DATA, "pinned.json"), encoding="utf-8") as fh:
     PINNED = json.load(fh)
 
-QUERIES = [q for q in workloads.pinned_queries() if q["key"] not in SKIPPED]
+QUERIES = workloads.pinned_queries()
 
 
 def test_query_list_covers_pinned_file():
-    assert sorted(q["key"] for q in QUERIES) == sorted(set(PINNED) - SKIPPED)
+    assert sorted(q["key"] for q in QUERIES) == sorted(PINNED)
 
 
 @pytest.mark.parametrize("query", QUERIES, ids=[q["key"] for q in QUERIES])
