@@ -14,7 +14,8 @@ are presented on ring generators spun from the integer kernel basis
 so a presentation has a handful of generators and relations instead of
 one per lattice basis vector.  Class equality is always decided by exact
 membership in the coboundary lattice, never by comparing invariants; that
-lattice is reduced once per ExtContext.
+lattice, and the ambiguity lattice that the cocycle check tests against,
+are each reduced once per ExtContext.
 
 What holds by construction is not re-checked at run time.  The pi_2
 class representative d_3 is a cocycle because the resolution extends it
@@ -243,6 +244,7 @@ class ExtContext:
         self._cobound = None
         self._cobound_smith = None
         self._pre_p2 = None
+        self._amb_smith = None
 
     @property
     def cobound(self):
@@ -270,10 +272,14 @@ class ExtContext:
         return self._pre_p2
 
     def check_cocycle(self, vec):
+        """Does vec precomposed with p2 lie in the ambiguity lattice?  That
+        lattice is reduced once per context, like the coboundary lattice."""
         if self.p2 is None:
             return True
         pre, amb = self._p2_lattices()
-        return subgroup_membership(amb, pre.mul_vec(vec))
+        if self._amb_smith is None:
+            self._amb_smith = smith_normal_form(amb)
+        return _span_coordinates(self._amb_smith, [pre.mul_vec(vec)])[0] is not None
 
     def ext_invariants(self):
         """Invariants of cocycles mod coboundaries (needs p2)."""
@@ -334,7 +340,11 @@ def pi2_extension(c):
     ker d_3.  The representative is a cocycle by construction: rep . p_2 =
     d_3 . p_2 = 0.  Writing d_3 in the generators of ker d_2 is the one
     step that can fail, with NotACycle, when d_2 . d_3 != 0.
+
+    Raises InfiniteGroup for a Laurent group before any work.
     """
+    if not c.group.is_finite:
+        raise InfiniteGroup("the pi_2 extension class needs a finite group")
     d2 = c.d(2)
     d3 = c.d(3)
     source = fpmodule_kernel(d2)

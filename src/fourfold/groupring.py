@@ -7,6 +7,15 @@ reduced mod their order, Laurent coordinates are signed integers.  The
 enumeration of a finite group is lexicographic in the exponent tuple and
 fixed once, so every matrix expansion downstream is reproducible.
 
+A RingElement holds one invariant: every key of its terms is a reduced
+exponent tuple and every coefficient is nonzero.  The public constructor
+RingElement(group, terms) establishes it from any input, reducing and
+merging keys.  Ring operations whose inputs already hold it (sums,
+differences, negation, ring and integer products, twist, involute,
+RingMatrix products) build their result through RingElement._from_reduced,
+which only drops zero coefficients, so each exponent tuple of a product
+is reduced once and a sum reduces nothing.
+
 This module owns the integer coordinates of Z[pi]-matrices, finite pi:
 block (i, j) of RingMatrix.expand is the regular representation of entry
 (i, j), the image of source generator j is column j*|pi| and is what
@@ -22,6 +31,7 @@ these and never place coordinates themselves.
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from fourfold.errors import (
@@ -91,15 +101,20 @@ class GroupDescriptor:
         return (0,) * self.ngens
 
     def reduce(self, el):
+        """The exponent tuple with each finite coordinate taken mod its
+        order; Laurent coordinates pass through."""
         if len(el) != self.ngens:
             raise GroupMismatch("element of length %d in group with %d generators" % (len(el), self.ngens))
-        return tuple(
-            e % o if i < len(self.orders) else e
-            for i, (e, o) in enumerate(zip(el, self.orders + (0,) * self.laurent_rank))
-        )
+        orders = self.orders
+        if not orders:
+            return tuple(el)
+        if self.laurent_rank:
+            k = len(orders)
+            return tuple(map(operator.mod, el[:k], orders)) + tuple(el[k:])
+        return tuple(map(operator.mod, el, orders))
 
     def mul(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        return self.reduce(tuple(map(operator.add, a, b)))
 
     def inv(self, a):
         return self.reduce(tuple(-x for x in a))
@@ -230,7 +245,12 @@ def char_from_signs(group, signs):
 
 
 class RingElement:
-    """Element of Z[pi]: finitely many exponent tuples with int coefficients."""
+    """Element of Z[pi]: finitely many exponent tuples with int coefficients.
+
+    terms maps reduced exponent tuples to nonzero coefficients.  This
+    constructor establishes that from any dict, reducing every key and
+    merging keys that reduce alike; _from_reduced trusts its keys.
+    """
 
     __slots__ = ("group", "terms")
 
@@ -247,6 +267,15 @@ class RingElement:
                     del clean[key]
         self.terms = clean
 
+    @classmethod
+    def _from_reduced(cls, group, terms):
+        """The element with these terms, whose keys are already reduced and
+        distinct; only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.group = group
+        self.terms = {el: c for el, c in terms.items() if c}
+        return self
+
     def _check(self, other):
         if self.group is not other.group and self.group != other.group:
             raise GroupMismatch("elements over %s and %s" % (self.group, other.group))
@@ -256,24 +285,21 @@ class RingElement:
         terms = dict(self.terms)
         for el, c in other.terms.items():
             terms[el] = terms.get(el, 0) + c
-        return RingElement(self.group, terms)
+        return RingElement._from_reduced(self.group, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RingElement(self.group, {el: -c for el, c in self.terms.items()})
+        return RingElement._from_reduced(self.group, {el: -c for el, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElement(self.group, {el: c * other for el, c in self.terms.items()})
+            return RingElement._from_reduced(self.group, {el: c * other for el, c in self.terms.items()})
         self._check(other)
         terms = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = self.group.mul(a, b)
-                terms[key] = terms.get(key, 0) + ca * cb
-        return RingElement(self.group, terms)
+        _accumulate_product(self.group.mul, self.terms, other.terms, terms)
+        return RingElement._from_reduced(self.group, terms)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -295,11 +321,11 @@ class RingElement:
 
     def involute(self):
         """g -> g^-1 extended linearly (the untwisted involution)."""
-        return RingElement(self.group, {self.group.inv(el): c for el, c in self.terms.items()})
+        return RingElement._from_reduced(self.group, {self.group.inv(el): c for el, c in self.terms.items()})
 
     def twist(self, w):
         """Multiply the coefficient of each g by (-1)^w(g)."""
-        return RingElement(self.group, {el: c * w.sign(el) for el, c in self.terms.items()})
+        return RingElement._from_reduced(self.group, {el: c * w.sign(el) for el, c in self.terms.items()})
 
     def augmentation(self):
         return sum(self.terms.values())
@@ -322,6 +348,15 @@ class RingElement:
         for el, c in self.sorted_terms():
             bits.append("%+d*t%s" % (c, list(el)))
         return " ".join(bits)
+
+
+def _accumulate_product(mul, a, b, acc):
+    """Add the product of the term dicts a and b into acc, reducing each
+    product exponent tuple once (mul is the group law)."""
+    for x, ca in a.items():
+        for y, cb in b.items():
+            key = mul(x, y)
+            acc[key] = acc.get(key, 0) + ca * cb
 
 
 def ring_zero(group):
@@ -404,20 +439,21 @@ class RingMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise GroupMismatch("ring matrix shapes %dx%d and %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        z = ring_zero(self.group)
+        g = self.group
+        if g is not other.group and g != other.group:
+            raise GroupMismatch("ring matrices over %s and %s" % (g, other.group))
+        columns = list(zip(*other.entries)) if other.rows else [()] * other.cols
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
+        for row in self.entries:
+            out_row = []
+            for col in columns:
+                acc = {}
+                for a, b in zip(row, col):
                     if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.group, self.rows, other.cols, out)
+                        _accumulate_product(g.mul, a.terms, b.terms, acc)
+                out_row.append(RingElement._from_reduced(g, acc))
+            out.append(out_row)
+        return RingMatrix(g, self.rows, other.cols, out)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:

@@ -200,7 +200,7 @@ def _element_from_terms(group, terms, path):
             raise ParseError("%s: exponents must be integers" % tp)
         el = group.reduce(tuple(exps))
         acc[el] = acc.get(el, 0) + coeff
-    return RingElement(group, {el: c for el, c in acc.items() if c})
+    return RingElement._from_reduced(group, acc)
 
 
 def parse_complex(text):

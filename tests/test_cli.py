@@ -241,6 +241,12 @@ def test_hopf_check_on_a_2_complex_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ext_class_on_a_laurent_group_exits_2(t4_file, capsys):
+    code, out, err = run(capsys, ["ext-class", t4_file])
+    assert code == 2
+    assert out == "" and err == "error: the pi_2 extension class needs a finite group\n"
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["snf", str(tmp_path / "missing.json")])
     assert code == 2

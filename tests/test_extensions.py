@@ -240,6 +240,9 @@ def test_coboundary_lattice_is_reduced_once_per_context(monkeypatch):
     assert [a.is_trivial() for a in classes] == [True, False, False, False]
     assert len(pairs) == 16
     assert sum(a is ctx.cobound for a in reduced) == 1
+    # every chase checks its cocycle against the one ambiguity lattice
+    amb = ctx._p2_lattices()[1]
+    assert sum(a is amb for a in reduced) == 1
 
 
 def test_psi_context_is_keyed_on_the_resolution_boundaries():

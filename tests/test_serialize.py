@@ -126,6 +126,14 @@ def test_parse_complex_rejects_non_complexes():
     with pytest.raises(NotAComplex) as e:
         parse_complex(json.dumps(doc))
     assert e.value.degree == 2
+    # over a Laurent group, which reduces no exponent, one flipped sign in
+    # d_2 still breaks d_1 . d_2 = 0
+    doc = json.loads(emit_complex(torus4_complex()))
+    entry = next(e for e in doc["boundaries"][1][0] if e)
+    entry[0][0] = -entry[0][0]
+    with pytest.raises(NotAComplex) as e:
+        parse_complex(json.dumps(doc))
+    assert e.value.degree == 2
 
 
 def test_parse_complex_accumulates_duplicate_terms():
@@ -140,6 +148,28 @@ def test_parse_complex_accumulates_duplicate_terms():
 
     g = cyclic_group(2)
     assert c.d(1).entries[0][0] == 2 * ring_generator(g, 0) - 2 * ring_one(g)
+    # terms that cancel leave the zero element, with no stored zero
+    doc["boundaries"] = [[[[[1, [0]], [-1, [0]]]]]]
+    c = parse_complex(json.dumps(doc))
+    assert c.d(1).entries[0][0].terms == {}
+
+
+def test_parsing_t4_reduces_each_term_and_term_product_once(monkeypatch):
+    """One reduce per parsed term and one per term product of the d.d = 0
+    check; a count, so it cannot flake like a timing."""
+    from fourfold.groupring import GroupDescriptor
+
+    text = emit_complex(torus4_complex())
+    reduce = GroupDescriptor.reduce
+    calls = []
+
+    def counting(self, el):
+        calls.append(el)
+        return reduce(self, el)
+
+    monkeypatch.setattr(GroupDescriptor, "reduce", counting)
+    parse_complex(text)
+    assert len(calls) <= 256, len(calls)
 
 
 def test_parse_int_matrix():
