@@ -13,9 +13,9 @@ are presented on ring generators spun from the integer kernel basis
 (groupring.spin_generators), and their relations are spun the same way,
 so a presentation has a handful of generators and relations instead of
 one per lattice basis vector.  Class equality is always decided by exact
-membership in the coboundary lattice, never by comparing invariants; that
-lattice, and the ambiguity lattice that the cocycle check tests against,
-are each reduced once per ExtContext.
+membership in the coboundary lattice, never by comparing invariants.  An
+ExtContext builds that lattice and the ambiguity lattice of the cocycle
+check once, and each keeps its own Smith form (IntMatrix.smith).
 
 What holds by construction is not re-checked at run time.  The pi_2
 class representative d_3 is a cocycle because the resolution extends it
@@ -26,6 +26,7 @@ Hypotheses that come from the caller, such as the cycles and rows that
 psi_chase is given, are still checked.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,14 +41,12 @@ from fourfold.groupring import RingMatrix, ring_matrix_from_coordinates, spin_ge
 from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
-    _span_coordinates,
     block_diagonal,
     cokernel_invariants,
     hstack,
     kernel_basis,
     preimage_kernel,
     quotient_invariants,
-    smith_normal_form,
     subgroup_membership,
     vstack,
 )
@@ -92,7 +91,6 @@ class FPModule:
         self.group = group
         self.relations = relations
         self.gen_vecs = gen_vecs
-        self._rel_lattice = None
 
     @property
     def num_gens(self):
@@ -101,9 +99,7 @@ class FPModule:
     @property
     def rel_lattice(self):
         """Integer expansion of the relation span inside Z^(s*|pi|)."""
-        if self._rel_lattice is None:
-            self._rel_lattice = self.relations.expand()
-        return self._rel_lattice
+        return self.relations.expand()
 
     def abelian_invariants(self):
         return cokernel_invariants(self.rel_lattice)
@@ -241,26 +237,18 @@ class ExtContext:
         self.p1 = p1
         self.p2 = p2
         self.hom_rank = p1.cols
-        self._cobound = None
-        self._cobound_smith = None
         self._pre_p2 = None
-        self._amb_smith = None
 
-    @property
+    @functools.cached_property
     def cobound(self):
-        if self._cobound is None:
-            self._cobound = hstack(
-                _precompose_matrix(self.p1, self.source),
-                _ambiguity_lattice(self.p1.cols, self.source),
-            )
-        return self._cobound
+        return hstack(
+            _precompose_matrix(self.p1, self.source),
+            _ambiguity_lattice(self.p1.cols, self.source),
+        )
 
     def is_coboundary(self, vec):
-        """Is vec in the coboundary lattice?  The lattice is reduced once
-        per context; each query is one span-coordinate step."""
-        if self._cobound_smith is None:
-            self._cobound_smith = smith_normal_form(self.cobound)
-        return _span_coordinates(self._cobound_smith, [vec])[0] is not None
+        """Is vec in the coboundary lattice?  One span-coordinate step."""
+        return self.cobound.smith().contains(vec)
 
     def _p2_lattices(self):
         """(precomposition with p2, its ambiguity lattice), built once."""
@@ -277,9 +265,7 @@ class ExtContext:
         if self.p2 is None:
             return True
         pre, amb = self._p2_lattices()
-        if self._amb_smith is None:
-            self._amb_smith = smith_normal_form(amb)
-        return _span_coordinates(self._amb_smith, [pre.mul_vec(vec)])[0] is not None
+        return amb.smith().contains(pre.mul_vec(vec))
 
     def ext_invariants(self):
         """Invariants of cocycles mod coboundaries (needs p2)."""
@@ -315,14 +301,8 @@ class ExtClass:
 
     def shift_by_coboundary(self, coeffs):
         """Add an integer combination of coboundary lattice columns."""
-        cb = self.context.cobound
-        vec = list(self.rep)
-        for j, c in enumerate(coeffs):
-            if c:
-                col = cb.column(j)
-                for i in range(len(vec)):
-                    vec[i] += c * col[i]
-        return ExtClass(self.context, vec)
+        shift = self.context.cobound.mul_vec(coeffs)
+        return ExtClass(self.context, tuple(a + b for a, b in zip(self.rep, shift)))
 
 
 def baer_sum(e1, e2):
@@ -489,7 +469,7 @@ class EmFamily:
 
     @classmethod
     def from_matrix(cls, d3_aug):
-        s = smith_normal_form(d3_aug)
+        s = d3_aug.smith()
         r = len(s.diag)
         return cls(d3_aug.cols - r, s.diag, d3_aug.rows - r)
 

@@ -26,7 +26,8 @@ ring-level questions that go through those coordinates:
 RingMatrix.solve (the X with A X = B), RingMatrix.kernel (a matrix whose
 columns generate the kernel) and spin_generators (a few ring generators
 of a pi-stable lattice, picked from a Z-basis of it).  Other modules call
-these and never place coordinates themselves.
+these and never place coordinates themselves.  expand() keeps its result,
+which keeps its Smith form, so a matrix is expanded and reduced once.
 """
 
 import functools
@@ -403,9 +404,10 @@ def regular_representation(a):
 
 
 class RingMatrix:
-    """Matrix over Z[pi], stored as rows of RingElements."""
+    """Matrix over Z[pi], stored as rows of RingElements.  Immutable: no code
+    writes its fields after construction, so expand() can keep its result."""
 
-    __slots__ = ("group", "rows", "cols", "entries")
+    __slots__ = ("group", "rows", "cols", "entries", "_expanded")
 
     def __init__(self, group, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -414,6 +416,7 @@ class RingMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = [list(r) for r in entries]
+        self._expanded = None
 
     @classmethod
     def zeros(cls, group, rows, cols):
@@ -540,8 +543,10 @@ class RingMatrix:
         Block (i, j) is the regular representation of entry (i, j), so
         column j*|pi| of the result holds the coordinates of the image of
         source generator j (see column_coordinates).  Each distinct entry
-        is represented once per call.
+        is represented once, and the result is kept with its Smith form.
         """
+        if self._expanded is not None:
+            return self._expanded
         g = self.group
         if not g.is_finite:
             raise InfiniteGroup("expansion needs a finite group")
@@ -558,7 +563,8 @@ class RingMatrix:
                     block = blocks[e] = regular_representation(e).data
                 for drow, brow in zip(band, block):
                     drow[j * n : (j + 1) * n] = brow
-        return IntMatrix._adopt(self.rows * n, self.cols * n, data)
+        self._expanded = IntMatrix._adopt(self.rows * n, self.cols * n, data)
+        return self._expanded
 
     def column_coordinates(self):
         """Integer coordinates of each column, finite pi.

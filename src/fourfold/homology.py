@@ -93,9 +93,10 @@ def _periodic_factor(group, i, bound):
     return LambdaComplex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
 
 
-# An entry is one resolution: bound + 1 boundaries of sparse Z[pi]
-# entries, from a few kB for one small cyclic factor to about 150 kB for
-# Z/4 x Z/4 x Z/4 through degree 6, so 64 entries stay near 10 MB.
+# An entry is one resolution: 2 kB for Z/2 to 22 kB for Z/4 x Z/4 x Z/4
+# through degree 6 (tracemalloc).  A boundary that chain-map lifts solve
+# against keeps its expansion and Smith form, so after hopf_check an entry
+# holds 1.8 MB (Z/6 x Z/6), 10.5 MB (Z/2 x Z/3 x Z/6) or 32.6 MB (Z/4^3).
 _RESOLUTION_CACHE_SIZE = 64
 # An entry is one AbelianInvariants, a couple of hundred bytes.
 _HOMOLOGY_CACHE_SIZE = 1024

@@ -3,7 +3,9 @@
 All entries are Python ints, so intermediate growth is handled by
 arbitrary precision arithmetic; nothing here ever rounds.  The Smith
 reduction itself lives in _snf_py and tracks the two transforms U and V;
-everything that needs U^-1 reads it off A * V instead.
+everything that needs U^-1 reads it off A * V instead.  IntMatrix.smith()
+reduces a matrix once and keeps the SmithForm, which answers every lattice
+question below: each matrix is factored once, however often it is asked.
 """
 
 import math
@@ -37,9 +39,10 @@ __all__ = [
 
 
 class IntMatrix:
-    """Dense integer matrix, row major.  Treated as immutable."""
+    """Dense integer matrix, row major.  Immutable: no code writes rows,
+    cols or data after construction, so smith() can keep its result."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_smith")
 
     def __init__(self, rows, cols, data):
         if len(data) != rows:
@@ -50,6 +53,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.data = [list(r) for r in data]
+        self._smith = None
 
     @classmethod
     def _adopt(cls, rows, cols, data):
@@ -59,6 +63,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._smith = None
         return self
 
     @classmethod
@@ -79,6 +84,12 @@ class IntMatrix:
     def from_columns(cls, columns, rows):
         data = [[col[i] for col in columns] for i in range(rows)]
         return cls(rows, len(columns), data)
+
+    def smith(self):
+        """SmithForm of this matrix, from smith_normal_form on the first call."""
+        if self._smith is None:
+            self._smith = smith_normal_form(self)
+        return self._smith
 
     def column(self, j):
         return tuple(r[j] for r in self.data)
@@ -245,12 +256,61 @@ TRIVIAL_GROUP_INVARIANTS = AbelianInvariants(0, ())
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U * A * V == D with U, V unimodular and D = diag(diag) padded by zeros."""
+    """U * A * V == D with U, V unimodular and D = diag(diag) padded by
+    zeros: the factored A, which answers lattice questions about A."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     diag: tuple
+
+    def coordinates(self, cols):
+        """Coordinates of each b in cols in the basis diag[i] * (U^-1)[:, i]
+        of the column span of A, or None for a b that lies outside.  One
+        product with U serves every column."""
+        m = self.U.rows
+        for b in cols:
+            if len(b) != m:
+                raise DimensionMismatch("rhs length %d, expected %d" % (len(b), m))
+        r = len(self.diag)
+        units = not r or self.diag[-1] == 1
+        out = []
+        for c in (self.U * IntMatrix.from_columns(cols, m)).columns():
+            y = None if any(c[r:]) else list(c[:r])
+            if y is not None and not units:
+                for i, d in enumerate(self.diag):
+                    q, rem = divmod(y[i], d)
+                    if rem:
+                        y = None
+                        break
+                    y[i] = q
+            out.append(y)
+        return out
+
+    def contains(self, v):
+        """Is v in the column span of A?"""
+        return self.coordinates([v])[0] is not None
+
+    def solve(self, cols):
+        """One solution V (y, 0) per column, or None, from its span coordinates y."""
+        ys = self.coordinates(cols)
+        hits = [y for y in ys if y is not None]
+        r = len(self.diag)
+        xs = iter((_leading_columns(self.V, r) * IntMatrix.from_columns(hits, r)).columns())
+        return [None if y is None else next(xs) for y in ys]
+
+    def kernel(self):
+        """Columns form a basis of ker(A): the last columns of V."""
+        r = len(self.diag)
+        return IntMatrix._adopt(self.V.rows, self.V.cols - r, [row[r:] for row in self.V.data])
+
+    def quotient(self, sub_gens):
+        """Invariants of span(A) / span(sub_gens): the relations are the
+        coordinates of sub_gens in the span basis."""
+        cols = self.coordinates(sub_gens.columns())
+        if None in cols:
+            raise ValueError("sub lattice is not contained in the big lattice")
+        return cokernel_invariants(IntMatrix.from_columns(cols, len(self.diag)))
 
 
 def smith_normal_form(A):
@@ -280,12 +340,12 @@ def smith_normal_form(A):
 
 
 def rank(A):
-    return len(smith_normal_form(A).diag)
+    return len(A.smith().diag)
 
 
 def cokernel_invariants(A):
     """Invariants of Z^rows / column-span(A)."""
-    s = smith_normal_form(A)
+    s = A.smith()
     free = A.rows - len(s.diag)
     torsion = tuple(d for d in s.diag if d > 1)
     return AbelianInvariants(free, torsion)
@@ -298,49 +358,11 @@ def kernel_basis(A):
     returned columns are a basis of it (they are columns of a unimodular
     transform, hence primitive).
     """
-    return _smith_kernel(smith_normal_form(A))
-
-
-def _smith_kernel(s):
-    r = len(s.diag)
-    return IntMatrix._adopt(s.V.rows, s.V.cols - r, [row[r:] for row in s.V.data])
+    return A.smith().kernel()
 
 
 def _leading_columns(M, r):
     return IntMatrix._adopt(M.rows, r, [row[:r] for row in M.data])
-
-
-def _span_coordinates(s, cols):
-    """Coordinates of each b in cols in the basis diag[i] * (U^-1)[:, i]
-    of the column span of the matrix with Smith form s, or None for a b
-    that lies outside.  One product with U serves every column."""
-    m = s.U.rows
-    for b in cols:
-        if len(b) != m:
-            raise DimensionMismatch("rhs length %d, expected %d" % (len(b), m))
-    r = len(s.diag)
-    units = not r or s.diag[-1] == 1
-    out = []
-    for c in (s.U * IntMatrix.from_columns(cols, m)).columns():
-        y = None if any(c[r:]) else list(c[:r])
-        if y is not None and not units:
-            for i, d in enumerate(s.diag):
-                q, rem = divmod(y[i], d)
-                if rem:
-                    y = None
-                    break
-                y[i] = q
-        out.append(y)
-    return out
-
-
-def _smith_solve(s, cols):
-    """One solution V (y, 0) per column, or None, from its span coordinates y."""
-    ys = _span_coordinates(s, cols)
-    hits = [y for y in ys if y is not None]
-    r = len(s.diag)
-    xs = iter((_leading_columns(s.V, r) * IntMatrix.from_columns(hits, r)).columns())
-    return [None if y is None else next(xs) for y in ys]
 
 
 def solve_integer(A, b):
@@ -357,18 +379,18 @@ def solve_columns(A, cols):
 
     Returns a list holding one solution tuple, or None, per column.
     """
-    return _smith_solve(smith_normal_form(A), cols)
+    return A.smith().solve(cols)
 
 
 def solve_with_kernel(A, b):
     """(particular solution or None, kernel basis of A)."""
-    s = smith_normal_form(A)
-    return _smith_solve(s, [b])[0], _smith_kernel(s)
+    s = A.smith()
+    return s.solve([b])[0], s.kernel()
 
 
 def subgroup_membership(gens, v):
     """Is v in the subgroup of Z^rows generated by the columns of gens?"""
-    return solve_columns(gens, [v])[0] is not None
+    return gens.smith().contains(v)
 
 
 def column_span_basis(A):
@@ -377,7 +399,7 @@ def column_span_basis(A):
     A V = U^-1 D, so the first rank columns of A V are diag[i] times the
     columns of U^-1, a basis of the span.
     """
-    s = smith_normal_form(A)
+    s = A.smith()
     return A * _leading_columns(s.V, len(s.diag))
 
 
@@ -398,16 +420,7 @@ def quotient_invariants(big_gens, sub_gens):
     Requires span(sub_gens) <= span(big_gens); raises otherwise since a
     failed exact division here means a logic error upstream.
     """
-    return _smith_quotient(smith_normal_form(big_gens), sub_gens)
-
-
-def _smith_quotient(s, sub_gens):
-    """quotient_invariants with the big lattice given by its Smith form:
-    the relations are the coordinates of sub_gens in the span basis."""
-    cols = _span_coordinates(s, sub_gens.columns())
-    if None in cols:
-        raise ValueError("sub lattice is not contained in the big lattice")
-    return cokernel_invariants(IntMatrix.from_columns(cols, len(s.diag)))
+    return big_gens.smith().quotient(sub_gens)
 
 
 class SubquotientMap:
@@ -440,9 +453,9 @@ def induced_map_invariants(A, z1, b1, z2, b2):
     returns kernel and cokernel invariants.
     """
     img_mat = A * z1
-    codomain_smith = smith_normal_form(hstack(z2, b2))
+    codomain_smith = hstack(z2, b2).smith()
     try:
-        coker = _smith_quotient(codomain_smith, hstack(img_mat, b2))
+        coker = codomain_smith.quotient(hstack(img_mat, b2))
     except ValueError:
         raise ValueError("map does not carry cycles into cycles") from None
     if None in solve_columns(b2, (A * b1).columns()):
@@ -453,7 +466,7 @@ def induced_map_invariants(A, z1, b1, z2, b2):
         raise ValueError("sub lattice is not inside the cycle lattice")
     kernel = quotient_invariants(preimage_kernel(img_mat, b2), IntMatrix.from_columns(sub_cols, z1.cols))
     domain = quotient_invariants(hstack(z1, b1), b1)
-    codomain = _smith_quotient(codomain_smith, b2)
+    codomain = codomain_smith.quotient(b2)
     return SubquotientMap(kernel, coker, domain, codomain)
 
 
@@ -477,5 +490,5 @@ def homology_invariants(d_out, d_in, dim):
     free = dim - (rank(d_out) if d_out is not None else 0)
     if d_in is None:
         return AbelianInvariants(free, ())
-    diag = smith_normal_form(d_in).diag
+    diag = d_in.smith().diag
     return AbelianInvariants(free - len(diag), tuple(d for d in diag if d > 1))

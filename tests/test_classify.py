@@ -6,12 +6,14 @@ import random
 
 import pytest
 
+from fourfold import homology, intmat
 from fourfold.classify import (
     ManifoldRecord,
     aspherical_equivalent,
     bordism_group,
     classify_aspherical,
     classify_lens_family,
+    _chain_map_to_resolution,
     hopf_check,
     kreck_equivalent,
     lens_times_circle_record,
@@ -30,7 +32,9 @@ from fourfold.groupring import (
 )
 from fourfold.intmat import AbelianInvariants, IntMatrix
 from fourfold.manifolds import (
+    LensSpace,
     cp2_complex,
+    lens_complex,
     rp4_complex,
     s4_complex,
     torus4_complex,
@@ -270,6 +274,37 @@ def test_hopf_check_rp4():
     assert rep.groups["H4_pi"] == c(2)
     assert rep.groups["H4_M"] == Z
     assert rep.maps[4].surjective
+
+
+def test_hopf_check_answers_the_same_with_warm_memos():
+    for build in (rp4_complex, cp2_complex, s4_complex):
+        c = build()
+        cold, warm = hopf_check(c), hopf_check(c)
+        assert (cold.groups, cold.checks, cold.notes) == (warm.groups, warm.checks, warm.notes)
+        for deg, m in cold.maps.items():
+            n = warm.maps[deg]
+            assert (m.kernel, m.cokernel, m.domain, m.codomain) == (n.kernel, n.cokernel, n.domain, n.codomain)
+
+
+def test_chain_map_lifts_reduce_each_resolution_boundary_once(monkeypatch):
+    reduced = []
+    snf = intmat.smith_normal_form
+
+    def counting(a):
+        reduced.append(a)
+        return snf(a)
+
+    pairs = [(p, q) for p in range(2, 16) for q in range(1, p) if math.gcd(p, q) == 1]
+    # fresh resolutions, one per p, whatever earlier tests left in the cache
+    resolutions = {p: homology._resolution.__wrapped__(cyclic_group(p), 5) for p, _ in pairs}
+    complexes = [(lens_complex(LensSpace(p, q)), resolutions[p]) for p, q in pairs]
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    for c, res in complexes:
+        _chain_map_to_resolution(c, res)
+    distinct = {(a.rows, a.cols, tuple(map(tuple, a.data))) for a in reduced}
+    assert len(pairs) == 71
+    # 213 when every lift expanded and reduced its boundary again
+    assert len(reduced) == len(distinct) == 28
 
 
 def test_hopf_check_needs_finite_group():

@@ -36,7 +36,7 @@ from fourfold.homology import bar_homology_oracle, resolution_for
 from fourfold.intmat import AbelianInvariants, IntMatrix
 from fourfold.manifolds import cp2_complex, rp4_complex, s4_complex
 from fourfold.complexes import presentation_complex
-from fourfold.errors import ContextMismatch, HypothesisViolated, NotACycle
+from fourfold.errors import ContextMismatch, DimensionMismatch, HypothesisViolated, NotACycle
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
@@ -146,6 +146,16 @@ def test_pi2_extension_on_sphere_and_projective_space():
     assert shifted.same_class(cls)
 
 
+def test_shift_by_coboundary_takes_one_coefficient_per_column():
+    cls = pi2_extension(rp4_complex())
+    cols = cls.context.cobound.cols
+    assert cols == 4
+    # short, overlong with zero padding, overlong with a coefficient past the last column
+    for coeffs in ([1, -2], [1, -2] + [0] * (cols - 1), [0] * cols + [1]):
+        with pytest.raises(DimensionMismatch):
+            cls.shift_by_coboundary(coeffs)
+
+
 def test_pi2_sequence_check_builtin_complexes():
     for c in (s4_complex(), cp2_complex(), rp4_complex()):
         assert pi2_sequence_check(c) is True
@@ -243,6 +253,60 @@ def test_coboundary_lattice_is_reduced_once_per_context(monkeypatch):
     # every chase checks its cocycle against the one ambiguity lattice
     amb = ctx._p2_lattices()[1]
     assert sum(a is amb for a in reduced) == 1
+
+
+def _counting_reductions(monkeypatch):
+    """The list of every matrix intmat reduces from now on."""
+    from fourfold import intmat
+
+    reduced = []
+    snf = intmat.smith_normal_form
+
+    def counting(a):
+        reduced.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    return reduced
+
+
+def test_chases_against_one_2_complex_reduce_its_boundaries_once(monkeypatch):
+    from fourfold import extensions
+    from fourfold.intmat import kernel_basis
+
+    monkeypatch.setattr(extensions, "_psi_contexts", {})
+    g = product_group((2, 2))
+    res = resolution_for(g)
+    w = trivial_char(g)
+    k = kernel_basis(res.d(4).augment(w))
+    chains = [[x * a + y * b for a, b in zip(k.column(0), k.column(1))] for x in (0, 1) for y in (0, 1)]
+    c2 = presentation_complex(g)
+    reduced = _counting_reductions(monkeypatch)
+    for z in chains:
+        psi_chase(res, c2, w, z)
+    # 4 and 5 reductions when every lift expanded and reduced again
+    assert sum(a == c2.d(1).expand() for a in reduced) == 1
+    assert sum(a == c2.d(2).expand() for a in reduced) == 1
+
+
+def test_hom_group_contains_reuses_the_reduced_lift_lattice(monkeypatch):
+    g = product_group((2, 2))
+    m = fpmodule_kernel(presentation_complex(g).d(2))
+    hom = hom_lambda(m, m)
+    reduced = _counting_reductions(monkeypatch)
+    assert len(hom.generators) == 49
+    assert all(hom.contains(f, m) for f in hom.generators)
+    assert reduced == []
+
+
+def test_pi2_extension_answers_the_same_with_warm_memos():
+    for c in (rp4_complex(), cp2_complex(), s4_complex()):
+        cold, warm = pi2_extension(c), pi2_extension(c)
+        assert cold.context is not warm.context
+        assert cold.rep == warm.rep
+        assert cold.context.ext_invariants() == warm.context.ext_invariants()
+        assert cold.is_trivial() == warm.is_trivial()
+        assert cold.scale(2).is_trivial() == warm.scale(2).is_trivial()
 
 
 def test_psi_context_is_keyed_on_the_resolution_boundaries():
