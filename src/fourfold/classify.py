@@ -18,7 +18,6 @@ from fourfold.errors import (
     DimensionMismatch,
     HypothesisViolated,
     InfiniteGroup,
-    InvalidLens,
     TypeMismatch,
 )
 from fourfold.extensions import EmFamily, recover_m
@@ -38,10 +37,8 @@ from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
     induced_map_invariants,
-    hstack,
     kernel_basis,
-    preimage_kernel,
-    smith_normal_form,
+    smith_normal_form,  # unused here: perfbench checks that its tracer rebinds this alias
 )
 from fourfold.manifolds import (
     LensSpace,

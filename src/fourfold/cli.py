@@ -20,7 +20,6 @@ from fourfold.classify import (
     classify_lens_family,
     hopf_check,
     kreck_equivalent,
-    lens_times_circle_record,
     squares_mod,
 )
 from fourfold.complexes import homology_Lambda, homology_Zw

@@ -4,18 +4,20 @@ Everything is reduced to integer lattice arithmetic through the regular
 representation: a module presented over the group ring of a finite group
 expands to a sublattice of Z^(k*|pi|) stable under the group action, and
 Hom / Ext computations become kernel, image and membership questions for
-integer matrices.  The coordinates come from groupring: a value matrix in
-Hom(R^k, N) is flattened by its column coordinates (hom_vec), precomposing
-with a is the expansion of a^T (x) I_s, and the relations of N repeat
-down the diagonal.  Free covers of kernels and lifts over the ring come
-from RingMatrix.kernel and RingMatrix.solve.  Kernel and homology modules
-are presented on ring generators spun from the integer kernel basis
-(groupring.spin_generators), and their relations are spun the same way,
-so a presentation has a handful of generators and relations instead of
-one per lattice basis vector.  Class equality is always decided by exact
-membership in the coboundary lattice, never by comparing invariants.  An
-ExtContext builds that lattice and the ambiguity lattice of the cocycle
-check once, and each keeps its own Smith form (IntMatrix.smith).
+integer matrices.  FPModule owns the coordinates of N^k and the
+subquotient ker / (im + relations) cut from them, which module_homology,
+hom_lambda and ExtContext all read.  A value matrix in Hom(R^k, N) is
+flattened by its column coordinates (hom_vec), so precomposing with a is
+the coordinate map of a^T.  Free covers of kernels and lifts over the
+ring come from RingMatrix.kernel and RingMatrix.solve.  Kernel and
+homology modules are presented on ring generators spun from the integer
+kernel basis (groupring.spin_generators), and their relations are spun
+the same way, so a presentation has a handful of generators and
+relations instead of one per lattice basis vector.  Class equality is
+always decided by exact membership in the coboundary lattice, never by
+comparing invariants.  An ExtContext builds that lattice and the
+ambiguity lattice of the cocycle check once, and each keeps its own
+Smith form (IntMatrix.smith).
 
 What holds by construction is not re-checked at run time.  The pi_2
 class representative d_3 is a cocycle because the resolution extends it
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from fourfold.errors import (
     ContextMismatch,
     DimensionMismatch,
+    GroupMismatch,
     HypothesisViolated,
     InfiniteGroup,
     NotACycle,
@@ -83,6 +86,10 @@ class FPModule:
     also carry gen_vecs, a ring matrix whose s columns are the generators
     in the ambient free module: ring generators chosen by spinning
     (groupring.spin_generators), not a Z-basis of the lattice they span.
+
+    It owns the coordinates of M^k (k blocks of s*|pi|) and the
+    Subquotient of a complex of them, which Hom, Ext^1 and homology with
+    coefficients in M all read.
     """
 
     def __init__(self, group, relations, gen_vecs=None):
@@ -104,8 +111,56 @@ class FPModule:
     def abelian_invariants(self):
         return cokernel_invariants(self.rel_lattice)
 
+    def require_group(self, group):
+        if group is not self.group and group != self.group:
+            raise GroupMismatch("data over %s, module over %s" % (group, self.group))
+
+    def coordinate_map(self, d):
+        """The map M^d.cols -> M^d.rows that the ring matrix d induces on
+        module coordinates: the expansion of d (x) I_s."""
+        self.require_group(d.group)
+        return d.kron_identity(self.num_gens).expand()
+
+    def relation_lattice(self, k):
+        """The relations of M^k: k copies of rel_lattice down the diagonal."""
+        return block_diagonal(self.rel_lattice, k)
+
+    def subquotient(self, d_out, d_in, rank):
+        return Subquotient(self, d_out, d_in, rank)
+
     def __repr__(self):
         return "FPModule(%s, %d gens, %d relations)" % (self.group, self.num_gens, self.relations.cols)
+
+
+class Subquotient:
+    """ker(d_out) / (im(d_in) + relations) at M^rank, where d_out maps M^rank
+    down, d_in maps into it, and either may be None.  Each lattice is
+    built on first use and kept, so a caller builds only what it reads."""
+
+    def __init__(self, module, d_out, d_in, rank):
+        self.module, self.d_out, self.d_in, self.rank = module, d_out, d_in, rank
+
+    @functools.cached_property
+    def cycle_data(self):
+        """(coordinate map of d_out, relation lattice of its target)."""
+        return self.module.coordinate_map(self.d_out), self.module.relation_lattice(self.d_out.rows)
+
+    @functools.cached_property
+    def cycles(self):
+        """Basis of the cycle lattice {x : d_out x in relations}."""
+        if self.d_out is None:
+            return IntMatrix.identity(self.rank * self.module.num_gens * self.module.group.order())
+        return preimage_kernel(*self.cycle_data)
+
+    @functools.cached_property
+    def boundaries(self):
+        """The image columns of d_in, then the relations."""
+        rel = self.module.relation_lattice(self.rank)
+        return rel if self.d_in is None else hstack(self.module.coordinate_map(self.d_in), rel)
+
+    @functools.cached_property
+    def invariants(self):
+        return quotient_invariants(self.cycles, self.boundaries)
 
 
 def fpmodule_free(group, rank):
@@ -153,21 +208,6 @@ def _module_from_gens(group, ambient_rank, basis, modulo):
     return FPModule(group, spin_generators(group, gens.cols, rel_basis), gen_vecs=gens)
 
 
-def _precompose_matrix(a, module):
-    """Integer matrix of Hom(R^k, N) -> Hom(R^k', N), F |-> F . a.
-
-    a is a k x k' ring matrix (a map R^k' -> R^k); Hom coordinates are
-    the concatenated column coordinates of the value matrix (hom_vec), so
-    the map is the expansion of a^T (x) I_s for an s-generator N.
-    """
-    return a.transpose().kron_identity(module.num_gens).expand()
-
-
-def _ambiguity_lattice(k, module):
-    """Per-column relation span of N inside Hom(R^k, N) free coordinates."""
-    return block_diagonal(module.rel_lattice, k)
-
-
 def hom_vec(f, module):
     """Flatten a value matrix in Hom(R^k, N) to integer coordinates."""
     if f.rows != module.num_gens:
@@ -192,17 +232,13 @@ def hom_lambda(m, n):
     matrices (columns express images of the generators of m in the
     generators of n).
     """
-    a = m.relations
-    pre = _precompose_matrix(a, n)
-    lifts = preimage_kernel(pre, _ambiguity_lattice(a.cols, n))
-    zero = _ambiguity_lattice(m.num_gens, n)
-    inv = quotient_invariants(lifts, zero)
+    hom = n.subquotient(m.relations.transpose(), None, m.num_gens)
     block = n.num_gens * n.group.order()
     gens = []
-    for vec in lifts.columns():
+    for vec in hom.cycles.columns():
         cols = [vec[j * block : (j + 1) * block] for j in range(m.num_gens)]
         gens.append(ring_matrix_from_coordinates(n.group, cols, n.num_gens))
-    return HomGroup(inv, gens, lifts)
+    return HomGroup(hom.invariants, gens, hom.cycles)
 
 
 def ext1(m, n):
@@ -228,8 +264,8 @@ class ExtContext:
     """Coordinates for extension classes of a fixed pair (target, source).
 
     Classes are value matrices in Hom(P_1, source) for a chosen partial
-    resolution P_2 -> P_1 -> P_0 of the target; the coboundary lattice is
-    the image of Hom(P_0, source) plus the per-column ambiguity.
+    resolution P_2 -> P_1 -> P_0 of the target; cochains cuts cocycles mod
+    coboundaries (image of Hom(P_0, source) plus per-column ambiguity).
     """
 
     def __init__(self, source, p1, p2):
@@ -237,14 +273,11 @@ class ExtContext:
         self.p1 = p1
         self.p2 = p2
         self.hom_rank = p1.cols
-        self._pre_p2 = None
+        self.cochains = source.subquotient(None if p2 is None else p2.transpose(), p1.transpose(), p1.cols)
 
     @functools.cached_property
     def cobound(self):
-        return hstack(
-            _precompose_matrix(self.p1, self.source),
-            _ambiguity_lattice(self.p1.cols, self.source),
-        )
+        return self.cochains.boundaries
 
     def is_coboundary(self, vec):
         """Is vec in the coboundary lattice?  One span-coordinate step."""
@@ -252,12 +285,7 @@ class ExtContext:
 
     def _p2_lattices(self):
         """(precomposition with p2, its ambiguity lattice), built once."""
-        if self._pre_p2 is None:
-            self._pre_p2 = (
-                _precompose_matrix(self.p2, self.source),
-                _ambiguity_lattice(self.p2.cols, self.source),
-            )
-        return self._pre_p2
+        return self.cochains.cycle_data
 
     def check_cocycle(self, vec):
         """Does vec precomposed with p2 lie in the ambiguity lattice?  That
@@ -271,7 +299,7 @@ class ExtContext:
         """Invariants of cocycles mod coboundaries (needs p2)."""
         if self.p2 is None:
             raise ContextMismatch("context has no cocycle data")
-        return quotient_invariants(preimage_kernel(*self._p2_lattices()), self.cobound)
+        return self.cochains.invariants
 
     def make_class(self, vec):
         vec = tuple(vec)

@@ -16,7 +16,8 @@ A resolution is a plain LambdaComplex over Z[pi] with trivial character,
 truncated at top_degree: its augmented homology is Z in degree 0 and
 zero in degrees 1..top_degree-1.  That holds by construction (the
 periodic resolution of Z/p, and the Kunneth theorem for tensor
-products), so it is checked by the test suite, not at run time.
+products), so it is checked by the test suite, not at run time.  With
+coefficients in a module, the module cuts the subquotient (FPModule).
 """
 
 import functools
@@ -27,6 +28,7 @@ from fourfold.complexes import LambdaComplex, _tensor_product
 from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
+    GroupMismatch,
     InfiniteGroup,
     ParseError,
     UnsupportedCharacter,
@@ -40,16 +42,7 @@ from fourfold.groupring import (
     ring_one,
     trivial_char,
 )
-from fourfold.intmat import (
-    AbelianInvariants,
-    IntMatrix,
-    block_diagonal,
-    cokernel_invariants,
-    homology_invariants,
-    quotient_invariants,
-    preimage_kernel,
-    hstack,
-)
+from fourfold.intmat import AbelianInvariants, IntMatrix, homology_invariants
 
 __all__ = [
     "periodic_resolution",
@@ -96,7 +89,7 @@ def _periodic_factor(group, i, bound):
 # An entry is one resolution: 2 kB for Z/2 to 22 kB for Z/4 x Z/4 x Z/4
 # through degree 6 (tracemalloc).  A boundary that chain-map lifts solve
 # against keeps its expansion and Smith form, so after hopf_check an entry
-# holds 1.8 MB (Z/6 x Z/6), 10.5 MB (Z/2 x Z/3 x Z/6) or 32.6 MB (Z/4^3).
+# holds 1.4 MB (Z/6 x Z/6), 8.0 MB (Z/2 x Z/3 x Z/6) or 24.9 MB (Z/4^3).
 _RESOLUTION_CACHE_SIZE = 64
 # An entry is one AbelianInvariants, a couple of hundred bytes.
 _HOMOLOGY_CACHE_SIZE = 1024
@@ -142,8 +135,10 @@ def group_homology(group, w, degree, bound=None):
     augmentation.  On a Laurent extension the character must be +1 on
     every free direction (UnsupportedCharacter otherwise), and the
     Kunneth split of homology_of_laurent_extension gives the answer from
-    the finite part.
+    the finite part.  A character of another group is a GroupMismatch.
     """
+    if w.group is not group and w.group != group:
+        raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if degree < 0:
         raise DegreeOutOfRange("negative degree")
     if bound is None:
@@ -258,23 +253,11 @@ def h4_of_pi_cross_Z(group, w):
 def module_homology(res, w, module, degree):
     """H_degree(pi; M^w) for a presented module M over the same group.
 
-    The chain groups are presented as free integer lattices modulo the
-    per-block relation span of M; a boundary d acts as the expansion of
-    d^w (x) I_s for an s-generator M.
+    The module cuts the subquotient itself (FPModule.subquotient).  A
+    character or resolution over another group is a GroupMismatch.
     """
     if degree < 0 or degree + 1 > res.top_degree:
         raise DegreeOutOfRange("degree %d outside resolution bound" % degree)
-    rel = module.rel_lattice
-    s = module.num_gens
-
-    def boundary_matrix(i):
-        return res.d(i).twist(w).kron_identity(s).expand()
-
-    rel_here = block_diagonal(rel, res.ranks[degree])
-    if degree >= 1:
-        rel_below = block_diagonal(rel, res.ranks[degree - 1])
-        cycles = preimage_kernel(boundary_matrix(degree), rel_below)
-    else:
-        cycles = IntMatrix.identity(rel_here.rows)
-    bound_gens = hstack(boundary_matrix(degree + 1), rel_here)
-    return quotient_invariants(cycles, bound_gens)
+    module.require_group(w.group)
+    d_out = res.d(degree).twist(w) if degree >= 1 else None
+    return module.subquotient(d_out, res.d(degree + 1).twist(w), res.ranks[degree]).invariants

