@@ -364,7 +364,7 @@ def hopf_check(c):
 
     maps = {}
     for deg in (2, 3, 4):
-        maps[deg] = _induced_on_homology(c, res, cmap, w, deg)
+        maps[deg] = _induced_on_homology(c, res, cmap, deg)
 
     checks = {}
     notes = []
@@ -409,14 +409,15 @@ def _chain_map_to_resolution(c, res):
     return cmap
 
 
-def _induced_on_homology(c, res, cmap, w, deg):
+def _induced_on_homology(c, res, cmap, deg):
     """Induced map on degree-deg twisted homology, as subquotient data."""
-    z1 = kernel_basis(c.d(deg).augment(w))
+    w = c.w
+    z1 = kernel_basis(c.augmented(deg, w))
     if deg + 1 <= c.top_degree:
-        b1 = c.d(deg + 1).augment(w)
+        b1 = c.augmented(deg + 1, w)
     else:
         b1 = IntMatrix.zeros(c.ranks[deg], 0)
-    z2 = kernel_basis(res.d(deg).augment(w))
-    b2 = res.d(deg + 1).augment(w)
+    z2 = kernel_basis(res.augmented(deg, w))
+    b2 = res.augmented(deg + 1, w)
     amap = cmap[deg].augment(w)
     return induced_map_invariants(amap, z1, b1, z2, b2)

@@ -60,7 +60,7 @@ def _load_matrix_or_d3(path):
         c = parse_complex(text)
         if c.top_degree < 3:
             raise ParseError("complex has no degree-3 boundary")
-        return c.d(3).augment(c.w)
+        return c.augmented(3, c.w)
     return parse_int_matrix(text)
 
 

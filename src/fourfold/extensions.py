@@ -406,17 +406,21 @@ def psi_chase(resolution, c2, w, z, rng=None):
     degree 4 of the resolution, a cycle for the w-twisted augmented
     boundary.  The result is an extension class in Hom(D^1, ker d_2)
     coordinates.  When rng is given, every lift is shifted by a random
-    kernel element; the class of the output must not change.
+    kernel element; the class of the output must not change.  A 2-complex
+    or character over another group is a GroupMismatch.
     """
     group = resolution.group
+    if c2.group is not group and c2.group != group:
+        raise GroupMismatch("2-complex over %s, resolution over %s" % (c2.group, group))
+    d4 = resolution.augmented(4, w)
     a4 = resolution.ranks[4]
     if len(z) != a4:
         raise DimensionMismatch("cycle length %d, rank of degree 4 is %d" % (len(z), a4))
+    if any(v != 0 for v in d4.mul_vec(z)):
+        raise NotACycle("input chain is not a cycle for the twisted boundary")
     # chains on D_p (x) C_q are ring matrices with a row per C-index and a
     # column per D-index: d^C acts on the left, delta (x) id is F * delta^T
     dt = {i: resolution.d(i).twist(w).transpose() for i in (2, 3, 4)}
-    if any(v != 0 for v in resolution.d(4).augment(w).mul_vec(z)):
-        raise NotACycle("input chain is not a cycle for the twisted boundary")
 
     c_d1 = c2.d(1)
     c_d2 = c2.d(2)

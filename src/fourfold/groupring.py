@@ -592,7 +592,10 @@ class RingMatrix:
 
         One expansion and one Smith form serve every column of b; column j
         of X is the lattice solution for the coordinates of column j of b.
+        A b over another group is a GroupMismatch.
         """
+        if b.group is not self.group and b.group != self.group:
+            raise GroupMismatch("ring matrices over %s and %s" % (self.group, b.group))
         sols = solve_columns(self.expand(), b.column_coordinates())
         if None in sols:
             return None

@@ -16,15 +16,19 @@ A resolution is a plain LambdaComplex over Z[pi] with trivial character,
 truncated at top_degree: its augmented homology is Z in degree 0 and
 zero in degrees 1..top_degree-1.  That holds by construction (the
 periodic resolution of Z/p, and the Kunneth theorem for tensor
-products), so it is checked by the test suite, not at run time.  With
-coefficients in a module, the module cuts the subquotient (FPModule).
+products), so it is checked by the test suite, not at run time.  Twisted
+integer homology reads the resolution's augmented boundaries
+(LambdaComplex.augmented): each is built the first time a degree is read
+under a character and kept with its Smith form, so H_n and H_(n+1)
+share the one reduction of d_(n+1).  With coefficients in a module, the
+module cuts the subquotient (FPModule).
 """
 
 import functools
 import itertools
 import os
 
-from fourfold.complexes import LambdaComplex, _tensor_product
+from fourfold.complexes import LambdaComplex, _tensor_product, _twisted_homology
 from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -86,10 +90,14 @@ def _periodic_factor(group, i, bound):
     return LambdaComplex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
 
 
-# An entry is one resolution: 2 kB for Z/2 to 22 kB for Z/4 x Z/4 x Z/4
-# through degree 6 (tracemalloc).  A boundary that chain-map lifts solve
-# against keeps its expansion and Smith form, so after hopf_check an entry
-# holds 1.4 MB (Z/6 x Z/6), 8.0 MB (Z/2 x Z/3 x Z/6) or 24.9 MB (Z/4^3).
+# An entry is one resolution: 3 kB for Z/2 to 30 kB for Z/4 x Z/4 x Z/4
+# through degree 6 (tracemalloc).  group_homology over all its degrees
+# keeps one augmented boundary per degree read, with its Smith form: the
+# entry then weighs 11 kB (Z/2) to 76 kB (Z/4^3) for one character, and
+# 407 kB for all eight characters of Z/4^3.  A boundary that chain-map
+# lifts solve against keeps its expansion and Smith form, so after
+# hopf_check an entry holds 1.4 MB (Z/6 x Z/6), 8.0 MB (Z/2 x Z/3 x Z/6)
+# or 24.9 MB (Z/4^3).
 _RESOLUTION_CACHE_SIZE = 64
 # An entry is one AbelianInvariants, a couple of hundred bytes.
 _HOMOLOGY_CACHE_SIZE = 1024
@@ -156,10 +164,7 @@ def group_homology(group, w, degree, bound=None):
 
 @functools.lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)
 def _group_homology(group, w, degree, bound):
-    res = resolution_for(group, bound)
-    d_out = res.d(degree).augment(w) if degree >= 1 else None
-    d_in = res.d(degree + 1).augment(w)
-    return homology_invariants(d_out, d_in, res.ranks[degree])
+    return _twisted_homology(resolution_for(group, bound), w, degree)
 
 
 def _bar_tuples(els, k):
@@ -172,8 +177,11 @@ def bar_homology_oracle(group, w, degree, normalized=True):
     Generators in degree k are k-tuples of non-identity elements (all
     elements in the unnormalized variant); the boundary is the usual
     alternating sum, with the first face weighted by the character.
-    Exponentially large, so guarded by the generator budget.
+    Exponentially large, so guarded by the generator budget.  A
+    character of another group is a GroupMismatch.
     """
+    if w.group is not group and w.group != group:
+        raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if not group.is_finite:
         raise InfiniteGroup("bar resolution needs a finite group")
     n = group.order()

@@ -333,8 +333,9 @@ def test_hopf_check_reduces_no_matrix_for_unread_subquotients(monkeypatch):
         del reduced[:]
         assert hopf_check(c).passed
         counts.append(len(reduced))
-    # 63/64/64/72 when the induced maps also reduced their domain and codomain
-    assert counts == [54, 55, 55, 63]
+    # 63/64/64/72 when the induced maps also reduced their domain and codomain,
+    # 54/55/55/63 when each read of an augmented boundary built a new matrix
+    assert counts == [41, 42, 42, 50]
 
 
 def test_hopf_check_needs_finite_group():

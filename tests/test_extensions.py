@@ -35,8 +35,14 @@ from fourfold.groupring import (
 from fourfold.homology import bar_homology_oracle, resolution_for
 from fourfold.intmat import AbelianInvariants, IntMatrix
 from fourfold.manifolds import cp2_complex, rp4_complex, s4_complex
-from fourfold.complexes import presentation_complex
-from fourfold.errors import ContextMismatch, DimensionMismatch, HypothesisViolated, NotACycle
+from fourfold.complexes import LambdaComplex, presentation_complex
+from fourfold.errors import (
+    ContextMismatch,
+    DimensionMismatch,
+    GroupMismatch,
+    HypothesisViolated,
+    NotACycle,
+)
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
@@ -206,6 +212,43 @@ def test_psi_chase_rejects_non_cycles():
     assert psi_chase(res, c2, w, [0]).is_trivial()
     with pytest.raises(NotACycle):
         psi_chase(res, c2, w, [1])
+
+
+def _refuse_ring_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ring work started")
+
+    for name in ("twist", "solve", "expand"):
+        monkeypatch.setattr(RingMatrix, name, refuse)
+
+
+def test_psi_chase_refuses_a_character_of_another_group(monkeypatch):
+    g = product_group((2, 2))
+    res = resolution_for(g)
+    c2 = presentation_complex(g)
+    z = [0] * res.ranks[4]
+    _refuse_ring_work(monkeypatch)
+    with pytest.raises(GroupMismatch):
+        psi_chase(res, c2, trivial_char(cyclic_group(4)), z)
+
+
+def test_psi_chase_refuses_a_2_complex_over_another_group(monkeypatch):
+    g = product_group((2, 2))
+    res = resolution_for(g)
+    w = trivial_char(g)
+    h = cyclic_group(4)
+    t = ring_generator(h, 0)
+    one = ring_one(h)
+    d1 = RingMatrix(h, 1, 1, [[t * t - one]])
+    d2 = RingMatrix(h, 1, 1, [[t * t + one]])
+    c2 = LambdaComplex(h, trivial_char(h), (1, 1, 1), (d1, d2))
+    # a Klein-four cycle whose first lift, read in Z/4 coordinates, has no
+    # solution: the mismatch must not surface as NotACycle
+    z = [0, 1, 0, 0, 0]
+    assert not any(res.augmented(4, w).mul_vec(z))
+    _refuse_ring_work(monkeypatch)
+    with pytest.raises(GroupMismatch):
+        psi_chase(res, c2, w, z)
 
 
 def test_psi_chase_klein_four_sees_distinct_classes():

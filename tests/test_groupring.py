@@ -249,6 +249,16 @@ def test_ring_solve_and_kernel():
     assert k.solve(RingMatrix(g, 1, 1, [[n]])) is not None
 
 
+def test_ring_solve_refuses_a_right_side_over_another_group():
+    g = cyclic_group(4)
+    h = product_group((2, 2))
+    a = RingMatrix(g, 1, 1, [[ring_generator(g, 0) - ring_one(g)]])
+    b = RingMatrix(h, 1, 1, [[ring_generator(h, 0) - ring_one(h)]])
+    # the coordinates of s - 1 in Z/2 x Z/2 are those of t^2 - 1 in Z/4
+    with pytest.raises(GroupMismatch):
+        a.solve(b)
+
+
 def test_ring_arithmetic_survives_an_evicted_descriptor():
     g = product_group((3, 2))
     t = ring_generator(g, 0)

@@ -256,6 +256,21 @@ def test_bar_oracle_budget(monkeypatch):
         bar_homology_oracle(g, trivial_char(g), 1)
 
 
+def test_bar_oracle_refuses_a_character_of_another_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bar resolution built")
+
+    monkeypatch.setattr(homology, "_bar_boundary", refuse)
+    monkeypatch.setattr(homology, "_bar_elements", refuse)
+    g = cyclic_group(2)
+    w = char_from_signs(cyclic_group(4), (-1,))
+    # read as a Z/2 character, w would give H_0 = Z/2
+    with pytest.raises(GroupMismatch):
+        bar_homology_oracle(g, w, 0)
+    with pytest.raises(GroupMismatch):
+        group_homology(g, w, 0)
+
+
 def test_tensor_resolution_matches_direct_build():
     res = resolution_for(product_group((2, 3)))
     assert res.group == product_group((2, 3))
