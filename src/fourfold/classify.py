@@ -9,7 +9,6 @@ sequence linking manifold homology to group homology.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 from fourfold.complexes import homology_Lambda, homology_Zw
@@ -46,6 +45,7 @@ from fourfold.manifolds import (
     lens_homotopy_equivalent,
     linking_form,
     linking_isometric,
+    units_mod,
 )
 
 __all__ = [
@@ -104,11 +104,7 @@ def squares_mod(n):
     generators for cyclic degree-4 homology."""
     if n <= 1:
         return (1,)
-    out = []
-    for r in range(1, n):
-        if math.gcd(r, n) == 1:
-            out.append((r * r) % n)
-    return tuple(sorted(set(out)))
+    return tuple(sorted({r * r % n for r in units_mod(n)}))
 
 
 # An entry is one record: a few short tuples over a group descriptor and
@@ -178,9 +174,11 @@ def kreck_equivalent(m1, m2):
 
 # An entry is one orbit: at most |H_4| classes when H_4 is finite (with a
 # free part, those whose free coordinates lie within caps), each a short
-# tuple mapped to a (multiplier, sign) pair, about 110 bytes a class.  256
-# orbits of up to 1000 classes stay under 30 MB.
-_ORBIT_CACHE_SIZE = 256
+# tuple mapped to a (multiplier, sign) pair, 170-200 bytes a class
+# (tracemalloc).  The 277 start classes of a lens-family sweep over
+# p <= 30 all fit: their orbits hold 2673 classes in 0.45 MB, 1.6 kB an
+# orbit.  512 orbits of up to 1000 classes take about 100 MB at most.
+_ORBIT_CACHE_SIZE = 512
 
 
 @functools.lru_cache(maxsize=_ORBIT_CACHE_SIZE)
@@ -191,7 +189,11 @@ def _orbit(h4, start, gens, caps):
     # A nonzero multiplier never shrinks a free coordinate, so a class whose
     # free part outgrows the caps (the target's) can only lead to the zero
     # class (met at once through a zero multiplier); dropping it keeps the
-    # orbit finite.
+    # orbit finite; with no free part there is nothing to cap.  Each
+    # candidate is built in one pass over the coordinates: free ones
+    # scaled, torsion ones scaled and reduced.
+    k = h4.free_rank
+    mods = (None,) * k + h4.torsion
     seen = {start: (1, 1)}
     frontier = [start]
     while frontier:
@@ -199,11 +201,12 @@ def _orbit(h4, start, gens, caps):
         for vec in frontier:
             mult, sign = seen[vec]
             for m in gens:
-                cand = _reduce(h4, tuple(m * x for x in vec))
-                if cand not in seen and all(abs(x) <= c for x, c in zip(cand, caps)):
-                    seen[cand] = (mult * m, sign)
-                    nxt.append(cand)
-            cand = _reduce(h4, tuple(-x for x in vec))
+                cand = tuple([m * x if t is None else m * x % t for x, t in zip(vec, mods)])
+                if cand in seen or (k and any(abs(x) > c for x, c in zip(cand, caps))):
+                    continue
+                seen[cand] = (mult * m, sign)
+                nxt.append(cand)
+            cand = tuple([-x if t is None else -x % t for x, t in zip(vec, mods)])
             if cand not in seen:
                 seen[cand] = (mult, -sign)
                 nxt.append(cand)
@@ -260,9 +263,7 @@ def classify_lens_family(p, q1, q2):
 
 def _signed_square_relation(p, a, b):
     """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert)."""
-    for r in range(1, max(p, 2)):
-        if math.gcd(r, p) != 1:
-            continue
+    for r in units_mod(p):
         if (r * r * a - b) % p == 0:
             return True, {"r": r, "sign": 1}
         if (r * r * a + b) % p == 0:

@@ -353,7 +353,8 @@ def build_parser():
         p.add_argument("p", type=int)
         p.add_argument("q1", type=int)
         p.add_argument("q2", type=int)
-        p.set_defaults(func=_cmd_lens_classify)
+        # the alias reports the canonical name in every envelope
+        p.set_defaults(func=_cmd_lens_classify, command="lens-classify")
 
     p = sub.add_parser("lens-linking", help="linking form comparison")
     p.add_argument("p", type=int)

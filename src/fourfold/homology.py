@@ -60,7 +60,9 @@ __all__ = [
     "MAX_CYCLIC_FACTORS",
 ]
 
-DEFAULT_DEGREE_BOUND = 5
+# H_n reads d_n and d_(n+1), so one resolution through degree 6 serves
+# H_0..H_5.
+DEFAULT_DEGREE_BOUND = 6
 MAX_CYCLIC_FACTORS = 3
 
 

@@ -5,6 +5,7 @@ classification, the mapping tori L x S^1, and the small closed
 4-manifolds used as anchors (S^4, CP^2, RP^4, T^4).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from fourfold.groupring import (
 
 __all__ = [
     "LensSpace",
+    "units_mod",
     "lens_complex",
     "fundamental_class_invariant",
     "lens_homotopy_equivalent",
@@ -49,6 +51,37 @@ class LensSpace:
 
     def __str__(self):
         return "L(%d,%d)" % (self.p, self.q)
+
+
+# Moduli up to this size get a kept table.  Above it the units are listed
+# lazily, so a search that stops at its first witness never lists all the
+# units of a large modulus (a table for p = 10^9 would not fit in memory).
+_UNITS_TABLE_MAX = 1024
+# An entry is one tuple of the phi(n) < n units mod n: 210 bytes for
+# n <= 30, up to 37 kB near n = 1024, where units above 256 are ints of
+# their own (tracemalloc).  128 tables stay under 5 MB.
+_UNITS_CACHE_SIZE = 128
+
+
+def units_mod(n):
+    """The units mod n, as the integers 1 <= r < n prime to n, in
+    increasing order; for n = 1 the one residue class, written 1.
+
+    For n <= 1024 a tuple, built on the first call for n and kept in a
+    bounded cache, so every criterion that searches the units of n reads
+    one table, each in the same order.  For larger n a fresh iterator
+    over the same sequence.
+    """
+    if n < 1:
+        raise InvalidLens("need a modulus >= 1")
+    if n > _UNITS_TABLE_MAX:
+        return (r for r in range(1, n) if math.gcd(r, n) == 1)
+    return _units_table(n)
+
+
+@functools.lru_cache(maxsize=_UNITS_CACHE_SIZE)
+def _units_table(n):
+    return tuple(r for r in range(1, max(n, 2)) if math.gcd(r, n) == 1)
 
 
 def lens_complex(lens):
@@ -82,9 +115,7 @@ def lens_homotopy_equivalent(p, q1, q2):
     the second parameter in terms of the first.
     """
     _check_pair(p, q1, q2)
-    for r in range(1, p):
-        if math.gcd(r, p) != 1:
-            continue
+    for r in units_mod(p):
         rr = r * r % p
         if (q2 - rr * q1) % p == 0:
             return True, r, 1
@@ -101,6 +132,8 @@ class LinkingForm:
     value: int
 
     def __post_init__(self):
+        if self.order < 2:
+            raise InvalidLens("need order >= 2")
         if math.gcd(self.order, self.value) != 1:
             raise InvalidLens("linking form value must be a unit")
 
@@ -121,9 +154,7 @@ def linking_isometric(f1, f2):
     if f1.order != f2.order:
         raise OrderMismatch("forms on Z/%d and Z/%d" % (f1.order, f2.order))
     p = f1.order
-    for u in range(1, p):
-        if math.gcd(u, p) != 1:
-            continue
+    for u in units_mod(p):
         uu = u * u % p
         if (f2.value - uu * f1.value) % p == 0:
             return True, u, 1

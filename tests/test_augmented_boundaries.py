@@ -96,10 +96,23 @@ def test_group_homology_reduces_each_boundary_once(cold_reductions):
     w = char_from_signs(g, (-1, 1))
     got = [group_homology(g, w, n) for n in range(5)]
     assert got[4] == AbelianInvariants(0, (2, 2, 2))
-    # d_1..d_5 of the bound-5 resolution; 9 when d_out and d_in were rebuilt
+    # d_1..d_5 of the default resolution; 9 when d_out and d_in were rebuilt
     assert len(cold_reductions) == 5
     res = resolution_for(g)
     assert all(any(a is res.augmented(i, w) for a in cold_reductions) for i in range(1, 6))
+
+
+def test_group_homology_through_degree_5_builds_one_resolution(cold_reductions):
+    g = product_group((2, 4))
+    w = char_from_signs(g, (-1, 1))
+    got = [group_homology(g, w, n) for n in range(6)]
+    assert got[5] == AbelianInvariants(0, (2, 2, 2))
+    # d_1..d_6 of one resolution; 2 builds and 7 reductions when degree 5
+    # built a second resolution and reduced its d_5 again
+    assert homology._resolution.cache_info().misses == 1
+    assert len(cold_reductions) == 6
+    res = resolution_for(g)
+    assert all(any(a is res.augmented(i, w) for a in cold_reductions) for i in range(1, 7))
 
 
 def test_homology_zw_reduces_each_boundary_once(cold_reductions):

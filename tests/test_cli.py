@@ -96,6 +96,15 @@ def test_lens_classify_exit_codes(capsys):
     assert doc["result"]["verdict"] == "NOT_EQUIVALENT"
 
 
+def test_classify_lens_alias_reports_the_canonical_name(capsys):
+    for argv, status in ((["classify-lens", "7", "1", "2"], "ok"), (["classify-lens", "1", "1", "1"], "error")):
+        code, out, _ = run(capsys, ["--json"] + argv)
+        doc = json.loads(out)
+        assert validate_report(doc)
+        assert (doc["command"], doc["status"]) == ("lens-classify", status)
+        assert code == (0 if status == "ok" else 2)
+
+
 def test_lens_linking_command(capsys):
     code, out, _ = run(capsys, ["lens-linking", "7", "1", "2"])
     assert code == 0
