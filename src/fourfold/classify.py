@@ -107,6 +107,14 @@ def squares_mod(n):
     return tuple(sorted({r * r % n for r in units_mod(n)}))
 
 
+def default_aut_multipliers(group):
+    """The orbit generators of a record that names none: the squares of
+    units mod n over Z/n and Z/n x Z, and the identity (1,) otherwise."""
+    if len(group.orders) == 1 and group.laurent_rank in (0, 1):
+        return squares_mod(group.orders[0])
+    return (1,)
+
+
 # An entry is one record: a few short tuples over a group descriptor and
 # homology invariants that are shared, well under a kilobyte, so 1024
 # records stay under a megabyte.
@@ -132,7 +140,7 @@ def _lens_times_circle_record(p, invariant):
         w_signs=(1,) * g.ngens,
         class_h4=(invariant,),
         h4=h4_of_pi_cross_Z(g, trivial_char(g)),
-        aut_multipliers=squares_mod(p),
+        aut_multipliers=default_aut_multipliers(g),
     )
 
 

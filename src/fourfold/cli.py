@@ -1,10 +1,14 @@
 """Command line front-end.
 
-Exit codes: 0 for a completed computation (and positive verdicts), 1 for
+Each verb's handler computes its answer and returns (status, result,
+lines): status is "ok" or "negative", result is the JSON-ready payload
+and lines are the text report.  main alone names the verb, prints the
+lines or, under --json, the report envelope, and maps the status to the
+exit code: 0 for a completed computation (and positive verdicts), 1 for
 a negative verdict from a classify-style command, 2 for input errors and
-for a computation that runs out of memory.
-Every subcommand prints deterministic text, or a JSON report envelope
-under --json.
+for a computation that runs out of memory.  An error is written to
+stderr as "error: ..." in text mode, and as an envelope with status
+"error" under --json.
 """
 
 import argparse
@@ -18,9 +22,9 @@ from fourfold.classify import (
     bordism_group,
     classify_aspherical,
     classify_lens_family,
+    default_aut_multipliers,
     hopf_check,
     kreck_equivalent,
-    squares_mod,
 )
 from fourfold.complexes import homology_Lambda, homology_Zw
 from fourfold.errors import FourfoldError, ParseError
@@ -86,12 +90,8 @@ def _parse_invariants(spec):
     return AbelianInvariants.from_diag(free, torsion)
 
 
-def _emit(args, command, status, result, text_lines):
-    if args.json:
-        print(json.dumps(report_envelope(command, status, result), sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _status(positive):
+    return "ok" if positive else "negative"
 
 
 def _cmd_snf(args):
@@ -103,18 +103,12 @@ def _cmd_snf(args):
         "rows": m.rows,
         "cols": m.cols,
     }
-    _emit(
-        args,
-        "snf",
-        "ok",
-        result,
-        [
-            "matrix %d x %d" % (m.rows, m.cols),
-            "rank %d" % len(s.diag),
-            "invariant factors: %s" % (" ".join(str(d) for d in s.diag) or "(none)"),
-        ],
-    )
-    return 0
+    lines = [
+        "matrix %d x %d" % (m.rows, m.cols),
+        "rank %d" % len(s.diag),
+        "invariant factors: %s" % (" ".join(str(d) for d in s.diag) or "(none)"),
+    ]
+    return "ok", result, lines
 
 
 def _cmd_homology(args):
@@ -128,8 +122,7 @@ def _cmd_homology(args):
             inv, _mod = homology_Lambda(c, i)
         result["degrees"].append(invariants_to_json(inv))
         lines.append("H_%d = %s" % (i, inv))
-    _emit(args, "homology", "ok", result, lines)
-    return 0
+    return "ok", result, lines
 
 
 def _cmd_group_homology(args):
@@ -142,19 +135,14 @@ def _cmd_group_homology(args):
         "invariants": invariants_to_json(inv),
     }
     lines = ["H_%d(%s) = %s" % (args.degree, group, inv)]
-    status = "ok"
-    code = 0
+    agree = True
     if args.oracle == "bar":
         oracle = bar_homology_oracle(group, w, args.degree)
         agree = oracle == inv
         result["oracle"] = invariants_to_json(oracle)
         result["oracle_agrees"] = agree
         lines.append("bar oracle: %s (%s)" % (oracle, "agrees" if agree else "MISMATCH"))
-        if not agree:
-            status = "negative"
-            code = 1
-    _emit(args, "group-homology", status, result, lines)
-    return code
+    return _status(agree), result, lines
 
 
 def _cmd_lens_classify(args):
@@ -172,8 +160,7 @@ def _cmd_lens_classify(args):
     for name in sorted(rep.verdicts):
         cert = rep.certificates[name]
         lines.append("  %s: %s%s" % (name, rep.verdicts[name], "  %s" % cert if cert else ""))
-    _emit(args, "lens-classify", "ok" if rep.equivalent else "negative", result, lines)
-    return 0 if rep.equivalent else 1
+    return _status(rep.equivalent), result, lines
 
 
 def _cmd_lens_linking(args):
@@ -189,8 +176,7 @@ def _cmd_lens_linking(args):
         "certificate": {"unit": u, "sign": sign} if iso else None,
     }
     lines = [verdict + ("" if not iso else "  unit=%d sign=%d" % (u, sign))]
-    _emit(args, "lens-linking", "ok" if iso else "negative", result, lines)
-    return 0 if iso else 1
+    return _status(iso), result, lines
 
 
 def _cmd_em_torsion(args):
@@ -199,8 +185,7 @@ def _cmd_em_torsion(args):
     mat = _load_matrix_or_d3(args.file)
     inv = em_torsion(mat, args.m)
     result = {"m": args.m, "invariants": invariants_to_json(inv)}
-    _emit(args, "em-torsion", "ok", result, ["E_%d = %s" % (args.m, inv)])
-    return 0
+    return "ok", result, ["E_%d = %s" % (args.m, inv)]
 
 
 def _cmd_recover_m(args):
@@ -208,10 +193,7 @@ def _cmd_recover_m(args):
     inv = _parse_invariants(args.invariants)
     cands = classify_aspherical(mat, inv)
     result = {"invariants": invariants_to_json(inv), "candidates": sorted(cands)}
-    lines = ["candidates: %s" % (sorted(cands) or "(none)")]
-    status = "ok" if cands else "negative"
-    _emit(args, "recover-m", status, result, lines)
-    return 0 if cands else 1
+    return _status(cands), result, ["candidates: %s" % (sorted(cands) or "(none)")]
 
 
 def _cmd_ext_class(args):
@@ -230,23 +212,17 @@ def _cmd_ext_class(args):
         "class trivial: %s" % trivial,
         "sequence exact: %s" % seq_ok,
     ]
-    _emit(args, "ext-class", "ok" if seq_ok else "negative", result, lines)
-    return 0 if seq_ok else 1
+    return _status(seq_ok), result, lines
 
 
 def _record_from_file(path):
     group, signs, cls, mults = parse_record_document(_read_file(path))
-    if mults is None:
-        if len(group.orders) == 1 and group.laurent_rank in (0, 1):
-            mults = squares_mod(group.orders[0])
-        else:
-            mults = (1,)
     return ManifoldRecord(
         group=group,
         w_signs=signs,
         class_h4=cls,
         h4=group_homology(group, char_from_signs(group, signs), 4),
-        aut_multipliers=mults,
+        aut_multipliers=default_aut_multipliers(group) if mults is None else mults,
     )
 
 
@@ -256,9 +232,7 @@ def _cmd_classify_kreck(args):
     eq, cert = kreck_equivalent(r1, r2)
     verdict = "EQUIVALENT" if eq else "NOT_EQUIVALENT"
     result = {"verdict": verdict, "certificate": cert}
-    lines = [verdict + ("" if cert is None else "  %s" % cert)]
-    _emit(args, "classify-kreck", "ok" if eq else "negative", result, lines)
-    return 0 if eq else 1
+    return _status(eq), result, [verdict + ("" if cert is None else "  %s" % cert)]
 
 
 def _cmd_classify_aspherical(args):
@@ -266,27 +240,12 @@ def _cmd_classify_aspherical(args):
     inv1 = _parse_invariants(args.inv)
     if args.inv2 is None:
         cands = classify_aspherical(mat, inv1)
-        result = {"candidates": sorted(cands)}
-        status = "ok" if cands else "negative"
-        _emit(args, "classify-aspherical", status, result, ["candidates: %s" % sorted(cands)])
-        return 0 if cands else 1
+        return _status(cands), {"candidates": sorted(cands)}, ["candidates: %s" % sorted(cands)]
     inv2 = _parse_invariants(args.inv2)
-    kwargs = {}
-    if args.proj is not None:
-        kwargs["proj1"] = args.proj
-    if args.proj2 is not None:
-        kwargs["proj2"] = args.proj2
-    same, cert = aspherical_equivalent(mat, inv1, inv2, **kwargs)
+    same, cert = aspherical_equivalent(mat, inv1, inv2, proj1=args.proj, proj2=args.proj2)
     verdict = "EQUIVALENT" if same else "NOT_EQUIVALENT"
     result = {"verdict": verdict, "certificate": cert}
-    _emit(
-        args,
-        "classify-aspherical",
-        "ok" if same else "negative",
-        result,
-        [verdict + "  %s" % cert],
-    )
-    return 0 if same else 1
+    return _status(same), result, [verdict + "  %s" % cert]
 
 
 def _cmd_bordism(args):
@@ -298,8 +257,7 @@ def _cmd_bordism(args):
         "stable": invariants_to_json(stable),
         "h4": invariants_to_json(h4),
     }
-    _emit(args, "bordism", "ok", result, ["%s x %s" % (stable, h4)])
-    return 0
+    return "ok", result, ["%s x %s" % (stable, h4)]
 
 
 def _cmd_hopf_check(args):
@@ -318,8 +276,7 @@ def _cmd_hopf_check(args):
         lines.append("  check %s: %s" % (k, rep.checks[k]))
     for note in rep.notes:
         lines.append("  note: %s" % note)
-    _emit(args, "hopf-check", "ok" if rep.passed else "negative", result, lines)
-    return 0 if rep.passed else 1
+    return _status(rep.passed), result, lines
 
 
 def build_parser():
@@ -407,25 +364,34 @@ def _parser():
     return build_parser()
 
 
+_EXIT_CODES = {"ok": 0, "negative": 1, "error": 2}
+
+
 def main(argv=None):
     ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    message = None
     try:
-        return args.func(args)
+        status, result, lines = args.func(args)
     except FourfoldError as exc:
         message = str(exc)
     except MemoryError:
         # Reported once the handler has ended, so the frames that the
         # traceback holds, and the matrices in them, are freed first.
         message = "out of memory"
-    if getattr(args, "json", False):
-        print(json.dumps(report_envelope(args.command, "error", {"message": message}), sort_keys=True))
-    else:
+    if message is not None:
+        status, result = "error", {"message": message}
+    if args.json:
+        print(json.dumps(report_envelope(args.command, status, result), sort_keys=True))
+    elif message is not None:
         print("error: %s" % message, file=sys.stderr)
-    return 2
+    else:
+        for line in lines:
+            print(line)
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

@@ -136,7 +136,7 @@ def _resolution(group, bound):
     return res
 
 
-def group_homology(group, w, degree, bound=None):
+def group_homology(group, w, degree):
     """H_degree(pi; Z^w) for a finite product of cyclic groups, or for
     such a group times Z^r.
 
@@ -151,22 +151,18 @@ def group_homology(group, w, degree, bound=None):
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if degree < 0:
         raise DegreeOutOfRange("negative degree")
-    if bound is None:
-        bound = max(DEFAULT_DEGREE_BOUND, degree + 1)
-    if degree + 1 > bound:
-        raise DegreeOutOfRange("degree %d needs bound >= %d" % (degree, degree + 1))
     if not group.is_finite:
         if any(s != 1 for s in w.signs[len(group.orders) :]):
             raise UnsupportedCharacter("character must be trivial on free directions")
         return homology_of_laurent_extension(
             group.finite_part(), w.restrict_finite(), group.laurent_rank, top=degree
         )[degree]
-    return _group_homology(group, w, degree, bound)
+    return _group_homology(group, w, degree)
 
 
 @functools.lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)
-def _group_homology(group, w, degree, bound):
-    return _twisted_homology(resolution_for(group, bound), w, degree)
+def _group_homology(group, w, degree):
+    return _twisted_homology(resolution_for(group, max(DEFAULT_DEGREE_BOUND, degree + 1)), w, degree)
 
 
 def _bar_tuples(els, k):

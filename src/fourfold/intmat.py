@@ -195,6 +195,10 @@ class AbelianInvariants:
     torsion: tuple
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError("free rank %r is negative" % (self.free_rank,))
+        if any(t < 2 for t in self.torsion):
+            raise ValueError("torsion %r has an entry below 2" % (self.torsion,))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion %r is not a divisibility chain" % (self.torsion,))

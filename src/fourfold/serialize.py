@@ -201,12 +201,16 @@ def _element_from_terms(group, terms, path):
     return RingElement._from_reduced(group, acc)
 
 
-def parse_complex(text):
-    """Parse and validate a chain complex document."""
+def _load_json(text):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc)
+
+
+def parse_complex(text):
+    """Parse and validate a chain complex document."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     group = _group_from_obj(doc.get("group"), "group")
@@ -274,10 +278,7 @@ def emit_complex(c):
 
 def parse_int_matrix(text):
     """A bare integer matrix document: a list of equal-length rows."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("not valid JSON: %s" % exc)
+    doc = _load_json(text)
     if isinstance(doc, dict):
         raise ParseError("expected a bare matrix, got an object")
     if not isinstance(doc, list) or not doc:
@@ -296,10 +297,7 @@ def parse_int_matrix(text):
 def parse_record_document(text):
     """A classification record: group spec or object, character signs,
     degree-4 class coordinates, optional automorphism multipliers."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("not valid JSON: %s" % exc)
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("record root must be an object")
     graw = doc.get("group")

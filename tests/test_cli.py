@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, text output, JSON envelopes."""
 
+import argparse
+import ast
+import itertools
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -9,11 +13,13 @@ import sys
 import pytest
 
 import fourfold
+from fourfold import cli
+from fourfold.classify import default_aut_multipliers, lens_times_circle_record
 from fourfold.cli import main
 from fourfold.complexes import LambdaComplex, presentation_complex
 from fourfold.groupring import RingMatrix, product_group
 from fourfold.manifolds import LensSpace, lens_times_circle, rp4_complex, torus4_complex
-from fourfold.serialize import emit_complex, validate_report
+from fourfold.serialize import emit_complex, parse_group_spec, validate_report
 
 
 @pytest.fixture
@@ -179,6 +185,40 @@ KRECK_FREE_EQUIVALENT = (
     '{"command": "classify-kreck", "result": {"certificate": {"multiplier": 4, "sign": -1}, '
     '"verdict": "EQUIVALENT"}, "schema_version": "1", "status": "ok"}\n'
 )
+
+
+# Captured from classify-kreck before the default rule moved into
+# classify: the multipliers a record without aut_multipliers gets, and the
+# orbits of its classes.  A pair in one orbit is equivalent with the
+# certificate (1, 1) when the classes are equal and (4, 1) otherwise.
+DEFAULT_MULTIPLIER_CASES = [
+    ("cyclic:5", (1, 4), [[()]]),
+    ("cyclic:5*Z", (1, 4), [[(0,)], [(1,), (4,)], [(2,), (3,)]]),
+    ("product:2,2", (1,), [[c] for c in itertools.product(range(2), repeat=2)]),
+]
+
+
+@pytest.mark.parametrize("group, mults, orbits", DEFAULT_MULTIPLIER_CASES)
+def test_records_without_multipliers_keep_their_defaults(tmp_path, capsys, group, mults, orbits):
+    assert default_aut_multipliers(parse_group_spec(group)) == mults
+    files = {}
+    for orbit in orbits:
+        for cls in orbit:
+            f = tmp_path / ("%s.json" % "_".join(map(str, cls)))
+            f.write_text(json.dumps({"group": group, "class_h4": list(cls)}))
+            files[cls] = str(f)
+            assert cli._record_from_file(files[cls]).aut_multipliers == mults
+    for orbit_a, orbit_b in itertools.product(orbits, repeat=2):
+        for a, b in itertools.product(orbit_a, orbit_b):
+            code, out, _ = run(capsys, ["--json", "classify-kreck", files[a], files[b]])
+            result = json.loads(out)["result"]
+            if orbit_a is orbit_b:
+                cert = {"multiplier": 1 if a == b else 4, "sign": 1}
+                assert (code, result) == (0, {"verdict": "EQUIVALENT", "certificate": cert}), (a, b)
+            else:
+                assert (code, result) == (1, {"verdict": "NOT_EQUIVALENT", "certificate": None}), (a, b)
+    # the lens-family records take the same rule
+    assert lens_times_circle_record(5, 2).aut_multipliers == (1, 4)
 
 
 def test_classify_aspherical_command(t4_file, capsys):
@@ -398,3 +438,37 @@ def test_out_of_memory_is_an_error_not_a_verdict(tmp_path):
     proc = run_capped(["homology", str(f), "--coeff", "lambda"], 128)
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr == "error: out of memory\n"
+
+
+def _writes_output(node):
+    """A call of print or of json.dumps."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "print") or (
+        isinstance(f, ast.Attribute) and f.attr == "dumps" and getattr(f.value, "id", None) == "json"
+    )
+
+
+def test_only_main_prints_names_the_verb_or_picks_the_exit_code():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    verbs = set(subparsers.choices)
+    assert {"snf", "lens-classify", "classify-lens", "hopf-check"} <= verbs
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    handlers = [f for f in functions if f.name.startswith("_cmd_")]
+    assert len(handlers) == 12
+    offenders = []
+    for fn in functions:
+        for node in ast.walk(fn):
+            if fn.name != "main" and _writes_output(node):
+                offenders.append("%s:%d prints" % (fn.name, node.lineno))
+            if fn in handlers and isinstance(node, ast.Constant) and node.value in verbs:
+                offenders.append("%s:%d names %s" % (fn.name, node.lineno, node.value))
+            if fn in handlers and isinstance(node, ast.Return):
+                if not (isinstance(node.value, ast.Tuple) and len(node.value.elts) == 3):
+                    offenders.append("%s:%d returns no (status, result, lines)" % (fn.name, node.lineno))
+    assert offenders == []
+    # the guard sees the calls it forbids
+    assert _writes_output(ast.parse("print(x)").body[0].value)
+    assert _writes_output(ast.parse("json.dumps(x)").body[0].value)

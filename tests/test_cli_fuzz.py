@@ -1,5 +1,8 @@
 """Fuzz the command line: every argv ends in exit 0, 1 or 2, never in an
-escaped exception or a traceback.
+escaped exception or a traceback, and the status agrees with the exit
+code: under --json the envelope says ok, negative or error exactly when
+the code is 0, 1 or 2, and in text mode an exit of 2 writes "error: " to
+stderr and nothing to stdout.
 
 Arguments range over all verbs with valid, truncated and non-numeric
 values, missing files and malformed documents (truncated, one number
@@ -20,7 +23,7 @@ from fourfold.cli import main
 from fourfold.complexes import presentation_complex
 from fourfold.groupring import product_group
 from fourfold.manifolds import LensSpace, cp2_complex, lens_complex, rp4_complex, s4_complex, torus4_complex
-from fourfold.serialize import emit_complex
+from fourfold.serialize import emit_complex, validate_report
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
@@ -168,4 +171,20 @@ def test_cli_exits_0_1_or_2_without_traceback(workdir, args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(resolved)
     assert code in (0, 1, 2), (resolved, code)
-    assert "Traceback" not in err.getvalue() + out.getvalue(), resolved
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err + out, resolved
+    if out.startswith("usage:") or err.startswith("usage:"):
+        # argparse answered: help on stdout, or a usage error on stderr
+        if out:
+            assert code == 0 and err == "", resolved
+        else:
+            assert code == 2 and ": error: " in err, resolved
+    elif resolved[0] == "--json":
+        doc = json.loads(out)
+        assert validate_report(doc), resolved
+        assert doc["status"] == ("ok", "negative", "error")[code], (resolved, code, doc)
+        assert err == "", resolved
+    elif code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (resolved, err)
+    else:
+        assert out and err == "", resolved

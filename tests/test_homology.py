@@ -292,14 +292,9 @@ def test_resolution_build_does_not_revalidate_its_factors(monkeypatch):
 
 def test_cache_keys_are_normalised():
     g = product_group((2, 4))
-    w = trivial_char(g)
     homology._resolution.cache_clear()
-    homology._group_homology.cache_clear()
     assert resolution_for(g) is resolution_for(g, DEFAULT_DEGREE_BOUND)
     assert homology._resolution.cache_info().currsize == 1
-    assert group_homology(g, w, 3) == group_homology(g, w, 3, bound=DEFAULT_DEGREE_BOUND)
-    assert homology._group_homology.cache_info().currsize == 1
-    assert homology._group_homology.cache_info().hits == 1
 
 
 def test_laurent_extension_homology():

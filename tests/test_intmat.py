@@ -207,6 +207,16 @@ def test_abelian_invariants_canonical():
     assert a.is_finite and not b.is_finite
 
 
+@pytest.mark.parametrize("free, torsion", [(0, (1,)), (0, (0,)), (-2, ()), (1, (2, -2)), (0, (1, 3))])
+def test_abelian_invariants_refuse_non_canonical_entries(free, torsion):
+    # Z/1 would compare unequal to the trivial group, Z/0 would be Z with
+    # order 0, and Z^-2 is no group
+    with pytest.raises(ValueError):
+        AbelianInvariants(free, torsion)
+    assert AbelianInvariants.from_diag(0, [1]) == AbelianInvariants(0, ())
+    assert AbelianInvariants.from_diag(0, [0]) == AbelianInvariants(1, ())
+
+
 def test_column_span_basis_preserves_lattice():
     rng = random.Random(12)
     for _ in range(100):
