@@ -421,12 +421,12 @@ def _chain_map_to_resolution(c, res):
 def _induced_on_homology(c, res, cmap, deg):
     """Induced map on degree-deg twisted homology, as subquotient data."""
     w = c.w
-    z1 = kernel_basis(c.augmented(deg, w))
+    z1 = kernel_basis(c.d(deg).augment(w))
     if deg + 1 <= c.top_degree:
-        b1 = c.augmented(deg + 1, w)
+        b1 = c.d(deg + 1).augment(w)
     else:
         b1 = IntMatrix.zeros(c.ranks[deg], 0)
-    z2 = kernel_basis(res.augmented(deg, w))
-    b2 = res.augmented(deg + 1, w)
+    z2 = kernel_basis(res.d(deg).augment(w))
+    b2 = res.d(deg + 1).augment(w)
     amap = cmap[deg].augment(w)
     return induced_map_invariants(amap, z1, b1, z2, b2)

@@ -39,7 +39,6 @@ __all__ = [
     "presentation_complex",
     "cross_circle",
     "tensor_complex",
-    "euler_char_mod2",
 ]
 
 
@@ -68,7 +67,6 @@ class LambdaComplex:
         self.w = w
         self.ranks = ranks
         self.boundaries = tuple(boundaries)
-        self._augmented = {}
 
     @property
     def top_degree(self):
@@ -79,22 +77,6 @@ class LambdaComplex:
         if not 1 <= i <= self.top_degree:
             raise DegreeOutOfRange("no boundary in degree %d" % i)
         return self.boundaries[i - 1]
-
-    def augmented(self, i, w):
-        """The integer matrix d_i (x) Z^w: d_i with each entry collapsed by
-        the w-twisted augmentation.
-
-        Built the first time (i, w) is read and then kept, so its Smith
-        form is kept with it.  Each boundary is built only when read.  A
-        character over another group is a GroupMismatch.
-        """
-        if w.group is not self.group and w.group != self.group:
-            raise GroupMismatch("character over %s, complex over %s" % (w.group, self.group))
-        key = (i, w.signs)
-        m = self._augmented.get(key)
-        if m is None:
-            m = self._augmented[key] = self.d(i).augment(w)
-        return m
 
     def __repr__(self):
         return "LambdaComplex(%s, ranks=%s)" % (self.group, list(self.ranks))
@@ -132,8 +114,8 @@ def homology_Zw(c, i):
 def _twisted_homology(c, w, i):
     """H_i(C (x) Z^w) from the kept augmented boundaries: d_i leaves
     degree i (none in degree 0), d_(i+1) enters it (none at the top)."""
-    d_out = c.augmented(i, w) if i >= 1 else None
-    d_in = c.augmented(i + 1, w) if i < c.top_degree else None
+    d_out = c.d(i).augment(w) if i >= 1 else None
+    d_in = c.d(i + 1).augment(w) if i < c.top_degree else None
     return homology_invariants(d_out, d_in, c.ranks[i])
 
 
@@ -309,10 +291,3 @@ def _tensor_product(a, b, top=None):
                             entries[dst_off + ai * rbm + bi][src_off + ai * rb + bj] = e
         boundaries.append(RingMatrix(g, rows, cols, entries))
     return LambdaComplex(g, a.w, tuple(ranks), tuple(boundaries))
-
-
-def euler_char_mod2(c):
-    chi = 0
-    for i, r in enumerate(c.ranks):
-        chi += r if i % 2 == 0 else -r
-    return chi % 2

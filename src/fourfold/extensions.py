@@ -273,7 +273,7 @@ class ExtContext:
         self.p1 = p1
         self.p2 = p2
         self.hom_rank = p1.cols
-        self.cochains = source.subquotient(None if p2 is None else p2.transpose(), p1.transpose(), p1.cols)
+        self.cochains = source.subquotient(p2.transpose(), p1.transpose(), p1.cols)
 
     @functools.cached_property
     def cobound(self):
@@ -290,15 +290,11 @@ class ExtContext:
     def check_cocycle(self, vec):
         """Does vec precomposed with p2 lie in the ambiguity lattice?  That
         lattice is reduced once per context, like the coboundary lattice."""
-        if self.p2 is None:
-            return True
         pre, amb = self._p2_lattices()
         return amb.smith().contains(pre.mul_vec(vec))
 
     def ext_invariants(self):
-        """Invariants of cocycles mod coboundaries (needs p2)."""
-        if self.p2 is None:
-            raise ContextMismatch("context has no cocycle data")
+        """Invariants of cocycles mod coboundaries."""
         return self.cochains.invariants
 
     def make_class(self, vec):
@@ -412,7 +408,7 @@ def psi_chase(resolution, c2, w, z, rng=None):
     group = resolution.group
     if c2.group is not group and c2.group != group:
         raise GroupMismatch("2-complex over %s, resolution over %s" % (c2.group, group))
-    d4 = resolution.augmented(4, w)
+    d4 = resolution.d(4).augment(w)
     a4 = resolution.ranks[4]
     if len(z) != a4:
         raise DimensionMismatch("cycle length %d, rank of degree 4 is %d" % (len(z), a4))

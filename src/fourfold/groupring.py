@@ -28,6 +28,9 @@ columns generate the kernel) and spin_generators (a few ring generators
 of a pi-stable lattice, picked from a Z-basis of it).  Other modules call
 these and never place coordinates themselves.  expand() keeps its result,
 which keeps its Smith form, so a matrix is expanded and reduced once.
+augment(w) keeps the integer matrix M (x) Z^w per character in the same
+way; it is the one place that collapses a ring matrix to its twisted
+integer image.
 """
 
 import functools
@@ -70,16 +73,6 @@ class GroupDescriptor:
 
     orders: tuple
     laurent_rank: int
-
-    @property
-    def kind(self):
-        if self.laurent_rank:
-            return "laurent"
-        if not self.orders:
-            return "trivial"
-        if len(self.orders) == 1:
-            return "cyclic"
-        return "product"
 
     @property
     def is_finite(self):
@@ -138,12 +131,7 @@ class GroupDescriptor:
         return _get_descriptor(self.orders, 0)
 
     def __str__(self):
-        if self.kind == "trivial":
-            base = "trivial"
-        elif self.kind == "cyclic":
-            base = "Z/%d" % self.orders[0]
-        else:
-            base = " x ".join("Z/%d" % o for o in self.orders) or "trivial"
+        base = " x ".join("Z/%d" % o for o in self.orders) or "trivial"
         if self.laurent_rank:
             base += " x Z" + ("^%d" % self.laurent_rank if self.laurent_rank > 1 else "")
         return base
@@ -405,9 +393,10 @@ def regular_representation(a):
 
 class RingMatrix:
     """Matrix over Z[pi], stored as rows of RingElements.  Immutable: no code
-    writes its fields after construction, so expand() can keep its result."""
+    writes its fields after construction, so expand() and augment() can keep
+    their results."""
 
-    __slots__ = ("group", "rows", "cols", "entries", "_expanded")
+    __slots__ = ("group", "rows", "cols", "entries", "_expanded", "_augmented")
 
     def __init__(self, group, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -417,6 +406,7 @@ class RingMatrix:
         self.cols = cols
         self.entries = [list(r) for r in entries]
         self._expanded = None
+        self._augmented = {}
 
     @classmethod
     def zeros(cls, group, rows, cols):
@@ -509,12 +499,23 @@ class RingMatrix:
         return RingMatrix(self.group, self.cols, self.rows, out)
 
     def augment(self, w=None):
-        """Entrywise (twisted) augmentation down to an integer matrix."""
+        """The integer matrix self (x) Z^w: each entry collapsed by the
+        w-twisted augmentation; w None is the trivial character.
+
+        Built the first time a character is read and then kept, so its
+        Smith form is kept with it: a boundary that a resolution reuses in
+        several degrees is augmented and reduced once per character.  A
+        character over another group is a GroupMismatch.
+        """
         if w is None:
-            data = [[e.augmentation() for e in r] for r in self.entries]
-        else:
+            w = trivial_char(self.group)
+        elif w.group is not self.group and w.group != self.group:
+            raise GroupMismatch("character over %s, matrix over %s" % (w.group, self.group))
+        m = self._augmented.get(w.signs)
+        if m is None:
             data = [[e.twisted_augmentation(w) for e in r] for r in self.entries]
-        return IntMatrix(self.rows, self.cols, data)
+            m = self._augmented[w.signs] = IntMatrix._adopt(self.rows, self.cols, data)
+        return m
 
     def transpose(self):
         """Plain transpose, without the involution."""

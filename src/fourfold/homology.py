@@ -18,10 +18,10 @@ zero in degrees 1..top_degree-1.  That holds by construction (the
 periodic resolution of Z/p, and the Kunneth theorem for tensor
 products), so it is checked by the test suite, not at run time.  Twisted
 integer homology reads the resolution's augmented boundaries
-(LambdaComplex.augmented): each is built the first time a degree is read
-under a character and kept with its Smith form, so H_n and H_(n+1)
-share the one reduction of d_(n+1).  With coefficients in a module, the
-module cuts the subquotient (FPModule).
+(RingMatrix.augment), each kept per matrix and character with its Smith
+form: H_n and H_(n+1) share the reduction of d_(n+1), and a periodic
+resolution reduces its one odd and one even boundary once each.  With
+coefficients in a module, the module cuts the subquotient (FPModule).
 """
 
 import functools
@@ -92,14 +92,14 @@ def _periodic_factor(group, i, bound):
     return LambdaComplex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
 
 
-# An entry is one resolution: 3 kB for Z/2 to 30 kB for Z/4 x Z/4 x Z/4
+# An entry is one resolution: 2 kB for Z/2 to 23 kB for Z/4 x Z/4 x Z/4
 # through degree 6 (tracemalloc).  group_homology over all its degrees
-# keeps one augmented boundary per degree read, with its Smith form: the
-# entry then weighs 11 kB (Z/2) to 76 kB (Z/4^3) for one character, and
-# 407 kB for all eight characters of Z/4^3.  A boundary that chain-map
-# lifts solve against keeps its expansion and Smith form, so after
-# hopf_check an entry holds 1.4 MB (Z/6 x Z/6), 8.0 MB (Z/2 x Z/3 x Z/6)
-# or 24.9 MB (Z/4^3).
+# keeps one augmented matrix per boundary and character read, with its
+# Smith form: the entry then weighs 5 kB (Z/2) to 70 kB (Z/4^3) for one
+# character, and 392 kB for all eight characters of Z/4^3.  A boundary
+# that chain-map lifts solve against keeps its expansion and Smith form,
+# so after hopf_check an entry holds 1.4 MB (Z/6 x Z/6), 8.0 MB
+# (Z/2 x Z/3 x Z/6) or 24.9 MB (Z/4^3).
 _RESOLUTION_CACHE_SIZE = 64
 # An entry is one AbelianInvariants, a couple of hundred bytes.
 _HOMOLOGY_CACHE_SIZE = 1024

@@ -255,9 +255,6 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-TRIVIAL_GROUP_INVARIANTS = AbelianInvariants(0, ())
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """U * A * V == diag(diag) padded by zeros, with U, V unimodular: the

@@ -1,16 +1,13 @@
-"""LambdaComplex.augmented is the one owner of d_i (x) Z^w.
+"""RingMatrix.augment is the one owner of d (x) Z^w.
 
-A complex builds the integer matrix of a boundary under a character the
-first time it is read and keeps it, so its Smith form is kept with it:
-each augmented boundary is reduced once, whether it is read as d_out in
-one degree, as d_in in the next, or by an induced map.  The counts below
-are taken on cold caches; each was higher when every read built a new
-matrix.  No module in src/ other than complexes augments a boundary of
-a complex itself.
+A ring matrix builds its integer image under a character the first time
+it is read and keeps it, so its Smith form is kept with it: each
+augmented boundary is reduced once, whether it is read as d_out in one
+degree, as d_in in the next, by an induced map, or, when a periodic
+resolution reuses one matrix in several degrees, in each of them.  The
+counts below are taken on cold caches; each was higher when every read
+built a new matrix, and again when the image was kept per degree.
 """
-
-import ast
-import pathlib
 
 import pytest
 
@@ -19,7 +16,6 @@ from fourfold.classify import bordism_group
 from fourfold.complexes import homology_Zw
 from fourfold.errors import DegreeOutOfRange, GroupMismatch
 from fourfold.groupring import (
-    RingMatrix,
     char_from_signs,
     cyclic_group,
     laurent_extension,
@@ -29,8 +25,6 @@ from fourfold.groupring import (
 from fourfold.homology import group_homology, resolution_for
 from fourfold.intmat import AbelianInvariants
 from fourfold.manifolds import LensSpace, lens_times_circle, rp4_complex
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fourfold"
 
 
 @pytest.fixture
@@ -51,44 +45,41 @@ def cold_reductions(monkeypatch):
     homology._group_homology.cache_clear()
 
 
-def test_augmented_is_kept_per_degree_and_character():
+def test_augment_is_kept_per_character():
     c = rp4_complex()
     w = c.w
-    m = c.augmented(2, w)
-    assert m == c.d(2).augment(w)
-    assert c.augmented(2, w) is m
+    d2 = c.d(2)
+    m = d2.augment(w)
+    assert m.data == [[e.twisted_augmentation(w) for e in r] for r in d2.entries]
+    assert d2.augment(w) is m
     other = trivial_char(c.group)
     assert other != w
-    assert c.augmented(2, other) == c.d(2).augment(other)
-    assert c.augmented(2, other) is not m
-    assert c.augmented(2, w) is m
+    plain = d2.augment(other)
+    assert plain.data == [[e.augmentation() for e in r] for r in d2.entries]
+    assert plain is not m
+    # augment() reads the trivial character and shares its kept matrix
+    assert d2.augment() is plain
+    assert d2.augment(w) is m
 
 
-def test_augmented_builds_only_the_boundary_it_reads(monkeypatch):
-    built = []
-    augment = RingMatrix.augment
-
-    def counting(self, w=None):
-        built.append(self)
-        return augment(self, w)
-
-    monkeypatch.setattr(RingMatrix, "augment", counting)
-    c = rp4_complex()
-    c.augmented(3, c.w)
-    c.augmented(3, c.w)
-    assert built == [c.d(3)] and built[0] is c.d(3)
+def test_augmented_builds_only_the_boundary_it_reads():
+    c = lens_times_circle(LensSpace(7, 2))
+    assert len({id(b) for b in c.boundaries}) == c.top_degree == 4
+    assert homology_Zw(c, 1) == AbelianInvariants(1, (7,))
+    kept = [i for i in range(1, 5) if c.d(i)._augmented]
+    assert kept == [1, 2]
 
 
 def test_augmented_refuses_a_character_of_another_group():
     c = rp4_complex()
     with pytest.raises(GroupMismatch):
-        c.augmented(1, trivial_char(cyclic_group(4)))
+        c.d(1).augment(trivial_char(cyclic_group(4)))
     # same signs, other group: the kept matrix of Z/2 is not handed out
-    c.augmented(1, trivial_char(c.group))
+    c.d(1).augment(trivial_char(c.group))
     with pytest.raises(GroupMismatch):
-        c.augmented(1, trivial_char(cyclic_group(4)))
+        c.d(1).augment(trivial_char(cyclic_group(4)))
     with pytest.raises(DegreeOutOfRange):
-        c.augmented(c.top_degree + 1, c.w)
+        c.d(c.top_degree + 1)
 
 
 def test_group_homology_reduces_each_boundary_once(cold_reductions):
@@ -99,7 +90,7 @@ def test_group_homology_reduces_each_boundary_once(cold_reductions):
     # d_1..d_5 of the default resolution; 9 when d_out and d_in were rebuilt
     assert len(cold_reductions) == 5
     res = resolution_for(g)
-    assert all(any(a is res.augmented(i, w) for a in cold_reductions) for i in range(1, 6))
+    assert all(any(a is res.d(i).augment(w) for a in cold_reductions) for i in range(1, 6))
 
 
 def test_group_homology_through_degree_5_builds_one_resolution(cold_reductions):
@@ -112,7 +103,7 @@ def test_group_homology_through_degree_5_builds_one_resolution(cold_reductions):
     assert homology._resolution.cache_info().misses == 1
     assert len(cold_reductions) == 6
     res = resolution_for(g)
-    assert all(any(a is res.augmented(i, w) for a in cold_reductions) for i in range(1, 7))
+    assert all(any(a is res.d(i).augment(w) for a in cold_reductions) for i in range(1, 7))
 
 
 def test_homology_zw_reduces_each_boundary_once(cold_reductions):
@@ -126,30 +117,25 @@ def test_homology_zw_reduces_each_boundary_once(cold_reductions):
 def test_bordism_group_reduces_each_boundary_once(cold_reductions):
     g = laurent_extension(cyclic_group(6))
     assert bordism_group(g, trivial_char(g))[1] == AbelianInvariants(0, (6,))
-    # H_0..H_4 of Z/6 for the Kunneth split: 5 reductions, 9 when rebuilt
-    assert len(cold_reductions) == 5
+    # H_0..H_4 of Z/6 for the Kunneth split read the two boundaries that the
+    # periodic resolution reuses: 2 reductions, 5 when kept per degree and 9
+    # when rebuilt per read
+    assert len(cold_reductions) == 2
 
 
-def _augments_a_boundary(node):
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "augment"
-        and isinstance(node.func.value, ast.Call)
-        and isinstance(node.func.value.func, ast.Attribute)
-        and node.func.value.func.attr == "d"
-    )
-
-
-def test_only_complexes_augments_a_boundary():
-    paths = sorted(SRC.glob("*.py"))
-    assert len(paths) > 1
-    offenders = []
-    for path in paths:
-        if path.name == "complexes.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        offenders.extend("%s:%d" % (path.name, n.lineno) for n in ast.walk(tree) if _augments_a_boundary(n))
-    assert offenders == []
-    # the guard sees the call it forbids
-    assert _augments_a_boundary(ast.parse("c.d(3).augment(w)").body[0].value)
+def test_periodic_group_homology_reduces_two_matrices_per_character(cold_reductions):
+    g = cyclic_group(6)
+    res = resolution_for(g)
+    zero, z2, z6 = AbelianInvariants(0, ()), AbelianInvariants(0, (2,)), AbelianInvariants(0, (6,))
+    closed_forms = {
+        (1,): [AbelianInvariants(1, ()), z6, zero, z6, zero, z6],
+        (-1,): [z2, zero, z2, zero, z2, zero],
+    }
+    for signs, expected in closed_forms.items():
+        w = char_from_signs(g, signs)
+        del cold_reductions[:]
+        assert [group_homology(g, w, n) for n in range(6)] == expected
+        # d_1 = d_3 = d_5 and d_2 = d_4 = d_6 are one matrix each; 6 when
+        # the augmented boundaries were kept per degree
+        assert len(cold_reductions) == 2
+        assert {id(a) for a in cold_reductions} == {id(res.d(1).augment(w)), id(res.d(2).augment(w))}

@@ -245,7 +245,7 @@ def test_psi_chase_refuses_a_2_complex_over_another_group(monkeypatch):
     # a Klein-four cycle whose first lift, read in Z/4 coordinates, has no
     # solution: the mismatch must not surface as NotACycle
     z = [0, 1, 0, 0, 0]
-    assert not any(res.augmented(4, w).mul_vec(z))
+    assert not any(res.d(4).augment(w).mul_vec(z))
     _refuse_ring_work(monkeypatch)
     with pytest.raises(GroupMismatch):
         psi_chase(res, c2, w, z)

@@ -3,7 +3,7 @@ small closed 4-manifold anchors."""
 
 import pytest
 
-from fourfold.complexes import euler_char_mod2, homology_Zw, twisted_dual, validate
+from fourfold.complexes import homology_Zw, twisted_dual, validate
 from fourfold.manifolds import (
     LensSpace,
     LinkingForm,
@@ -27,6 +27,11 @@ ZERO = AbelianInvariants(0, ())
 
 def c(*torsion):
     return AbelianInvariants(0, tuple(torsion))
+
+
+def euler_char_mod2(cx):
+    """The Euler characteristic of a complex, mod 2."""
+    return sum(r if i % 2 == 0 else -r for i, r in enumerate(cx.ranks)) % 2
 
 
 def hlist(cx):
