@@ -11,7 +11,7 @@ sequence linking manifold homology to group homology.
 import functools
 from dataclasses import dataclass, field
 
-from fourfold.complexes import homology_Lambda, homology_Zw
+from fourfold.complexes import homology_Zw
 from fourfold.errors import (
     DegreeOutOfRange,
     DimensionMismatch,
@@ -19,7 +19,7 @@ from fourfold.errors import (
     InfiniteGroup,
     TypeMismatch,
 )
-from fourfold.extensions import EmFamily, recover_m
+from fourfold.extensions import EmFamily, fpmodule_homology, recover_m
 from fourfold.groupring import (
     RingMatrix,
     cyclic_group,
@@ -358,7 +358,7 @@ def hopf_check(c):
     w = c.w
     res = resolution_for(group)
     cmap = _chain_map_to_resolution(c, res)
-    pi2_inv, pi2_mod = homology_Lambda(c, 2)
+    pi2_mod = fpmodule_homology(c.d(2), c.d(3))
 
     groups = {
         "H4_M": homology_Zw(c, 4),

@@ -119,7 +119,7 @@ def _cmd_homology(args):
         if args.coeff == "zw":
             inv = homology_Zw(c, i)
         else:
-            inv, _mod = homology_Lambda(c, i)
+            inv = homology_Lambda(c, i)
         result["degrees"].append(invariants_to_json(inv))
         lines.append("H_%d = %s" % (i, inv))
     return "ok", result, lines

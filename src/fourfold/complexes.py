@@ -6,16 +6,20 @@ Construction checks shapes only; validate() checks d.d = 0 exactly.  It
 runs where a complex comes from outside the package (a parsed document,
 the factors of tensor_complex); the built-in constructors satisfy
 d.d = 0 by construction, and the test suite checks each of them.
+
+Homology is read off the integer images each boundary keeps, d (x) Z^w
+(augment) and d (x) Z[pi] (expand), so each is reduced once.  The
+pi-module structure of H_*(C; Z[pi]) is extensions.fpmodule_homology.
 """
 
 from fourfold.errors import (
     DegreeOutOfRange,
+    DimensionMismatch,
     GroupMismatch,
     InfiniteGroup,
     NotAComplex,
     UnsupportedGroup,
 )
-from fourfold.extensions import fpmodule_homology
 from fourfold.groupring import (
     OrientationChar,
     RingMatrix,
@@ -50,16 +54,16 @@ class LambdaComplex:
             raise GroupMismatch("character lives over %s" % (w.group,))
         ranks = tuple(int(r) for r in ranks)
         if any(r < 0 for r in ranks):
-            raise ValueError("negative rank")
+            raise DimensionMismatch("negative rank")
         if len(boundaries) != max(len(ranks) - 1, 0):
-            raise ValueError(
+            raise DimensionMismatch(
                 "expected %d boundary maps, got %d" % (max(len(ranks) - 1, 0), len(boundaries))
             )
         for i, b in enumerate(boundaries, start=1):
             if b.group != group:
                 raise GroupMismatch("boundary %d lives over %s" % (i, b.group))
             if b.rows != ranks[i - 1] or b.cols != ranks[i]:
-                raise ValueError(
+                raise DimensionMismatch(
                     "boundary %d has shape %dx%d, expected %dx%d"
                     % (i, b.rows, b.cols, ranks[i - 1], ranks[i])
                 )
@@ -120,21 +124,16 @@ def _twisted_homology(c, w, i):
 
 
 def homology_Lambda(c, i):
-    """Homology with group ring coefficients at degree i, finite groups.
-
-    Returns (abelian invariants, module presentation with the pi-action).
-    """
+    """The abelian invariants of H_i(C (x) Z[pi]), finite groups, read off
+    the kept expansions as _twisted_homology reads the augmented maps."""
     if not c.group.is_finite:
         raise InfiniteGroup("group ring homology needs a finite group")
     n = c.top_degree
     if not 0 <= i <= n:
         raise DegreeOutOfRange("degree %d outside 0..%d" % (i, n))
-    zero_out = RingMatrix.zeros(c.group, 0, c.ranks[i])
-    zero_in = RingMatrix.zeros(c.group, c.ranks[i], 0)
-    d_out = c.d(i) if i >= 1 else zero_out
-    d_in = c.d(i + 1) if i < n else zero_in
-    mod = fpmodule_homology(d_out, d_in)
-    return mod.abelian_invariants(), mod
+    d_out = c.d(i).expand() if i >= 1 else None
+    d_in = c.d(i + 1).expand() if i < n else None
+    return homology_invariants(d_out, d_in, c.ranks[i] * c.group.order())
 
 
 def point_complex():

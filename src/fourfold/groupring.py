@@ -316,9 +316,6 @@ class RingElement:
         """Multiply the coefficient of each g by (-1)^w(g)."""
         return RingElement._from_reduced(self.group, {el: c * w.sign(el) for el, c in self.terms.items()})
 
-    def augmentation(self):
-        return sum(self.terms.values())
-
     def twisted_augmentation(self, w):
         """Sum of coefficients weighted by (-1)^w(g)."""
         return sum(c * w.sign(el) for el, c in self.terms.items())

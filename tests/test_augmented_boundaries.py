@@ -55,7 +55,7 @@ def test_augment_is_kept_per_character():
     other = trivial_char(c.group)
     assert other != w
     plain = d2.augment(other)
-    assert plain.data == [[e.augmentation() for e in r] for r in d2.entries]
+    assert plain.data == [[sum(e.terms.values()) for e in r] for r in d2.entries]
     assert plain is not m
     # augment() reads the trivial character and shares its kept matrix
     assert d2.augment() is plain

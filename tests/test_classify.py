@@ -336,8 +336,9 @@ def test_hopf_check_reduces_no_matrix_for_unread_subquotients(monkeypatch):
     # 63/64/64/72 when the induced maps also reduced their domain and codomain,
     # 54/55/55/63 when each read of an augmented boundary built a new matrix,
     # 41/42/42/50 when a boundary reused in several degrees was augmented and
-    # reduced once per degree
-    assert counts == [38, 42, 41, 50]
+    # reduced once per degree, 38/42/41/50 when the pi_2 relation lattice was
+    # reduced for invariants that hopf_check does not read
+    assert counts == [37, 41, 40, 49]
 
 
 def test_hopf_check_needs_finite_group():

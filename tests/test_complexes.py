@@ -27,6 +27,7 @@ from fourfold.groupring import (
 from fourfold.intmat import AbelianInvariants
 from fourfold.errors import (
     DegreeOutOfRange,
+    DimensionMismatch,
     GroupMismatch,
     InfiniteGroup,
     NotAComplex,
@@ -37,9 +38,11 @@ from fourfold.errors import (
 def test_shape_checks():
     g = cyclic_group(2)
     w = trivial_char(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
+        LambdaComplex(g, w, (1, -1), (RingMatrix.zeros(g, 1, 0),))
+    with pytest.raises(DimensionMismatch):
         LambdaComplex(g, w, (1, 1), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         LambdaComplex(g, w, (1, 2), (RingMatrix.zeros(g, 1, 1),))
     with pytest.raises(GroupMismatch):
         LambdaComplex(g, trivial_char(cyclic_group(3)), (1,), ())
@@ -88,16 +91,16 @@ def test_presentation_complex_shapes_and_exactness():
     assert c.ranks == (1, 1, 1)
     assert homology_Zw(c, 0) == AbelianInvariants(1, ())
     assert homology_Zw(c, 1) == AbelianInvariants(0, (5,))
-    inv1, _ = homology_Lambda(c, 1)
+    inv1 = homology_Lambda(c, 1)
     assert inv1.is_trivial
     # pi_2 of the cover: the augmentation ideal sitting inside the group ring
-    inv2, _ = homology_Lambda(c, 2)
+    inv2 = homology_Lambda(c, 2)
     assert inv2 == AbelianInvariants(4, ())
 
     k = presentation_complex(product_group((2, 2)))
     assert k.ranks == (1, 2, 3)
     assert homology_Zw(k, 1) == AbelianInvariants(0, (2, 2))
-    inv1, _ = homology_Lambda(k, 1)
+    inv1 = homology_Lambda(k, 1)
     assert inv1.is_trivial
 
     with pytest.raises(UnsupportedGroup):
@@ -108,11 +111,39 @@ def test_presentation_complex_wedge_cells():
     base = presentation_complex(cyclic_group(3))
     wedged = presentation_complex(cyclic_group(3), wedge_cells=2)
     assert wedged.ranks == (1, 1, 3)
-    b, _ = homology_Lambda(base, 2)
-    ww, _ = homology_Lambda(wedged, 2)
+    b = homology_Lambda(base, 2)
+    ww = homology_Lambda(wedged, 2)
     # each wedged cell contributes a free copy of the group ring to pi_2
     assert ww.free_rank == b.free_rank + 2 * 3
     assert ww.torsion == b.torsion
+
+
+def test_group_ring_homology_reduces_each_expansion_once(monkeypatch):
+    from fourfold import intmat
+    from fourfold.manifolds import rp4_complex
+
+    reduced = []
+    snf = intmat.smith_normal_form
+
+    def counting(a):
+        reduced.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    expected = {
+        # the cover of the presentation complex: Euler characteristic 36 (1 - 3 + 6)
+        "2x3x6": (presentation_complex(product_group((2, 3, 6))), [1, 0, 143]),
+        # the cover of RP^4 is S^4; its boundary objects repeat, t - 1 and t + 1
+        "rp4": (rp4_complex(), [1, 0, 0, 0, 1]),
+    }
+    counts = {}
+    for name, (c, free_ranks) in expected.items():
+        del reduced[:]
+        homology = [homology_Lambda(c, i) for i in range(c.top_degree + 1)]
+        assert homology == [AbelianInvariants(r, ()) for r in free_ranks]
+        counts[name] = len(reduced)
+    # 63 and 22 when every degree presented its homology as a module
+    assert counts == {"2x3x6": 2, "rp4": 2}
 
 
 def test_cross_circle_kunneth():

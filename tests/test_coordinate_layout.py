@@ -11,7 +11,8 @@ copies of hom_lambda's lattice lines and of ExtContext.ext_invariants are
 frozen from before FPModule.subquotient owned them; hom_lambda, ext1 and
 module_homology must agree with them (and with ref_module_homology) bit
 for bit.  An ast guard keeps the module layout in extensions and every
-import in src/fourfold used.
+import in src/fourfold used, and another keeps each import pointing to a
+lower layer of the package.
 """
 
 import ast
@@ -20,12 +21,13 @@ import random
 
 import pytest
 
-from fourfold.complexes import homology_Lambda, presentation_complex
+from fourfold.complexes import presentation_complex
 from fourfold import extensions
 from fourfold.extensions import (
     ext1,
     fpmodule_cokernel,
     fpmodule_free,
+    fpmodule_homology,
     fpmodule_kernel,
     hom_lambda,
 )
@@ -205,6 +207,13 @@ def ref_expand(rm):
 # ---- cases ----------------------------------------------------------------
 
 
+def _homology_module(c, i):
+    """H_i(C; Z[pi]) as a module, with zero maps past the two ends."""
+    d_out = c.d(i) if i >= 1 else RingMatrix.zeros(c.group, 0, c.ranks[i])
+    d_in = c.d(i + 1) if i < c.top_degree else RingMatrix.zeros(c.group, c.ranks[i], 0)
+    return fpmodule_homology(d_out, d_in)
+
+
 def _model_cases():
     """(ring matrices, modules, character) drawn from the model complexes."""
     complexes = [
@@ -221,7 +230,7 @@ def _model_cases():
         for i in range(1, c.top_degree + 1):
             mats += [c.d(i), c.d(i).transpose_involute(c.w)]
         modules = [fpmodule_free(c.group, 1), fpmodule_free(c.group, 2)]
-        modules += [homology_Lambda(c, i)[1] for i in range(c.top_degree + 1)]
+        modules += [_homology_module(c, i) for i in range(c.top_degree + 1)]
         modules.append(fpmodule_kernel(c.d(2)))
         modules.append(fpmodule_cokernel(c.d(2).transpose_involute(c.w)))
         cases.append((c.group, c.w, mats, modules))
@@ -310,7 +319,7 @@ def test_module_homology_boundaries_over_resolutions():
         res = resolution_for(g)
         w = char_from_signs(g, [-1] + [1] * (g.ngens - 1))
         c = presentation_complex(g)
-        module = homology_Lambda(c, 1)[1]
+        module = fpmodule_homology(c.d(1), c.d(2))
         for delta in (res.d(i).twist(w) for i in range(1, res.top_degree + 1)):
             assert delta.kron_identity(module.num_gens).expand() == ref_boundary_matrix(delta, module)
         for k in set(res.ranks):
@@ -365,3 +374,50 @@ def test_src_imports_are_used_and_only_extensions_lays_out_module_coordinates():
         unused += [(path.name, n) for n in sorted(imported - used - exported)]
     assert set(unused) == KEPT_FOR_THE_TRACER_TEST
     assert layout == []
+
+
+# The import layers of the package, lowest first.  A module imports only
+# from layers below its own, so the import graph has no cycle and no
+# module reaches up to a caller.
+LAYERS = [
+    {"errors", "_snf_py"},
+    {"intmat"},
+    {"groupring"},
+    {"complexes", "extensions"},
+    {"homology", "manifolds", "serialize"},
+    {"classify"},
+    {"cli"},
+    {"__init__"},
+]
+
+
+def _imported_modules(node):
+    """The package modules an import node reads from, by file stem."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif node.level:
+        names = ["fourfold." + node.module] if node.module else ["fourfold." + a.name for a in node.names]
+    elif node.module == "fourfold":
+        names = ["fourfold." + a.name for a in node.names]
+    else:
+        names = [node.module]
+    out = []
+    for name in names:
+        parts = name.split(".")
+        if parts[0] == "fourfold":
+            out.append(parts[1] if len(parts) > 1 else "__init__")
+    return out
+
+
+def test_src_imports_only_from_lower_layers():
+    layer = {name: k for k, names in enumerate(LAYERS) for name in names}
+    assert set(layer) == {path.stem for path in SRC.glob("*.py")}
+    upward = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for dep in _imported_modules(node):
+                    # a name imported from the package itself counts as __init__
+                    if layer.get(dep, layer["__init__"]) >= layer[path.stem]:
+                        upward.append("%s:%d imports %s" % (path.name, node.lineno, dep))
+    assert upward == []
