@@ -22,13 +22,12 @@ from fourfold.errors import (
 from fourfold.extensions import EmFamily, fpmodule_homology, recover_m
 from fourfold.groupring import (
     RingMatrix,
+    char_from_signs,
     cyclic_group,
     laurent_extension,
-    trivial_char,
 )
 from fourfold.homology import (
     group_homology,
-    h4_of_pi_cross_Z,
     module_homology,
     resolution_for,
 )
@@ -88,6 +87,20 @@ class ManifoldRecord:
             )
         object.__setattr__(self, "class_h4", self.reduce(vec))
 
+    @classmethod
+    def over(cls, group, w_signs, class_h4, aut_multipliers=None):
+        """The record of class_h4 over group with character w_signs: h4 is
+        group_homology in degree 4, and aut_multipliers defaults to
+        default_aut_multipliers(group).  Every record the package builds
+        comes from here; the constructor itself also takes a given h4."""
+        return cls(
+            group=group,
+            w_signs=w_signs,
+            class_h4=class_h4,
+            h4=group_homology(group, char_from_signs(group, w_signs), 4),
+            aut_multipliers=default_aut_multipliers(group) if aut_multipliers is None else aut_multipliers,
+        )
+
     def reduce(self, vec):
         """Torsion coordinates mod their orders; vec is a tuple of ints of
         the class's length (checked once, in __post_init__)."""
@@ -135,13 +148,7 @@ def lens_times_circle_record(p, q):
 @functools.lru_cache(maxsize=_RECORD_CACHE_SIZE)
 def _lens_times_circle_record(p, invariant):
     g = laurent_extension(cyclic_group(p), 1)
-    return ManifoldRecord(
-        group=g,
-        w_signs=(1,) * g.ngens,
-        class_h4=(invariant,),
-        h4=h4_of_pi_cross_Z(g, trivial_char(g)),
-        aut_multipliers=default_aut_multipliers(g),
-    )
+    return ManifoldRecord.over(g, (1,) * g.ngens, (invariant,))
 
 
 def bordism_group(group, w):

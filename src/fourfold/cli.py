@@ -22,14 +22,12 @@ from fourfold.classify import (
     bordism_group,
     classify_aspherical,
     classify_lens_family,
-    default_aut_multipliers,
     hopf_check,
     kreck_equivalent,
 )
 from fourfold.complexes import homology_Lambda, homology_Zw
 from fourfold.errors import FourfoldError, ParseError
 from fourfold.extensions import pi2_extension
-from fourfold.groupring import char_from_signs
 from fourfold.homology import bar_homology_oracle, group_homology
 from fourfold.intmat import AbelianInvariants, smith_normal_form
 from fourfold.manifolds import LensSpace, linking_form, linking_isometric
@@ -216,14 +214,7 @@ def _cmd_ext_class(args):
 
 
 def _record_from_file(path):
-    group, signs, cls, mults = parse_record_document(_read_file(path))
-    return ManifoldRecord(
-        group=group,
-        w_signs=signs,
-        class_h4=cls,
-        h4=group_homology(group, char_from_signs(group, signs), 4),
-        aut_multipliers=default_aut_multipliers(group) if mults is None else mults,
-    )
+    return ManifoldRecord.over(*parse_record_document(_read_file(path)))
 
 
 def _cmd_classify_kreck(args):

@@ -147,9 +147,8 @@ class Subquotient:
 
     @functools.cached_property
     def cycles(self):
-        """Basis of the cycle lattice {x : d_out x in relations}."""
-        if self.d_out is None:
-            return IntMatrix.identity(self.rank * self.module.num_gens * self.module.group.order())
+        """Basis of the cycle lattice {x : d_out x in relations}; d_out is
+        not None (with no d_out, invariants reads a cokernel instead)."""
         return preimage_kernel(*self.cycle_data)
 
     @functools.cached_property
@@ -160,6 +159,8 @@ class Subquotient:
 
     @functools.cached_property
     def invariants(self):
+        if self.d_out is None:
+            return cokernel_invariants(self.boundaries)
         return quotient_invariants(self.cycles, self.boundaries)
 
 
@@ -275,22 +276,14 @@ class ExtContext:
         self.hom_rank = p1.cols
         self.cochains = source.subquotient(p2.transpose(), p1.transpose(), p1.cols)
 
-    @functools.cached_property
-    def cobound(self):
-        return self.cochains.boundaries
-
     def is_coboundary(self, vec):
         """Is vec in the coboundary lattice?  One span-coordinate step."""
-        return self.cobound.smith().contains(vec)
-
-    def _p2_lattices(self):
-        """(precomposition with p2, its ambiguity lattice), built once."""
-        return self.cochains.cycle_data
+        return self.cochains.boundaries.smith().contains(vec)
 
     def check_cocycle(self, vec):
         """Does vec precomposed with p2 lie in the ambiguity lattice?  That
         lattice is reduced once per context, like the coboundary lattice."""
-        pre, amb = self._p2_lattices()
+        pre, amb = self.cochains.cycle_data
         return amb.smith().contains(pre.mul_vec(vec))
 
     def ext_invariants(self):
@@ -325,7 +318,7 @@ class ExtClass:
 
     def shift_by_coboundary(self, coeffs):
         """Add an integer combination of coboundary lattice columns."""
-        shift = self.context.cobound.mul_vec(coeffs)
+        shift = self.context.cochains.boundaries.mul_vec(coeffs)
         return ExtClass(self.context, tuple(a + b for a, b in zip(self.rep, shift)))
 
 

@@ -1,5 +1,10 @@
-"""Group homology of finite products of cyclic groups (and of their
-products with Z^r, through the Kunneth split).
+"""Group homology of finite products of cyclic groups, and of their
+products with Z^r.
+
+group_homology owns both: a finite group reads a resolution, and
+pi x Z^r with a character trivial on Z^r reads the Kunneth split
+H_n(pi x Z^r) = sum over k of H_(n-k)(pi)^C(r,k) in closed form, from
+the finite part's cached homology (H_*(Z^r) is free, so no Tor term).
 
 Two independent routes are implemented: tensor products of the periodic
 resolutions of the cyclic factors (the production route), and the
@@ -26,6 +31,7 @@ coefficients in a module, the module cuts the subquotient (FPModule).
 
 import functools
 import itertools
+import math
 import os
 
 from fourfold.complexes import LambdaComplex, _tensor_product, _twisted_homology
@@ -52,8 +58,6 @@ __all__ = [
     "periodic_resolution",
     "group_homology",
     "bar_homology_oracle",
-    "h4_of_pi_cross_Z",
-    "homology_of_laurent_extension",
     "module_homology",
     "generator_budget",
     "DEFAULT_DEGREE_BOUND",
@@ -143,21 +147,25 @@ def group_homology(group, w, degree):
     Twisting happens at augmentation time: the resolution itself is
     untwisted and the boundary matrices are collapsed with the signed
     augmentation.  On a Laurent extension the character must be +1 on
-    every free direction (UnsupportedCharacter otherwise), and the
-    Kunneth split of homology_of_laurent_extension gives the answer from
-    the finite part.  A character of another group is a GroupMismatch.
+    every free direction (UnsupportedCharacter otherwise), and the answer
+    is the Kunneth split sum_(k <= min(r, n)) H_(n-k)(pi; Z^w)^C(r,k) of
+    the finite part pi.  A character of another group is a GroupMismatch.
     """
     if w.group is not group and w.group != group:
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if degree < 0:
         raise DegreeOutOfRange("negative degree")
-    if not group.is_finite:
-        if any(s != 1 for s in w.signs[len(group.orders) :]):
-            raise UnsupportedCharacter("character must be trivial on free directions")
-        return homology_of_laurent_extension(
-            group.finite_part(), w.restrict_finite(), group.laurent_rank, top=degree
-        )[degree]
-    return _group_homology(group, w, degree)
+    if group.is_finite:
+        return _group_homology(group, w, degree)
+    if any(s != 1 for s in w.signs[len(group.orders) :]):
+        raise UnsupportedCharacter("character must be trivial on free directions")
+    base, w_base, r = group.finite_part(), w.restrict_finite(), group.laurent_rank
+    free, orders = 0, []
+    for k in range(min(r, degree) + 1):
+        h, copies = _group_homology(base, w_base, degree - k), math.comb(r, k)
+        free += copies * h.free_rank
+        orders += h.torsion * copies
+    return AbelianInvariants.from_diag(free, orders)
 
 
 @functools.lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)
@@ -227,33 +235,6 @@ def _bar_boundary(group, w, k, normalized):
             add(merged, j, -1 if i % 2 == 0 else 1)
         add(t[:-1], j, -1 if k % 2 == 1 else 1)
     return IntMatrix(len(lower), len(upper), data)
-
-
-def homology_of_laurent_extension(base, w_base, laurent_rank, top=4):
-    """H_0..H_top of base x Z^rank with untwisted Laurent directions.
-
-    Iterates the splitting H_n(pi x Z) = H_n(pi) + H_{n-1}(pi), which
-    needs no torsion correction because H_*(Z) is free.
-    """
-    hs = [group_homology(base, w_base, i) for i in range(top + 1)]
-    for _ in range(laurent_rank):
-        new = []
-        for nn in range(top + 1):
-            below = hs[nn - 1] if nn >= 1 else AbelianInvariants(0, ())
-            new.append(hs[nn].direct_sum(below))
-        hs = new
-    return hs
-
-
-def h4_of_pi_cross_Z(group, w):
-    """H_4 of (finite pi) x Z with a character trivial on the Z factor."""
-    if group.laurent_rank != 1:
-        raise UnsupportedGroup("expected a Laurent extension of rank 1")
-    if w.signs[-1] != 1:
-        raise UnsupportedCharacter("character must be trivial on the Z factor")
-    base = group.finite_part()
-    w0 = w.restrict_finite()
-    return group_homology(base, w0, 4).direct_sum(group_homology(base, w0, 3))
 
 
 def module_homology(res, w, module, degree):

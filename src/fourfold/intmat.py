@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from fourfold._snf_py import snf_inplace
-from fourfold.errors import DimensionMismatch
+from fourfold.errors import DimensionMismatch, HypothesisViolated
 
 __all__ = [
     "IntMatrix",
@@ -196,12 +196,12 @@ class AbelianInvariants:
 
     def __post_init__(self):
         if self.free_rank < 0:
-            raise ValueError("free rank %r is negative" % (self.free_rank,))
+            raise HypothesisViolated("free rank %r is negative" % (self.free_rank,))
         if any(t < 2 for t in self.torsion):
-            raise ValueError("torsion %r has an entry below 2" % (self.torsion,))
+            raise HypothesisViolated("torsion %r has an entry below 2" % (self.torsion,))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError("torsion %r is not a divisibility chain" % (self.torsion,))
+                raise HypothesisViolated("torsion %r is not a divisibility chain" % (self.torsion,))
 
     @classmethod
     def from_diag(cls, free_rank, diag):
@@ -309,7 +309,7 @@ class SmithForm:
         coordinates of sub_gens in the span basis."""
         cols = self.coordinates(sub_gens.columns())
         if None in cols:
-            raise ValueError("sub lattice is not contained in the big lattice")
+            raise HypothesisViolated("sub lattice is not contained in the big lattice")
         return cokernel_invariants(IntMatrix.from_columns(cols, len(self.diag)))
 
 
@@ -452,14 +452,14 @@ def induced_map_invariants(A, z1, b1, z2, b2):
     img_mat = A * z1
     try:
         coker = quotient_invariants(hstack(z2, b2), hstack(img_mat, b2))
-    except ValueError:
-        raise ValueError("map does not carry cycles into cycles") from None
+    except HypothesisViolated:
+        raise HypothesisViolated("map does not carry cycles into cycles") from None
     if None in solve_columns(b2, (A * b1).columns()):
-        raise ValueError("map does not carry boundaries into boundaries")
+        raise HypothesisViolated("map does not carry boundaries into boundaries")
     # kernel: solutions of A z1 y in span(b2), modulo b1 written in z1 coords
     sub_cols = solve_columns(z1, b1.columns())
     if None in sub_cols:
-        raise ValueError("sub lattice is not inside the cycle lattice")
+        raise HypothesisViolated("sub lattice is not inside the cycle lattice")
     kernel = quotient_invariants(preimage_kernel(img_mat, b2), IntMatrix.from_columns(sub_cols, z1.cols))
     return SubquotientMap(kernel, coker)
 
@@ -480,7 +480,7 @@ def homology_invariants(d_out, d_in, dim):
     if d_in is not None and d_in.rows != dim:
         raise DimensionMismatch("boundary in has %d rows, chain rank %d" % (d_in.rows, dim))
     if d_out is not None and d_in is not None and not (d_out * d_in).is_zero():
-        raise ValueError("image is not contained in the kernel; not a complex")
+        raise HypothesisViolated("image is not contained in the kernel; not a complex")
     free = dim - (rank(d_out) if d_out is not None else 0)
     if d_in is None:
         return AbelianInvariants(free, ())

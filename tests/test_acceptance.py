@@ -181,7 +181,7 @@ def test_07_chase_is_additive_in_the_cycle():
         for m2 in range(-3, 4):
             total = baer_sum(cls[m1], cls[m2])
             assert total.same_class(cls[m1 + m2]), (m1, m2)
-    ncols = cls[1].context.cobound.cols
+    ncols = cls[1].context.cochains.boundaries.cols
     coeffs = [0] * ncols
     coeffs[0] = 1
     if ncols > 1:

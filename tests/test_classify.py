@@ -14,6 +14,7 @@ from fourfold.classify import (
     classify_aspherical,
     classify_lens_family,
     _chain_map_to_resolution,
+    default_aut_multipliers,
     hopf_check,
     kreck_equivalent,
     lens_times_circle_record,
@@ -69,6 +70,48 @@ def test_manifold_record_reduces_coordinates():
     assert r.class_h4 == (2,)
     with pytest.raises(DimensionMismatch):
         ManifoldRecord(group=g, w_signs=(1, 1), class_h4=(1, 2), h4=c(5))
+
+
+def _hand_record(group, signs, cls, mults=None):
+    """A record assembled by hand, as the command line once did it."""
+    return ManifoldRecord(
+        group=group,
+        w_signs=signs,
+        class_h4=cls,
+        h4=homology.group_homology(group, char_from_signs(group, signs), 4),
+        aut_multipliers=default_aut_multipliers(group) if mults is None else mults,
+    )
+
+
+@pytest.mark.parametrize(
+    "group, signs, cls",
+    [
+        (cyclic_group(5), (1,), ()),
+        (cyclic_group(2), (-1,), (1,)),
+        (laurent_extension(cyclic_group(4), 1), (1, 1), (3,)),
+        (laurent_extension(cyclic_group(6), 1), (-1, 1), (1,)),
+        (product_group((2, 2)), (-1, -1), (1, 0, 1)),
+        (laurent_extension(cyclic_group(3), 2), (1, 1, 1), (1, 2)),
+    ],
+)
+@pytest.mark.parametrize("mults", [None, (2,), (-1, 5)])
+def test_manifold_record_over_computes_h4_and_default_multipliers(group, signs, cls, mults):
+    record = ManifoldRecord.over(group, signs, cls, mults)
+    assert record == _hand_record(group, signs, cls, mults)
+    assert record.aut_multipliers == (default_aut_multipliers(group) if mults is None else mults)
+
+
+def test_lens_times_circle_record_reads_h4_from_group_homology():
+    for p in range(2, 13):
+        g = laurent_extension(cyclic_group(p), 1)
+        base, w = cyclic_group(p), trivial_char(cyclic_group(p))
+        # H_4(Z/p x Z) = H_4(Z/p) + H_3(Z/p) = 0 + Z/p
+        split = homology.group_homology(base, w, 4).direct_sum(homology.group_homology(base, w, 3))
+        assert split == c(p)
+        for q in (q for q in range(1, p) if math.gcd(p, q) == 1):
+            record = lens_times_circle_record(p, q)
+            assert record.h4 == homology.group_homology(g, trivial_char(g), 4) == split
+            assert record.aut_multipliers == squares_mod(p)
 
 
 def test_bordism_anchors():
@@ -337,8 +380,9 @@ def test_hopf_check_reduces_no_matrix_for_unread_subquotients(monkeypatch):
     # 54/55/55/63 when each read of an augmented boundary built a new matrix,
     # 41/42/42/50 when a boundary reused in several degrees was augmented and
     # reduced once per degree, 38/42/41/50 when the pi_2 relation lattice was
-    # reduced for invariants that hopf_check does not read
-    assert counts == [37, 41, 40, 49]
+    # reduced for invariants that hopf_check does not read, 37/41/40/49 when
+    # H_0 with module coefficients quotiented an identity cycle lattice
+    assert counts == [36, 40, 39, 48]
 
 
 def test_hopf_check_needs_finite_group():

@@ -28,6 +28,7 @@ from fourfold.intmat import AbelianInvariants
 from fourfold.errors import (
     DegreeOutOfRange,
     DimensionMismatch,
+    FourfoldError,
     GroupMismatch,
     InfiniteGroup,
     NotAComplex,
@@ -62,6 +63,9 @@ def test_validate_reports_offending_degree():
     with pytest.raises(NotAComplex) as e:
         validate(c)
     assert e.value.degree == 2
+    # an unvalidated complex still fails inside the library's own error types
+    with pytest.raises(FourfoldError):
+        homology_Lambda(c, 1)
 
 
 def test_degree_bounds():

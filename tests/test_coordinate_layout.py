@@ -11,8 +11,9 @@ copies of hom_lambda's lattice lines and of ExtContext.ext_invariants are
 frozen from before FPModule.subquotient owned them; hom_lambda, ext1 and
 module_homology must agree with them (and with ref_module_homology) bit
 for bit.  An ast guard keeps the module layout in extensions and every
-import in src/fourfold used, and another keeps each import pointing to a
-lower layer of the package.
+import in src/fourfold used, another keeps each import pointing to a
+lower layer of the package, and a third keeps every error the package
+raises a FourfoldError.
 """
 
 import ast
@@ -22,7 +23,7 @@ import random
 import pytest
 
 from fourfold.complexes import presentation_complex
-from fourfold import extensions
+from fourfold import errors, extensions
 from fourfold.extensions import (
     ext1,
     fpmodule_cokernel,
@@ -421,3 +422,35 @@ def test_src_imports_only_from_lower_layers():
                     if layer.get(dep, layer["__init__"]) >= layer[path.stem]:
                         upward.append("%s:%d imports %s" % (path.name, node.lineno, dep))
     assert upward == []
+
+
+# The one raise of a type outside errors.py: the lens-family criteria
+# are proved to agree, so a split is a bug in the package, not an input
+# error for the caller to handle.
+RAISES_OUTSIDE_ERRORS = {("classify.py", "classify_lens_family", "AssertionError")}
+
+
+def _raises(node, scope):
+    """(scope, raised name) for every raise under node, scope being the
+    innermost enclosing function; a bare re-raise names None."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(node, ast.Raise):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        yield scope, None if exc is None else getattr(exc, "id", ast.dump(exc))
+    for child in ast.iter_child_nodes(node):
+        yield from _raises(child, scope)
+
+
+def test_src_raises_only_fourfold_errors():
+    typed = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.FourfoldError)
+    }
+    others = set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, name in _raises(ast.parse(path.read_text(encoding="utf-8")), None):
+            if name is not None and name not in typed:
+                others.add((path.name, scope, name))
+    assert others == RAISES_OUTSIDE_ERRORS

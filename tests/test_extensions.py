@@ -148,13 +148,13 @@ def test_pi2_extension_on_sphere_and_projective_space():
     assert cls.scale(2).is_trivial()
     assert cls.scale(3).same_class(cls)
     # a coboundary shift does not move the class
-    shifted = cls.shift_by_coboundary([1, -2] + [0] * (cls.context.cobound.cols - 2))
+    shifted = cls.shift_by_coboundary([1, -2] + [0] * (cls.context.cochains.boundaries.cols - 2))
     assert shifted.same_class(cls)
 
 
 def test_shift_by_coboundary_takes_one_coefficient_per_column():
     cls = pi2_extension(rp4_complex())
-    cols = cls.context.cobound.cols
+    cols = cls.context.cochains.boundaries.cols
     assert cols == 4
     # short, overlong with zero padding, overlong with a coefficient past the last column
     for coeffs in ([1, -2], [1, -2] + [0] * (cols - 1), [0] * cols + [1]):
@@ -292,9 +292,9 @@ def test_coboundary_lattice_is_reduced_once_per_context(monkeypatch):
     assert [a.same_class(b) for a, b in pairs] == [a is b for a, b in pairs]
     assert [a.is_trivial() for a in classes] == [True, False, False, False]
     assert len(pairs) == 16
-    assert sum(a is ctx.cobound for a in reduced) == 1
+    assert sum(a is ctx.cochains.boundaries for a in reduced) == 1
     # every chase checks its cocycle against the one ambiguity lattice
-    amb = ctx._p2_lattices()[1]
+    amb = ctx.cochains.cycle_data[1]
     assert sum(a is amb for a in reduced) == 1
 
 

@@ -33,8 +33,6 @@ from fourfold.homology import (
     DEFAULT_DEGREE_BOUND,
     bar_homology_oracle,
     group_homology,
-    h4_of_pi_cross_Z,
-    homology_of_laurent_extension,
     module_homology,
     periodic_resolution,
     resolution_for,
@@ -297,31 +295,38 @@ def test_cache_keys_are_normalised():
     assert homology._resolution.cache_info().currsize == 1
 
 
+def _split_once(hs):
+    """The rank-one Kunneth step H_n(pi x Z) = H_n(pi) + H_(n-1)(pi), on a
+    list H_0..H_top: the oracle that iterating it gives rank r."""
+    return [hs[n].direct_sum(hs[n - 1] if n >= 1 else ZERO) for n in range(len(hs))]
+
+
 def test_laurent_extension_homology():
     g5 = cyclic_group(5)
-    hs = homology_of_laurent_extension(g5, trivial_char(g5), 1)
-    assert hs == [Z, Z.direct_sum(c(5)), c(5), c(5), c(5)]
-    # rank 2 agrees with applying the rank-1 step twice
-    one = homology_of_laurent_extension(g5, trivial_char(g5), 1)
-    twice = [
-        one[n].direct_sum(one[n - 1] if n >= 1 else ZERO) for n in range(5)
-    ]
-    assert homology_of_laurent_extension(g5, trivial_char(g5), 2) == twice
+    g = laurent_extension(g5, 1)
+    assert [group_homology(g, trivial_char(g), n) for n in range(5)] == [Z, Z.direct_sum(c(5)), c(5), c(5), c(5)]
+    # ranks 2 and 3 agree with applying the rank-1 step two and three times,
+    # untwisted over Z/5 and twisted on the finite factor of Z/2
+    for base, signs in ((g5, (1,)), (cyclic_group(2), (-1,)), (cyclic_group(2), (1,))):
+        hs = [group_homology(base, char_from_signs(base, signs), n) for n in range(5)]
+        for r in (1, 2, 3):
+            hs = _split_once(hs)
+            g = laurent_extension(base, r)
+            w = char_from_signs(g, signs + (1,) * r)
+            assert [group_homology(g, w, n) for n in range(5)] == hs, (base, signs, r)
 
 
 def test_h4_of_pi_cross_z():
     g = laurent_extension(cyclic_group(5))
     w = trivial_char(g)
-    assert h4_of_pi_cross_Z(g, w) == c(5)
+    assert group_homology(g, w, 4) == c(5)
     base = cyclic_group(2)
     gx = laurent_extension(base)
     wx = char_from_signs(gx, (-1, 1))
     # H_4 + H_3 of Z/2 with the twisted system: Z/2 + 0
-    assert h4_of_pi_cross_Z(gx, wx) == c(2)
-    with pytest.raises(UnsupportedGroup):
-        h4_of_pi_cross_Z(cyclic_group(2), trivial_char(cyclic_group(2)))
+    assert group_homology(gx, wx, 4) == c(2)
     with pytest.raises(UnsupportedCharacter):
-        h4_of_pi_cross_Z(gx, char_from_signs(gx, (1, -1)))
+        group_homology(gx, char_from_signs(gx, (1, -1)), 4)
 
 
 def trivial_module(group):
