@@ -104,12 +104,8 @@ class ManifoldRecord:
     def reduce(self, vec):
         """Torsion coordinates mod their orders; vec is a tuple of ints of
         the class's length (checked once, in __post_init__)."""
-        return _reduce(self.h4, vec)
-
-
-def _reduce(h4, vec):
-    k = h4.free_rank
-    return vec[:k] + tuple(x % t for x, t in zip(vec[k:], h4.torsion))
+        k = self.h4.free_rank
+        return vec[:k] + tuple(x % t for x, t in zip(vec[k:], self.h4.torsion))
 
 
 def squares_mod(n):

@@ -27,7 +27,7 @@ from fourfold.classify import (
 )
 from fourfold.complexes import homology_Lambda, homology_Zw
 from fourfold.errors import FourfoldError, ParseError
-from fourfold.extensions import pi2_extension
+from fourfold.extensions import em_torsion, pi2_extension
 from fourfold.homology import bar_homology_oracle, group_homology
 from fourfold.intmat import AbelianInvariants, smith_normal_form
 from fourfold.manifolds import LensSpace, linking_form, linking_isometric
@@ -178,8 +178,6 @@ def _cmd_lens_linking(args):
 
 
 def _cmd_em_torsion(args):
-    from fourfold.extensions import em_torsion
-
     mat = _load_matrix_or_d3(args.file)
     inv = em_torsion(mat, args.m)
     result = {"m": args.m, "invariants": invariants_to_json(inv)}

@@ -16,6 +16,7 @@ from fourfold.errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     GroupMismatch,
+    HypothesisViolated,
     InfiniteGroup,
     NotAComplex,
     UnsupportedGroup,
@@ -26,6 +27,7 @@ from fourfold.groupring import (
     factor_norm,
     laurent_extension,
     ring_generator,
+    ring_matrix_from_columns,
     ring_one,
     ring_zero,
     trivial_char,
@@ -120,7 +122,10 @@ def _twisted_homology(c, w, i):
     degree i (none in degree 0), d_(i+1) enters it (none at the top)."""
     d_out = c.d(i).augment(w) if i >= 1 else None
     d_in = c.d(i + 1).augment(w) if i < c.top_degree else None
-    return homology_invariants(d_out, d_in, c.ranks[i])
+    try:
+        return homology_invariants(d_out, d_in, c.ranks[i])
+    except HypothesisViolated:
+        raise NotAComplex(i + 1) from None
 
 
 def homology_Lambda(c, i):
@@ -133,7 +138,10 @@ def homology_Lambda(c, i):
         raise DegreeOutOfRange("degree %d outside 0..%d" % (i, n))
     d_out = c.d(i).expand() if i >= 1 else None
     d_in = c.d(i + 1).expand() if i < n else None
-    return homology_invariants(d_out, d_in, c.ranks[i] * c.group.order())
+    try:
+        return homology_invariants(d_out, d_in, c.ranks[i] * c.group.order())
+    except HypothesisViolated:
+        raise NotAComplex(i + 1) from None
 
 
 def point_complex():
@@ -171,9 +179,7 @@ def presentation_complex(group, wedge_cells=0):
             cols.append(col)
     for _ in range(wedge_cells):
         cols.append([zero] * k)
-    d2 = RingMatrix(
-        group, k, len(cols), [[cols[c][r] for c in range(len(cols))] for r in range(k)]
-    )
+    d2 = ring_matrix_from_columns(group, cols, k)
     return LambdaComplex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
 
 

@@ -124,9 +124,6 @@ class GroupDescriptor:
             raise InfiniteGroup("cannot enumerate a Laurent extension")
         return _element_table(self.orders)[0]
 
-    def element_index(self, el):
-        return _element_table(self.orders)[1][self.reduce(el)]
-
     def finite_part(self):
         return _get_descriptor(self.orders, 0)
 
@@ -421,9 +418,6 @@ class RingMatrix:
         one = ring_one(group)
         return cls(group, m.rows, m.cols, [[one * x for x in r] for r in m.data])
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def __mul__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
@@ -457,9 +451,6 @@ class RingMatrix:
 
     def __neg__(self):
         return self.map_entries(lambda e: -e)
-
-    def scale(self, n):
-        return self.map_entries(lambda e: e * n)
 
     def __eq__(self, other):
         return (

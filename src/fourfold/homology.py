@@ -46,7 +46,6 @@ from fourfold.errors import (
 )
 from fourfold.groupring import (
     RingMatrix,
-    cyclic_group,
     factor_norm,
     ring_generator,
     ring_one,
@@ -55,7 +54,6 @@ from fourfold.groupring import (
 from fourfold.intmat import AbelianInvariants, IntMatrix, homology_invariants
 
 __all__ = [
-    "periodic_resolution",
     "group_homology",
     "bar_homology_oracle",
     "module_homology",
@@ -77,15 +75,6 @@ def generator_budget():
         return int(raw)
     except ValueError:
         raise ParseError("FOURFOLD_BUDGET must be an integer, got %r" % raw) from None
-
-
-def periodic_resolution(p, bound=DEFAULT_DEGREE_BOUND):
-    """The rank-one periodic resolution of Z over Z[Z/p]: resolution_for
-    with one cyclic factor.
-
-    Boundaries alternate t - 1 in odd degree and the norm in even degree.
-    """
-    return resolution_for(cyclic_group(p), bound)
 
 
 def _periodic_factor(group, i, bound):

@@ -145,11 +145,6 @@ class IntMatrix:
     def is_zero(self):
         return all(x == 0 for r in self.data for x in r)
 
-    def is_identity(self):
-        return self.rows == self.cols and all(
-            self.data[i][j] == (1 if i == j else 0) for i in range(self.rows) for j in range(self.cols)
-        )
-
     def __repr__(self):
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
 
@@ -241,9 +236,6 @@ class AbelianInvariants:
         for t in self.torsion:
             n *= t
         return n
-
-    def direct_sum(self, other):
-        return AbelianInvariants.from_diag(self.free_rank + other.free_rank, list(self.torsion) + list(other.torsion))
 
     def __str__(self):
         parts = []

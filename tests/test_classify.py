@@ -106,7 +106,8 @@ def test_lens_times_circle_record_reads_h4_from_group_homology():
         g = laurent_extension(cyclic_group(p), 1)
         base, w = cyclic_group(p), trivial_char(cyclic_group(p))
         # H_4(Z/p x Z) = H_4(Z/p) + H_3(Z/p) = 0 + Z/p
-        split = homology.group_homology(base, w, 4).direct_sum(homology.group_homology(base, w, 3))
+        h4, h3 = homology.group_homology(base, w, 4), homology.group_homology(base, w, 3)
+        split = AbelianInvariants.from_diag(h4.free_rank + h3.free_rank, h4.torsion + h3.torsion)
         assert split == c(p)
         for q in (q for q in range(1, p) if math.gcd(p, q) == 1):
             record = lens_times_circle_record(p, q)

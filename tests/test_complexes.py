@@ -28,7 +28,6 @@ from fourfold.intmat import AbelianInvariants
 from fourfold.errors import (
     DegreeOutOfRange,
     DimensionMismatch,
-    FourfoldError,
     GroupMismatch,
     InfiniteGroup,
     NotAComplex,
@@ -63,9 +62,15 @@ def test_validate_reports_offending_degree():
     with pytest.raises(NotAComplex) as e:
         validate(c)
     assert e.value.degree == 2
-    # an unvalidated complex still fails inside the library's own error types
-    with pytest.raises(FourfoldError):
+    # homology of an unvalidated complex names the same fault and degree
+    with pytest.raises(NotAComplex) as e:
         homology_Lambda(c, 1)
+    assert e.value.degree == 2
+    # d1 = d2 = 1 survives augmentation, so twisted homology meets it too
+    c = LambdaComplex(g, w, (1, 1, 1), (d2, d2))
+    with pytest.raises(NotAComplex) as e:
+        homology_Zw(c, 1)
+    assert e.value.degree == 2
 
 
 def test_degree_bounds():
@@ -159,7 +164,7 @@ def test_cross_circle_kunneth():
     for i in range(x.top_degree + 1):
         left = homology_Zw(c, i) if i <= n else AbelianInvariants(0, ())
         below = homology_Zw(c, i - 1) if 1 <= i <= n + 1 and i - 1 <= n else AbelianInvariants(0, ())
-        assert homology_Zw(x, i) == left.direct_sum(below)
+        assert homology_Zw(x, i) == AbelianInvariants.from_diag(left.free_rank + below.free_rank, left.torsion + below.torsion)
 
 
 def test_cross_circle_twisted_sign():

@@ -12,8 +12,9 @@ frozen from before FPModule.subquotient owned them; hom_lambda, ext1 and
 module_homology must agree with them (and with ref_module_homology) bit
 for bit.  An ast guard keeps the module layout in extensions and every
 import in src/fourfold used, another keeps each import pointing to a
-lower layer of the package, and a third keeps every error the package
-raises a FourfoldError.
+lower layer of the package, a third keeps every error the package
+raises a FourfoldError, and a fourth keeps every public method read
+somewhere in the package unless it is listed as an operation of its own.
 """
 
 import ast
@@ -454,3 +455,33 @@ def test_src_raises_only_fourfold_errors():
             if name is not None and name not in typed:
                 others.add((path.name, scope, name))
     assert others == RAISES_OUTSIDE_ERRORS
+
+
+# Public methods that no module of the package reads, each kept because it
+# is an operation in its own right rather than a second spelling of one.
+UNREAD_PUBLIC_METHODS = {
+    ("ExtClass", "same_class"): "equality in Ext^1, the group the class lives in",
+    ("ExtClass", "scale"): "the Z-module action on Ext^1",
+    ("ExtClass", "shift_by_coboundary"): "moves a representative within its class",
+    ("FPModule", "abelian_invariants"): "the underlying abelian group of a module",
+    ("GroupDescriptor", "generator"): "the i-th generator as a group element",
+    ("IntMatrix", "from_rows"): "the row-wise pair of from_columns",
+    ("IntMatrix", "column"): "one column as a tuple, where columns() gives them all",
+    ("LinkingForm", "evaluate_num"): "the value of the form on (x, y) as a numerator mod the order",
+    ("SubquotientMap", "injective"): "the pair of surjective, which hopf_check reads",
+}
+
+
+def test_src_public_methods_are_read_or_kept():
+    defined, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                defined |= {
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+                }
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert {(cls, name) for cls, name in defined if name not in read} == set(UNREAD_PUBLIC_METHODS)

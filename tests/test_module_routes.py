@@ -28,6 +28,7 @@ from fourfold.groupring import (
     cyclic_group,
     product_group,
     ring_matrix_from_coordinates,
+    ring_one,
     spin_generators,
     trivial_char,
 )
@@ -225,7 +226,7 @@ def test_spinning_accepts_a_basis_that_is_not_saturated():
     g = cyclic_group(4)
     basis = IntMatrix(4, 4, [[2 if i == j else 0 for j in range(4)] for i in range(4)])
     gens = spin_generators(g, 1, basis)
-    assert gens == RingMatrix.identity(g, 1).scale(2)
+    assert gens == RingMatrix(g, 1, 1, [[2 * ring_one(g)]])
     assert spin_generators(g, 1, IntMatrix(4, 0, [[] for _ in range(4)])).cols == 0
 
 

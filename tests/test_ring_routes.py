@@ -34,7 +34,7 @@ from fourfold.groupring import (
     trivial_char,
     trivial_group,
 )
-from fourfold.homology import periodic_resolution, resolution_for
+from fourfold.homology import resolution_for
 from fourfold.intmat import kernel_basis, solve_columns
 from fourfold.manifolds import LensSpace, cp2_complex, lens_complex, rp4_complex, s4_complex
 
@@ -298,7 +298,7 @@ def test_resolution_matches_the_frozen_route(orders, bound):
 
 def test_periodic_resolution_is_the_one_factor_case():
     for p in (2, 5):
-        assert periodic_resolution(p, 4).boundaries == ref_periodic_resolution(p, 4).boundaries
+        assert resolution_for(cyclic_group(p), 4).boundaries == ref_periodic_resolution(p, 4).boundaries
 
 
 @pytest.mark.parametrize(
