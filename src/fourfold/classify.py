@@ -9,10 +9,10 @@ sequence linking manifold homology to group homology.
 """
 
 import functools
-from dataclasses import dataclass, field
 
 from fourfold.complexes import homology_Zw
 from fourfold.errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     DimensionMismatch,
     HypothesisViolated,
@@ -27,6 +27,7 @@ from fourfold.groupring import (
     laurent_extension,
 )
 from fourfold.homology import (
+    generator_budget,
     group_homology,
     module_homology,
     resolution_for,
@@ -46,6 +47,7 @@ from fourfold.manifolds import (
     linking_isometric,
     units_mod,
 )
+from fourfold.values import FrozenValue, Value
 
 __all__ = [
     "ManifoldRecord",
@@ -61,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ManifoldRecord:
+class ManifoldRecord(FrozenValue):
     """What the stable classification needs from one manifold.
 
     class_h4 is a coordinate tuple for an element of the degree-4
@@ -72,20 +73,20 @@ class ManifoldRecord:
     closed under products and global sign).
     """
 
-    group: object
-    w_signs: tuple
-    class_h4: tuple
-    h4: AbelianInvariants
-    aut_multipliers: tuple = ()
+    __slots__ = ("group", "w_signs", "class_h4", "h4", "aut_multipliers")
 
-    def __post_init__(self):
-        vec = tuple(int(x) for x in self.class_h4)
-        if len(vec) != self.h4.free_rank + len(self.h4.torsion):
+    def __init__(self, group, w_signs, class_h4, h4, aut_multipliers=()):
+        vec = tuple(int(x) for x in class_h4)
+        if len(vec) != h4.free_rank + len(h4.torsion):
             raise DimensionMismatch(
                 "class has %d coordinates, homology needs %d"
-                % (len(vec), self.h4.free_rank + len(self.h4.torsion))
+                % (len(vec), h4.free_rank + len(h4.torsion))
             )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "w_signs", w_signs)
+        object.__setattr__(self, "h4", h4)
         object.__setattr__(self, "class_h4", self.reduce(vec))
+        object.__setattr__(self, "aut_multipliers", aut_multipliers)
 
     @classmethod
     def over(cls, group, w_signs, class_h4, aut_multipliers=None):
@@ -103,7 +104,7 @@ class ManifoldRecord:
 
     def reduce(self, vec):
         """Torsion coordinates mod their orders; vec is a tuple of ints of
-        the class's length (checked once, in __post_init__)."""
+        the class's length (checked once, in __init__)."""
         k = self.h4.free_rank
         return vec[:k] + tuple(x % t for x, t in zip(vec[k:], self.h4.torsion))
 
@@ -202,7 +203,19 @@ def _orbit(h4, start, gens, caps):
     # class (met at once through a zero multiplier); dropping it keeps the
     # orbit finite; with no free part there is nothing to cap.  Each
     # candidate is built in one pass over the coordinates: free ones
-    # scaled, torsion ones scaled and reduced.
+    # scaled, torsion ones scaled and reduced.  Each candidate class is
+    # met at most once and tries every multiplier and the sign, which is
+    # the charge against the generator budget.
+    classes = 1
+    for c in caps:
+        classes *= 2 * c + 1
+    for t in h4.torsion:
+        classes *= t
+    budget = generator_budget()
+    if classes * (len(gens) + 1) > budget:
+        raise BudgetExceeded(
+            "orbit search needs %d classes x %d moves, budget %d" % (classes, len(gens) + 1, budget)
+        )
     k = h4.free_rank
     mods = (None,) * k + h4.torsion
     seen = {start: (1, 1)}
@@ -282,14 +295,16 @@ def _signed_square_relation(p, a, b):
     return False, None
 
 
-@dataclass
-class LensFamilyReport:
-    p: int
-    q1: int
-    q2: int
-    equivalent: bool
-    verdicts: dict
-    certificates: dict
+class LensFamilyReport(Value):
+    __slots__ = ("p", "q1", "q2", "equivalent", "verdicts", "certificates")
+
+    def __init__(self, p, q1, q2, equivalent, verdicts, certificates):
+        self.p = p
+        self.q1 = q1
+        self.q2 = q2
+        self.equivalent = equivalent
+        self.verdicts = verdicts
+        self.certificates = certificates
 
 
 def classify_aspherical(d3_aug, inv):
@@ -325,8 +340,7 @@ def aspherical_equivalent(d3_aug, inv1, inv2, proj1=None, proj2=None):
     return same, {"candidates": sorted(s1), "projectivity": (bool(proj1), bool(proj2))}
 
 
-@dataclass
-class HopfReport:
+class HopfReport(Value):
     """Order bookkeeping for the low-degree exact sequence of a closed
     4-complex over a finite group.
 
@@ -335,10 +349,13 @@ class HopfReport:
     statements empty).
     """
 
-    groups: dict
-    checks: dict
-    maps: dict
-    notes: list = field(default_factory=list)
+    __slots__ = ("groups", "checks", "maps", "notes")
+
+    def __init__(self, groups, checks, maps, notes=None):
+        self.groups = groups
+        self.checks = checks
+        self.maps = maps
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self):

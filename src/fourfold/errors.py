@@ -67,3 +67,7 @@ class InvalidLens(FourfoldError):
 
 class ParseError(FourfoldError):
     """Malformed input document."""
+
+
+class FrozenField(FourfoldError, AttributeError):
+    """A field of a frozen value cannot be assigned or deleted."""

@@ -30,7 +30,6 @@ psi_chase is given, are still checked.
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 from fourfold.errors import (
     ContextMismatch,
@@ -53,6 +52,7 @@ from fourfold.intmat import (
     subgroup_membership,
     vstack,
 )
+from fourfold.values import FrozenValue, Value
 
 __all__ = [
     "FPModule",
@@ -216,11 +216,16 @@ def hom_vec(f, module):
     return tuple(x for col in f.column_coordinates() for x in col)
 
 
-@dataclass
-class HomGroup:
-    invariants: AbelianInvariants
-    generators: list
-    lift_lattice: IntMatrix = field(repr=False, default=None)
+class HomGroup(Value):
+    __slots__ = ("invariants", "generators", "lift_lattice")
+
+    def __init__(self, invariants, generators, lift_lattice=None):
+        self.invariants = invariants
+        self.generators = generators
+        self.lift_lattice = lift_lattice
+
+    def __repr__(self):
+        return "%s(invariants=%r, generators=%r)" % (type(self).__qualname__, self.invariants, self.generators)
 
     def contains(self, f, module):
         return subgroup_membership(self.lift_lattice, hom_vec(f, module))
@@ -476,17 +481,19 @@ def _psi_context(resolution, c2, w):
     return ctx
 
 
-@dataclass(frozen=True)
-class EmFamily:
+class EmFamily(FrozenValue):
     """Shape data of an augmented third boundary map.
 
     a_free: nullity; deltas: all diagonal entries of the Smith form
     (including units); b: corank of the target.
     """
 
-    a_free: int
-    deltas: tuple
-    b: int
+    __slots__ = ("a_free", "deltas", "b")
+
+    def __init__(self, a_free, deltas, b):
+        object.__setattr__(self, "a_free", a_free)
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def from_matrix(cls, d3_aug):

@@ -36,7 +36,6 @@ integer image.
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from fourfold.errors import (
     GroupMismatch,
@@ -45,6 +44,7 @@ from fourfold.errors import (
     UnsupportedGroup,
 )
 from fourfold.intmat import IntMatrix, kernel_basis, solve_columns
+from fourfold.values import FrozenValue
 
 __all__ = [
     "GroupDescriptor",
@@ -67,12 +67,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(FrozenValue):
     """orders: cyclic factor orders (each >= 1); laurent_rank: free rank."""
 
-    orders: tuple
-    laurent_rank: int
+    __slots__ = ("orders", "laurent_rank")
+
+    def __init__(self, orders, laurent_rank):
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "laurent_rank", laurent_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.orders, self.laurent_rank) == (other.orders, other.laurent_rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orders, self.laurent_rank))
 
     @property
     def is_finite(self):
@@ -180,29 +190,37 @@ def laurent_extension(base, rank=1):
     return _get_descriptor(base.orders, base.laurent_rank + rank)
 
 
-@dataclass(frozen=True)
-class OrientationChar:
+class OrientationChar(FrozenValue):
     """Homomorphism pi -> Z/2, stored as a sign per generator.
 
     A generator of odd finite order must map to +1; this is checked at
     construction.
     """
 
-    group: GroupDescriptor
-    signs: tuple
+    __slots__ = ("group", "signs")
 
-    def __post_init__(self):
-        if len(self.signs) != self.group.ngens:
+    def __init__(self, group, signs):
+        if len(signs) != group.ngens:
             raise UnsupportedCharacter(
-                "need %d signs, got %d" % (self.group.ngens, len(self.signs))
+                "need %d signs, got %d" % (group.ngens, len(signs))
             )
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise UnsupportedCharacter("signs must be +1 or -1")
-        for o, s in zip(self.group.orders, self.signs):
+        for o, s in zip(group.orders, signs):
             if s == -1 and o % 2 == 1:
                 raise UnsupportedCharacter(
                     "generator of odd order %d cannot have sign -1" % o
                 )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "signs", signs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.signs) == (other.group, other.signs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.signs))
 
     @property
     def is_trivial(self):

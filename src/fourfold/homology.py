@@ -69,7 +69,8 @@ MAX_CYCLIC_FACTORS = 3
 
 
 def generator_budget():
-    """Bar-construction size cap; override with the FOURFOLD_BUDGET variable."""
+    """Size cap of the bar construction and of the Kreck orbit search;
+    override with the FOURFOLD_BUDGET variable."""
     raw = os.environ.get("FOURFOLD_BUDGET", "100000")
     try:
         return int(raw)

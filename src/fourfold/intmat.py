@@ -9,10 +9,10 @@ question below: each matrix is factored once, however often it is asked.
 """
 
 import math
-from dataclasses import dataclass
 
 from fourfold._snf_py import snf_inplace
 from fourfold.errors import DimensionMismatch, HypothesisViolated
+from fourfold.values import FrozenValue
 
 __all__ = [
     "IntMatrix",
@@ -178,25 +178,33 @@ def block_diagonal(M, k):
     return IntMatrix._adopt(k * M.rows, k * M.cols, data)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(FrozenValue):
     """A finitely generated abelian group: Z^free_rank + sum Z/torsion[i].
 
     torsion entries are > 1 and form a divisibility chain; unit factors
     are dropped, so the representation is canonical and comparable.
     """
 
-    free_rank: int
-    torsion: tuple
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise HypothesisViolated("free rank %r is negative" % (self.free_rank,))
-        if any(t < 2 for t in self.torsion):
-            raise HypothesisViolated("torsion %r has an entry below 2" % (self.torsion,))
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, free_rank, torsion):
+        if free_rank < 0:
+            raise HypothesisViolated("free rank %r is negative" % (free_rank,))
+        if any(t < 2 for t in torsion):
+            raise HypothesisViolated("torsion %r has an entry below 2" % (torsion,))
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise HypothesisViolated("torsion %r is not a divisibility chain" % (self.torsion,))
+                raise HypothesisViolated("torsion %r is not a divisibility chain" % (torsion,))
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @classmethod
     def from_diag(cls, free_rank, diag):
@@ -247,14 +255,16 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(FrozenValue):
     """U * A * V == diag(diag) padded by zeros, with U, V unimodular: the
     factored A, which answers lattice questions about A."""
 
-    U: IntMatrix
-    V: IntMatrix
-    diag: tuple
+    __slots__ = ("U", "V", "diag")
+
+    def __init__(self, U, V, diag):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "diag", diag)
 
     def coordinates(self, cols):
         """Coordinates of each b in cols in the basis diag[i] * (U^-1)[:, i]
@@ -414,8 +424,7 @@ def quotient_invariants(big_gens, sub_gens):
     return big_gens.smith().quotient(sub_gens)
 
 
-@dataclass(frozen=True)
-class SubquotientMap:
+class SubquotientMap(FrozenValue):
     """Kernel and cokernel invariants of an induced map on subquotients.
 
     The domain is span(z1)/span(b1) inside Z^n1, the codomain
@@ -423,8 +432,11 @@ class SubquotientMap:
     matrix that carries z1 into span(z2) and b1 into span(b2).
     """
 
-    kernel: AbelianInvariants
-    cokernel: AbelianInvariants
+    __slots__ = ("kernel", "cokernel")
+
+    def __init__(self, kernel, cokernel):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "cokernel", cokernel)
 
     @property
     def surjective(self):

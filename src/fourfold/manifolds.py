@@ -7,7 +7,6 @@ classification, the mapping tori L x S^1, and the small closed
 
 import functools
 import math
-from dataclasses import dataclass
 
 from fourfold.complexes import LambdaComplex, cross_circle, point_complex
 from fourfold.errors import InvalidLens, OrderMismatch
@@ -20,6 +19,7 @@ from fourfold.groupring import (
     ring_one,
     trivial_char,
 )
+from fourfold.values import FrozenValue
 
 __all__ = [
     "LensSpace",
@@ -38,16 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    p: int
-    q: int
+class LensSpace(FrozenValue):
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 2:
+    def __init__(self, p, q):
+        if p < 2:
             raise InvalidLens("need p >= 2")
-        if math.gcd(self.p, self.q) != 1:
+        if math.gcd(p, q) != 1:
             raise InvalidLens("q must be a unit mod p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __str__(self):
         return "L(%d,%d)" % (self.p, self.q)
@@ -124,18 +124,18 @@ def lens_homotopy_equivalent(p, q1, q2):
     return False, None, None
 
 
-@dataclass(frozen=True)
-class LinkingForm:
+class LinkingForm(FrozenValue):
     """The form (x, y) -> -value * x * y / order on Z/order."""
 
-    order: int
-    value: int
+    __slots__ = ("order", "value")
 
-    def __post_init__(self):
-        if self.order < 2:
+    def __init__(self, order, value):
+        if order < 2:
             raise InvalidLens("need order >= 2")
-        if math.gcd(self.order, self.value) != 1:
+        if math.gcd(order, value) != 1:
             raise InvalidLens("linking form value must be a unit")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "value", value)
 
     def evaluate_num(self, x, y):
         """Numerator of the value on (x, y), i.e. -value*x*y mod order."""

@@ -175,27 +175,29 @@ def _element_to_terms(e):
     return out
 
 
-def _element_from_terms(group, terms, path):
+def _element_from_terms(group, terms, path, r, c):
+    """The ring element of entry [r][c] of the boundary at path; the path
+    of an entry or term is formatted only for an error."""
     if not isinstance(terms, list):
-        raise ParseError("%s: entry must be a list of [coeff, exponents] terms" % path)
+        raise ParseError("%s[%d][%d]: entry must be a list of [coeff, exponents] terms" % (path, r, c))
+    ngens = group.ngens
     acc = {}
     for i, term in enumerate(terms):
-        tp = "%s[%d]" % (path, i)
         if (
             not isinstance(term, list)
             or len(term) != 2
             or not _is_int(term[0])
             or not isinstance(term[1], list)
         ):
-            raise ParseError("%s: term must be [coefficient, exponent list]" % tp)
+            raise ParseError("%s[%d][%d][%d]: term must be [coefficient, exponent list]" % (path, r, c, i))
         coeff, exps = term
-        if len(exps) != group.ngens:
+        if len(exps) != ngens:
             raise ParseError(
-                "%s: %d exponents for a group with %d generators"
-                % (tp, len(exps), group.ngens)
+                "%s[%d][%d][%d]: %d exponents for a group with %d generators"
+                % (path, r, c, i, len(exps), ngens)
             )
         if any(not _is_int(x) for x in exps):
-            raise ParseError("%s: exponents must be integers" % tp)
+            raise ParseError("%s[%d][%d][%d]: exponents must be integers" % (path, r, c, i))
         el = group.reduce(tuple(exps))
         acc[el] = acc.get(el, 0) + coeff
     return RingElement._from_reduced(group, acc)
@@ -248,7 +250,7 @@ def parse_complex(text):
                 raise ParseError("%s[%d]: need %d entries" % (path, r, cols))
             entries.append(
                 [
-                    _element_from_terms(group, row[c], "%s[%d][%d]" % (path, r, c))
+                    _element_from_terms(group, row[c], path, r, c)
                     for c in range(cols)
                 ]
             )

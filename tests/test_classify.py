@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fourfold import homology, intmat
+from fourfold import classify, homology, intmat
 from fourfold.classify import (
     ManifoldRecord,
     aspherical_equivalent,
@@ -41,6 +41,7 @@ from fourfold.manifolds import (
     torus4_complex,
 )
 from fourfold.errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     DimensionMismatch,
     HypothesisViolated,
@@ -207,6 +208,30 @@ def test_kreck_orbit_search_ends_on_a_growing_free_part():
     assert kreck_equivalent(rec((1, 1)), rec((0, 1))) == (False, None)
     zero = ManifoldRecord(group=g, w_signs=(), class_h4=(0, 0), h4=h4, aut_multipliers=(0, 2))
     assert kreck_equivalent(rec((3, 1)), zero) == (True, {"multiplier": 0, "sign": 1})
+
+
+def test_kreck_orbit_search_is_charged_against_the_budget(monkeypatch):
+    # Z/7: 7 classes, each trying the three squares 1, 2, 4 and the sign
+    a, b = lens_times_circle_record(7, 1), lens_times_circle_record(7, 2)
+    monkeypatch.setenv("FOURFOLD_BUDGET", "27")
+    classify._orbit.cache_clear()
+    with pytest.raises(BudgetExceeded, match="orbit search needs 7 classes x 4 moves, budget 27"):
+        kreck_equivalent(a, b)
+    monkeypatch.setenv("FOURFOLD_BUDGET", "28")
+    assert kreck_equivalent(a, b) == (True, {"multiplier": 4, "sign": 1})
+    # with a free part the classes are those within the target's caps:
+    # (2 * 12 + 1) free values times 2 torsion values, 3 moves each
+    h4 = AbelianInvariants(1, (2,))
+
+    def rec(cls):
+        return ManifoldRecord(group=trivial_group(), w_signs=(), class_h4=cls, h4=h4, aut_multipliers=(2, 3))
+
+    monkeypatch.setenv("FOURFOLD_BUDGET", "149")
+    with pytest.raises(BudgetExceeded, match="needs 50 classes x 3 moves"):
+        kreck_equivalent(rec((1, 1)), rec((-12, 0)))
+    monkeypatch.setenv("FOURFOLD_BUDGET", "150")
+    assert kreck_equivalent(rec((1, 1)), rec((-12, 0))) == (True, {"multiplier": 12, "sign": -1})
+    classify._orbit.cache_clear()
 
 
 def test_lens_family_anchors():

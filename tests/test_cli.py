@@ -424,6 +424,16 @@ def test_hopf_check_on_an_order_36_group_fits_in_one_gib(tmp_path):
     assert json.loads(proc.stdout)["result"]["passed"] is True
 
 
+def test_lens_classify_of_a_large_prime_is_refused_by_the_budget(monkeypatch):
+    # the record of Z/100003 x Z carries 50001 squares as multipliers, so the
+    # orbit search would take about 5e9 steps; it is refused before it starts
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    proc = run_capped(["lens-classify", "100003", "1", "4"], 1024, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: orbit search needs 100003 classes x 50002 moves, budget 100000\n"
+
+
 def test_out_of_memory_is_an_error_not_a_verdict(tmp_path):
     # the expansions of the Z/40 x Z/40 presentation complex (order 1600)
     # do not fit in 128 MiB

@@ -383,6 +383,7 @@ def test_src_imports_are_used_and_only_extensions_lays_out_module_coordinates():
 # module reaches up to a caller.
 LAYERS = [
     {"errors", "_snf_py"},
+    {"values"},
     {"intmat"},
     {"groupring"},
     {"complexes", "extensions"},
