@@ -18,6 +18,7 @@ from fourfold.errors import (
     HypothesisViolated,
     InfiniteGroup,
     TypeMismatch,
+    generator_budget,
 )
 from fourfold.extensions import EmFamily, fpmodule_homology, recover_m
 from fourfold.groupring import (
@@ -27,7 +28,6 @@ from fourfold.groupring import (
     laurent_extension,
 )
 from fourfold.homology import (
-    generator_budget,
     group_homology,
     module_homology,
     resolution_for,
@@ -40,12 +40,16 @@ from fourfold.intmat import (
     smith_normal_form,  # unused here: perfbench checks that its tracer rebinds this alias
 )
 from fourfold.manifolds import (
+    _UNITS_CACHE_SIZE,
+    _UNITS_TABLE_MAX,
+    _WITNESS_CACHE_SIZE,
     LensSpace,
     fundamental_class_invariant,
     lens_homotopy_equivalent,
     linking_form,
     linking_isometric,
     units_mod,
+    witness_units,
 )
 from fourfold.values import FrozenValue, Value
 
@@ -111,10 +115,26 @@ class ManifoldRecord(FrozenValue):
 
 def squares_mod(n):
     """The multiplicative squares of units mod n, the built-in orbit
-    generators for cyclic degree-4 homology."""
+    generators for cyclic degree-4 homology.
+
+    For n <= 1024 one kept tuple per modulus, as units_mod keeps its
+    tables, so the lens records over one modulus share it; a fresh
+    tuple for larger n."""
     if n <= 1:
         return (1,)
+    if n > _UNITS_TABLE_MAX:
+        return _squares(n)
+    return _squares_table(n)
+
+
+def _squares(n):
     return tuple(sorted({r * r % n for r in units_mod(n)}))
+
+
+# An entry is one tuple of at most phi(n)/2 squares: 384 bytes for
+# n = 29, 49 kB for n = 1021, where squares above 256 are ints of their
+# own (tracemalloc).  128 tables stay under 6.3 MB.
+_squares_table = functools.lru_cache(maxsize=_UNITS_CACHE_SIZE)(_squares)
 
 
 def default_aut_multipliers(group):
@@ -125,9 +145,11 @@ def default_aut_multipliers(group):
     return (1,)
 
 
-# An entry is one record: a few short tuples over a group descriptor and
-# homology invariants that are shared, well under a kilobyte, so 1024
-# records stay under a megabyte.
+# An entry is one record, well under a kilobyte of its own: a few short
+# tuples over a shared group descriptor, homology invariants and, for
+# p <= 1024, squares table, so 1024 such records stay under a megabyte.
+# A record over a larger modulus carries its own squares, 2.0 MB at
+# p = 100003 (tracemalloc).
 _RECORD_CACHE_SIZE = 1024
 
 
@@ -175,9 +197,9 @@ def kreck_equivalent(m1, m2):
     if m1.h4 != m2.h4:
         raise TypeMismatch("records disagree on the degree-4 homology")
     target = m2.class_h4
-    gens = tuple(dict.fromkeys(tuple(m1.aut_multipliers) + tuple(m2.aut_multipliers))) or (1,)
     caps = tuple(abs(x) for x in target[: m1.h4.free_rank])
-    hit = _orbit(m1.h4, m1.class_h4, gens, caps).get(target)
+    mults = (tuple(m1.aut_multipliers), tuple(m2.aut_multipliers))
+    hit = _orbit(m1.h4, m1.class_h4, mults, caps).get(target)
     if hit is None:
         return False, None
     mult, sign = hit
@@ -194,10 +216,15 @@ _ORBIT_CACHE_SIZE = 512
 
 
 @functools.lru_cache(maxsize=_ORBIT_CACHE_SIZE)
-def _orbit(h4, start, gens, caps):
-    """Every class reachable from start by the multipliers gens and the
-    global sign, breadth-first, each mapped to the (multiplier, sign) of
-    its first discovery.  The returned dict is shared; do not mutate it."""
+def _orbit(h4, start, mults, caps):
+    """Every class reachable from start by the two records' multipliers
+    and the global sign, breadth-first, each mapped to the (multiplier,
+    sign) of its first discovery.  The returned dict is shared; do not
+    mutate it.  The multipliers are keyed as the records give them and
+    merged here, once per search: the lens records over one modulus
+    share one tuple, so a memo hit compares them by identity and merges
+    nothing."""
+    gens = tuple(dict.fromkeys(mults[0] + mults[1])) or (1,)
     # A nonzero multiplier never shrinks a free coordinate, so a class whose
     # free part outgrows the caps (the target's) can only lead to the zero
     # class (met at once through a zero multiplier); dropping it keeps the
@@ -286,13 +313,22 @@ def classify_lens_family(p, q1, q2):
 
 
 def _signed_square_relation(p, a, b):
-    """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert)."""
-    for r in units_mod(p):
-        if (r * r * a - b) % p == 0:
-            return True, {"r": r, "sign": 1}
-        if (r * r * a + b) % p == 0:
-            return True, {"r": r, "sign": -1}
-    return False, None
+    """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert).  The
+    relation reads only p and b / a, and its search is memoised on them."""
+    found, r, sign = _signed_square_search(p, b * pow(a, -1, p) % p)
+    return (True, {"r": r, "sign": sign}) if found else (False, None)
+
+
+@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
+def _signed_square_search(p, x):
+    minus_x = -x % p
+    for r in witness_units(p):
+        square = r * r % p
+        if square == x:
+            return True, r, 1
+        if square == minus_x:
+            return True, r, -1
+    return False, None, None
 
 
 class LensFamilyReport(Value):

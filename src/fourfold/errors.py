@@ -1,4 +1,7 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the one reader of the
+budget that BudgetExceeded enforces."""
+
+import os
 
 
 class FourfoldError(Exception):
@@ -38,7 +41,7 @@ class DegreeOutOfRange(FourfoldError):
 
 
 class BudgetExceeded(FourfoldError):
-    """Resolution size above the configured generator budget."""
+    """Work above the configured generator budget."""
 
 
 class NotACycle(FourfoldError):
@@ -71,3 +74,14 @@ class ParseError(FourfoldError):
 
 class FrozenField(FourfoldError, AttributeError):
     """A field of a frozen value cannot be assigned or deleted."""
+
+
+def generator_budget():
+    """Size cap of the bar construction, of the Kreck orbit search and of
+    the lens witness searches; override with the FOURFOLD_BUDGET
+    variable."""
+    raw = os.environ.get("FOURFOLD_BUDGET", "100000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError("FOURFOLD_BUDGET must be an integer, got %r" % raw) from None

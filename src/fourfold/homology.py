@@ -32,7 +32,6 @@ coefficients in a module, the module cuts the subquotient (FPModule).
 import functools
 import itertools
 import math
-import os
 
 from fourfold.complexes import LambdaComplex, _tensor_product, _twisted_homology
 from fourfold.errors import (
@@ -40,9 +39,9 @@ from fourfold.errors import (
     DegreeOutOfRange,
     GroupMismatch,
     InfiniteGroup,
-    ParseError,
     UnsupportedCharacter,
     UnsupportedGroup,
+    generator_budget,
 )
 from fourfold.groupring import (
     RingMatrix,
@@ -66,16 +65,6 @@ __all__ = [
 # H_0..H_5.
 DEFAULT_DEGREE_BOUND = 6
 MAX_CYCLIC_FACTORS = 3
-
-
-def generator_budget():
-    """Size cap of the bar construction and of the Kreck orbit search;
-    override with the FOURFOLD_BUDGET variable."""
-    raw = os.environ.get("FOURFOLD_BUDGET", "100000")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError("FOURFOLD_BUDGET must be an integer, got %r" % raw) from None
 
 
 def _periodic_factor(group, i, bound):

@@ -114,18 +114,22 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch("%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = arow[k]
+        # The nonzero (j, b) of row k of other, listed when a nonzero of
+        # self first meets that row and kept for every later row of self:
+        # listing every row up front costs more than the loop it saves on
+        # the many 1x1 and 2x2 products of group homology.
+        sparse = [None] * other.rows
+        out = []
+        for arow in self.data:
+            orow = [0] * other.cols
+            for k, a in enumerate(arow):
                 if a:
-                    brow = other.data[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            orow[j] += a * b
+                    terms = sparse[k]
+                    if terms is None:
+                        terms = sparse[k] = [(j, b) for j, b in enumerate(other.data[k]) if b]
+                    for j, b in terms:
+                        orow[j] += a * b
+            out.append(orow)
         return IntMatrix._adopt(self.rows, other.cols, out)
 
     def __neg__(self):

@@ -9,7 +9,7 @@ import functools
 import math
 
 from fourfold.complexes import LambdaComplex, cross_circle, point_complex
-from fourfold.errors import InvalidLens, OrderMismatch
+from fourfold.errors import BudgetExceeded, InvalidLens, OrderMismatch, generator_budget
 from fourfold.groupring import (
     RingMatrix,
     char_from_signs,
@@ -24,6 +24,7 @@ from fourfold.values import FrozenValue
 __all__ = [
     "LensSpace",
     "units_mod",
+    "witness_units",
     "lens_complex",
     "fundamental_class_invariant",
     "lens_homotopy_equivalent",
@@ -106,20 +107,57 @@ def fundamental_class_invariant(lens):
     return pow(lens.q, -1, lens.p)
 
 
+def witness_units(p):
+    """The units mod p in the order of units_mod, for a witness search
+    that walks them until its first witness.  The walk is charged
+    against generator_budget(): after that many units with units still
+    left, it raises BudgetExceeded instead of walking every unit of a
+    huge modulus.  A kept table within the budget is returned as it is."""
+    units = units_mod(p)
+    budget = generator_budget()
+    if type(units) is tuple and len(units) <= budget:
+        return units
+    return _charged(units, p, budget)
+
+
+def _charged(units, p, budget):
+    for i, r in enumerate(units):
+        if i == budget:
+            raise BudgetExceeded(
+                "witness search mod %d has no witness in its first %d units, budget %d" % (p, budget, budget)
+            )
+        yield r
+
+
+# An entry is one answer of a witness search, a (p, ratio) key and a
+# (found, unit, sign) tuple: 90 bytes for p <= 30, 120 bytes near
+# p = 1000 (tracemalloc).  The 277 (p, ratio) keys of a lens-family sweep
+# over p <= 30 all fit; 1024 answers stay under 0.2 MB for each search.
+_WITNESS_CACHE_SIZE = 1024
+
+
 def lens_homotopy_equivalent(p, q1, q2):
     """Oriented homotopy classification: q2 = +- r^2 q1 mod p.
 
     Returns (equivalent, r, sign) with the smallest witnessing unit, or
     (False, None, None).  The two directions of the relation are
     equivalent (replace r by its inverse); the witness is reported for
-    the second parameter in terms of the first.
+    the second parameter in terms of the first.  The relation holds for
+    (q1, q2) exactly when it holds for (1, q2 q1^-1), with the same
+    witnesses, so the search is memoised on p and that ratio.
     """
     _check_pair(p, q1, q2)
-    for r in units_mod(p):
+    return _homotopy_witness(p, q2 * pow(q1, -1, p) % p)
+
+
+@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
+def _homotopy_witness(p, x):
+    minus_x = -x % p
+    for r in witness_units(p):
         rr = r * r % p
-        if (q2 - rr * q1) % p == 0:
+        if rr == x:
             return True, r, 1
-        if (q2 + rr * q1) % p == 0:
+        if rr == minus_x:
             return True, r, -1
     return False, None, None
 
@@ -149,16 +187,24 @@ def linking_form(lens):
 def linking_isometric(f1, f2):
     """Isometry up to sign: f2.value = +- u^2 f1.value mod order.
 
-    Returns (isometric, u, sign) with a witnessing unit.
+    Returns (isometric, u, sign) with a witnessing unit.  The search
+    reads only the order and f2.value / f1.value, and is memoised on
+    them.
     """
     if f1.order != f2.order:
         raise OrderMismatch("forms on Z/%d and Z/%d" % (f1.order, f2.order))
     p = f1.order
-    for u in units_mod(p):
+    return _isometry_witness(p, f2.value * pow(f1.value, -1, p) % p)
+
+
+@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
+def _isometry_witness(p, x):
+    minus_x = -x % p
+    for u in witness_units(p):
         uu = u * u % p
-        if (f2.value - uu * f1.value) % p == 0:
+        if uu == x:
             return True, u, 1
-        if (f2.value + uu * f1.value) % p == 0:
+        if uu == minus_x:
             return True, u, -1
     return False, None, None
 

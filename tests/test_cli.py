@@ -9,6 +9,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -432,6 +433,24 @@ def test_lens_classify_of_a_large_prime_is_refused_by_the_budget(monkeypatch):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: orbit search needs 100003 classes x 50002 moves, budget 100000\n"
+
+
+def test_lens_linking_without_a_witness_is_refused_by_the_budget(monkeypatch):
+    # 11 is a non-residue mod the prime 1000000009 = 1 mod 4, so neither 11
+    # nor -11 is a square and the search would walk all 10^9 units
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    start = time.monotonic()
+    proc = run_capped(["lens-linking", "1000000009", "1", "11"], 1024, timeout=10)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: witness search mod 1000000009 has no witness in its first 100000 units, budget 100000\n"
+    )
+    # a witness within the budget is still found at once
+    proc = run_capped(["lens-linking", "1000000007", "1", "4"], 1024, timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout == "ISOMETRIC  unit=2 sign=1\n"
 
 
 def test_out_of_memory_is_an_error_not_a_verdict(tmp_path):

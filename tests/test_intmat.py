@@ -303,3 +303,29 @@ def test_matrix_arithmetic_basics():
     assert list(a.mul_vec([1, 0])) == [1, 3]
     with pytest.raises(DimensionMismatch):
         IntMatrix(2, 2, [[1, 2], [3]])
+
+
+def dense_product(a, b, cols):
+    """The textbook triple loop, the oracle for IntMatrix.__mul__."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)] for i in range(len(a))]
+
+
+def test_product_matches_the_dense_triple_loop():
+    rng = random.Random(7)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (4, 4, 1)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(60)]
+    for n, m, k in shapes:
+        for density in (0.0, 0.2, 1.0):
+
+            def entries(rows, cols):
+                return [
+                    [rng.randint(-2**70, 2**70) if rng.random() < density else 0 for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+
+            a, b = entries(n, m), entries(m, k)
+            prod = IntMatrix(n, m, a) * IntMatrix(m, k, b)
+            assert (prod.rows, prod.cols) == (n, k)
+            assert prod.data == dense_product(a, b, k)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.zeros(2, 3) * IntMatrix.zeros(2, 3)

@@ -5,8 +5,10 @@ the three lens criteria and squares_mod each search it in increasing
 order.  The functions below are frozen copies of those four as they were
 when each scanned range(1, n) with its own gcd test; they are the oracle.
 Each criterion keeps its own search, so the verdicts stay independent,
-and the first witness found must be the same unit as before.  The orbit
-memo must hold every start class of a lens-family sweep of p <= 30.
+and the first witness found must be the same unit as before, now that
+each search is memoised on (p, second / first) and charged against the
+budget as it walks.  The orbit memo must hold every start class of a
+lens-family sweep of p <= 30, and each witness memo every ratio of it.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 
 from fourfold import classify, manifolds
 from fourfold.classify import _signed_square_relation, classify_lens_family, squares_mod
-from fourfold.errors import InvalidLens
+from fourfold.errors import BudgetExceeded, InvalidLens
 from fourfold.manifolds import (
     LensSpace,
     LinkingForm,
@@ -122,11 +124,18 @@ def test_criteria_match_their_frozen_copies():
 # ---- the sweep's counts -----------------------------------------------------
 
 
+WITNESS_SEARCHES = (
+    manifolds._homotopy_witness,
+    manifolds._isometry_witness,
+    classify._signed_square_search,
+)
+
+
 def test_lens_sweep_searches_each_start_class_once():
     table = manifolds._units_table
-    classify._orbit.cache_clear()
-    classify._lens_times_circle_record.cache_clear()
-    table.cache_clear()
+    memos = (classify._orbit, classify._lens_times_circle_record, classify._squares_table, table)
+    for memo in memos + WITNESS_SEARCHES:
+        memo.cache_clear()
     pairs = [(p, q1, q2) for p in range(2, 31) for q1 in brute_units(p) for q2 in brute_units(p)]
     random.Random(21).shuffle(pairs)
     for p, q1, q2 in pairs:
@@ -136,9 +145,99 @@ def test_lens_sweep_searches_each_start_class_once():
     # orbits and searched 96 start classes again
     assert classify._orbit.cache_info().misses == 277
     assert classify._orbit.cache_info().currsize == 277
-    # one unit table per modulus, read by every criterion
+    # one unit table and one table of squares per modulus; the squares are
+    # the multipliers of every record over that modulus
     assert table.cache_info().misses == 29
     assert table.cache_info().currsize == 29
+    assert classify._squares_table.cache_info().misses == 29
+    # one search per (p, q2 / q1) for each witness criterion, 3889 before
+    # the searches were memoised on that ratio
+    ratios = {(p, q2 * pow(q1, -1, p) % p) for p, q1, q2 in pairs}
+    assert len(ratios) == 277
+    for search in WITNESS_SEARCHES:
+        assert search.cache_info().misses == 277
+        assert search.cache_info().currsize == 277
+
+
+def test_lens_records_over_one_modulus_share_their_multipliers():
+    a, b = classify.lens_times_circle_record(29, 1), classify.lens_times_circle_record(29, 3)
+    assert a.aut_multipliers is b.aut_multipliers is squares_mod(29)
+    # a larger modulus gets a fresh tuple, as units_mod gets a lazy listing
+    n = manifolds._UNITS_TABLE_MAX + 9
+    assert squares_mod(n) == ref_squares_mod(n)
+    assert squares_mod(n) is not squares_mod(n)
+
+
+# ---- certificates are fresh on every call -----------------------------------
+
+
+def test_certificates_are_fresh_on_every_call():
+    f1, f2 = LinkingForm(29, 1), LinkingForm(29, 4)
+    for _ in range(2):
+        rep = classify_lens_family(29, 1, 4)
+        # the classes are 1 and 4^-1 = 22 mod 29, and 22 = -(6^2)
+        assert rep.certificates == {
+            "kreck_orbit": {"multiplier": 22, "sign": 1},
+            "class_square_orbit": {"r": 6, "sign": -1},
+            "lens_homotopy": {"r": 2, "sign": 1},
+            "linking_form": {"unit": 2, "sign": 1},
+        }
+        assert rep.verdicts == dict.fromkeys(rep.verdicts, True)
+        for cert in rep.certificates.values():
+            cert["sign"] = 0
+        rep.certificates.clear()
+        rep.verdicts.clear()
+        # these two answer with tuples, which no caller can change
+        assert lens_homotopy_equivalent(29, 1, 4) == linking_isometric(f1, f2) == (True, 2, 1)
+        found, cert = _signed_square_relation(29, 1, 4)
+        assert (found, cert) == (True, {"r": 2, "sign": 1})
+        cert["r"] = 5
+
+
+# ---- the witness searches are charged against the budget --------------------
+
+
+def test_witness_searches_are_charged_against_the_budget(monkeypatch):
+    # 2 is a non-residue mod 29 = 1 mod 4, so no search meets a witness
+    # and each walks all 28 units; a refusal is not memoised
+    searches = (
+        (lambda: lens_homotopy_equivalent(29, 1, 2), (False, None, None)),
+        (lambda: linking_isometric(LinkingForm(29, 1), LinkingForm(29, 2)), (False, None, None)),
+        (lambda: _signed_square_relation(29, 1, 2), (False, None)),
+    )
+    for search in WITNESS_SEARCHES:
+        search.cache_clear()
+    for ask, answer in searches:
+        monkeypatch.setenv("FOURFOLD_BUDGET", "27")
+        with pytest.raises(BudgetExceeded, match="mod 29 has no witness in its first 27 units, budget 27"):
+            ask()
+        monkeypatch.setenv("FOURFOLD_BUDGET", "28")
+        assert ask() == answer
+    # 4 = 2^2: the witness is the second unit walked
+    monkeypatch.setenv("FOURFOLD_BUDGET", "1")
+    with pytest.raises(BudgetExceeded):
+        lens_homotopy_equivalent(31, 1, 4)
+    monkeypatch.setenv("FOURFOLD_BUDGET", "2")
+    assert lens_homotopy_equivalent(31, 1, 4) == (True, 2, 1)
+    monkeypatch.delenv("FOURFOLD_BUDGET")
+    for search in WITNESS_SEARCHES:
+        search.cache_clear()
+
+
+def test_a_witness_search_of_a_huge_modulus_ends_at_the_budget(monkeypatch):
+    # 11 is a non-residue mod the prime 1000000009 = 1 mod 4
+    p = 1000000009
+    monkeypatch.setenv("FOURFOLD_BUDGET", "1000")
+    for ask in (
+        lambda: lens_homotopy_equivalent(p, 1, 11),
+        lambda: linking_isometric(LinkingForm(p, 1), LinkingForm(p, 11)),
+        lambda: _signed_square_relation(p, 1, 11),
+    ):
+        with pytest.raises(BudgetExceeded, match="no witness in its first 1000 units"):
+            ask()
+    # the ratio is what is searched: 11 * 3 over 3 is refused the same way
+    with pytest.raises(BudgetExceeded):
+        lens_homotopy_equivalent(p, 3, 33)
 
 
 # ---- linking forms ----------------------------------------------------------
