@@ -40,16 +40,13 @@ from fourfold.intmat import (
     smith_normal_form,  # unused here: perfbench checks that its tracer rebinds this alias
 )
 from fourfold.manifolds import (
-    _UNITS_CACHE_SIZE,
-    _UNITS_TABLE_MAX,
-    _WITNESS_CACHE_SIZE,
     LensSpace,
     fundamental_class_invariant,
     lens_homotopy_equivalent,
     linking_form,
     linking_isometric,
-    units_mod,
-    witness_units,
+    signed_square_witness,
+    squares_mod,
 )
 from fourfold.values import FrozenValue, Value
 
@@ -111,30 +108,6 @@ class ManifoldRecord(FrozenValue):
         the class's length (checked once, in __init__)."""
         k = self.h4.free_rank
         return vec[:k] + tuple(x % t for x, t in zip(vec[k:], self.h4.torsion))
-
-
-def squares_mod(n):
-    """The multiplicative squares of units mod n, the built-in orbit
-    generators for cyclic degree-4 homology.
-
-    For n <= 1024 one kept tuple per modulus, as units_mod keeps its
-    tables, so the lens records over one modulus share it; a fresh
-    tuple for larger n."""
-    if n <= 1:
-        return (1,)
-    if n > _UNITS_TABLE_MAX:
-        return _squares(n)
-    return _squares_table(n)
-
-
-def _squares(n):
-    return tuple(sorted({r * r % n for r in units_mod(n)}))
-
-
-# An entry is one tuple of at most phi(n)/2 squares: 384 bytes for
-# n = 29, 49 kB for n = 1021, where squares above 256 are ints of their
-# own (tracemalloc).  128 tables stay under 6.3 MB.
-_squares_table = functools.lru_cache(maxsize=_UNITS_CACHE_SIZE)(_squares)
 
 
 def default_aut_multipliers(group):
@@ -313,22 +286,10 @@ def classify_lens_family(p, q1, q2):
 
 
 def _signed_square_relation(p, a, b):
-    """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert).  The
-    relation reads only p and b / a, and its search is memoised on them."""
-    found, r, sign = _signed_square_search(p, b * pow(a, -1, p) % p)
+    """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert), read
+    off the signed_square_witness of p and b / a."""
+    found, r, sign = signed_square_witness(p, b * pow(a, -1, p) % p)
     return (True, {"r": r, "sign": sign}) if found else (False, None)
-
-
-@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
-def _signed_square_search(p, x):
-    minus_x = -x % p
-    for r in witness_units(p):
-        square = r * r % p
-        if square == x:
-            return True, r, 1
-        if square == minus_x:
-            return True, r, -1
-    return False, None, None
 
 
 class LensFamilyReport(Value):

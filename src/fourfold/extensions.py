@@ -474,8 +474,8 @@ def _psi_context(resolution, c2, w):
     ctx = _psi_contexts.get(key)
     if ctx is None:
         source = fpmodule_kernel(c2.d(2))
-        d1t = resolution.d(1).twist(w).transpose_involute()
-        d2t = resolution.d(2).twist(w).transpose_involute()
+        d1t = resolution.d(1).transpose_involute(w)
+        d2t = resolution.d(2).transpose_involute(w)
         ctx = ExtContext(source, d2t, d1t)
         _psi_contexts[key] = ctx
     return ctx

@@ -24,7 +24,8 @@ from fourfold.values import FrozenValue
 __all__ = [
     "LensSpace",
     "units_mod",
-    "witness_units",
+    "squares_mod",
+    "signed_square_witness",
     "lens_complex",
     "fundamental_class_invariant",
     "lens_homotopy_equivalent",
@@ -85,6 +86,30 @@ def _units_table(n):
     return tuple(r for r in range(1, max(n, 2)) if math.gcd(r, n) == 1)
 
 
+def squares_mod(n):
+    """The multiplicative squares of units mod n, the built-in orbit
+    generators for cyclic degree-4 homology.
+
+    For n <= 1024 one kept tuple per modulus, as units_mod keeps its
+    tables, so the lens records over one modulus share it; a fresh
+    tuple for larger n."""
+    if n <= 1:
+        return (1,)
+    if n > _UNITS_TABLE_MAX:
+        return _squares(n)
+    return _squares_table(n)
+
+
+def _squares(n):
+    return tuple(sorted({r * r % n for r in units_mod(n)}))
+
+
+# An entry is one tuple of at most phi(n)/2 squares: 384 bytes for
+# n = 29, 49 kB for n = 1021, where squares above 256 are ints of their
+# own (tracemalloc).  128 tables stay under 6.3 MB.
+_squares_table = functools.lru_cache(maxsize=_UNITS_CACHE_SIZE)(_squares)
+
+
 def lens_complex(lens):
     """The standard cellular chain complex of L_{p,q} over Z[Z/p].
 
@@ -107,7 +132,7 @@ def fundamental_class_invariant(lens):
     return pow(lens.q, -1, lens.p)
 
 
-def witness_units(p):
+def _witness_units(p):
     """The units mod p in the order of units_mod, for a witness search
     that walks them until its first witness.  The walk is charged
     against generator_budget(): after that many units with units still
@@ -129,11 +154,33 @@ def _charged(units, p, budget):
         yield r
 
 
-# An entry is one answer of a witness search, a (p, ratio) key and a
-# (found, unit, sign) tuple: 90 bytes for p <= 30, 120 bytes near
-# p = 1000 (tracemalloc).  The 277 (p, ratio) keys of a lens-family sweep
-# over p <= 30 all fit; 1024 answers stay under 0.2 MB for each search.
+# An entry is one answer, a (p, x) key and a (found, unit, sign) tuple:
+# 90 bytes for p <= 30, 120 bytes near p = 1000 (tracemalloc).  The 277
+# (p, x) keys of a lens-family sweep over p <= 30 all fit; 1024 answers
+# stay under 0.2 MB.
 _WITNESS_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
+def signed_square_witness(p, x):
+    """Is x = +-r^2 mod p for a unit r?  Returns (True, r, sign) with the
+    first such unit in the order of units_mod and x = sign * r^2, or
+    (False, None, None).
+
+    This is the one congruence of the lens criteria: homotopy
+    equivalence, linking-form isometry and the signed-square relation of
+    the classes each ask it of the ratio of their two parameters.  The
+    answer is memoised on (p, x), so criteria that ask the same ratio
+    share it, and the walk over the units is charged against
+    generator_budget()."""
+    minus_x = -x % p
+    for r in _witness_units(p):
+        rr = r * r % p
+        if rr == x:
+            return True, r, 1
+        if rr == minus_x:
+            return True, r, -1
+    return False, None, None
 
 
 def lens_homotopy_equivalent(p, q1, q2):
@@ -144,22 +191,10 @@ def lens_homotopy_equivalent(p, q1, q2):
     equivalent (replace r by its inverse); the witness is reported for
     the second parameter in terms of the first.  The relation holds for
     (q1, q2) exactly when it holds for (1, q2 q1^-1), with the same
-    witnesses, so the search is memoised on p and that ratio.
+    witnesses, so it is the signed_square_witness of that ratio.
     """
     _check_pair(p, q1, q2)
-    return _homotopy_witness(p, q2 * pow(q1, -1, p) % p)
-
-
-@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
-def _homotopy_witness(p, x):
-    minus_x = -x % p
-    for r in witness_units(p):
-        rr = r * r % p
-        if rr == x:
-            return True, r, 1
-        if rr == minus_x:
-            return True, r, -1
-    return False, None, None
+    return signed_square_witness(p, q2 * pow(q1, -1, p) % p)
 
 
 class LinkingForm(FrozenValue):
@@ -187,26 +222,13 @@ def linking_form(lens):
 def linking_isometric(f1, f2):
     """Isometry up to sign: f2.value = +- u^2 f1.value mod order.
 
-    Returns (isometric, u, sign) with a witnessing unit.  The search
-    reads only the order and f2.value / f1.value, and is memoised on
-    them.
+    Returns (isometric, u, sign) with a witnessing unit: the
+    signed_square_witness of the order and f2.value / f1.value.
     """
     if f1.order != f2.order:
         raise OrderMismatch("forms on Z/%d and Z/%d" % (f1.order, f2.order))
     p = f1.order
-    return _isometry_witness(p, f2.value * pow(f1.value, -1, p) % p)
-
-
-@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
-def _isometry_witness(p, x):
-    minus_x = -x % p
-    for u in witness_units(p):
-        uu = u * u % p
-        if uu == x:
-            return True, u, 1
-        if uu == minus_x:
-            return True, u, -1
-    return False, None, None
+    return signed_square_witness(p, f2.value * pow(f1.value, -1, p) % p)
 
 
 def lens_times_circle(lens):

@@ -426,6 +426,28 @@ def test_src_imports_only_from_lower_layers():
     assert upward == []
 
 
+# Underscore names that one package module may import from another, each
+# with its reason.  Any other private name stays in the module that owns it.
+PRIVATE_IMPORTS = {
+    ("homology.py", "complexes", "_tensor_product"): (
+        "resolutions tensor periodic factors, complexes by construction, without tensor_complex's checks"
+    ),
+    ("homology.py", "complexes", "_twisted_homology"): (
+        "group homology twists a resolution by a character other than its own, which homology_Zw does not take"
+    ),
+}
+
+
+def test_src_imports_no_private_name_of_another_module():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                for dep in _imported_modules(node):
+                    found |= {(path.name, dep, a.name) for a in node.names if a.name.startswith("_")}
+    assert found == set(PRIVATE_IMPORTS)
+
+
 # The one raise of a type outside errors.py: the lens-family criteria
 # are proved to agree, so a split is a bug in the package, not an input
 # error for the caller to handle.

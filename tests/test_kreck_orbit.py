@@ -193,11 +193,9 @@ def test_every_lru_cache_is_bounded():
     assert {
         "classify._orbit",
         "classify._lens_times_circle_record",
-        "classify._squares_table",
-        "classify._signed_square_search",
         "manifolds._units_table",
-        "manifolds._homotopy_witness",
-        "manifolds._isometry_witness",
+        "manifolds._squares_table",
+        "manifolds.signed_square_witness",
         "homology._resolution",
         "homology._group_homology",
         "groupring._get_descriptor",

@@ -1,14 +1,17 @@
-"""The lens criteria read one table of units per modulus.
+"""The lens criteria read one table of units per modulus and ask one
+congruence.
 
 manifolds.units_mod lists the units mod n once and keeps the list, and
-the three lens criteria and squares_mod each search it in increasing
-order.  The functions below are frozen copies of those four as they were
-when each scanned range(1, n) with its own gcd test; they are the oracle.
-Each criterion keeps its own search, so the verdicts stay independent,
-and the first witness found must be the same unit as before, now that
-each search is memoised on (p, second / first) and charged against the
-budget as it walks.  The orbit memo must hold every start class of a
-lens-family sweep of p <= 30, and each witness memo every ratio of it.
+squares_mod and manifolds.signed_square_witness walk it in increasing
+order.  Homotopy equivalence, linking-form isometry and the signed-square
+relation of the classes each read signed_square_witness of the ratio of
+their two parameters, so one memo on (p, ratio) serves all three.  The
+functions below are frozen copies of the four as they were when each
+scanned range(1, n) with its own gcd test; they share no code with the
+package, and they are the oracle: the first witness found must be the
+same unit as before, on the kept tables and on the lazy walk above
+them.  The orbit memo must hold every start class of a lens-family sweep
+of p <= 30, and the witness memo every ratio of it.
 """
 
 import math
@@ -17,7 +20,7 @@ import random
 import pytest
 
 from fourfold import classify, manifolds
-from fourfold.classify import _signed_square_relation, classify_lens_family, squares_mod
+from fourfold.classify import _signed_square_relation, classify_lens_family
 from fourfold.errors import BudgetExceeded, InvalidLens
 from fourfold.manifolds import (
     LensSpace,
@@ -25,6 +28,8 @@ from fourfold.manifolds import (
     lens_homotopy_equivalent,
     linking_form,
     linking_isometric,
+    signed_square_witness,
+    squares_mod,
     units_mod,
 )
 
@@ -121,20 +126,28 @@ def test_criteria_match_their_frozen_copies():
     assert squares_mod(1) == ref_squares_mod(1)
 
 
+def test_the_lazy_walk_matches_the_frozen_copies():
+    # every modulus is above the kept-table size, so each search walks a
+    # fresh listing of the units
+    rng = random.Random(22)
+    for p in (1031, 1155, 2048, 4095):
+        assert p > manifolds._UNITS_TABLE_MAX
+        units = brute_units(p)
+        for _ in range(200):
+            q1, q2 = rng.choice(units), rng.choice(units)
+            assert lens_homotopy_equivalent(p, q1, q2) == ref_lens_homotopy_equivalent(p, q1, q2)
+            f1, f2 = LinkingForm(p, q1), LinkingForm(p, q2)
+            assert linking_isometric(f1, f2) == ref_linking_isometric(f1, f2)
+            assert _signed_square_relation(p, q1, q2) == ref_signed_square_relation(p, q1, q2)
+
+
 # ---- the sweep's counts -----------------------------------------------------
-
-
-WITNESS_SEARCHES = (
-    manifolds._homotopy_witness,
-    manifolds._isometry_witness,
-    classify._signed_square_search,
-)
 
 
 def test_lens_sweep_searches_each_start_class_once():
     table = manifolds._units_table
-    memos = (classify._orbit, classify._lens_times_circle_record, classify._squares_table, table)
-    for memo in memos + WITNESS_SEARCHES:
+    memos = (classify._orbit, classify._lens_times_circle_record, manifolds._squares_table, table)
+    for memo in memos + (signed_square_witness,):
         memo.cache_clear()
     pairs = [(p, q1, q2) for p in range(2, 31) for q1 in brute_units(p) for q2 in brute_units(p)]
     random.Random(21).shuffle(pairs)
@@ -149,14 +162,15 @@ def test_lens_sweep_searches_each_start_class_once():
     # the multipliers of every record over that modulus
     assert table.cache_info().misses == 29
     assert table.cache_info().currsize == 29
-    assert classify._squares_table.cache_info().misses == 29
-    # one search per (p, q2 / q1) for each witness criterion, 3889 before
-    # the searches were memoised on that ratio
+    assert manifolds._squares_table.cache_info().misses == 29
+    # one search per (p, q2 / q1) for all three criteria: homotopy and
+    # linking ask that ratio, and the classes q^-1 ask its inverse, which
+    # is the ratio of the swapped pair; 831 searches when each criterion
+    # kept its own memo, 3889 x 3 before any was memoised
     ratios = {(p, q2 * pow(q1, -1, p) % p) for p, q1, q2 in pairs}
     assert len(ratios) == 277
-    for search in WITNESS_SEARCHES:
-        assert search.cache_info().misses == 277
-        assert search.cache_info().currsize == 277
+    info = signed_square_witness.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (277, 277, 3 * 3889 - 277)
 
 
 def test_lens_records_over_one_modulus_share_their_multipliers():
@@ -199,15 +213,15 @@ def test_certificates_are_fresh_on_every_call():
 
 def test_witness_searches_are_charged_against_the_budget(monkeypatch):
     # 2 is a non-residue mod 29 = 1 mod 4, so no search meets a witness
-    # and each walks all 28 units; a refusal is not memoised
+    # and each walks all 28 units; a refusal is not memoised.  All three
+    # ask (29, 2), so the memo is cleared before each one walks.
     searches = (
         (lambda: lens_homotopy_equivalent(29, 1, 2), (False, None, None)),
         (lambda: linking_isometric(LinkingForm(29, 1), LinkingForm(29, 2)), (False, None, None)),
         (lambda: _signed_square_relation(29, 1, 2), (False, None)),
     )
-    for search in WITNESS_SEARCHES:
-        search.cache_clear()
     for ask, answer in searches:
+        signed_square_witness.cache_clear()
         monkeypatch.setenv("FOURFOLD_BUDGET", "27")
         with pytest.raises(BudgetExceeded, match="mod 29 has no witness in its first 27 units, budget 27"):
             ask()
@@ -220,8 +234,7 @@ def test_witness_searches_are_charged_against_the_budget(monkeypatch):
     monkeypatch.setenv("FOURFOLD_BUDGET", "2")
     assert lens_homotopy_equivalent(31, 1, 4) == (True, 2, 1)
     monkeypatch.delenv("FOURFOLD_BUDGET")
-    for search in WITNESS_SEARCHES:
-        search.cache_clear()
+    signed_square_witness.cache_clear()
 
 
 def test_a_witness_search_of_a_huge_modulus_ends_at_the_budget(monkeypatch):
