@@ -193,7 +193,7 @@ def _cmd_recover_m(args):
 
 
 def _cmd_ext_class(args):
-    # parse_complex checked d_2 . d_3 = 0, all that pi2_sequence_check tests
+    # the constructor refused d_2 . d_3 != 0, so the sequence is exact
     c = parse_complex(_read_file(args.file))
     cls = pi2_extension(c)
     inv = cls.context.ext_invariants()

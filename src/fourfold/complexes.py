@@ -2,10 +2,11 @@
 
 A complex stores ranks C_0..C_n and boundary matrices d_i: C_i -> C_{i-1}
 (shape ranks[i-1] x ranks[i]) together with an orientation character.
-Construction checks shapes only; validate() checks d.d = 0 exactly.  It
-runs where a complex comes from outside the package (a parsed document,
-the factors of tensor_complex); the built-in constructors satisfy
-d.d = 0 by construction, and the test suite checks each of them.
+Every LambdaComplex is a complex: after the shape checks the constructor
+runs validate (d.d = 0 exactly), which raises NotAComplex(degree), so no
+consumer re-checks it.  Builders whose output is a complex by
+construction take the private _exact_complex, which checks shapes only;
+the test suite runs validate on each of them.
 
 Homology is read off the integer images each boundary keeps, d (x) Z^w
 (augment) and d (x) Z[pi] (expand), so each is reduced once.  The
@@ -16,7 +17,6 @@ from fourfold.errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     GroupMismatch,
-    HypothesisViolated,
     InfiniteGroup,
     NotAComplex,
     UnsupportedGroup,
@@ -52,6 +52,10 @@ class LambdaComplex:
     """Free chain complex over Z[pi] with an orientation character."""
 
     def __init__(self, group, w, ranks, boundaries):
+        self._init_shapes(group, w, ranks, boundaries)
+        validate(self)
+
+    def _init_shapes(self, group, w, ranks, boundaries):
         if w.group != group:
             raise GroupMismatch("character lives over %s" % (w.group,))
         ranks = tuple(int(r) for r in ranks)
@@ -88,6 +92,14 @@ class LambdaComplex:
         return "LambdaComplex(%s, ranks=%s)" % (self.group, list(self.ranks))
 
 
+def _exact_complex(group, w, ranks, boundaries):
+    """A LambdaComplex with its shapes checked and d.d = 0 taken on trust:
+    only for builders whose output is a complex by construction."""
+    c = LambdaComplex.__new__(LambdaComplex)
+    c._init_shapes(group, w, ranks, boundaries)
+    return c
+
+
 def validate(c):
     """Check d_{i-1} . d_i = 0 exactly; raises NotAComplex on failure."""
     for i in range(2, c.top_degree + 1):
@@ -106,7 +118,7 @@ def twisted_dual(c):
     n = c.top_degree
     ranks = tuple(reversed(c.ranks))
     boundaries = [c.d(n + 1 - i).transpose_involute(c.w) for i in range(1, n + 1)]
-    return LambdaComplex(c.group, c.w, ranks, boundaries)
+    return _exact_complex(c.group, c.w, ranks, boundaries)
 
 
 def homology_Zw(c, i):
@@ -122,10 +134,7 @@ def _twisted_homology(c, w, i):
     degree i (none in degree 0), d_(i+1) enters it (none at the top)."""
     d_out = c.d(i).augment(w) if i >= 1 else None
     d_in = c.d(i + 1).augment(w) if i < c.top_degree else None
-    try:
-        return homology_invariants(d_out, d_in, c.ranks[i])
-    except HypothesisViolated:
-        raise NotAComplex(i + 1) from None
+    return homology_invariants(d_out, d_in, c.ranks[i])
 
 
 def homology_Lambda(c, i):
@@ -138,16 +147,13 @@ def homology_Lambda(c, i):
         raise DegreeOutOfRange("degree %d outside 0..%d" % (i, n))
     d_out = c.d(i).expand() if i >= 1 else None
     d_in = c.d(i + 1).expand() if i < n else None
-    try:
-        return homology_invariants(d_out, d_in, c.ranks[i] * c.group.order())
-    except HypothesisViolated:
-        raise NotAComplex(i + 1) from None
+    return homology_invariants(d_out, d_in, c.ranks[i] * c.group.order())
 
 
 def point_complex():
     """The one-point space: rank (1,) over the trivial group."""
     g = trivial_group()
-    return LambdaComplex(g, trivial_char(g), (1,), ())
+    return _exact_complex(g, trivial_char(g), (1,), ())
 
 
 def presentation_complex(group, wedge_cells=0):
@@ -180,7 +186,7 @@ def presentation_complex(group, wedge_cells=0):
     for _ in range(wedge_cells):
         cols.append([zero] * k)
     d2 = ring_matrix_from_columns(group, cols, k)
-    return LambdaComplex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
+    return _exact_complex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
 
 
 def cross_circle(c, sign=1):
@@ -202,8 +208,8 @@ def cross_circle(c, sign=1):
         1,
         [[ring_generator(new_group, new_group.ngens - 1) - ring_one(new_group)]],
     )
-    circle = LambdaComplex(new_group, w, (1, 1), (circle_d1,))
-    lifted = LambdaComplex(
+    circle = _exact_complex(new_group, w, (1, 1), (circle_d1,))
+    lifted = _exact_complex(
         new_group,
         w,
         c.ranks,
@@ -217,22 +223,14 @@ def tensor_complex(a, b, top=None):
 
     Degree n is the direct sum of A_i (x) B_j over i + j = n, blocks
     ordered by increasing i, pairs within a block ordered row-major.  The
-    boundary is dA (x) id + (-1)^i id (x) dB.  The factors are validated;
-    the product then satisfies d.d = 0 because of the Koszul sign.  With
+    boundary is dA (x) id + (-1)^i id (x) dB.  The factors are complexes,
+    so the product satisfies d.d = 0 because of the Koszul sign.  With
     top, degrees above it are not built; by default the product is full.
     """
     if a.group != b.group:
         raise GroupMismatch("tensor factors live over different groups")
     if a.w != b.w:
         raise GroupMismatch("tensor factors carry different characters")
-    validate(a)
-    validate(b)
-    return _tensor_product(a, b, top)
-
-
-def _tensor_product(a, b, top=None):
-    """tensor_complex without its checks, for factors over one group ring
-    and character that are complexes by construction."""
     g = a.group
     na, nb = a.top_degree, b.top_degree
     n = na + nb if top is None else min(top, na + nb)
@@ -295,4 +293,4 @@ def _tensor_product(a, b, top=None):
                         for ai in range(a.ranks[i]):
                             entries[dst_off + ai * rbm + bi][src_off + ai * rb + bj] = e
         boundaries.append(RingMatrix(g, rows, cols, entries))
-    return LambdaComplex(g, a.w, tuple(ranks), tuple(boundaries))
+    return _exact_complex(g, a.w, tuple(ranks), tuple(boundaries))

@@ -124,6 +124,8 @@ class GroupDescriptor(FrozenValue):
         return self.reduce(tuple(-x for x in a))
 
     def generator(self, i):
+        if not 0 <= i < self.ngens:
+            raise GroupMismatch("generator index %d is outside range(%d)" % (i, self.ngens))
         el = [0] * self.ngens
         el[i] = 1
         return self.reduce(tuple(el))
@@ -369,9 +371,7 @@ def ring_one(group):
 
 
 def ring_generator(group, i, power=1):
-    el = [0] * group.ngens
-    el[i] = power
-    return RingElement(group, {tuple(el): 1})
+    return RingElement(group, {tuple(power * x for x in group.generator(i)): 1})
 
 
 def norm_element(group):
@@ -381,6 +381,8 @@ def norm_element(group):
 
 def factor_norm(group, i):
     """1 + t + ... + t^(n-1) for the generator t of cyclic factor i, of order n."""
+    if not 0 <= i < len(group.orders):
+        raise GroupMismatch("cyclic factor index %d is outside range(%d)" % (i, len(group.orders)))
     e = group.identity
     return RingElement(group, {e[:i] + (k,) + e[i + 1 :]: 1 for k in range(group.orders[i])})
 

@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 
-from fourfold.complexes import LambdaComplex, _tensor_product, _twisted_homology
+from fourfold.complexes import _exact_complex, _twisted_homology, tensor_complex
 from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -72,7 +72,7 @@ def _periodic_factor(group, i, bound):
     odd = RingMatrix(group, 1, 1, [[ring_generator(group, i) - ring_one(group)]])
     even = RingMatrix(group, 1, 1, [[factor_norm(group, i)]])
     boundaries = tuple(odd if k % 2 else even for k in range(1, bound + 1))
-    return LambdaComplex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
+    return _exact_complex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
 
 
 # An entry is one resolution: 2 kB for Z/2 to 23 kB for Z/4 x Z/4 x Z/4
@@ -112,10 +112,10 @@ def _resolution(group, bound):
     if not factors:
         ranks = (1,) + (0,) * bound
         boundaries = tuple(RingMatrix.zeros(group, ranks[i - 1], ranks[i]) for i in range(1, bound + 1))
-        return LambdaComplex(group, trivial_char(group), ranks, boundaries)
+        return _exact_complex(group, trivial_char(group), ranks, boundaries)
     res = _periodic_factor(group, factors[0], bound)
     for i in factors[1:]:
-        res = _tensor_product(res, _periodic_factor(group, i, bound), top=bound)
+        res = tensor_complex(res, _periodic_factor(group, i, bound), top=bound)
     return res
 
 

@@ -7,7 +7,7 @@ dropped, so equal inputs emit byte-identical text.
 
 import json
 
-from fourfold.complexes import LambdaComplex, validate
+from fourfold.complexes import LambdaComplex
 from fourfold.errors import ParseError
 from fourfold.groupring import (
     RingElement,
@@ -208,10 +208,12 @@ def _load_json(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc)
+    except RecursionError:
+        raise ParseError("document nests deeper than the JSON parser allows") from None
 
 
 def parse_complex(text):
-    """Parse and validate a chain complex document."""
+    """Parse a chain complex document; a d.d fault is a NotAComplex."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -255,9 +257,7 @@ def parse_complex(text):
                 ]
             )
         boundaries.append(RingMatrix(group, rows, cols, entries))
-    c = LambdaComplex(group, w, tuple(ranks), tuple(boundaries))
-    validate(c)
-    return c
+    return LambdaComplex(group, w, tuple(ranks), tuple(boundaries))
 
 
 def emit_complex(c):

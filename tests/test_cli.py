@@ -376,6 +376,34 @@ def test_json_error_envelope(tmp_path, capsys):
     assert "message" in doc["result"]
 
 
+def _nested_matrix(depth):
+    return "[" * depth + "]" * depth
+
+
+def _laurent_chain(depth):
+    """A complex document whose group is depth Laurent extensions, each
+    the base of the next."""
+    group = '{"type": "cyclic", "order": 2}'
+    for _ in range(depth):
+        group = '{"type": "laurent", "rank": 1, "base": %s}' % group
+    return '{"group": %s, "ranks": [1], "boundaries": []}' % group
+
+
+@pytest.mark.parametrize("offset", (-10, 10))
+@pytest.mark.parametrize("verb, make", [("snf", _nested_matrix), ("homology", _laurent_chain)])
+def test_deeply_nested_documents_exit_0_or_2(tmp_path, capsys, verb, make, offset):
+    f = tmp_path / "deep.json"
+    f.write_text(make(sys.getrecursionlimit() + offset))
+    for argv in ([verb, str(f)], ["--json", verb, str(f)]):
+        code, out, err = run(capsys, argv)
+        assert code in (0, 2)
+        assert "Traceback" not in out + err
+        if argv[0] == "--json":
+            assert validate_report(json.loads(out))
+        elif code == 2:
+            assert out == "" and err.startswith("error: ")
+
+
 def test_bad_usage_exit_2(capsys):
     assert main([]) == 2
     assert main(["lens-classify", "5", "1"]) == 2

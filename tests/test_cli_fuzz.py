@@ -6,7 +6,7 @@ stderr and nothing to stdout.
 
 Arguments range over all verbs with valid, truncated and non-numeric
 values, missing files and malformed documents (truncated, one number
-swapped for another token, not UTF-8).  Group orders stay small: matrix
+swapped for another token, not UTF-8, nested 2000 deep).  Group orders stay small: matrix
 expansions allocate |pi|^2 cells per entry and no budget caps them yet.
 """
 
@@ -45,7 +45,8 @@ RECORDS = [
     json.dumps({"group": "trivial*Z^4", "class_h4": [-6], "aut_multipliers": [2]}),
 ]
 ANY_DOC = list(COMPLEXES.values()) + MATRICES + RECORDS
-MALFORMED = ["", "{broken", "null", "[[1, 2], [3]]", "[[true]]", '"text"', "[[1.5]]", '{"schema_version": "1"}', "{}"]
+MALFORMED = ["", "{broken", "null", "[[1, 2], [3]]", "[[true]]", '"text"', "[[1.5]]", '{"schema_version": "1"}', "{}",
+             "[" * 2000 + "]" * 2000]
 
 GROUPS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "product:2,2", "product:2,3",
           "cyclic:3*Z", "cyclic:2*Z^2", "trivial*Z^4", "product:2,2*Z"]

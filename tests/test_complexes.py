@@ -4,6 +4,7 @@ import pytest
 
 from fourfold.complexes import (
     LambdaComplex,
+    _exact_complex,
     cross_circle,
     homology_Lambda,
     homology_Zw,
@@ -58,19 +59,16 @@ def test_validate_reports_offending_degree():
     one = ring_one(g)
     d1 = RingMatrix(g, 1, 1, [[t - one]])
     d2 = RingMatrix(g, 1, 1, [[one]])  # d1 . d2 = t - 1 != 0
-    c = LambdaComplex(g, w, (1, 1, 1), (d1, d2))
-    with pytest.raises(NotAComplex) as e:
-        validate(c)
-    assert e.value.degree == 2
-    # homology of an unvalidated complex names the same fault and degree
-    with pytest.raises(NotAComplex) as e:
-        homology_Lambda(c, 1)
-    assert e.value.degree == 2
-    # d1 = d2 = 1 survives augmentation, so twisted homology meets it too
-    c = LambdaComplex(g, w, (1, 1, 1), (d2, d2))
-    with pytest.raises(NotAComplex) as e:
-        homology_Zw(c, 1)
-    assert e.value.degree == 2
+    # the constructor refuses both, the second (d1 = d2 = 1) surviving
+    # augmentation as well, and names the degree; validate on the same
+    # boundaries built without that check names it too
+    for bs in ((d1, d2), (d2, d2)):
+        with pytest.raises(NotAComplex) as e:
+            LambdaComplex(g, w, (1, 1, 1), bs)
+        assert e.value.degree == 2
+        with pytest.raises(NotAComplex) as e:
+            validate(_exact_complex(g, w, (1, 1, 1), bs))
+        assert e.value.degree == 2
 
 
 def test_degree_bounds():
@@ -204,17 +202,18 @@ def test_tensor_complex_unit_and_mismatch():
 
 
 def test_tensor_complex_validates_its_factors():
-    # factors passed from outside the package are checked for d.d = 0
+    # a factor from outside the package is refused where it is built, so
+    # tensor_complex only ever meets complexes
     g = cyclic_group(2)
     w = trivial_char(g)
     t = ring_generator(g, 0)
     one = ring_one(g)
-    bad = LambdaComplex(g, w, (1, 1, 1), (RingMatrix(g, 1, 1, [[t - one]]), RingMatrix(g, 1, 1, [[one]])))
+    with pytest.raises(NotAComplex) as e:
+        LambdaComplex(g, w, (1, 1, 1), (RingMatrix(g, 1, 1, [[t - one]]), RingMatrix(g, 1, 1, [[one]])))
+    assert e.value.degree == 2
     good = presentation_complex(g)
-    with pytest.raises(NotAComplex):
-        tensor_complex(good, bad)
-    with pytest.raises(NotAComplex):
-        tensor_complex(bad, good, top=2)
+    for top in (None, 2):
+        assert validate(tensor_complex(good, good, top=top))
 
 
 def test_homology_lambda_needs_finite_group():

@@ -429,8 +429,8 @@ def test_src_imports_only_from_lower_layers():
 # Underscore names that one package module may import from another, each
 # with its reason.  Any other private name stays in the module that owns it.
 PRIVATE_IMPORTS = {
-    ("homology.py", "complexes", "_tensor_product"): (
-        "resolutions tensor periodic factors, complexes by construction, without tensor_complex's checks"
+    ("homology.py", "complexes", "_exact_complex"): (
+        "periodic resolutions and the trivial group's resolution are complexes by construction"
     ),
     ("homology.py", "complexes", "_twisted_homology"): (
         "group homology twists a resolution by a character other than its own, which homology_Zw does not take"
@@ -446,6 +446,45 @@ def test_src_imports_no_private_name_of_another_module():
                 for dep in _imported_modules(node):
                     found |= {(path.name, dep, a.name) for a in node.names if a.name.startswith("_")}
     assert found == set(PRIVATE_IMPORTS)
+
+
+# The builders that may make a LambdaComplex without its d.d check, each
+# with the reason its output is a complex.  Input from outside the package
+# goes through the public constructor, which validates.
+EXACT_BUILDERS = {
+    ("complexes.py", "twisted_dual"): "the twisted dual of a complex is a complex",
+    ("complexes.py", "point_complex"): "one module, no boundary",
+    ("complexes.py", "presentation_complex"): "power and commutator relators are killed by t_i - 1",
+    ("complexes.py", "cross_circle"): "the circle has one boundary, and a ring map keeps d.d = 0",
+    ("complexes.py", "tensor_complex"): "the Koszul sign makes a product of complexes a complex",
+    ("homology.py", "_periodic_factor"): "(t - 1) . N = 0 in Z[Z/n]",
+    ("homology.py", "_resolution"): "the trivial group's resolution has zero boundaries",
+}
+# The shape half of the constructor, which skips validate, is reached only
+# from the constructor itself and from _exact_complex.
+UNCHECKED_PATHS = {("complexes.py", "LambdaComplex.__init__"), ("complexes.py", "_exact_complex")}
+
+
+def _references(node, scope, names):
+    """(scope, name) for every use of one of names under node, by bare name
+    or attribute, scope being the innermost enclosing definition."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = node.name if scope is None else scope + "." + node.name
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    found = [(scope, name)] if name in names else []
+    for child in ast.iter_child_nodes(node):
+        found += _references(child, scope, names)
+    return found
+
+
+def test_the_unchecked_constructor_serves_only_exact_builders():
+    callers, bypasses = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, name in _references(tree, None, {"_exact_complex", "_init_shapes"}):
+            (callers if name == "_exact_complex" else bypasses).add((path.name, scope))
+    assert callers == set(EXACT_BUILDERS)
+    assert bypasses == UNCHECKED_PATHS
 
 
 # The one raise of a type outside errors.py: the lens-family criteria
@@ -487,7 +526,6 @@ UNREAD_PUBLIC_METHODS = {
     ("ExtClass", "scale"): "the Z-module action on Ext^1",
     ("ExtClass", "shift_by_coboundary"): "moves a representative within its class",
     ("FPModule", "abelian_invariants"): "the underlying abelian group of a module",
-    ("GroupDescriptor", "generator"): "the i-th generator as a group element",
     ("IntMatrix", "from_rows"): "the row-wise pair of from_columns",
     ("IntMatrix", "column"): "one column as a tuple, where columns() gives them all",
     ("LinkingForm", "evaluate_num"): "the value of the form on (x, y) as a numerator mod the order",

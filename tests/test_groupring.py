@@ -306,3 +306,25 @@ def test_map_group_embedding():
     img = (t + ring_one(small)).map_group(big, embed)
     assert augmentation(img) == 2
     assert img == ring_generator(big, 0) + ring_one(big)
+
+
+@pytest.mark.parametrize("i", (-1, 2, 3))
+def test_generator_index_is_checked(i):
+    g = laurent_extension(cyclic_group(4), 1)
+    with pytest.raises(GroupMismatch, match="index %d" % i):
+        g.generator(i)
+
+
+@pytest.mark.parametrize("i", (-1, 2, 3))
+def test_ring_generator_index_is_checked(i):
+    g = laurent_extension(cyclic_group(4), 1)
+    with pytest.raises(GroupMismatch, match="index %d" % i):
+        ring_generator(g, i)
+
+
+@pytest.mark.parametrize("i", (-1, 1, 2))
+def test_factor_norm_index_is_checked(i):
+    # Z/4 x Z has one cyclic factor: index 1 names the Laurent direction
+    g = laurent_extension(cyclic_group(4), 1)
+    with pytest.raises(GroupMismatch, match="index %d" % i):
+        factor_norm(g, i)

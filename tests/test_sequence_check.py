@@ -1,21 +1,31 @@
-"""pi2_sequence_check tests d_2 . d_3 = 0, the one hypothesis of the
-exactness of 0 -> ker d_2 -> C_2 (+) H_2 -> coker d_3 -> 0.
+"""d_2 . d_3 = 0 is the one hypothesis of the exactness of
+0 -> ker d_2 -> C_2 (+) H_2 -> coker d_3 -> 0, and the LambdaComplex
+constructor checks it, so pi2_sequence_check answers True on every
+complex of the degrees and group it needs.
 
 ref_pi2_sequence_check below is a frozen copy of the function as it was
 before: it built the sequence on integer presentations and checked
 injectivity, composite zero and exactness in the middle with Smith forms
 of expanded matrices.  The two must agree on valid complexes (lens
 spaces, the model 4-manifolds, and presentation complexes extended by a
-d_3 built from kernel generators), on complexes that are not valid, and
-in the errors they raise.
+d_3 built from kernel generators) and in the errors they raise.  Where
+d_2 . d_3 != 0 the constructor raises NotAComplex(3), and the frozen
+check, run on the same boundaries built without that check, says False.
 """
 
 import random
 
 import pytest
 
-from fourfold.complexes import LambdaComplex, cross_circle, point_complex, presentation_complex, validate
-from fourfold.errors import FourfoldError
+from fourfold.complexes import (
+    LambdaComplex,
+    _exact_complex,
+    cross_circle,
+    point_complex,
+    presentation_complex,
+    validate,
+)
+from fourfold.errors import FourfoldError, NotAComplex
 from fourfold.extensions import pi2_sequence_check
 from fourfold.groupring import RingElement, RingMatrix, cyclic_group, product_group
 from fourfold.intmat import IntMatrix, hstack, kernel_basis, preimage_kernel, solve_columns, vstack
@@ -72,9 +82,9 @@ def _random_ring_matrix(rng, group, rows, cols):
     return RingMatrix(group, rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
-def _with_d3(c, d3):
-    """c with one more boundary d3 on top; shapes are checked, d.d is not."""
-    return LambdaComplex(c.group, c.w, c.ranks[:3] + (d3.cols,), c.boundaries[:2] + (d3,))
+def _with_d3(c, d3, build=LambdaComplex):
+    """c with one more boundary d3 on top, built by build."""
+    return build(c.group, c.w, c.ranks[:3] + (d3.cols,), c.boundaries[:2] + (d3,))
 
 
 PRESENTED = [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3), (3, 3)]
@@ -105,17 +115,18 @@ def _valid_complexes():
 
 
 def _invalid_complexes():
-    """Complexes with d_1 . d_2 = 0 and a d_3 that d_2 does not kill."""
+    """(complex, d_3) with d_1 . d_2 = 0 and a d_3 that d_2 does not kill."""
     rng = random.Random(11)
     out = {}
     lens = lens_complex(LensSpace(5, 2))
-    out["L(5,2), d_3 = 1"] = _with_d3(lens, RingMatrix.identity(lens.group, 1))
+    out["L(5,2), d_3 = 1"] = (lens, RingMatrix.identity(lens.group, 1))
     rp4 = rp4_complex()
-    out["rp4, d_3 = d_2"] = _with_d3(rp4, rp4.d(2))
+    out["rp4, d_3 = d_2"] = (rp4, rp4.d(2))
     for orders in ((2, 2), (3,), (2, 3)):
         pres = presentation_complex(product_group(orders))
-        out["x".join(map(str, orders)) + ", random d_3"] = _with_d3(
-            pres, _random_ring_matrix(rng, pres.group, pres.ranks[2], 2)
+        out["x".join(map(str, orders)) + ", random d_3"] = (
+            pres,
+            _random_ring_matrix(rng, pres.group, pres.ranks[2], 2),
         )
     return out
 
@@ -144,10 +155,12 @@ def test_valid_complexes_agree_with_the_frozen_check(name):
 
 @pytest.mark.parametrize("name", sorted(INVALID))
 def test_invalid_complexes_agree_with_the_frozen_check(name):
-    c = INVALID[name]
-    assert not (c.d(2) * c.d(3)).is_zero()
+    base, d3 = INVALID[name]
+    with pytest.raises(NotAComplex) as e:
+        _with_d3(base, d3)
+    assert e.value.degree == 3
+    c = _with_d3(base, d3, build=_exact_complex)
     assert (c.d(1) * c.d(2)).is_zero()
-    assert pi2_sequence_check(c) is False
     assert ref_pi2_sequence_check(c) is False
 
 
