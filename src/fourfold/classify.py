@@ -9,6 +9,7 @@ sequence linking manifold homology to group homology.
 """
 
 import functools
+import math
 
 from fourfold.complexes import homology_Zw
 from fourfold.errors import (
@@ -71,7 +72,9 @@ class ManifoldRecord(FrozenValue):
     twisted homology of the group; h4 gives that group's invariants so
     coordinates can be reduced.  aut_multipliers lists the integers that
     act on the class by coordinatewise multiplication (the orbit is
-    closed under products and global sign).
+    closed under products and global sign); each must be an automorphism
+    of h4 = Z^f + sum Z/t_i, prime to every t_i and +-1 when f > 0.
+    w_signs and aut_multipliers are kept as tuples (a tuple as itself).
     """
 
     __slots__ = ("group", "w_signs", "class_h4", "h4", "aut_multipliers")
@@ -83,8 +86,14 @@ class ManifoldRecord(FrozenValue):
                 "class has %d coordinates, homology needs %d"
                 % (len(vec), h4.free_rank + len(h4.torsion))
             )
+        aut_multipliers = tuple(aut_multipliers)
+        # the torsion orders form a divisibility chain, so the last is their lcm
+        n = h4.torsion[-1] if h4.torsion else 1
+        for m in aut_multipliers:
+            if math.gcd(m, n) != 1 or (h4.free_rank and m not in (1, -1)):
+                raise HypothesisViolated("multiplier %d is not an automorphism of %s" % (m, h4))
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "w_signs", w_signs)
+        object.__setattr__(self, "w_signs", tuple(w_signs))
         object.__setattr__(self, "h4", h4)
         object.__setattr__(self, "class_h4", self.reduce(vec))
         object.__setattr__(self, "aut_multipliers", aut_multipliers)
@@ -112,7 +121,8 @@ class ManifoldRecord(FrozenValue):
 
 def default_aut_multipliers(group):
     """The orbit generators of a record that names none: the squares of
-    units mod n over Z/n and Z/n x Z, and the identity (1,) otherwise."""
+    units mod n over Z/n and Z/n x Z, and the identity (1,) otherwise.
+    Each is an automorphism of H_4."""
     if len(group.orders) == 1 and group.laurent_rank in (0, 1):
         return squares_mod(group.orders[0])
     return (1,)
@@ -160,36 +170,33 @@ def kreck_equivalent(m1, m2):
     Returns (bool, certificate); the certificate names the multiplier
     and sign that carry the first class to the second, or None.  It is
     the first breadth-first discovery of the second class from the
-    first, so reachability is directed: a non-unit multiplier can carry
-    one class to another and not back.  The search from a start class
-    reads only the target's free coordinates, so it is memoised per
-    process in a bounded cache and each query is one lookup.
+    first.  Every multiplier is an automorphism of H_4, so the orbit is
+    the orbit of a group and the verdict is symmetric.  The search from
+    a start class is memoised per process in a bounded cache, so each
+    query is one lookup.
     """
     if m1.group != m2.group or m1.w_signs != m2.w_signs:
         raise TypeMismatch("records carry different groups or characters")
     if m1.h4 != m2.h4:
         raise TypeMismatch("records disagree on the degree-4 homology")
-    target = m2.class_h4
-    caps = tuple(abs(x) for x in target[: m1.h4.free_rank])
-    mults = (tuple(m1.aut_multipliers), tuple(m2.aut_multipliers))
-    hit = _orbit(m1.h4, m1.class_h4, mults, caps).get(target)
+    hit = _orbit(m1.h4, m1.class_h4, (m1.aut_multipliers, m2.aut_multipliers)).get(m2.class_h4)
     if hit is None:
         return False, None
     mult, sign = hit
     return True, {"multiplier": mult, "sign": sign}
 
 
-# An entry is one orbit: at most |H_4| classes when H_4 is finite (with a
-# free part, those whose free coordinates lie within caps), each a short
-# tuple mapped to a (multiplier, sign) pair, 170-200 bytes a class
-# (tracemalloc).  The 277 start classes of a lens-family sweep over
-# p <= 30 all fit: their orbits hold 2673 classes in 0.45 MB, 1.6 kB an
-# orbit.  512 orbits of up to 1000 classes take about 100 MB at most.
+# An entry is one orbit: at most |H_4| classes, or 2 |torsion of H_4|
+# with a free part, each a short tuple mapped to a (multiplier, sign)
+# pair, 170-200 bytes a class (tracemalloc).  The 277 start classes of a
+# lens-family sweep over p <= 30 all fit: their orbits hold 2673 classes
+# in 0.45 MB, 1.6 kB an orbit.  512 orbits of up to 1000 classes take
+# about 100 MB at most.
 _ORBIT_CACHE_SIZE = 512
 
 
 @functools.lru_cache(maxsize=_ORBIT_CACHE_SIZE)
-def _orbit(h4, start, mults, caps):
+def _orbit(h4, start, mults):
     """Every class reachable from start by the two records' multipliers
     and the global sign, breadth-first, each mapped to the (multiplier,
     sign) of its first discovery.  The returned dict is shared; do not
@@ -198,17 +205,11 @@ def _orbit(h4, start, mults, caps):
     share one tuple, so a memo hit compares them by identity and merges
     nothing."""
     gens = tuple(dict.fromkeys(mults[0] + mults[1])) or (1,)
-    # A nonzero multiplier never shrinks a free coordinate, so a class whose
-    # free part outgrows the caps (the target's) can only lead to the zero
-    # class (met at once through a zero multiplier); dropping it keeps the
-    # orbit finite; with no free part there is nothing to cap.  Each
-    # candidate is built in one pass over the coordinates: free ones
-    # scaled, torsion ones scaled and reduced.  Each candidate class is
-    # met at most once and tries every multiplier and the sign, which is
-    # the charge against the generator budget.
-    classes = 1
-    for c in caps:
-        classes *= 2 * c + 1
+    # Every multiplier is an automorphism, so the free coordinates keep
+    # their absolute values: the orbit has at most (2 if free else 1) x
+    # |torsion| classes, each met once, trying every multiplier and the
+    # sign.  That is the charge against the generator budget.
+    classes = 2 if h4.free_rank else 1
     for t in h4.torsion:
         classes *= t
     budget = generator_budget()
@@ -216,8 +217,7 @@ def _orbit(h4, start, mults, caps):
         raise BudgetExceeded(
             "orbit search needs %d classes x %d moves, budget %d" % (classes, len(gens) + 1, budget)
         )
-    k = h4.free_rank
-    mods = (None,) * k + h4.torsion
+    mods = (None,) * h4.free_rank + h4.torsion
     seen = {start: (1, 1)}
     frontier = [start]
     while frontier:
@@ -226,10 +226,9 @@ def _orbit(h4, start, mults, caps):
             mult, sign = seen[vec]
             for m in gens:
                 cand = tuple([m * x if t is None else m * x % t for x, t in zip(vec, mods)])
-                if cand in seen or (k and any(abs(x) > c for x, c in zip(cand, caps))):
-                    continue
-                seen[cand] = (mult * m, sign)
-                nxt.append(cand)
+                if cand not in seen:
+                    seen[cand] = (mult * m, sign)
+                    nxt.append(cand)
             cand = tuple([-x if t is None else -x % t for x, t in zip(vec, mods)])
             if cand not in seen:
                 seen[cand] = (mult, -sign)

@@ -77,9 +77,9 @@ class FrozenField(FourfoldError, AttributeError):
 
 
 def generator_budget():
-    """Size cap of the bar construction, of the Kreck orbit search and of
-    the lens witness searches; override with the FOURFOLD_BUDGET
-    variable."""
+    """Size cap of the bar construction, of the top boundary of a
+    resolution, of the Kreck orbit search and of the lens witness
+    searches; override with the FOURFOLD_BUDGET variable."""
     raw = os.environ.get("FOURFOLD_BUDGET", "100000")
     try:
         return int(raw)

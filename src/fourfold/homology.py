@@ -113,6 +113,15 @@ def _resolution(group, bound):
         ranks = (1,) + (0,) * bound
         boundaries = tuple(RingMatrix.zeros(group, ranks[i - 1], ranks[i]) for i in range(1, bound + 1))
         return _exact_complex(group, trivial_char(group), ranks, boundaries)
+    # degree n has rank C(n+k-1, k-1) over k factors, so the top boundary,
+    # which H_(bound-1) reduces, is the largest; charge it before building
+    k = len(factors)
+    cells = math.comb(bound + k - 2, k - 1) * math.comb(bound + k - 1, k - 1)
+    budget = generator_budget()
+    if cells > budget:
+        raise BudgetExceeded(
+            "resolution through degree %d needs %d cells in its top boundary, budget %d" % (bound, cells, budget)
+        )
     res = _periodic_factor(group, factors[0], bound)
     for i in factors[1:]:
         res = tensor_complex(res, _periodic_factor(group, i, bound), top=bound)

@@ -1,8 +1,10 @@
 """The classification layer: records, orbits, lens families, the
 aspherical route, and the exact-sequence bookkeeping."""
 
+import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -97,9 +99,39 @@ def _hand_record(group, signs, cls, mults=None):
 )
 @pytest.mark.parametrize("mults", [None, (2,), (-1, 5)])
 def test_manifold_record_over_computes_h4_and_default_multipliers(group, signs, cls, mults):
+    h4 = homology.group_homology(group, char_from_signs(group, signs), 4)
+    bad = [m for m in mults or () if not _permutes(m, h4)]
+    if bad:
+        # 2 is not an automorphism of an H_4 with 2-torsion
+        message = "multiplier %d is not an automorphism of %s" % (bad[0], h4)
+        for build in (ManifoldRecord.over, _hand_record):
+            with pytest.raises(HypothesisViolated, match=re.escape(message)):
+                build(group, signs, cls, mults)
+        return
     record = ManifoldRecord.over(group, signs, cls, mults)
     assert record == _hand_record(group, signs, cls, mults)
     assert record.aut_multipliers == (default_aut_multipliers(group) if mults is None else mults)
+
+
+def _permutes(m, h4):
+    """Does multiplying by m permute H_4?  By listing its torsion images;
+    on a free part only +-1 is onto."""
+    torsion = list(itertools.product(*(range(t) for t in h4.torsion)))
+    images = {tuple(m * x % t for x, t in zip(v, h4.torsion)) for v in torsion}
+    return len(images) == len(torsion) and (not h4.free_rank or m in (1, -1))
+
+
+def test_records_compare_however_their_fields_are_spelled():
+    g = laurent_extension(cyclic_group(5), 1)
+    listed = ManifoldRecord.over(g, [1, 1], [2], [1, 4])
+    assert kreck_equivalent(listed, ManifoldRecord.over(g, (1, 1), (3,))) == (True, {"multiplier": 4, "sign": 1})
+    assert listed == ManifoldRecord.over(g, (1, 1), (2,), (1, 4))
+    assert hash(listed) == hash(ManifoldRecord.over(g, (1, 1), (2,), (1, 4)))
+    assert listed.w_signs == (1, 1) and listed.aut_multipliers == (1, 4)
+    # a tuple is kept as the same object
+    signs, mults = (1, 1), (1, 4)
+    record = ManifoldRecord.over(g, signs, (2,), mults)
+    assert record.w_signs is signs and record.aut_multipliers is mults
 
 
 def test_lens_times_circle_record_reads_h4_from_group_homology():
@@ -195,19 +227,33 @@ def test_kreck_negation_on_free_part():
     assert not kreck_equivalent(a, d)[0]
 
 
-def test_kreck_orbit_search_ends_on_a_growing_free_part():
-    # multiplying a free coordinate by 2 never cycles; the search must still end
+def test_multipliers_that_would_grow_a_free_part_are_refused():
+    # multiplying a free coordinate by 2 is not onto, and 0 kills it: such a
+    # record is refused, so no search ever meets a growing free part
     g = trivial_group()
     h4 = AbelianInvariants(1, (2,))
+    for mults, bad in (((2, 3), 2), ((0, 2), 0), ((-1, 3), 3), ((1, 2, -1), 2)):
+        with pytest.raises(HypothesisViolated, match="multiplier %d is not an automorphism of Z \\+ Z/2$" % bad):
+            ManifoldRecord(group=g, w_signs=(), class_h4=(1, 1), h4=h4, aut_multipliers=mults)
+    # torsion only: the units of the last order pass, a shared prime does not
+    for torsion, mults, ok in (((2, 4), (3, -1, 5), True), ((2, 4), (2,), False), ((3, 6), (5, 7), True),
+                               ((3, 6), (4,), False), ((12,), (5, 7, 11), True), ((12,), (9,), False)):
+        args = dict(group=g, w_signs=(), class_h4=(0,) * len(torsion), h4=AbelianInvariants(0, torsion),
+                    aut_multipliers=mults)
+        if ok:
+            assert ManifoldRecord(**args).aut_multipliers == mults
+        else:
+            with pytest.raises(HypothesisViolated):
+                ManifoldRecord(**args)
+    # over H_4 = 0 every integer acts as the identity
+    assert ManifoldRecord(group=g, w_signs=(), class_h4=(), h4=ZERO, aut_multipliers=(0, 2, 6)).aut_multipliers == (0, 2, 6)
 
     def rec(cls):
-        return ManifoldRecord(group=g, w_signs=(), class_h4=cls, h4=h4, aut_multipliers=(2, 3))
+        return ManifoldRecord(group=g, w_signs=(), class_h4=cls, h4=h4, aut_multipliers=(-1,))
 
-    assert kreck_equivalent(rec((1, 1)), rec((-12, 0))) == (True, {"multiplier": 12, "sign": -1})
-    assert kreck_equivalent(rec((1, 1)), rec((5, 1))) == (False, None)
-    assert kreck_equivalent(rec((1, 1)), rec((0, 1))) == (False, None)
-    zero = ManifoldRecord(group=g, w_signs=(), class_h4=(0, 0), h4=h4, aut_multipliers=(0, 2))
-    assert kreck_equivalent(rec((3, 1)), zero) == (True, {"multiplier": 0, "sign": 1})
+    assert kreck_equivalent(rec((1, 1)), rec((-1, 1))) == (True, {"multiplier": -1, "sign": 1})
+    assert kreck_equivalent(rec((1, 1)), rec((-12, 0))) == (False, None)
+    assert kreck_equivalent(rec((1, 1)), rec((1, 0))) == (False, None)
 
 
 def test_kreck_orbit_search_is_charged_against_the_budget(monkeypatch):
@@ -219,18 +265,22 @@ def test_kreck_orbit_search_is_charged_against_the_budget(monkeypatch):
         kreck_equivalent(a, b)
     monkeypatch.setenv("FOURFOLD_BUDGET", "28")
     assert kreck_equivalent(a, b) == (True, {"multiplier": 4, "sign": 1})
-    # with a free part the classes are those within the target's caps:
-    # (2 * 12 + 1) free values times 2 torsion values, 3 moves each
+    # with a free part the classes are the two signs of the free part times
+    # the 2 torsion values, 3 moves each (-1, 1 and the sign), whatever the
+    # target's coordinates
     h4 = AbelianInvariants(1, (2,))
 
     def rec(cls):
-        return ManifoldRecord(group=trivial_group(), w_signs=(), class_h4=cls, h4=h4, aut_multipliers=(2, 3))
+        return ManifoldRecord(group=trivial_group(), w_signs=(), class_h4=cls, h4=h4, aut_multipliers=(-1, 1))
 
-    monkeypatch.setenv("FOURFOLD_BUDGET", "149")
-    with pytest.raises(BudgetExceeded, match="needs 50 classes x 3 moves"):
-        kreck_equivalent(rec((1, 1)), rec((-12, 0)))
-    monkeypatch.setenv("FOURFOLD_BUDGET", "150")
-    assert kreck_equivalent(rec((1, 1)), rec((-12, 0))) == (True, {"multiplier": 12, "sign": -1})
+    for target in ((-1, 1), (-12, 0), (10**6, 1)):
+        monkeypatch.setenv("FOURFOLD_BUDGET", "11")
+        classify._orbit.cache_clear()
+        with pytest.raises(BudgetExceeded, match="needs 4 classes x 3 moves, budget 11"):
+            kreck_equivalent(rec((1, 1)), rec(target))
+        monkeypatch.setenv("FOURFOLD_BUDGET", "12")
+        expect = (True, {"multiplier": -1, "sign": 1}) if target == (-1, 1) else (False, None)
+        assert kreck_equivalent(rec((1, 1)), rec(target)) == expect
     classify._orbit.cache_clear()
 
 

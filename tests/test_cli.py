@@ -160,22 +160,36 @@ def test_classify_kreck_command(tmp_path, capsys):
     # --json bytes captured before the orbit search was memoised; each query
     # is asked twice, so the second answer comes from the memo
     cases = [
-        # H_4(Z/4 x Z) = Z/4: multiplier 2 carries [1] to [2] but not back
-        ("cyclic:4*Z", 1, 2, 0, KRECK_EQUIVALENT),
-        ("cyclic:4*Z", 2, 1, 1, KRECK_NOT_EQUIVALENT),
-        # H_4(Z^4) = Z: the orbit of [1] under 2 and sign meets -4 but never 3
+        # H_4(Z/4 x Z) = Z/4: multiplier 2 would carry [1] to [2] but not back,
+        # so it is refused as no automorphism
+        ("cyclic:4*Z", 1, 2, 2, KRECK_REFUSED),
+        ("cyclic:4*Z", 2, 1, 2, KRECK_REFUSED),
+        # H_4(Z^4) = Z: the orbit of [1] under -1 and sign is {1, -1}
         ("trivial*Z^4", 1, 3, 1, KRECK_NOT_EQUIVALENT),
-        ("trivial*Z^4", 1, -4, 0, KRECK_FREE_EQUIVALENT),
+        ("trivial*Z^4", 1, -1, 0, KRECK_FREE_EQUIVALENT),
     ]
     for group, c1, c2, code, expect in cases:
-        a.write_text(json.dumps({"group": group, "class_h4": [c1], "aut_multipliers": [2]}))
-        b.write_text(json.dumps({"group": group, "class_h4": [c2], "aut_multipliers": [2]}))
+        mults = [2] if group == "cyclic:4*Z" else [-1]
+        a.write_text(json.dumps({"group": group, "class_h4": [c1], "aut_multipliers": mults}))
+        b.write_text(json.dumps({"group": group, "class_h4": [c2], "aut_multipliers": mults}))
         for _ in range(2):
             assert run(capsys, ["--json", "classify-kreck", str(a), str(b)])[:2] == (code, expect)
+    a.write_text(json.dumps({"group": "cyclic:4*Z", "class_h4": [1], "aut_multipliers": [2]}))
+    assert run(capsys, ["classify-kreck", str(a), str(a)]) == (
+        2, "", "error: multiplier 2 is not an automorphism of Z/4\n"
+    )
+    # the orbit of a large free class has two members, so its search is not
+    # charged by the size of the class
+    a.write_text(json.dumps({"group": "trivial*Z^4", "class_h4": [100000]}))
+    assert run(capsys, ["--json", "classify-kreck", str(a), str(a)])[:2] == (0, KRECK_SAME)
 
 
-KRECK_EQUIVALENT = (
-    '{"command": "classify-kreck", "result": {"certificate": {"multiplier": 2, "sign": 1}, '
+KRECK_REFUSED = (
+    '{"command": "classify-kreck", "result": {"message": "multiplier 2 is not an automorphism of Z/4"}, '
+    '"schema_version": "1", "status": "error"}\n'
+)
+KRECK_SAME = (
+    '{"command": "classify-kreck", "result": {"certificate": {"multiplier": 1, "sign": 1}, '
     '"verdict": "EQUIVALENT"}, "schema_version": "1", "status": "ok"}\n'
 )
 KRECK_NOT_EQUIVALENT = (
@@ -183,7 +197,7 @@ KRECK_NOT_EQUIVALENT = (
     '"schema_version": "1", "status": "negative"}\n'
 )
 KRECK_FREE_EQUIVALENT = (
-    '{"command": "classify-kreck", "result": {"certificate": {"multiplier": 4, "sign": -1}, '
+    '{"command": "classify-kreck", "result": {"certificate": {"multiplier": -1, "sign": 1}, '
     '"verdict": "EQUIVALENT"}, "schema_version": "1", "status": "ok"}\n'
 )
 
@@ -461,6 +475,18 @@ def test_lens_classify_of_a_large_prime_is_refused_by_the_budget(monkeypatch):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: orbit search needs 100003 classes x 50002 moves, budget 100000\n"
+
+
+def test_group_homology_of_a_high_degree_is_refused_by_the_budget(monkeypatch):
+    # H_60 of Z/2 x Z/2 x Z/2 reads a 1891 x 1953 top boundary; the charge
+    # refuses it before any boundary is built
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    start = time.monotonic()
+    proc = run_capped(["group-homology", "--group", "product:2,2,2", "--degree", "60"], 1024, timeout=20)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: resolution through degree 61 needs 3693123 cells in its top boundary, budget 100000\n"
 
 
 def test_lens_linking_without_a_witness_is_refused_by_the_budget(monkeypatch):

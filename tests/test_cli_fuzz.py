@@ -43,6 +43,8 @@ RECORDS = [
     json.dumps({"group": {"type": "cyclic", "order": 4}, "class_h4": [3], "w": [-1]}),
     json.dumps({"group": "trivial*Z^4", "class_h4": [1], "aut_multipliers": [2, 3]}),
     json.dumps({"group": "trivial*Z^4", "class_h4": [-6], "aut_multipliers": [2]}),
+    json.dumps({"group": "cyclic:5*Z", "class_h4": [3], "aut_multipliers": [2, 3]}),
+    json.dumps({"group": "trivial*Z^4", "class_h4": [-6], "aut_multipliers": [-1]}),
 ]
 ANY_DOC = list(COMPLEXES.values()) + MATRICES + RECORDS
 MALFORMED = ["", "{broken", "null", "[[1, 2], [3]]", "[[true]]", '"text"', "[[1.5]]", '{"schema_version": "1"}', "{}",

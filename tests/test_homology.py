@@ -287,6 +287,32 @@ def test_resolution_build_does_not_revalidate_its_factors(monkeypatch):
     assert check_exactness(res)
 
 
+def test_a_resolution_is_charged_by_its_top_boundary(monkeypatch):
+    # three factors through degree 6: the top boundary is 21 x 28
+    g = product_group((2, 2, 2))
+    homology._group_homology.cache_clear()
+    homology._resolution.cache_clear()
+    monkeypatch.setenv("FOURFOLD_BUDGET", "587")
+    with pytest.raises(BudgetExceeded, match="resolution through degree 6 needs 588 cells in its top boundary, budget 587"):
+        group_homology(g, trivial_char(g), 2)
+    monkeypatch.setenv("FOURFOLD_BUDGET", "588")
+    assert group_homology(g, trivial_char(g), 2) == c(2, 2, 2)
+    # the charge is the product of the two top ranks of what gets built
+    for orders, bound in (((5,), 9), ((2, 3), 7), ((2, 2, 2), 6), ((2, 4, 4), 4), ((3, 3, 3), 8)):
+        homology._resolution.cache_clear()
+        monkeypatch.delenv("FOURFOLD_BUDGET")
+        res = resolution_for(product_group(orders), bound)
+        cells = res.ranks[-2] * res.ranks[-1]
+        homology._resolution.cache_clear()
+        monkeypatch.setenv("FOURFOLD_BUDGET", str(cells - 1))
+        with pytest.raises(BudgetExceeded, match="needs %d cells" % cells):
+            resolution_for(product_group(orders), bound)
+        monkeypatch.setenv("FOURFOLD_BUDGET", str(cells))
+        assert resolution_for(product_group(orders), bound).ranks == res.ranks
+    homology._group_homology.cache_clear()
+    homology._resolution.cache_clear()
+
+
 def test_cache_keys_are_normalised():
     g = product_group((2, 4))
     homology._resolution.cache_clear()

@@ -5,15 +5,20 @@ ref_kreck_equivalent below is a frozen copy of kreck_equivalent as it was
 before the breadth-first search moved into the memoised classify._orbit:
 one full search per query.  The memoised route must give the same verdict
 and the same certificate (the first breadth-first discovery) on every
-query, with the memo cold, warm and cleared again.  Reachability is
-directed, so the reference is asked in both orders.
+query, with the memo cold, warm and cleared again.  The reference is
+asked in both orders.  Every multiplier is an automorphism of H_4, so the
+orbits are those of a finite group; Burnside's lemma counts them with no
+search, and a record with any other multiplier is refused.
 """
 
 import importlib
 import inspect
+import itertools
 import math
 import pkgutil
 import random
+
+import pytest
 
 import fourfold
 from fourfold import classify
@@ -23,7 +28,7 @@ from fourfold.classify import (
     kreck_equivalent,
     lens_times_circle_record,
 )
-from fourfold.errors import TypeMismatch
+from fourfold.errors import HypothesisViolated, TypeMismatch
 from fourfold.groupring import cyclic_group, laurent_extension, trivial_group
 from fourfold.intmat import AbelianInvariants
 
@@ -112,16 +117,18 @@ def test_every_lens_unit_pair_matches_reference_in_both_orders():
 
 def test_random_records_match_reference():
     rng = random.Random(20261018)
-    pool = (-1, 0, 1, 2, 3, 5, 6, 7)
     pairs = []
-    for torsion in ((2,), (4,), (2, 4), (2, 2, 6)):
-        for free in (1, 2):
+    for torsion in ((2,), (4,), (2, 4), (2, 2, 6), (12,), (3, 6)):
+        for free in (0, 1, 2):
             h4 = AbelianInvariants(free, torsion)
+            # the automorphisms in the pool: +-1 with a free part, the units mod the torsion otherwise
+            pool = [m for m in (-1, 1, 3, 5, 7, 11, 13)
+                    if math.gcd(m, torsion[-1]) == 1 and (not free or m in (1, -1))]
             for _ in range(12):
                 cls = [tuple(rng.randint(-6, 6) for _ in range(free)) + tuple(rng.randrange(t) for t in torsion)
                        for _ in range(2)]
-                m1 = tuple(rng.sample(pool, rng.randint(0, 3)))
-                m2 = tuple(rng.sample(pool, rng.randint(0, 3)))
+                m1 = tuple(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+                m2 = tuple(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
                 a = trivial_record(h4, cls[0], m1)
                 b = trivial_record(h4, cls[1], m2)
                 # a target in the start's own orbit, so that some verdicts are True
@@ -131,34 +138,87 @@ def test_random_records_match_reference():
     assert any(eq for eq, _ in expect) and not all(eq for eq, _ in expect)
 
 
-def test_non_unit_multipliers_differing_per_record_match_reference():
-    h4 = AbelianInvariants(1, (2, 4))
-    mult_sets = ((0,), (2,), (6,), (2, 6), (0, 2, 6), (3, 2), (6, 0, -1))
-    classes = [(f, a, b) for f in (-3, 0, 1, 2, 4) for a in range(2) for b in range(4)]
+def test_multipliers_differing_per_record_match_reference():
     rng = random.Random(6)
     pairs = []
-    for m1 in mult_sets:
-        for m2 in mult_sets:
-            if m1 == m2:
-                continue
-            for _ in range(6):
-                c1, c2 = rng.sample(classes, 2)
-                pairs.append((trivial_record(h4, c1, m1), trivial_record(h4, c2, m2)))
-                pairs.append((trivial_record(h4, c2, m2), trivial_record(h4, c1, m1)))
+    for h4, mult_sets in (
+        (AbelianInvariants(1, (2, 4)), ((), (1,), (-1,), (1, -1), (-1, 1))),
+        (AbelianInvariants(0, (2, 12)), ((), (5,), (7,), (11,), (5, 7), (-1, 5, 11), (7, 1))),
+    ):
+        classes = list(itertools.product(*([range(-3, 5)] * h4.free_rank + [range(t) for t in h4.torsion])))
+        for m1 in mult_sets:
+            for m2 in mult_sets:
+                if m1 == m2:
+                    continue
+                for _ in range(6):
+                    c1, c2 = rng.sample(classes, 2)
+                    pairs.append((trivial_record(h4, c1, m1), trivial_record(h4, c2, m2)))
+                    pairs.append((trivial_record(h4, c2, m2), trivial_record(h4, c1, m1)))
     expect = assert_matches_reference(pairs)
     assert any(eq for eq, _ in expect) and not all(eq for eq, _ in expect)
+    assert [eq for eq, _ in expect[::2]] == [eq for eq, _ in expect[1::2]]
+    # the non-unit sets these records once carried are refused
+    h4 = AbelianInvariants(1, (2, 4))
+    for mults in ((0,), (2,), (6,), (2, 6), (0, 2, 6), (3, 2), (6, 0, -1)):
+        with pytest.raises(HypothesisViolated, match="is not an automorphism of Z \\+ Z/2 \\+ Z/4$"):
+            trivial_record(h4, (1, 0, 1), mults)
 
 
-def test_reachability_is_directed_for_a_non_unit_multiplier():
-    # H_4(Z/4 x Z) = Z/4; multiplying by 2 carries [1] to [2] but never back
+def test_a_non_unit_multiplier_is_refused():
+    # H_4(Z/4 x Z) = Z/4; multiplying by 2 would carry [1] to [2] and never back
     g = laurent_extension(cyclic_group(4), 1)
     h4 = AbelianInvariants(0, (4,))
 
-    def rec(c):
-        return ManifoldRecord(group=g, w_signs=(1, 1), class_h4=(c,), h4=h4, aut_multipliers=(2,))
+    def rec(c, mults):
+        return ManifoldRecord(group=g, w_signs=(1, 1), class_h4=(c,), h4=h4, aut_multipliers=mults)
 
-    expect = assert_matches_reference([(rec(1), rec(2)), (rec(2), rec(1))])
-    assert expect == [(True, {"multiplier": 2, "sign": 1}), (False, None)]
+    for mults in ((2,), (3, 2), (0,)):
+        with pytest.raises(HypothesisViolated, match="multiplier %d is not an automorphism of Z/4$" % mults[-1]):
+            rec(1, mults)
+    # the unit 3 carries [1] to [3] and back, and fixes [2]
+    expect = assert_matches_reference([(rec(1, (3,)), rec(3, (3,))), (rec(3, (3,)), rec(1, (3,))),
+                                       (rec(1, (3,)), rec(2, (3,))), (rec(2, (3,)), rec(1, (3,)))])
+    assert expect == [(True, {"multiplier": 3, "sign": 1})] * 2 + [(False, None)] * 2
+
+
+# ---- an orbit count that shares no code with the search ----------------------
+
+
+def burnside_orbit_count(torsion, mults):
+    """Orbits of G = <mults, -1> acting on Z/t_1 + ... by multiplication:
+    the average over G of its fixed points, prod gcd(g - 1, t_i) each."""
+    n = math.lcm(*torsion)
+    group, frontier = {1 % n}, [1 % n]
+    while frontier:
+        frontier = [x * m % n for x in frontier for m in mults + (-1,) if x * m % n not in group]
+        group.update(frontier)
+    fixed = sum(math.prod(math.gcd(g - 1, t) for t in torsion) for g in group)
+    assert fixed % len(group) == 0
+    return fixed // len(group)
+
+
+def test_orbit_partition_matches_burnside_count():
+    rng = random.Random(24)
+    cases = 0
+    for t2 in range(2, 13):
+        for t1 in [1] + [d for d in range(2, t2 + 1) if t2 % d == 0]:
+            torsion = (t2,) if t1 == 1 else (t1, t2)
+            h4 = AbelianInvariants(0, torsion)
+            units = [u for u in range(1, t2) if math.gcd(u, t2) == 1]
+            classes = list(itertools.product(*(range(t) for t in torsion)))
+            for _ in range(4):
+                mults = tuple(rng.sample(units, rng.randint(0, min(3, len(units)))))
+                orbits = {}
+                for cls in classes:
+                    orbits[cls] = frozenset(classify._orbit(h4, cls, (mults, mults)))
+                # each member's orbit is the same set, so the orbits partition H_4
+                assert all(orbits[x] == orbit for orbit in orbits.values() for x in orbit)
+                assert len(set(orbits.values())) == burnside_orbit_count(torsion, mults), (torsion, mults)
+                recs = [trivial_record(h4, cls, mults) for cls in classes]
+                for a, b in (rng.sample(recs, 2) for _ in range(20)):
+                    assert kreck_equivalent(a, b)[0] == kreck_equivalent(b, a)[0] == (b.class_h4 in orbits[a.class_h4])
+                cases += 1
+    assert cases == 4 * 34
 
 
 # ---- the mechanism: one search per start class, one build per record ---------

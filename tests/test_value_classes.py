@@ -137,8 +137,8 @@ SAMPLES = {
     ManifoldRecord: [
         (trivial_group(), (), (3,), Z2, (1,)),
         (trivial_group(), (), (1,), Z2, (1,)),
-        (trivial_group(), (), (5, 3), AbelianInvariants(1, (4,)), (1, 3)),
-        (trivial_group(), (), (5, -1), AbelianInvariants(1, (4,)), (1, 3)),
+        (trivial_group(), (), (5, 3), AbelianInvariants(1, (4,)), (1, -1)),
+        (trivial_group(), (), (5, -1), AbelianInvariants(1, (4,)), (1, -1)),
         (trivial_group(), (), (2,), Z2),
         (trivial_group(), (), (0,), Z2, ()),
     ],
