@@ -128,29 +128,15 @@ def default_aut_multipliers(group):
     return (1,)
 
 
-# An entry is one record, well under a kilobyte of its own: a few short
-# tuples over a shared group descriptor, homology invariants and, for
-# p <= 1024, squares table, so 1024 such records stay under a megabyte.
-# A record over a larger modulus carries its own squares, 2.0 MB at
-# p = 100003 (tracemalloc).
-_RECORD_CACHE_SIZE = 1024
-
-
 def lens_times_circle_record(p, q):
     """Record for the circle product of a lens space.
 
     The group is Z/p x Z, the character is trivial, the degree-4 class
     is the standard invariant q^{-1} mod p, and the automorphism orbit
-    is by signed squares of units.  The record depends on p and that
-    class only, and is built once per pair for the process.
+    is by signed squares of units.
     """
-    return _lens_times_circle_record(p, fundamental_class_invariant(LensSpace(p, q)))
-
-
-@functools.lru_cache(maxsize=_RECORD_CACHE_SIZE)
-def _lens_times_circle_record(p, invariant):
     g = laurent_extension(cyclic_group(p), 1)
-    return ManifoldRecord.over(g, (1,) * g.ngens, (invariant,))
+    return ManifoldRecord.over(g, (1,) * g.ngens, (fundamental_class_invariant(LensSpace(p, q)),))
 
 
 def bordism_group(group, w):
@@ -171,9 +157,8 @@ def kreck_equivalent(m1, m2):
     and sign that carry the first class to the second, or None.  It is
     the first breadth-first discovery of the second class from the
     first.  Every multiplier is an automorphism of H_4, so the orbit is
-    the orbit of a group and the verdict is symmetric.  The search from
-    a start class is memoised per process in a bounded cache, so each
-    query is one lookup.
+    the orbit of a group and the verdict is symmetric.  Each query runs
+    one search; the lens family memoises its whole decision instead.
     """
     if m1.group != m2.group or m1.w_signs != m2.w_signs:
         raise TypeMismatch("records carry different groups or characters")
@@ -186,24 +171,10 @@ def kreck_equivalent(m1, m2):
     return True, {"multiplier": mult, "sign": sign}
 
 
-# An entry is one orbit: at most |H_4| classes, or 2 |torsion of H_4|
-# with a free part, each a short tuple mapped to a (multiplier, sign)
-# pair, 170-200 bytes a class (tracemalloc).  The 277 start classes of a
-# lens-family sweep over p <= 30 all fit: their orbits hold 2673 classes
-# in 0.45 MB, 1.6 kB an orbit.  512 orbits of up to 1000 classes take
-# about 100 MB at most.
-_ORBIT_CACHE_SIZE = 512
-
-
-@functools.lru_cache(maxsize=_ORBIT_CACHE_SIZE)
 def _orbit(h4, start, mults):
-    """Every class reachable from start by the two records' multipliers
-    and the global sign, breadth-first, each mapped to the (multiplier,
-    sign) of its first discovery.  The returned dict is shared; do not
-    mutate it.  The multipliers are keyed as the records give them and
-    merged here, once per search: the lens records over one modulus
-    share one tuple, so a memo hit compares them by identity and merges
-    nothing."""
+    """Every class reachable from start by the multipliers of the pair of
+    records mults and the global sign, breadth-first, each mapped to the
+    (multiplier, sign) of its first discovery."""
     gens = tuple(dict.fromkeys(mults[0] + mults[1])) or (1,)
     # Every multiplier is an automorphism, so the free coordinates keep
     # their absolute values: the orbit has at most (2 if free else 1) x
@@ -237,6 +208,9 @@ def _orbit(h4, start, mults):
     return seen
 
 
+_CRITERIA = ("kreck_orbit", "class_square_orbit", "lens_homotopy", "linking_form")
+
+
 def classify_lens_family(p, q1, q2):
     """All computable equivalence criteria for a pair of circle products
     of lens spaces, with the agreement assertion built in.
@@ -244,44 +218,60 @@ def classify_lens_family(p, q1, q2):
     Criteria: the orbit comparison of the degree-4 records, the signed
     square relation on the standard invariant, homotopy equivalence of
     the lens spaces, and isometry of their linking forms.  The verdicts
-    must agree; a split raises AssertionError.
+    must agree; a split raises AssertionError.  Every verdict and
+    certificate depends on p and x = q2 q1^-1 mod p only, so the pair
+    is decided as (1, x) by the memoised _lens_decision, and each call
+    gets fresh dicts.
     """
-    l1, l2 = LensSpace(p, q1), LensSpace(p, q2)
-    inv1 = fundamental_class_invariant(l1)
-    inv2 = fundamental_class_invariant(l2)
-    kreck, kreck_cert = kreck_equivalent(
-        _lens_times_circle_record(p, inv1), _lens_times_circle_record(p, inv2)
-    )
-
-    orbit, orbit_cert = _signed_square_relation(p, inv1, inv2)
-
-    homot, r_wit, sign_wit = lens_homotopy_equivalent(p, q1, q2)
-    homot_cert = {"r": r_wit, "sign": sign_wit} if homot else None
-
-    link, u_wit, lsign = linking_isometric(linking_form(l1), linking_form(l2))
-    link_cert = {"unit": u_wit, "sign": lsign} if link else None
-
-    verdicts = {
-        "kreck_orbit": kreck,
-        "class_square_orbit": orbit,
-        "lens_homotopy": homot,
-        "linking_form": link,
-    }
-    if len(set(verdicts.values())) != 1:
-        raise AssertionError("criteria disagree: %r" % verdicts)
+    LensSpace(p, q1)
+    LensSpace(p, q2)
+    equivalent, certificates = _lens_decision(p, q2 * pow(q1, -1, p) % p)
     return LensFamilyReport(
         p=p,
         q1=q1,
         q2=q2,
-        equivalent=kreck,
-        verdicts=verdicts,
-        certificates={
-            "kreck_orbit": kreck_cert,
-            "class_square_orbit": orbit_cert,
-            "lens_homotopy": homot_cert,
-            "linking_form": link_cert,
-        },
+        equivalent=equivalent,
+        verdicts=dict.fromkeys(_CRITERIA, equivalent),
+        certificates={name: None if cert is None else dict(cert) for name, cert in zip(_CRITERIA, certificates)},
     )
+
+
+# An entry is one decision: a (p, x) key, a bool and four certificates
+# of two items each, about 0.95 kB (tracemalloc: 958 bytes a decision
+# over the 277 of a sweep of p <= 30, 934 at p = 1021).  The sweep's
+# keys all fit, and 1024 decisions stay under 1 MB.
+_DECISION_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_DECISION_CACHE_SIZE)
+def _lens_decision(p, x):
+    """The verdict of the lens pair (1, x) mod p, and its four
+    certificates in the order of _CRITERIA, each a tuple of items or None.
+
+    That is the answer of every pair (q1, q2) with q2 q1^-1 = x.  The
+    homotopy and linking criteria ask the witness search of x, and the
+    class criterion asks it of x^-1, the ratio of the classes q^-1.
+    Multiplying by the unit q1^-1 carries the orbit search from class 1
+    onto the search from class q1^-1 step for step, since the
+    multipliers act by scalars, so the Kreck certificate is that of
+    (1, x) too.  The Kreck criterion runs first, so its refusal is the
+    first error; a refusal is not memoised.
+    """
+    l1, l2 = LensSpace(p, 1), LensSpace(p, x)
+    kreck, kreck_cert = kreck_equivalent(lens_times_circle_record(p, 1), lens_times_circle_record(p, x))
+    orbit, orbit_cert = _signed_square_relation(p, fundamental_class_invariant(l1), fundamental_class_invariant(l2))
+    homot, r_wit, sign_wit = lens_homotopy_equivalent(p, 1, x)
+    link, u_wit, lsign = linking_isometric(linking_form(l1), linking_form(l2))
+    verdicts = (kreck, orbit, homot, link)
+    if len(set(verdicts)) != 1:
+        raise AssertionError("criteria disagree: %r" % dict(zip(_CRITERIA, verdicts)))
+    certificates = (
+        kreck_cert,
+        orbit_cert,
+        {"r": r_wit, "sign": sign_wit} if homot else None,
+        {"unit": u_wit, "sign": lsign} if link else None,
+    )
+    return kreck, tuple(None if cert is None else tuple(cert.items()) for cert in certificates)
 
 
 def _signed_square_relation(p, a, b):

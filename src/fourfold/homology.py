@@ -114,10 +114,14 @@ def _resolution(group, bound):
         boundaries = tuple(RingMatrix.zeros(group, ranks[i - 1], ranks[i]) for i in range(1, bound + 1))
         return _exact_complex(group, trivial_char(group), ranks, boundaries)
     # degree n has rank C(n+k-1, k-1) over k factors, so the top boundary,
-    # which H_(bound-1) reduces, is the largest; charge it before building
+    # which H_(bound-1) reduces, is the largest, and the norm element of a
+    # factor of order n has n terms; charge both before building
     k = len(factors)
     cells = math.comb(bound + k - 2, k - 1) * math.comb(bound + k - 1, k - 1)
     budget = generator_budget()
+    n = max(group.orders)
+    if n > budget:
+        raise BudgetExceeded("the norm element of Z/%d needs %d terms, budget %d" % (n, n, budget))
     if cells > budget:
         raise BudgetExceeded(
             "resolution through degree %d needs %d cells in its top boundary, budget %d" % (bound, cells, budget)

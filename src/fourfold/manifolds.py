@@ -5,7 +5,6 @@ classification, the mapping tori L x S^1, and the small closed
 4-manifolds used as anchors (S^4, CP^2, RP^4, T^4).
 """
 
-import functools
 import math
 
 from fourfold.complexes import LambdaComplex, cross_circle, point_complex
@@ -55,59 +54,26 @@ class LensSpace(FrozenValue):
         return "L(%d,%d)" % (self.p, self.q)
 
 
-# Moduli up to this size get a kept table.  Above it the units are listed
-# lazily, so a search that stops at its first witness never lists all the
-# units of a large modulus (a table for p = 10^9 would not fit in memory).
-_UNITS_TABLE_MAX = 1024
-# An entry is one tuple of the phi(n) < n units mod n: 210 bytes for
-# n <= 30, up to 37 kB near n = 1024, where units above 256 are ints of
-# their own (tracemalloc).  128 tables stay under 5 MB.
-_UNITS_CACHE_SIZE = 128
-
-
 def units_mod(n):
     """The units mod n, as the integers 1 <= r < n prime to n, in
     increasing order; for n = 1 the one residue class, written 1.
 
-    For n <= 1024 a tuple, built on the first call for n and kept in a
-    bounded cache, so every criterion that searches the units of n reads
-    one table, each in the same order.  For larger n a fresh iterator
-    over the same sequence.
+    A fresh lazy iterator on every call, so a search that stops at its
+    first witness never lists all the units of a large modulus (a list
+    for p = 10^9 would not fit in memory).
     """
     if n < 1:
         raise InvalidLens("need a modulus >= 1")
-    if n > _UNITS_TABLE_MAX:
-        return (r for r in range(1, n) if math.gcd(r, n) == 1)
-    return _units_table(n)
-
-
-@functools.lru_cache(maxsize=_UNITS_CACHE_SIZE)
-def _units_table(n):
-    return tuple(r for r in range(1, max(n, 2)) if math.gcd(r, n) == 1)
+    return (r for r in range(1, max(n, 2)) if math.gcd(r, n) == 1)
 
 
 def squares_mod(n):
-    """The multiplicative squares of units mod n, the built-in orbit
-    generators for cyclic degree-4 homology.
-
-    For n <= 1024 one kept tuple per modulus, as units_mod keeps its
-    tables, so the lens records over one modulus share it; a fresh
-    tuple for larger n."""
+    """The multiplicative squares of units mod n, in increasing order: the
+    built-in orbit generators for cyclic degree-4 homology.  A fresh
+    tuple on every call."""
     if n <= 1:
         return (1,)
-    if n > _UNITS_TABLE_MAX:
-        return _squares(n)
-    return _squares_table(n)
-
-
-def _squares(n):
     return tuple(sorted({r * r % n for r in units_mod(n)}))
-
-
-# An entry is one tuple of at most phi(n)/2 squares: 384 bytes for
-# n = 29, 49 kB for n = 1021, where squares above 256 are ints of their
-# own (tracemalloc).  128 tables stay under 6.3 MB.
-_squares_table = functools.lru_cache(maxsize=_UNITS_CACHE_SIZE)(_squares)
 
 
 def lens_complex(lens):
@@ -137,16 +103,9 @@ def _witness_units(p):
     that walks them until its first witness.  The walk is charged
     against generator_budget(): after that many units with units still
     left, it raises BudgetExceeded instead of walking every unit of a
-    huge modulus.  A kept table within the budget is returned as it is."""
-    units = units_mod(p)
+    huge modulus."""
     budget = generator_budget()
-    if type(units) is tuple and len(units) <= budget:
-        return units
-    return _charged(units, p, budget)
-
-
-def _charged(units, p, budget):
-    for i, r in enumerate(units):
+    for i, r in enumerate(units_mod(p)):
         if i == budget:
             raise BudgetExceeded(
                 "witness search mod %d has no witness in its first %d units, budget %d" % (p, budget, budget)
@@ -154,14 +113,6 @@ def _charged(units, p, budget):
         yield r
 
 
-# An entry is one answer, a (p, x) key and a (found, unit, sign) tuple:
-# 90 bytes for p <= 30, 120 bytes near p = 1000 (tracemalloc).  The 277
-# (p, x) keys of a lens-family sweep over p <= 30 all fit; 1024 answers
-# stay under 0.2 MB.
-_WITNESS_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
 def signed_square_witness(p, x):
     """Is x = +-r^2 mod p for a unit r?  Returns (True, r, sign) with the
     first such unit in the order of units_mod and x = sign * r^2, or
@@ -169,10 +120,9 @@ def signed_square_witness(p, x):
 
     This is the one congruence of the lens criteria: homotopy
     equivalence, linking-form isometry and the signed-square relation of
-    the classes each ask it of the ratio of their two parameters.  The
-    answer is memoised on (p, x), so criteria that ask the same ratio
-    share it, and the walk over the units is charged against
-    generator_budget()."""
+    the classes each ask it of the ratio of their two parameters.  It
+    keeps no memo (classify memoises the whole lens decision on (p, x)),
+    and the walk over the units is charged against generator_budget()."""
     minus_x = -x % p
     for r in _witness_units(p):
         rr = r * r % p
@@ -191,9 +141,11 @@ def lens_homotopy_equivalent(p, q1, q2):
     equivalent (replace r by its inverse); the witness is reported for
     the second parameter in terms of the first.  The relation holds for
     (q1, q2) exactly when it holds for (1, q2 q1^-1), with the same
-    witnesses, so it is the signed_square_witness of that ratio.
+    witnesses, so it is the signed_square_witness of that ratio.  The
+    pair is validated as two LensSpaces.
     """
-    _check_pair(p, q1, q2)
+    LensSpace(p, q1)
+    LensSpace(p, q2)
     return signed_square_witness(p, q2 * pow(q1, -1, p) % p)
 
 
@@ -283,9 +235,3 @@ def torus4_complex():
         c = cross_circle(c)
     return c
 
-
-def _check_pair(p, q1, q2):
-    if p < 2:
-        raise InvalidLens("need p >= 2")
-    if math.gcd(p, q1) != 1 or math.gcd(p, q2) != 1:
-        raise InvalidLens("q parameters must be units mod p")

@@ -48,6 +48,7 @@ from fourfold.errors import (
     DimensionMismatch,
     HypothesisViolated,
     InfiniteGroup,
+    InvalidLens,
     TypeMismatch,
     UnsupportedCharacter,
 )
@@ -260,7 +261,6 @@ def test_kreck_orbit_search_is_charged_against_the_budget(monkeypatch):
     # Z/7: 7 classes, each trying the three squares 1, 2, 4 and the sign
     a, b = lens_times_circle_record(7, 1), lens_times_circle_record(7, 2)
     monkeypatch.setenv("FOURFOLD_BUDGET", "27")
-    classify._orbit.cache_clear()
     with pytest.raises(BudgetExceeded, match="orbit search needs 7 classes x 4 moves, budget 27"):
         kreck_equivalent(a, b)
     monkeypatch.setenv("FOURFOLD_BUDGET", "28")
@@ -275,13 +275,51 @@ def test_kreck_orbit_search_is_charged_against_the_budget(monkeypatch):
 
     for target in ((-1, 1), (-12, 0), (10**6, 1)):
         monkeypatch.setenv("FOURFOLD_BUDGET", "11")
-        classify._orbit.cache_clear()
         with pytest.raises(BudgetExceeded, match="needs 4 classes x 3 moves, budget 11"):
             kreck_equivalent(rec((1, 1)), rec(target))
         monkeypatch.setenv("FOURFOLD_BUDGET", "12")
         expect = (True, {"multiplier": -1, "sign": 1}) if target == (-1, 1) else (False, None)
         assert kreck_equivalent(rec((1, 1)), rec(target)) == expect
-    classify._orbit.cache_clear()
+
+
+def test_a_refused_lens_decision_is_not_kept(monkeypatch):
+    # with the homology of Z/29 kept, the orbit search of Z/29 needs 29
+    # classes x 15 moves, and Z/100003 is refused by the norm element of
+    # its resolution before any record is built; nothing of either call
+    # stays in the decision memo (a kept decision is answered without a
+    # search, so the memo starts cold)
+    cases = ((29, "27", "orbit search needs 29 classes x 15 moves, budget 27"),
+             (100003, None, "the norm element of Z/100003 needs 100003 terms, budget 100000"))
+    classify._lens_decision.cache_clear()
+    classify_lens_family(29, 1, 1)
+    for p, budget, message in cases:
+        if budget is None:
+            monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FOURFOLD_BUDGET", budget)
+        kept = classify._lens_decision.cache_info().currsize
+        assert kept >= 1
+        for q2 in (2, 4):
+            with pytest.raises(BudgetExceeded, match=re.escape(message)):
+                classify_lens_family(p, 1, q2)
+        assert classify._lens_decision.cache_info().currsize == kept
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    assert classify_lens_family(29, 1, 4).equivalent
+
+
+def test_a_lens_pair_has_one_validator():
+    from fourfold.manifolds import lens_homotopy_equivalent
+
+    for p, q1, q2 in ((6, 2, 1), (6, 1, 3), (1, 1, 1), (0, 1, 1), (-5, 1, 2), (10, 5, 5)):
+        with pytest.raises(InvalidLens) as family:
+            classify_lens_family(p, q1, q2)
+        with pytest.raises(InvalidLens) as homotopy:
+            lens_homotopy_equivalent(p, q1, q2)
+        with pytest.raises(InvalidLens) as space:
+            LensSpace(p, q1)
+            LensSpace(p, q2)
+        assert str(family.value) == str(homotopy.value) == str(space.value)
+    assert str(space.value) == "q must be a unit mod p"
 
 
 def test_lens_family_anchors():

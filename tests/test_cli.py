@@ -468,13 +468,35 @@ def test_hopf_check_on_an_order_36_group_fits_in_one_gib(tmp_path):
 
 
 def test_lens_classify_of_a_large_prime_is_refused_by_the_budget(monkeypatch):
-    # the record of Z/100003 x Z carries 50001 squares as multipliers, so the
-    # orbit search would take about 5e9 steps; it is refused before it starts
+    # the record of Z/100003 x Z reads H_4 off a resolution whose norm element
+    # has 100003 terms, above the budget, so it is refused before the record
+    # (and its 50001 squares) is built; once built, the orbit search would
+    # need 100003 classes x 50002 moves
     monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
     proc = run_capped(["lens-classify", "100003", "1", "4"], 1024, timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: orbit search needs 100003 classes x 50002 moves, budget 100000\n"
+    assert proc.stderr == "error: the norm element of Z/100003 needs 100003 terms, budget 100000\n"
+
+
+def test_a_norm_element_is_charged_before_it_is_built(monkeypatch):
+    # the resolution of Z/1000000007 would build a norm element of 10^9
+    # terms and run out of memory under the cap after about 8 s
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    start = time.monotonic()
+    proc = run_capped(["lens-classify", "1000000007", "1", "4"], 1024, timeout=20)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the norm element of Z/1000000007 needs 1000000007 terms, budget 100000\n"
+    # the same charge refuses group homology of Z/100003, and a larger
+    # budget lets it answer
+    proc = run_capped(["group-homology", "--group", "cyclic:100003", "--degree", "3"], 1024, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the norm element of Z/100003 needs 100003 terms, budget 100000\n"
+    monkeypatch.setenv("FOURFOLD_BUDGET", "100003")
+    proc = run_capped(["group-homology", "--group", "cyclic:100003", "--degree", "3"], 1024, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "H_3(Z/100003) = Z/100003\n", "")
 
 
 def test_group_homology_of_a_high_degree_is_refused_by_the_budget(monkeypatch):

@@ -490,7 +490,7 @@ def test_the_unchecked_constructor_serves_only_exact_builders():
 # The one raise of a type outside errors.py: the lens-family criteria
 # are proved to agree, so a split is a bug in the package, not an input
 # error for the caller to handle.
-RAISES_OUTSIDE_ERRORS = {("classify.py", "classify_lens_family", "AssertionError")}
+RAISES_OUTSIDE_ERRORS = {("classify.py", "_lens_decision", "AssertionError")}
 
 
 def _raises(node, scope):

@@ -297,17 +297,20 @@ def test_a_resolution_is_charged_by_its_top_boundary(monkeypatch):
         group_homology(g, trivial_char(g), 2)
     monkeypatch.setenv("FOURFOLD_BUDGET", "588")
     assert group_homology(g, trivial_char(g), 2) == c(2, 2, 2)
-    # the charge is the product of the two top ranks of what gets built
+    # the charge is the product of the two top ranks of what gets built, or
+    # the terms of the largest norm element (the order of its factor) when
+    # that is more: 5 > 1 x 1 for Z/5
     for orders, bound in (((5,), 9), ((2, 3), 7), ((2, 2, 2), 6), ((2, 4, 4), 4), ((3, 3, 3), 8)):
         homology._resolution.cache_clear()
         monkeypatch.delenv("FOURFOLD_BUDGET")
         res = resolution_for(product_group(orders), bound)
         cells = res.ranks[-2] * res.ranks[-1]
+        charge = max(cells, max(orders))
         homology._resolution.cache_clear()
-        monkeypatch.setenv("FOURFOLD_BUDGET", str(cells - 1))
-        with pytest.raises(BudgetExceeded, match="needs %d cells" % cells):
+        monkeypatch.setenv("FOURFOLD_BUDGET", str(charge - 1))
+        with pytest.raises(BudgetExceeded, match="needs %d %s" % (charge, "cells" if charge == cells else "terms")):
             resolution_for(product_group(orders), bound)
-        monkeypatch.setenv("FOURFOLD_BUDGET", str(cells))
+        monkeypatch.setenv("FOURFOLD_BUDGET", str(charge))
         assert resolution_for(product_group(orders), bound).ranks == res.ranks
     homology._group_homology.cache_clear()
     homology._resolution.cache_clear()

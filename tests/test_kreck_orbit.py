@@ -1,14 +1,13 @@
-"""The Kreck orbit search runs once per start class and each lens record is
-built once.
+"""The Kreck orbit search runs once per lens decision.
 
 ref_kreck_equivalent below is a frozen copy of kreck_equivalent as it was
-before the breadth-first search moved into the memoised classify._orbit:
-one full search per query.  The memoised route must give the same verdict
-and the same certificate (the first breadth-first discovery) on every
-query, with the memo cold, warm and cleared again.  The reference is
-asked in both orders.  Every multiplier is an automorphism of H_4, so the
-orbits are those of a finite group; Burnside's lemma counts them with no
-search, and a record with any other multiplier is refused.
+before the breadth-first search moved into classify._orbit: one full
+search per query.  The search must give the same verdict and the same
+certificate (the first breadth-first discovery) on every query, asked
+twice.  The reference is asked in both orders.  Every multiplier is an
+automorphism of H_4, so the orbits are those of a finite group;
+Burnside's lemma counts them with no search, and a record with any other
+multiplier is refused.
 """
 
 import importlib
@@ -86,13 +85,10 @@ def units(p):
 
 
 def assert_matches_reference(pairs):
-    """Every pair agrees with the reference cold, warm and after a clear."""
+    """Every pair agrees with the reference, asked twice."""
     expect = [ref_kreck_equivalent(a, b) for a, b in pairs]
-    classify._orbit.cache_clear()
     for _ in range(2):
         assert [kreck_equivalent(a, b) for a, b in pairs] == expect
-    classify._orbit.cache_clear()
-    assert [kreck_equivalent(a, b) for a, b in pairs] == expect
     return expect
 
 
@@ -100,7 +96,7 @@ def trivial_record(h4, cls, mults):
     return ManifoldRecord(group=trivial_group(), w_signs=(), class_h4=cls, h4=h4, aut_multipliers=mults)
 
 
-# ---- the memoised search against the reference -------------------------------
+# ---- the search against the reference --------------------------------------
 
 
 def test_every_lens_unit_pair_matches_reference_in_both_orders():
@@ -221,24 +217,44 @@ def test_orbit_partition_matches_burnside_count():
     assert cases == 4 * 34
 
 
-# ---- the mechanism: one search per start class, one build per record ---------
+# ---- the mechanism: one decision, and one search, per (p, q2 / q1) ----------
 
 
-def test_lens_family_searches_once_per_start_class():
-    classify._orbit.cache_clear()
-    classify._lens_times_circle_record.cache_clear()
+def count_searches(monkeypatch):
+    calls = []
+    search = classify._orbit
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(classify, "_orbit", counted)
+    return calls
+
+
+def test_lens_family_searches_once_per_start_class(monkeypatch):
+    # the 36 pairs over p = 7 have 6 ratios q2 / q1, each decided as (1, q2 / q1)
+    searches = count_searches(monkeypatch)
+    classify._lens_decision.cache_clear()
     qs = units(7)
     for q1 in qs:
         for q2 in qs:
             classify_lens_family(7, q1, q2)
     assert len(qs) ** 2 == 36
-    assert classify._orbit.cache_info().misses == 6
-    assert classify._lens_times_circle_record.cache_info().misses == 6
+    assert classify._lens_decision.cache_info().misses == 6
+    assert len(searches) == 6
+    assert {args[1] for args in searches} == {(1,)}
 
 
-def test_lens_record_is_shared_by_equal_classes():
-    # q and q + p name the same lens class, so they share one record
-    assert lens_times_circle_record(7, 3) is lens_times_circle_record(7, 10)
+def test_lens_record_is_shared_by_equal_classes(monkeypatch):
+    # q and q + p name the same lens class, so they have equal records and
+    # share one decision
+    assert lens_times_circle_record(7, 3) == lens_times_circle_record(7, 10)
+    searches = count_searches(monkeypatch)
+    classify._lens_decision.cache_clear()
+    assert classify_lens_family(7, 3, 5).certificates == classify_lens_family(7, 10, 5).certificates
+    assert classify._lens_decision.cache_info()[:2] == (1, 1)
+    assert len(searches) == 1
 
 
 def test_every_lru_cache_is_bounded():
@@ -250,15 +266,13 @@ def test_every_lru_cache_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     found["%s.%s" % (info.name, name)] = value.cache_parameters()["maxsize"]
-    assert {
-        "classify._orbit",
-        "classify._lens_times_circle_record",
-        "manifolds._units_table",
-        "manifolds._squares_table",
-        "manifolds.signed_square_witness",
+    # the exact set: a new cache is named here before it lands
+    assert set(found) == {
+        "classify._lens_decision",
         "homology._resolution",
         "homology._group_homology",
         "groupring._get_descriptor",
         "groupring._element_table",
-    } <= set(found)
+        "cli._parser",
+    }
     assert all(size is not None for size in found.values()), found

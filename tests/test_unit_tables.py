@@ -1,17 +1,16 @@
-"""The lens criteria read one table of units per modulus and ask one
-congruence.
+"""The lens criteria walk the units of a modulus and ask one congruence.
 
-manifolds.units_mod lists the units mod n once and keeps the list, and
-squares_mod and manifolds.signed_square_witness walk it in increasing
-order.  Homotopy equivalence, linking-form isometry and the signed-square
+manifolds.units_mod lists the units mod n lazily, in increasing order,
+and squares_mod and manifolds.signed_square_witness walk that listing.
+Homotopy equivalence, linking-form isometry and the signed-square
 relation of the classes each read signed_square_witness of the ratio of
-their two parameters, so one memo on (p, ratio) serves all three.  The
-functions below are frozen copies of the four as they were when each
-scanned range(1, n) with its own gcd test; they share no code with the
-package, and they are the oracle: the first witness found must be the
-same unit as before, on the kept tables and on the lazy walk above
-them.  The orbit memo must hold every start class of a lens-family sweep
-of p <= 30, and the witness memo every ratio of it.
+their two parameters, so a lens pair is decided by p and q2 / q1 alone,
+and one memo on (p, q2 / q1) serves the whole report.  The functions
+below are frozen copies of the four as they were when each scanned
+range(1, n) with its own gcd test; they share no code with the package,
+and they are the oracle: the first witness found must be the same unit
+as before, for small and large moduli.  The decision memo must hold
+every ratio of a lens-family sweep of p <= 30.
 """
 
 import math
@@ -19,8 +18,8 @@ import random
 
 import pytest
 
-from fourfold import classify, manifolds
-from fourfold.classify import _signed_square_relation, classify_lens_family
+from fourfold import classify
+from fourfold.classify import _signed_square_relation, classify_lens_family, kreck_equivalent, lens_times_circle_record
 from fourfold.errors import BudgetExceeded, InvalidLens
 from fourfold.manifolds import (
     LensSpace,
@@ -28,7 +27,6 @@ from fourfold.manifolds import (
     lens_homotopy_equivalent,
     linking_form,
     linking_isometric,
-    signed_square_witness,
     squares_mod,
     units_mod,
 )
@@ -87,27 +85,29 @@ def brute_units(n):
     return [r for r in range(1, n) if math.gcd(r, n) == 1]
 
 
-# ---- the table --------------------------------------------------------------
+# ---- the listing ------------------------------------------------------------
 
 
 def test_units_mod_matches_a_gcd_listing():
     for n in range(2, 201):
         assert list(units_mod(n)) == brute_units(n), n
-    assert units_mod(1) == (1,)
-    assert units_mod(30) is units_mod(30)
+    assert list(units_mod(1)) == [1]
+    # a fresh iterator on every call
+    units = units_mod(30)
+    assert iter(units) is units and units is not units_mod(30)
     with pytest.raises(InvalidLens):
         units_mod(0)
 
 
 def test_large_moduli_are_listed_lazily():
-    manifolds._units_table.cache_clear()
-    n = manifolds._UNITS_TABLE_MAX + 7
+    n = 1031
     assert list(units_mod(n)) == brute_units(n)
-    # a witness near the start of a huge modulus is found without a table
+    # a witness near the start of a huge modulus is found without listing
+    # the units
     p = 10**9 + 7
+    assert next(units_mod(p)) == 1
     assert lens_homotopy_equivalent(p, 1, 4) == (True, 2, 1)
     assert linking_isometric(LinkingForm(p, 1), LinkingForm(p, 4)) == (True, 2, 1)
-    assert manifolds._units_table.cache_info().currsize == 0
 
 
 # ---- the criteria against their frozen copies -------------------------------
@@ -127,11 +127,9 @@ def test_criteria_match_their_frozen_copies():
 
 
 def test_the_lazy_walk_matches_the_frozen_copies():
-    # every modulus is above the kept-table size, so each search walks a
-    # fresh listing of the units
+    # moduli above the size of the unit tables the walk once read
     rng = random.Random(22)
     for p in (1031, 1155, 2048, 4095):
-        assert p > manifolds._UNITS_TABLE_MAX
         units = brute_units(p)
         for _ in range(200):
             q1, q2 = rng.choice(units), rng.choice(units)
@@ -141,45 +139,66 @@ def test_the_lazy_walk_matches_the_frozen_copies():
             assert _signed_square_relation(p, q1, q2) == ref_signed_square_relation(p, q1, q2)
 
 
-# ---- the sweep's counts -----------------------------------------------------
+# ---- one decision per (p, q2 / q1) ------------------------------------------
 
 
-def test_lens_sweep_searches_each_start_class_once():
-    table = manifolds._units_table
-    memos = (classify._orbit, classify._lens_times_circle_record, manifolds._squares_table, table)
-    for memo in memos + (signed_square_witness,):
-        memo.cache_clear()
+def test_a_pair_is_decided_as_one_and_its_ratio():
+    for p in range(2, 31):
+        units = brute_units(p)
+        for q1 in units:
+            for q2 in units:
+                x = q2 * pow(q1, -1, p) % p
+                rep, normal = classify_lens_family(p, q1, q2), classify_lens_family(p, 1, x)
+                assert (rep.equivalent, rep.verdicts, rep.certificates) == (
+                    normal.equivalent, normal.verdicts, normal.certificates)
+                inv1, inv2 = pow(q1, -1, p), pow(q2, -1, p)
+                for a, b in ((q1, q2), (1, x)):
+                    homot, r, sign = ref_lens_homotopy_equivalent(p, a, b)
+                    link, u, lsign = ref_linking_isometric(
+                        linking_form(LensSpace(p, a)), linking_form(LensSpace(p, b)))
+                    assert rep.certificates["lens_homotopy"] == ({"r": r, "sign": sign} if homot else None)
+                    assert rep.certificates["linking_form"] == ({"unit": u, "sign": lsign} if link else None)
+                    assert rep.verdicts == dict.fromkeys(rep.verdicts, homot)
+                assert ref_signed_square_relation(p, inv1, inv2) == (
+                    rep.verdicts["class_square_orbit"], rep.certificates["class_square_orbit"])
+                assert ref_signed_square_relation(p, 1, pow(x, -1, p)) == (
+                    rep.verdicts["class_square_orbit"], rep.certificates["class_square_orbit"])
+                # the orbit search from the pair's own classes finds the same certificate
+                own = kreck_equivalent(lens_times_circle_record(p, q1), lens_times_circle_record(p, q2))
+                assert own == (rep.verdicts["kreck_orbit"], rep.certificates["kreck_orbit"])
+
+
+def test_lens_sweep_searches_each_start_class_once(monkeypatch):
+    searches = []
+    search = classify._orbit
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(classify, "_orbit", counted)
+    classify._lens_decision.cache_clear()
     pairs = [(p, q1, q2) for p in range(2, 31) for q1 in brute_units(p) for q2 in brute_units(p)]
     random.Random(21).shuffle(pairs)
     for p, q1, q2 in pairs:
         classify_lens_family(p, q1, q2)
     assert len(pairs) == 3889
-    # one search per start class; 373 in this order when the memo held 256
-    # orbits and searched 96 start classes again
-    assert classify._orbit.cache_info().misses == 277
-    assert classify._orbit.cache_info().currsize == 277
-    # one unit table and one table of squares per modulus; the squares are
-    # the multipliers of every record over that modulus
-    assert table.cache_info().misses == 29
-    assert table.cache_info().currsize == 29
-    assert manifolds._squares_table.cache_info().misses == 29
-    # one search per (p, q2 / q1) for all three criteria: homotopy and
-    # linking ask that ratio, and the classes q^-1 ask its inverse, which
-    # is the ratio of the swapped pair; 831 searches when each criterion
-    # kept its own memo, 3889 x 3 before any was memoised
+    # one decision, and so one orbit search and one witness search per
+    # criterion, per (p, q2 / q1); 277 orbit and 277 witness searches when
+    # the orbits and the witnesses each kept a memo, 3889 x 3 witness
+    # searches before any was memoised
     ratios = {(p, q2 * pow(q1, -1, p) % p) for p, q1, q2 in pairs}
     assert len(ratios) == 277
-    info = signed_square_witness.cache_info()
-    assert (info.misses, info.currsize, info.hits) == (277, 277, 3 * 3889 - 277)
+    info = classify._lens_decision.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (277, 3612, 277)
+    assert len(searches) == 277
 
 
 def test_lens_records_over_one_modulus_share_their_multipliers():
     a, b = classify.lens_times_circle_record(29, 1), classify.lens_times_circle_record(29, 3)
-    assert a.aut_multipliers is b.aut_multipliers is squares_mod(29)
-    # a larger modulus gets a fresh tuple, as units_mod gets a lazy listing
-    n = manifolds._UNITS_TABLE_MAX + 9
+    assert a.aut_multipliers == b.aut_multipliers == squares_mod(29) == ref_squares_mod(29)
+    n = 1033
     assert squares_mod(n) == ref_squares_mod(n)
-    assert squares_mod(n) is not squares_mod(n)
 
 
 # ---- certificates are fresh on every call -----------------------------------
@@ -213,15 +232,13 @@ def test_certificates_are_fresh_on_every_call():
 
 def test_witness_searches_are_charged_against_the_budget(monkeypatch):
     # 2 is a non-residue mod 29 = 1 mod 4, so no search meets a witness
-    # and each walks all 28 units; a refusal is not memoised.  All three
-    # ask (29, 2), so the memo is cleared before each one walks.
+    # and each walks all 28 units; nothing is memoised, so each asks anew
     searches = (
         (lambda: lens_homotopy_equivalent(29, 1, 2), (False, None, None)),
         (lambda: linking_isometric(LinkingForm(29, 1), LinkingForm(29, 2)), (False, None, None)),
         (lambda: _signed_square_relation(29, 1, 2), (False, None)),
     )
     for ask, answer in searches:
-        signed_square_witness.cache_clear()
         monkeypatch.setenv("FOURFOLD_BUDGET", "27")
         with pytest.raises(BudgetExceeded, match="mod 29 has no witness in its first 27 units, budget 27"):
             ask()
@@ -233,8 +250,6 @@ def test_witness_searches_are_charged_against_the_budget(monkeypatch):
         lens_homotopy_equivalent(31, 1, 4)
     monkeypatch.setenv("FOURFOLD_BUDGET", "2")
     assert lens_homotopy_equivalent(31, 1, 4) == (True, 2, 1)
-    monkeypatch.delenv("FOURFOLD_BUDGET")
-    signed_square_witness.cache_clear()
 
 
 def test_a_witness_search_of_a_huge_modulus_ends_at_the_budget(monkeypatch):
