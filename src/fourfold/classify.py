@@ -13,13 +13,12 @@ import math
 
 from fourfold.complexes import homology_Zw
 from fourfold.errors import (
-    BudgetExceeded,
     DegreeOutOfRange,
     DimensionMismatch,
     HypothesisViolated,
     InfiniteGroup,
     TypeMismatch,
-    generator_budget,
+    charge,
 )
 from fourfold.extensions import EmFamily, fpmodule_homology, recover_m
 from fourfold.groupring import (
@@ -183,11 +182,8 @@ def _orbit(h4, start, mults):
     classes = 2 if h4.free_rank else 1
     for t in h4.torsion:
         classes *= t
-    budget = generator_budget()
-    if classes * (len(gens) + 1) > budget:
-        raise BudgetExceeded(
-            "orbit search needs %d classes x %d moves, budget %d" % (classes, len(gens) + 1, budget)
-        )
+    moves = len(gens) + 1
+    charge(classes * moves, "orbit search needs %d classes x %d moves", classes, moves)
     mods = (None,) * h4.free_rank + h4.torsion
     seen = {start: (1, 1)}
     frontier = [start]

@@ -1,5 +1,5 @@
-"""Exception types raised by the library, and the one reader of the
-budget that BudgetExceeded enforces."""
+"""Exception types raised by the library, the one reader of the budget
+that BudgetExceeded enforces, and the one charge against it."""
 
 import os
 
@@ -21,7 +21,7 @@ class InfiniteGroup(FourfoldError):
 
 
 class UnsupportedGroup(FourfoldError):
-    """Group shape outside the supported families or budget."""
+    """Group shape outside the supported families."""
 
 
 class UnsupportedCharacter(FourfoldError):
@@ -77,11 +77,24 @@ class FrozenField(FourfoldError, AttributeError):
 
 
 def generator_budget():
-    """Size cap of the bar construction, of the top boundary of a
-    resolution, of the Kreck orbit search and of the lens witness
-    searches; override with the FOURFOLD_BUDGET variable."""
+    """The one size limit of the package: the bar construction, the
+    resolution build, the Kreck orbit search and the lens witness walk
+    are charged against it.  Override with the FOURFOLD_BUDGET variable;
+    a value that is not a non-negative integer is a ParseError."""
     raw = os.environ.get("FOURFOLD_BUDGET", "100000")
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ParseError("FOURFOLD_BUDGET must be an integer, got %r" % raw) from None
+    if budget < 0:
+        raise ParseError("FOURFOLD_BUDGET must not be negative, got %r" % raw)
+    return budget
+
+
+def charge(need, what, *args):
+    """Refuse work of size need above the budget, before it allocates:
+    raise BudgetExceeded("<what % args>, budget N").  The message is
+    formatted only on refusal."""
+    budget = generator_budget()
+    if need > budget:
+        raise BudgetExceeded("%s, budget %d" % (what % args, budget))

@@ -35,12 +35,11 @@ import math
 
 from fourfold.complexes import _exact_complex, _twisted_homology, tensor_complex
 from fourfold.errors import (
-    BudgetExceeded,
     DegreeOutOfRange,
     GroupMismatch,
     InfiniteGroup,
     UnsupportedCharacter,
-    UnsupportedGroup,
+    charge,
     generator_budget,
 )
 from fourfold.groupring import (
@@ -58,13 +57,11 @@ __all__ = [
     "module_homology",
     "generator_budget",
     "DEFAULT_DEGREE_BOUND",
-    "MAX_CYCLIC_FACTORS",
 ]
 
 # H_n reads d_n and d_(n+1), so one resolution through degree 6 serves
 # H_0..H_5.
 DEFAULT_DEGREE_BOUND = 6
-MAX_CYCLIC_FACTORS = 3
 
 
 def _periodic_factor(group, i, bound):
@@ -105,10 +102,6 @@ def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
 @functools.lru_cache(maxsize=_RESOLUTION_CACHE_SIZE)
 def _resolution(group, bound):
     factors = [i for i, o in enumerate(group.orders) if o > 1]
-    if len(factors) > MAX_CYCLIC_FACTORS:
-        raise UnsupportedGroup(
-            "%d cyclic factors exceeds the default budget of %d" % (len(factors), MAX_CYCLIC_FACTORS)
-        )
     if not factors:
         ranks = (1,) + (0,) * bound
         boundaries = tuple(RingMatrix.zeros(group, ranks[i - 1], ranks[i]) for i in range(1, bound + 1))
@@ -118,14 +111,9 @@ def _resolution(group, bound):
     # factor of order n has n terms; charge both before building
     k = len(factors)
     cells = math.comb(bound + k - 2, k - 1) * math.comb(bound + k - 1, k - 1)
-    budget = generator_budget()
     n = max(group.orders)
-    if n > budget:
-        raise BudgetExceeded("the norm element of Z/%d needs %d terms, budget %d" % (n, n, budget))
-    if cells > budget:
-        raise BudgetExceeded(
-            "resolution through degree %d needs %d cells in its top boundary, budget %d" % (bound, cells, budget)
-        )
+    charge(n, "the norm element of Z/%d needs %d terms", n, n)
+    charge(cells, "resolution through degree %d needs %d cells in its top boundary", bound, cells)
     res = _periodic_factor(group, factors[0], bound)
     for i in factors[1:]:
         res = tensor_complex(res, _periodic_factor(group, i, bound), top=bound)
@@ -175,21 +163,20 @@ def bar_homology_oracle(group, w, degree, normalized=True):
     Generators in degree k are k-tuples of non-identity elements (all
     elements in the unnormalized variant); the boundary is the usual
     alternating sum, with the first face weighted by the character.
-    Exponentially large, so guarded by the generator budget.  A
-    character of another group is a GroupMismatch.
+    Exponentially large, so charged against the budget: the Smith form
+    of the top boundary keeps a square transform over its generators,
+    so the charge is the square of their number.  A character of another
+    group is a GroupMismatch.
     """
     if w.group is not group and w.group != group:
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if not group.is_finite:
         raise InfiniteGroup("bar resolution needs a finite group")
     n = group.order()
-    budget = generator_budget()
     count = (n - 1 if normalized else n) ** (degree + 1)
-    if count > budget:
-        raise BudgetExceeded(
-            "bar resolution needs %d generators in degree %d, budget %d"
-            % (count, degree + 1, budget)
-        )
+    cells = count * count
+    what = "bar resolution needs %d generators in degree %d and %d cells for their Smith form"
+    charge(cells, what, count, degree + 1, cells)
     d_out = _bar_boundary(group, w, degree, normalized) if degree >= 1 else None
     d_in = _bar_boundary(group, w, degree + 1, normalized)
     els = _bar_elements(group, normalized)

@@ -98,21 +98,6 @@ def fundamental_class_invariant(lens):
     return pow(lens.q, -1, lens.p)
 
 
-def _witness_units(p):
-    """The units mod p in the order of units_mod, for a witness search
-    that walks them until its first witness.  The walk is charged
-    against generator_budget(): after that many units with units still
-    left, it raises BudgetExceeded instead of walking every unit of a
-    huge modulus."""
-    budget = generator_budget()
-    for i, r in enumerate(units_mod(p)):
-        if i == budget:
-            raise BudgetExceeded(
-                "witness search mod %d has no witness in its first %d units, budget %d" % (p, budget, budget)
-            )
-        yield r
-
-
 def signed_square_witness(p, x):
     """Is x = +-r^2 mod p for a unit r?  Returns (True, r, sign) with the
     first such unit in the order of units_mod and x = sign * r^2, or
@@ -121,10 +106,17 @@ def signed_square_witness(p, x):
     This is the one congruence of the lens criteria: homotopy
     equivalence, linking-form isometry and the signed-square relation of
     the classes each ask it of the ratio of their two parameters.  It
-    keeps no memo (classify memoises the whole lens decision on (p, x)),
-    and the walk over the units is charged against generator_budget()."""
+    keeps no memo (classify memoises the whole lens decision on (p, x)).
+    Its need is known only as it walks, so it charges the budget itself:
+    after budget units with units still left, it raises BudgetExceeded
+    instead of walking every unit of a huge modulus."""
+    budget = generator_budget()
     minus_x = -x % p
-    for r in _witness_units(p):
+    for i, r in enumerate(units_mod(p)):
+        if i == budget:
+            raise BudgetExceeded(
+                "witness search mod %d has no witness in its first %d units, budget %d" % (p, budget, budget)
+            )
         rr = r * r % p
         if rr == x:
             return True, r, 1

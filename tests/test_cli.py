@@ -354,6 +354,12 @@ def test_boolean_inputs_exit_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["group-homology", "--group", "cyclic:2", "--degree", "1", "--oracle", "bar"])
     assert code == 2
     assert err.startswith("error: FOURFOLD_BUDGET") and "Traceback" not in err
+    # a negative budget would let the witness walk run past its charge:
+    # 10007 has 794 units before the first witness of 5
+    monkeypatch.setenv("FOURFOLD_BUDGET", "-1")
+    code, out, err = run(capsys, ["lens-linking", "10007", "1", "5"])
+    assert code == 2
+    assert out == "" and err == "error: FOURFOLD_BUDGET must not be negative, got '-1'\n"
 
 
 def test_sign_list_characters_are_written_with_equals(capsys):
@@ -477,6 +483,27 @@ def test_lens_classify_of_a_large_prime_is_refused_by_the_budget(monkeypatch):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: the norm element of Z/100003 needs 100003 terms, budget 100000\n"
+
+
+# Bar oracle requests that ran out of memory under a 1 GiB cap after 2-8 s
+# while the charge counted generators: the Smith form of the top boundary
+# keeps a square transform over them.
+BAR_PROBES = [("cyclic:16", 3), ("cyclic:12", 3), ("cyclic:8", 4), ("product:2,2,4", 3), ("cyclic:50000", 0)]
+
+
+@pytest.mark.parametrize("group,degree", BAR_PROBES)
+def test_a_bar_oracle_request_is_charged_by_its_smith_form(monkeypatch, group, degree):
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    start = time.monotonic()
+    proc = run_capped(["group-homology", "--group", group, "--degree", str(degree), "--oracle", "bar"], 1024, timeout=20)
+    assert time.monotonic() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: bar resolution needs ") and proc.stderr.endswith(", budget 100000\n")
+    if group == "cyclic:16":
+        assert proc.stderr == (
+            "error: bar resolution needs 50625 generators in degree 4 and 2562890625 cells for their Smith form,"
+            " budget 100000\n"
+        )
 
 
 def test_a_norm_element_is_charged_before_it_is_built(monkeypatch):

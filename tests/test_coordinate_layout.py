@@ -13,8 +13,10 @@ module_homology must agree with them (and with ref_module_homology) bit
 for bit.  An ast guard keeps the module layout in extensions and every
 import in src/fourfold used, another keeps each import pointing to a
 lower layer of the package, a third keeps every error the package
-raises a FourfoldError, and a fourth keeps every public method read
-somewhere in the package unless it is listed as an operation of its own.
+raises a FourfoldError, a fourth keeps every public method read
+somewhere in the package unless it is listed as an operation of its own,
+and a fifth keeps the budget read and enforced by errors.charge and the
+witness walk alone.
 """
 
 import ast
@@ -485,6 +487,21 @@ def test_the_unchecked_constructor_serves_only_exact_builders():
             (callers if name == "_exact_complex" else bypasses).add((path.name, scope))
     assert callers == set(EXACT_BUILDERS)
     assert bypasses == UNCHECKED_PATHS
+
+
+# The only callers of generator_budget and raisers of BudgetExceeded: the
+# one up-front charge, and the witness walk, whose need is known only as
+# it walks.  homology re-exports generator_budget by import alone, for
+# perfbench's worker to read.
+BUDGET_OWNERS = {("errors.py", "charge"), ("manifolds.py", "signed_square_witness")}
+
+
+def test_the_budget_is_charged_in_one_place():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, scope) for scope, _ in _references(tree, None, {"BudgetExceeded", "generator_budget"})}
+    assert found == BUDGET_OWNERS
 
 
 # The one raise of a type outside errors.py: the lens-family criteria

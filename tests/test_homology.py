@@ -11,6 +11,10 @@ expansion, for every resolution the benchmark groups use.  The built-in
 model complexes are likewise checked for d.d = 0 here.
 """
 
+import math
+import os
+import sys
+
 import pytest
 
 from fourfold import complexes, homology
@@ -52,8 +56,12 @@ from fourfold.errors import (
     InfiniteGroup,
     ParseError,
     UnsupportedCharacter,
-    UnsupportedGroup,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(PERFBENCH)
+
+import oracles  # noqa: E402
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
@@ -159,17 +167,65 @@ def test_check_exactness_rejects_a_complex_that_is_not_exact(d1_scale, d2_scale,
         check_exactness(c)
 
 
-def test_resolution_for_products():
+def test_resolution_for_products(monkeypatch):
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
     res = resolution_for(product_group((2, 2)))
     assert check_exactness(res)
     assert res.ranks[:5] == (1, 2, 3, 4, 5)
     res = resolution_for(product_group((2, 3, 2)))
     assert check_exactness(res)
     assert res.ranks[0] == 1
-    with pytest.raises(UnsupportedGroup):
-        resolution_for(product_group((2, 2, 2, 2)))
+    # the number of factors is not capped: four factors give ranks
+    # C(n+3, 3), and only the budget bounds the build
+    res = resolution_for(product_group((2, 2, 2, 2)))
+    assert check_exactness(res)
+    assert res.ranks == tuple(math.comb(n + 3, 3) for n in range(DEFAULT_DEGREE_BOUND + 1))
+
+    def refuse(*args):
+        raise AssertionError("resolution built")
+
+    monkeypatch.setattr(homology, "_periodic_factor", refuse)
+    homology._resolution.cache_clear()
+    with pytest.raises(
+        BudgetExceeded, match="resolution through degree 6 needs 116424 cells in its top boundary, budget 100000"
+    ):
+        resolution_for(product_group((2,) * 6))
     with pytest.raises(InfiniteGroup):
         resolution_for(laurent_extension(cyclic_group(2)))
+
+
+def test_groups_of_four_and_five_factors_answer_within_the_budget(monkeypatch):
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    # Z/2 x Z/3 x Z/5 x Z/7 is Z/210
+    g, h = product_group((2, 3, 5, 7)), cyclic_group(210)
+    for n in range(8):
+        assert group_homology(g, trivial_char(g), n) == group_homology(h, trivial_char(h), n), n
+    # the Kunneth closed form of perfbench's oracle, which shares no code
+    # with the resolution
+    cases = [
+        ((2, 2, 2, 2), (1, 1, 1, 1)),
+        ((2, 2, 2, 2), (-1, 1, 1, 1)),
+        ((2, 2, 2, 2), (-1, -1, 1, -1)),
+        ((3, 3, 3, 3), (1, 1, 1, 1)),
+        ((2, 2, 2, 2, 2), (1, 1, 1, 1, 1)),
+        ((4, 2, 2, 2, 2), (1, 1, 1, 1, 1)),
+    ]
+    for orders, signs in cases:
+        g = product_group(orders)
+        w = char_from_signs(g, signs)
+        for n in range(6):
+            got = group_homology(g, w, n)
+            assert oracles.canonical(got.free_rank, got.torsion) == oracles.group_homology(orders, signs, n), (
+                orders,
+                signs,
+                n,
+            )
+    # and the bar construction, in the degrees it affords
+    g = product_group((2, 2, 2, 2))
+    for signs in ((1, 1, 1, 1), (-1, 1, 1, 1)):
+        w = char_from_signs(g, signs)
+        for n in range(2):
+            assert bar_homology_oracle(g, w, n) == group_homology(g, w, n), (signs, n)
 
 
 def test_trivial_resolution():
@@ -300,7 +356,7 @@ def test_a_resolution_is_charged_by_its_top_boundary(monkeypatch):
     # the charge is the product of the two top ranks of what gets built, or
     # the terms of the largest norm element (the order of its factor) when
     # that is more: 5 > 1 x 1 for Z/5
-    for orders, bound in (((5,), 9), ((2, 3), 7), ((2, 2, 2), 6), ((2, 4, 4), 4), ((3, 3, 3), 8)):
+    for orders, bound in (((5,), 9), ((2, 3), 7), ((2, 2, 2), 6), ((2, 4, 4), 4), ((3, 3, 3), 8), ((2, 2, 2, 2), 6)):
         homology._resolution.cache_clear()
         monkeypatch.delenv("FOURFOLD_BUDGET")
         res = resolution_for(product_group(orders), bound)
