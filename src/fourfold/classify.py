@@ -157,23 +157,27 @@ def kreck_equivalent(m1, m2):
     the first breadth-first discovery of the second class from the
     first.  Every multiplier is an automorphism of H_4, so the orbit is
     the orbit of a group and the verdict is symmetric.  Each query runs
-    one search; the lens family memoises its whole decision instead.
+    one search, which stops at the second class; the lens family
+    memoises its whole decision instead.
     """
     if m1.group != m2.group or m1.w_signs != m2.w_signs:
         raise TypeMismatch("records carry different groups or characters")
     if m1.h4 != m2.h4:
         raise TypeMismatch("records disagree on the degree-4 homology")
-    hit = _orbit(m1.h4, m1.class_h4, (m1.aut_multipliers, m2.aut_multipliers)).get(m2.class_h4)
+    mults = (m1.aut_multipliers, m2.aut_multipliers)
+    hit = _orbit(m1.h4, m1.class_h4, mults, m2.class_h4).get(m2.class_h4)
     if hit is None:
         return False, None
     mult, sign = hit
     return True, {"multiplier": mult, "sign": sign}
 
 
-def _orbit(h4, start, mults):
+def _orbit(h4, start, mults, target=None):
     """Every class reachable from start by the multipliers of the pair of
     records mults and the global sign, breadth-first, each mapped to the
-    (multiplier, sign) of its first discovery."""
+    (multiplier, sign) of its first discovery.  Given a target, the
+    search returns once the target is discovered, so its entry is the
+    one the full search gives."""
     gens = tuple(dict.fromkeys(mults[0] + mults[1])) or (1,)
     # Every multiplier is an automorphism, so the free coordinates keep
     # their absolute values: the orbit has at most (2 if free else 1) x
@@ -186,7 +190,7 @@ def _orbit(h4, start, mults):
     charge(classes * moves, "orbit search needs %d classes x %d moves", classes, moves)
     mods = (None,) * h4.free_rank + h4.torsion
     seen = {start: (1, 1)}
-    frontier = [start]
+    frontier = [] if start == target else [start]
     while frontier:
         nxt = []
         for vec in frontier:
@@ -195,10 +199,14 @@ def _orbit(h4, start, mults):
                 cand = tuple([m * x if t is None else m * x % t for x, t in zip(vec, mods)])
                 if cand not in seen:
                     seen[cand] = (mult * m, sign)
+                    if cand == target:
+                        return seen
                     nxt.append(cand)
             cand = tuple([-x if t is None else -x % t for x, t in zip(vec, mods)])
             if cand not in seen:
                 seen[cand] = (mult, -sign)
+                if cand == target:
+                    return seen
                 nxt.append(cand)
         frontier = nxt
     return seen

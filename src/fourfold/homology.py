@@ -129,7 +129,9 @@ def group_homology(group, w, degree):
     augmentation.  On a Laurent extension the character must be +1 on
     every free direction (UnsupportedCharacter otherwise), and the answer
     is the Kunneth split sum_(k <= min(r, n)) H_(n-k)(pi; Z^w)^C(r,k) of
-    the finite part pi.  A character of another group is a GroupMismatch.
+    the finite part pi, whose n torsion orders are charged n^2 against
+    the budget before they are listed.  A character of another group is
+    a GroupMismatch.
     """
     if w.group is not group and w.group != group:
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
@@ -140,9 +142,13 @@ def group_homology(group, w, degree):
     if any(s != 1 for s in w.signs[len(group.orders) :]):
         raise UnsupportedCharacter("character must be trivial on free directions")
     base, w_base, r = group.finite_part(), w.restrict_finite(), group.laurent_rank
+    terms = [(_group_homology(base, w_base, degree - k), math.comb(r, k)) for k in range(min(r, degree) + 1)]
+    # from_diag canonicalises the torsion list pair by pair, so its work
+    # is the square of the list's length
+    n = sum(copies * len(h.torsion) for h, copies in terms)
+    charge(n * n, "Kunneth split of H_%d needs %d torsion orders and %d pairs to combine", degree, n, n * n)
     free, orders = 0, []
-    for k in range(min(r, degree) + 1):
-        h, copies = _group_homology(base, w_base, degree - k), math.comb(r, k)
+    for h, copies in terms:
         free += copies * h.free_rank
         orders += h.torsion * copies
     return AbelianInvariants.from_diag(free, orders)

@@ -19,8 +19,17 @@ from fourfold.classify import default_aut_multipliers, lens_times_circle_record
 from fourfold.cli import main
 from fourfold.complexes import LambdaComplex, presentation_complex
 from fourfold.groupring import RingMatrix, product_group
-from fourfold.manifolds import LensSpace, lens_times_circle, rp4_complex, torus4_complex
-from fourfold.serialize import emit_complex, parse_group_spec, validate_report
+from fourfold.errors import NotAComplex, ParseError
+from fourfold.manifolds import (
+    LensSpace,
+    cp2_complex,
+    lens_complex,
+    lens_times_circle,
+    rp4_complex,
+    s4_complex,
+    torus4_complex,
+)
+from fourfold.serialize import emit_complex, parse_complex, parse_group_spec, validate_report
 
 
 @pytest.fixture
@@ -439,6 +448,106 @@ def test_lens_times_circle_document_survives_cli_homology(tmp_path, capsys):
     assert "H_4 = Z" in out
 
 
+# ---- the document memo: one parse and one d.d check per document text -------
+
+MEMO_DOCUMENTS = {
+    "rp4": rp4_complex,
+    "cp2": cp2_complex,
+    "s4": s4_complex,
+    "t4": torus4_complex,
+    "l52": lambda: lens_complex(LensSpace(5, 2)),
+    "l72s1": lambda: lens_times_circle(LensSpace(7, 2)),
+}
+# every verb that reads a complex document, each ending in the file name
+MEMO_VERBS = [
+    ["homology"],
+    ["homology", "--coeff", "lambda"],
+    ["ext-class"],
+    ["hopf-check"],
+    ["em-torsion", "3"],
+    ["recover-m", "6:3,3,3,3"],
+    ["classify-aspherical", "6:"],
+    ["classify-aspherical", "10:", "--inv2", "6:3,3,3,3"],
+]
+
+
+def _memo_argvs(path):
+    argvs = []
+    for verb in MEMO_VERBS:
+        argv = [verb[0], path] + verb[1:]
+        argvs += [argv, ["--json"] + argv]
+    return argvs
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_DOCUMENTS))
+def test_a_warm_document_answers_as_a_cold_one(tmp_path, capsys, name):
+    f = tmp_path / (name + ".json")
+    f.write_text(emit_complex(MEMO_DOCUMENTS[name]()))
+    argvs = _memo_argvs(str(f))
+    cold = []
+    for argv in argvs:
+        cli._complex_document.cache_clear()
+        cold.append(run(capsys, argv))
+    # every verb in turn on the one kept complex, then once more
+    cli._complex_document.cache_clear()
+    for _ in range(2):
+        before = cli._complex_document.cache_info()
+        assert [run(capsys, argv) for argv in argvs] == cold
+        after = cli._complex_document.cache_info()
+        assert after.currsize == 1 and after.misses - before.misses == (1 if before.currsize == 0 else 0)
+    assert any(code == 0 for code, _, _ in cold)
+
+
+def _not_a_complex():
+    doc = json.loads(emit_complex(rp4_complex()))
+    doc["boundaries"][1] = [[[[1, [0]]]]]  # d_2 = 1, so d_1 d_2 = t - 1
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("{broken", ParseError),
+        ('{"group": "cyclic:2", "ranks": [1, 1], "boundaries": []}', ParseError),
+        ('{"group": ' + "[" * 100000 + "]" * 100000 + "}", ParseError),
+        (_not_a_complex(), NotAComplex),
+    ],
+    ids=["json", "shape", "depth", "d.d"],
+)
+def test_a_failing_document_is_not_kept(tmp_path, capsys, text, error):
+    cli._complex_document.cache_clear()
+    f = tmp_path / "bad.json"
+    f.write_text(emit_complex(rp4_complex()))
+    assert run(capsys, ["homology", str(f)])[0] == 0
+    f.write_text(text)
+    for _ in range(2):
+        with pytest.raises(error):
+            cli._complex_document(text)
+        assert cli._complex_document.cache_info().currsize == 1
+        code, out, err = run(capsys, ["ext-class", str(f)])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert cli._complex_document.cache_info().currsize == 1
+
+
+def test_a_rewritten_file_gives_the_new_answer(tmp_path, capsys):
+    f = tmp_path / "doc.json"
+    f.write_text(emit_complex(rp4_complex()))
+    assert run(capsys, ["homology", str(f)])[1].startswith("H_0 = Z/2\n")
+    f.write_text(emit_complex(cp2_complex()))
+    assert run(capsys, ["homology", str(f)])[1] == "H_0 = Z\nH_1 = 0\nH_2 = Z\nH_3 = 0\nH_4 = Z\n"
+    f.write_text(emit_complex(rp4_complex()))
+    assert run(capsys, ["ext-class", str(f)])[1].startswith("extension group: Z/2\n")
+
+
+def test_parse_complex_returns_a_fresh_complex():
+    text = emit_complex(rp4_complex())
+    a, b = parse_complex(text), parse_complex(text)
+    assert a is not b and a.boundaries[0] is not b.boundaries[0]
+    assert emit_complex(a) == emit_complex(b) == text
+    # the memo of cli is the one place a text maps to one kept complex
+    assert cli._complex_document(text) is cli._complex_document(text)
+
+
 def run_capped(argv, limit_mib, timeout=30):
     """Run the CLI in a child process whose address space is capped."""
     limit = limit_mib << 20
@@ -489,20 +598,33 @@ def test_lens_classify_of_a_large_prime_is_refused_by_the_budget(monkeypatch):
 # while the charge counted generators: the Smith form of the top boundary
 # keeps a square transform over them.
 BAR_PROBES = [("cyclic:16", 3), ("cyclic:12", 3), ("cyclic:8", 4), ("product:2,2,4", 3), ("cyclic:50000", 0)]
+# Kunneth splits over Z/2 x Z^r that took 0.8-1.2 s (r = 30, degree 4)
+# and 4.2-6.7 s (bordism, r = 40) under the 1 GiB cap while nothing
+# charged the pairwise canonicalisation of their torsion lists
+KUNNETH_PROBES = [["group-homology", "--group", "cyclic:2*Z^30", "--degree", "4"], ["bordism", "--group", "cyclic:2*Z^40"]]
+CHARGED_PROBES = [
+    pytest.param(["group-homology", "--group", g, "--degree", str(d), "--oracle", "bar"], id="%s-%d" % (g, d))
+    for g, d in BAR_PROBES
+] + [pytest.param(argv, id="kunneth-" + argv[0]) for argv in KUNNETH_PROBES]
 
 
-@pytest.mark.parametrize("group,degree", BAR_PROBES)
-def test_a_bar_oracle_request_is_charged_by_its_smith_form(monkeypatch, group, degree):
+@pytest.mark.parametrize("argv", CHARGED_PROBES)
+def test_a_bar_oracle_request_is_charged_by_its_smith_form(monkeypatch, argv):
     monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
     start = time.monotonic()
-    proc = run_capped(["group-homology", "--group", group, "--degree", str(degree), "--oracle", "bar"], 1024, timeout=20)
+    proc = run_capped(argv, 1024, timeout=20)
     assert time.monotonic() - start < 2
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: bar resolution needs ") and proc.stderr.endswith(", budget 100000\n")
-    if group == "cyclic:16":
+    what = "Kunneth split of H_4 needs " if argv in KUNNETH_PROBES else "bar resolution needs "
+    assert proc.stderr.startswith("error: " + what) and proc.stderr.endswith(", budget 100000\n")
+    if argv[2] == "cyclic:16":
         assert proc.stderr == (
             "error: bar resolution needs 50625 generators in degree 4 and 2562890625 cells for their Smith form,"
             " budget 100000\n"
+        )
+    if argv[0] == "bordism":
+        assert proc.stderr == (
+            "error: Kunneth split of H_4 needs 9920 torsion orders and 98406400 pairs to combine, budget 100000\n"
         )
 
 

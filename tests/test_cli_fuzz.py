@@ -51,7 +51,7 @@ MALFORMED = ["", "{broken", "null", "[[1, 2], [3]]", "[[true]]", '"text"', "[[1.
              "[" * 2000 + "]" * 2000]
 
 GROUPS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "product:2,2", "product:2,3",
-          "cyclic:3*Z", "cyclic:2*Z^2", "trivial*Z^4", "product:2,2*Z", "product:2,2,2,2"]
+          "cyclic:3*Z", "cyclic:2*Z^2", "trivial*Z^4", "product:2,2*Z", "product:2,2,2,2", "cyclic:2*Z^60"]
 BAD_GROUPS = ["", "ring:3", "cyclic:", "cyclic:0", "cyclic:-2", "cyclic:x", "product:", "product:2,,2",
               "cyclic:2*Z^x", "cyclic:2*Q"]
 CHARS = ["trivial", "1", "-1", "-1,1", "1,-1", "-1,-1", "1,1,1,1,1", "2", "x", ""]

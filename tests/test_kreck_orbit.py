@@ -177,6 +177,37 @@ def test_a_non_unit_multiplier_is_refused():
     assert expect == [(True, {"multiplier": 3, "sign": 1})] * 2 + [(False, None)] * 2
 
 
+def test_a_search_for_a_target_stops_with_the_full_search_entry():
+    # the search that kreck_equivalent runs returns at the target's first
+    # discovery, so its verdict and certificate are a lookup in the full orbit
+    rng = random.Random(27)
+    cases = hits = stopped_early = 0
+    for torsion in ((2,), (4,), (12,), (2, 4), (3, 6), (2, 2, 6)):
+        for free in (0, 1, 2):
+            h4 = AbelianInvariants(free, torsion)
+            pool = [m for m in (-1, 1, 3, 5, 7, 11, 13)
+                    if math.gcd(m, torsion[-1]) == 1 and (not free or m in (1, -1))]
+            for _ in range(12):
+                start, other = (tuple(rng.randint(-6, 6) for _ in range(free)) + tuple(rng.randrange(t) for t in torsion)
+                                for _ in range(2))
+                mults = tuple(tuple(rng.sample(pool, rng.randint(0, min(3, len(pool))))) for _ in range(2))
+                full = classify._orbit(h4, start, mults)
+                # a target in the orbit, one that may lie outside it, and the start itself
+                for target in (rng.choice(sorted(full)), other, start):
+                    stopped = classify._orbit(h4, start, mults, target)
+                    assert stopped.get(target) == full.get(target)
+                    assert set(stopped) <= set(full)
+                    stopped_early += len(stopped) < len(full)
+                    a = trivial_record(h4, start, mults[0])
+                    b = trivial_record(h4, target, mults[1])
+                    hit = full.get(target)
+                    expect = (False, None) if hit is None else (True, {"multiplier": hit[0], "sign": hit[1]})
+                    assert kreck_equivalent(a, b) == expect
+                    cases += 1
+                    hits += hit is not None
+    assert cases == 6 * 3 * 12 * 3 and 0 < hits < cases and stopped_early > 0
+
+
 # ---- an orbit count that shares no code with the search ----------------------
 
 
@@ -274,5 +305,6 @@ def test_every_lru_cache_is_bounded():
         "groupring._get_descriptor",
         "groupring._element_table",
         "cli._parser",
+        "cli._complex_document",
     }
     assert all(size is not None for size in found.values()), found
