@@ -221,11 +221,13 @@ def cross_circle(c, sign=1):
 def tensor_complex(a, b, top=None):
     """Tensor product over a common group ring, through degree top.
 
-    Degree n is the direct sum of A_i (x) B_j over i + j = n, blocks
-    ordered by increasing i, pairs within a block ordered row-major.  The
-    boundary is dA (x) id + (-1)^i id (x) dB.  The factors are complexes,
-    so the product satisfies d.d = 0 because of the Koszul sign.  With
-    top, degrees above it are not built; by default the product is full.
+    Degree k has a basis of labels (i, x, y), x a basis element of A_i
+    and y one of B_(k-i), ordered by i, then x, then y.  The boundary is
+    dA (x) id + (-1)^i id (x) dB: column (i, x, y) holds column x of dA
+    at the labels (i-1, r, y) and (-1)^i times column y of dB at the
+    labels (i, x, r).  The factors are complexes, so the product
+    satisfies d.d = 0 because of the Koszul sign.  With top, degrees
+    above it are not built; by default the product is full.
     """
     if a.group != b.group:
         raise GroupMismatch("tensor factors live over different groups")
@@ -234,63 +236,30 @@ def tensor_complex(a, b, top=None):
     g = a.group
     na, nb = a.top_degree, b.top_degree
     n = na + nb if top is None else min(top, na + nb)
-
-    def blocks(deg):
-        out = []
-        for i in range(deg + 1):
-            j = deg - i
-            if i <= na and j <= nb and a.ranks[i] and b.ranks[j]:
-                out.append((i, j))
-        return out
-
-    def block_rank(i, j):
-        return a.ranks[i] * b.ranks[j]
-
-    ranks = []
-    offsets = []
-    for deg in range(n + 1):
-        off = {}
-        total = 0
-        for (i, j) in blocks(deg):
-            off[(i, j)] = total
-            total += block_rank(i, j)
-        ranks.append(total)
-        offsets.append(off)
-
+    bases = [
+        [
+            (i, x, y)
+            for i in range(max(0, k - nb), min(k, na) + 1)
+            for x in range(a.ranks[i])
+            for y in range(b.ranks[k - i])
+        ]
+        for k in range(n + 1)
+    ]
     zero = ring_zero(g)
     boundaries = []
-    for deg in range(1, n + 1):
-        rows = ranks[deg - 1]
-        cols = ranks[deg]
-        entries = [[zero] * cols for _ in range(rows)]
-        for (i, j) in blocks(deg):
-            src_off = offsets[deg][(i, j)]
-            rb = b.ranks[j]
-            # dA (x) id into block (i-1, j)
-            if i >= 1 and (i - 1, j) in offsets[deg - 1]:
-                dst_off = offsets[deg - 1][(i - 1, j)]
-                da = a.d(i)
-                for ai in range(da.rows):
-                    for aj in range(da.cols):
-                        e = da.entries[ai][aj]
-                        if e.is_zero():
-                            continue
-                        for bj in range(rb):
-                            entries[dst_off + ai * rb + bj][src_off + aj * rb + bj] = e
-            # (-1)^i id (x) dB into block (i, j-1)
-            if j >= 1 and (i, j - 1) in offsets[deg - 1]:
-                dst_off = offsets[deg - 1][(i, j - 1)]
-                db = b.d(j)
-                sgn = -1 if i % 2 else 1
-                rbm = b.ranks[j - 1]
-                for bi in range(db.rows):
-                    for bj in range(db.cols):
-                        e = db.entries[bi][bj]
-                        if e.is_zero():
-                            continue
-                        if sgn < 0:
-                            e = -e
-                        for ai in range(a.ranks[i]):
-                            entries[dst_off + ai * rbm + bi][src_off + ai * rb + bj] = e
-        boundaries.append(RingMatrix(g, rows, cols, entries))
-    return _exact_complex(g, a.w, tuple(ranks), tuple(boundaries))
+    for k in range(1, n + 1):
+        row_of = {label: r for r, label in enumerate(bases[k - 1])}
+        # dB with its Koszul sign, negated once for each i of degree k
+        d_b = {i: -b.d(k - i) if i % 2 else b.d(k - i) for i in range(max(0, k - nb), min(k - 1, na) + 1)}
+        entries = [[zero] * len(bases[k]) for _ in row_of]
+        for col, (i, x, y) in enumerate(bases[k]):
+            if i:
+                for r, row in enumerate(a.d(i).entries):
+                    if row[x].terms:
+                        entries[row_of[i - 1, r, y]][col] = row[x]
+            if i < k:
+                for r, row in enumerate(d_b[i].entries):
+                    if row[y].terms:
+                        entries[row_of[i, x, r]][col] = row[y]
+        boundaries.append(RingMatrix(g, len(row_of), len(bases[k]), entries))
+    return _exact_complex(g, a.w, tuple(len(basis) for basis in bases), tuple(boundaries))

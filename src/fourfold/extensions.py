@@ -50,6 +50,7 @@ from fourfold.intmat import (
     kernel_basis,
     preimage_kernel,
     quotient_invariants,
+    solve_columns,
     subgroup_membership,
     vstack,
 )
@@ -356,12 +357,13 @@ def pi2_extension(c):
 
 def _vec_in_source_coords(source, ambient_cols):
     """Write ambient integer columns as ring combinations of the generators
-    of a kernel module and flatten to Hom coordinates of the value matrix."""
-    gens = source.gen_vecs
-    values = gens.solve(ring_matrix_from_coordinates(source.group, ambient_cols, gens.rows))
-    if values is None:
+    of a kernel module, flattened to Hom coordinates of the value matrix:
+    the integer solutions against the kept expansion of the generators,
+    one after another."""
+    sols = solve_columns(source.gen_vecs.expand(), ambient_cols)
+    if None in sols:
         raise NotACycle("a column is not in the kernel module")
-    return hom_vec(values, source)
+    return tuple(x for col in sols for x in col)
 
 
 def pi2_sequence_check(c):

@@ -30,11 +30,12 @@ from fourfold.groupring import (
     regular_representation,
     ring_generator,
     ring_one,
+    ring_zero,
     trivial_char,
 )
 from fourfold.homology import bar_homology_oracle, resolution_for
 from fourfold.intmat import AbelianInvariants, IntMatrix
-from fourfold.manifolds import cp2_complex, rp4_complex, s4_complex
+from fourfold.manifolds import cp2_complex, rp4_complex, s4_complex, torus4_complex
 from fourfold.complexes import LambdaComplex, presentation_complex
 from fourfold.errors import (
     ContextMismatch,
@@ -432,6 +433,34 @@ def test_recover_m_round_trip():
             else:
                 assert got == {abs(m)}
     assert trials > 50
+
+
+def test_recover_m_reads_torsion_only_because_a_free_2_cell_moves_the_free_rank():
+    # a free 2-cell on T^4, # CP^2 at chain level: a zero column of d_2 and
+    # a zero row of d_3, so the augmented d_3 gains a zero row
+    t4 = torus4_complex()
+    g, z = t4.group, ring_zero(t4.group)
+    d2, d3 = t4.d(2), t4.d(3)
+    boundaries = list(t4.boundaries)
+    boundaries[1] = RingMatrix(g, d2.rows, d2.cols + 1, [row + [z] for row in d2.entries])
+    boundaries[2] = RingMatrix(g, d3.rows + 1, d3.cols, d3.entries + [[z] * d3.cols])
+    ranks = t4.ranks[:2] + (t4.ranks[2] + 1,) + t4.ranks[3:]
+    summed = LambdaComplex(g, t4.w, ranks, boundaries)
+    before, after = d3.augment(t4.w), summed.d(3).augment(summed.w)
+    assert after.data == before.data + [[0] * before.cols]
+    # em_torsion keeps its torsion and gains one free summand, every m
+    expected = {0: (10, ()), 1: (6, ()), 2: (6, (2,) * 4)}
+    for m, (free, torsion) in expected.items():
+        assert em_torsion(before, m) == AbelianInvariants(free, torsion)
+        assert em_torsion(after, m) == AbelianInvariants(free + 1, torsion)
+    # against T^4's own family the torsion still decides, while a rule on the
+    # free rank too would fit no twisting number after the move: the free
+    # rank is not a CP^2-stable invariant
+    fam = EmFamily.from_matrix(before)
+    for m, answer in ((0, {0, 1}), (1, {0, 1}), (2, {2}), (3, {3})):
+        assert recover_m(em_torsion(before, m), fam) == answer
+        assert recover_m(em_torsion(after, m), fam) == answer
+        assert all(em_closed_form(fam, k) != em_torsion(after, m) for k in range(10))
 
 
 def test_recover_m_needs_free_summand():

@@ -8,7 +8,9 @@ built over its own cyclic group, tensored through degree 2 * bound,
 pushed into the product and relabelled; chain lifts and chase lifts
 expanded, solved and mapped back by hand.  The new routes must give equal
 ring matrices and bit-identical class representatives.  The old
-tensor_complex is frozen too, so a change to the Koszul sign shows here.
+tensor_complex is frozen too, block offsets and all, so a change to the
+Koszul sign or the basis order shows here; so is the ring-solve route
+that wrote a column in kernel-module coordinates.
 """
 
 import itertools
@@ -16,12 +18,22 @@ import random
 
 import pytest
 
+from fourfold import complexes
 from fourfold.classify import _chain_map_to_resolution
-from fourfold.complexes import LambdaComplex, presentation_complex, validate
+from fourfold.complexes import LambdaComplex, cross_circle, presentation_complex, tensor_complex, validate
 from fourfold.errors import GroupMismatch, NotACycle, UnsupportedGroup
-from fourfold.extensions import _psi_context, _vec_in_source_coords, psi_chase
+from fourfold.extensions import (
+    _psi_context,
+    _vec_in_source_coords,
+    fpmodule_kernel,
+    hom_vec,
+    pi2_extension,
+    psi_chase,
+)
 from fourfold.groupring import (
+    RingElement,
     RingMatrix,
+    char_from_signs,
     cyclic_group,
     deexpand_vector,
     norm_element,
@@ -36,7 +48,15 @@ from fourfold.groupring import (
 )
 from fourfold.homology import resolution_for
 from fourfold.intmat import kernel_basis, solve_columns
-from fourfold.manifolds import LensSpace, cp2_complex, lens_complex, rp4_complex, s4_complex
+from fourfold.manifolds import (
+    LensSpace,
+    cp2_complex,
+    lens_complex,
+    lens_times_circle,
+    rp4_complex,
+    s4_complex,
+    torus4_complex,
+)
 
 
 # ---- frozen reference: the routes as they were ------------------------------
@@ -112,6 +132,14 @@ def ref_tensor_complex(a, b):
                             entries[dst_off + ai * rbm + bi][src_off + ai * rb + bj] = e
         boundaries.append(RingMatrix(g, rows, cols, entries))
     return LambdaComplex(g, a.w, tuple(ranks), tuple(boundaries))
+
+
+def ref_vec_in_source_coords(source, ambient_cols):
+    gens = source.gen_vecs
+    values = gens.solve(ring_matrix_from_coordinates(source.group, ambient_cols, gens.rows))
+    if values is None:
+        raise NotACycle("a column is not in the kernel module")
+    return hom_vec(values, source)
 
 
 def ref_periodic_resolution(p, bound):
@@ -267,7 +295,7 @@ def ref_psi_chase(resolution, c2, w, z, rng=None):
         img = [sum((c_d2.entries[r][k] * vmat.entries[k][j] for k in range(b2)), ring_zero(group)) for r in range(c_d2.rows)]
         if any(not e.is_zero() for e in img):
             raise NotACycle("chase output escaped ker d_2")
-    rep = _vec_in_source_coords(source, vmat.column_coordinates())
+    rep = ref_vec_in_source_coords(source, vmat.column_coordinates())
     assert ctx.check_cocycle(rep)
     return ctx.make_class(rep)
 
@@ -344,3 +372,98 @@ def test_psi_chase_matches_the_frozen_route():
     z3 = cyclic_group(3)
     with pytest.raises(NotACycle):
         psi_chase(resolution_for(z3), presentation_complex(z3), trivial_char(z3), [1])
+
+
+# the models whose pi_2 extension is defined (finite group, top degree 4)
+PI2_MODELS = {
+    "rp4": rp4_complex,
+    "s4": s4_complex,
+    "cp2": cp2_complex,
+    "L(5,2)": lambda: lens_complex(LensSpace(5, 2)),
+    "L(7,3)": lambda: lens_complex(LensSpace(7, 3)),
+    "L(9,2)": lambda: lens_complex(LensSpace(9, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PI2_MODELS))
+def test_source_coordinates_match_the_frozen_route(name):
+    c = PI2_MODELS[name]()
+    source = fpmodule_kernel(c.d(2))
+    cols = c.d(3).column_coordinates()
+    rep = _vec_in_source_coords(source, cols)
+    assert rep == ref_vec_in_source_coords(source, cols)
+    assert pi2_extension(c).rep == rep
+
+
+def test_a_column_off_the_kernel_module_is_refused_on_both_routes():
+    c = rp4_complex()
+    source = fpmodule_kernel(c.d(2))
+    # the first basis vector of C_2 is not a cycle: d_2 of RP^4 is nonzero on it
+    off = [tuple(1 if i == 0 else 0 for i in range(c.ranks[2] * c.group.order()))]
+    for route in (_vec_in_source_coords, ref_vec_in_source_coords):
+        with pytest.raises(NotACycle, match="a column is not in the kernel module"):
+            route(source, off)
+
+
+# every model crossed with a circle, of either sign on the new generator
+CIRCLE_MODELS = dict(PI2_MODELS)
+CIRCLE_MODELS["t4"] = torus4_complex
+CIRCLE_MODELS["L(5,2)xS1"] = lambda: lens_times_circle(LensSpace(5, 2))
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("name", sorted(CIRCLE_MODELS))
+def test_cross_circle_matches_the_frozen_tensor(name, sign, monkeypatch):
+    c = CIRCLE_MODELS[name]()
+    new = cross_circle(c, sign)
+    monkeypatch.setattr(complexes, "tensor_complex", ref_tensor_complex)
+    old = cross_circle(c, sign)
+    assert (new.group, new.w, new.ranks) == (old.group, old.w, old.ranks)
+    assert new.boundaries == old.boundaries
+
+
+def _random_element(rng, group):
+    """Zero half the time, else up to three terms with coefficients in -2..2."""
+    if rng.random() < 0.5:
+        return ring_zero(group)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        el = tuple(rng.randrange(o) for o in group.orders)
+        terms[el] = terms.get(el, 0) + rng.choice((-2, -1, 1, 2))
+    return RingElement(group, terms)
+
+
+def _random_matrix(rng, group, rows, cols):
+    """A random matrix whose first entry, if it has one, is nonzero."""
+    entries = [[_random_element(rng, group) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols and entries[0][0].is_zero():
+        entries[0][0] = ring_one(group)
+    return RingMatrix(group, rows, cols, entries)
+
+
+def _random_complex(rng, group, w, ranks):
+    """d_1 at random, and each later d_k the kernel of d_(k-1) times a
+    random matrix, so d_(k-1) d_k = 0 by construction."""
+    boundaries = [_random_matrix(rng, group, ranks[0], ranks[1])]
+    for k in range(2, len(ranks)):
+        kernel = boundaries[-1].kernel()
+        boundaries.append(kernel * _random_matrix(rng, group, kernel.cols, ranks[k]))
+    return LambdaComplex(group, w, ranks, boundaries)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_complex_matches_the_frozen_tensor_at_every_top(seed):
+    rng = random.Random(seed)
+    g = product_group(rng.choice(((2,), (3,), (2, 2))))
+    w = char_from_signs(g, tuple(rng.choice((1, -1)) if o % 2 == 0 else 1 for o in g.orders))
+    # ranks up to 3 with d_1 nonzero; one factor has a zero rank in a middle
+    # degree, the other a second boundary, and they swap sides with the seed
+    gap = _random_complex(rng, g, w, [rng.randint(1, 3), rng.randint(1, 3), 0, rng.randint(1, 3)])
+    full = _random_complex(rng, g, w, [rng.randint(1, 2) for _ in range(3)])
+    a, b = (gap, full) if seed % 2 else (full, gap)
+    old = ref_tensor_complex(a, b)
+    for top in range(a.top_degree + b.top_degree + 1):
+        new = tensor_complex(a, b, top=top)
+        assert new.w == old.w
+        assert new.ranks == old.ranks[: top + 1]
+        assert new.boundaries == old.boundaries[:top]

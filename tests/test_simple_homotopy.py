@@ -9,10 +9,13 @@ Theory, GTM 10):
 Each result is rebuilt through the public constructor, which checks
 d.d = 0.  homology_Zw in every degree, homology_Lambda in every degree
 (finite pi), and the groups, checks and verdict of hopf_check must not
-move.  Adding a free Z[pi] in degree 2, the chain-level effect of # CP^2,
-adds Z to H_2(Z^w) and Z^|pi| to H_2(Z[pi]).  Dropping E^-1 leaves
-d_k E d_(k+1) = r (column i of d_k)(row j of d_(k+1)), and where that is
-not zero the constructor refuses the result with NotAComplex(k+1).
+move, and neither may the Ext group of pi2_extension nor whether its
+class is trivial (or its error type where it does not apply).  Adding a
+free Z[pi] in degree 2, the chain-level effect of # CP^2, adds Z to
+H_2(Z^w) and Z^|pi| to H_2(Z[pi]) and leaves the extension outputs.
+Dropping E^-1 leaves d_k E d_(k+1) = r (column i of d_k)(row j of
+d_(k+1)), and where that is not zero the constructor refuses the result
+with NotAComplex(k+1).
 """
 
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from fourfold.classify import hopf_check
 from fourfold.complexes import LambdaComplex, homology_Lambda, homology_Zw, presentation_complex
 from fourfold.errors import FourfoldError, NotAComplex
+from fourfold.extensions import pi2_extension
 from fourfold.groupring import RingElement, RingMatrix, product_group, ring_zero
 from fourfold.intmat import AbelianInvariants
 from fourfold.manifolds import LensSpace, cp2_complex, lens_complex, lens_times_circle, rp4_complex, s4_complex
@@ -52,8 +56,9 @@ MODELS = {
 
 
 def invariants(c):
-    """Every invariant the moves must keep; hopf_check where it applies,
-    its error type where it does not."""
+    """Every invariant the moves must keep; hopf_check and the pi_2
+    extension class where they apply, their error types where they do
+    not."""
     out = {"Zw": [homology_Zw(c, i) for i in range(c.top_degree + 1)]}
     if c.group.is_finite:
         out["Lambda"] = [homology_Lambda(c, i) for i in range(c.top_degree + 1)]
@@ -62,6 +67,11 @@ def invariants(c):
         out["hopf"] = (report.groups, report.checks, report.passed)
     except FourfoldError as exc:
         out["hopf"] = type(exc)
+    try:
+        e = pi2_extension(c)
+        out["ext"] = (e.context.ext_invariants(), e.is_trivial())
+    except FourfoldError as exc:
+        out["ext"] = type(exc)
     return out
 
 
@@ -186,6 +196,9 @@ def test_a_free_cell_in_degree_2_adds_z_and_z_pi(name):
         h = base["Lambda"][2]
         assert new["Lambda"][2] == AbelianInvariants(h.free_rank + c.group.order(), h.torsion)
         assert new["Lambda"][:2] + new["Lambda"][3:] == base["Lambda"][:2] + base["Lambda"][3:]
+    # the free cell adds Z[pi] to ker d_2 and to coker d_3, so Ext^1 gains
+    # Ext^1(coker d_3, Z[pi]), which vanishes on every model
+    assert new["ext"] == base["ext"]
 
 
 @st.composite
