@@ -31,7 +31,7 @@ from fourfold.complexes import homology_Lambda, homology_Zw
 from fourfold.errors import FourfoldError, ParseError
 from fourfold.extensions import em_torsion, pi2_extension
 from fourfold.homology import bar_homology_oracle, group_homology
-from fourfold.intmat import AbelianInvariants, smith_normal_form
+from fourfold.intmat import AbelianInvariants
 from fourfold.manifolds import LensSpace, linking_form, linking_isometric
 from fourfold.serialize import (
     emit_group_spec,
@@ -56,9 +56,9 @@ def _read_file(path):
 
 
 # An entry is a document text and its validated complex, with what its
-# boundaries keep once verbs have read them (tracemalloc): 4-8 kB for
-# S^4, CP^2 and RP^4 after hopf-check, 7-17 kB for L(5..9, q) after
-# ext-class and homology --coeff lambda, 22.5 kB for T^4 after every
+# boundaries keep once verbs have read them (tracemalloc): 3-7 kB for
+# S^4, CP^2 and RP^4 after hopf-check, 7-15 kB for L(5..9, q) after
+# ext-class and homology --coeff lambda, 13.5 kB for T^4 after every
 # em-torsion and recover-m, 230 kB for the Z/6 x Z/6 presentation
 # complex after hopf-check.  Sixteen entries catch every repeat of the
 # perfbench extensions pass (15 documents).
@@ -118,7 +118,7 @@ def _status(positive):
 
 def _cmd_snf(args):
     m = parse_int_matrix(_read_file(args.file))
-    s = smith_normal_form(m)
+    s = m.smith()
     result = {
         "diag": list(s.diag),
         "rank": len(s.diag),

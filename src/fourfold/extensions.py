@@ -23,8 +23,8 @@ What holds by construction is not re-checked at run time.  Every
 LambdaComplex has d.d = 0, so d_3 lands in ker d_2, the pi_2 sequence
 is exact (pi2_sequence_check) and psi_chase stays in ker d_2; the pi_2
 class representative d_3 is a cocycle because the resolution extends it
-by ker d_3; and em_torsion reads only its presentation, with
-em_closed_form kept as the independent route the tests compare it to.
+by ker d_3; and em_torsion reads E_m off the kept Smith diagonal of D,
+so every twist of one family matrix shares one reduction.
 Hypotheses that come from the caller, such as the cycles and rows that
 psi_chase is given, are still checked.
 """
@@ -52,7 +52,6 @@ from fourfold.intmat import (
     quotient_invariants,
     solve_columns,
     subgroup_membership,
-    vstack,
 )
 from fourfold.values import FrozenValue, Value
 
@@ -482,10 +481,11 @@ def _psi_context(resolution, c2, w):
 
 
 class EmFamily(FrozenValue):
-    """Shape data of an augmented third boundary map.
+    """Shape data of an augmented third boundary map, from its kept Smith form.
 
     a_free: nullity; deltas: all diagonal entries of the Smith form
-    (including units); b: corank of the target.
+    (including units); b: corank of the target.  Every twist and every
+    candidate over one matrix reads this one reduction (IntMatrix.smith).
     """
 
     __slots__ = ("a_free", "deltas", "b")
@@ -520,13 +520,11 @@ def em_closed_form(fam, m):
 def em_torsion(d3_aug, m):
     """Invariants of (target (+) source) / {(D a, m a)} for D = d3_aug.
 
-    Computed from the explicit presentation alone.  em_closed_form is
-    the independent route from the Smith form of D; the test suite checks
-    that the two agree.
+    With U D V = diag(delta_1..delta_r, 0...), the relations split into
+    (delta_j f_j, m e_j) for j <= r and (0, m e_j) beyond: em_closed_form.
+    D keeps its Smith form, so all twists of one matrix cost one reduction.
     """
-    cols = d3_aug.cols
-    mid = IntMatrix(cols, cols, [[m if i == j else 0 for j in range(cols)] for i in range(cols)])
-    return cokernel_invariants(vstack(d3_aug, mid))
+    return em_closed_form(EmFamily.from_matrix(d3_aug), m)
 
 
 def recover_m(inv, fam):

@@ -52,6 +52,7 @@ from fourfold.errors import (
     TypeMismatch,
     UnsupportedCharacter,
 )
+from test_extensions import ref_em_torsion
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
@@ -354,6 +355,8 @@ def torus_d3_aug():
 def test_classify_aspherical_torus_family():
     d3 = torus_d3_aug()
     for m in range(2, 9):
+        assert em_torsion(d3, m) == ref_em_torsion(d3, m)
+        assert em_torsion(d3, -m) == ref_em_torsion(d3, -m)
         assert classify_aspherical(d3, em_torsion(d3, m)) == {m}
         assert classify_aspherical(d3, em_torsion(d3, -m)) == {m}
     assert classify_aspherical(d3, em_torsion(d3, 0)) == {0, 1}

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import fourfold
-from fourfold import cli
+from fourfold import cli, intmat
 from fourfold.classify import default_aut_multipliers, lens_times_circle_record
 from fourfold.cli import main
 from fourfold.complexes import LambdaComplex, presentation_complex
@@ -546,6 +546,24 @@ def test_parse_complex_returns_a_fresh_complex():
     assert emit_complex(a) == emit_complex(b) == text
     # the memo of cli is the one place a text maps to one kept complex
     assert cli._complex_document(text) is cli._complex_document(text)
+
+
+def test_every_twist_of_a_kept_document_reads_one_reduction(t4_file, capsys, monkeypatch):
+    cli._complex_document.cache_clear()
+    reduced = []
+    snf = intmat.smith_normal_form
+
+    def counting(a):
+        reduced.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    for m in range(16):
+        assert run(capsys, ["em-torsion", t4_file, str(m)])[0] == 0
+    assert run(capsys, ["recover-m", t4_file, "6:2,2,2,2"])[1] == "candidates: [2]\n"
+    # T^4's augmented d_3, once, and no other matrix
+    c = cli._complex_document(pathlib.Path(t4_file).read_text())
+    assert len(reduced) == 1 and reduced[0] is c.d(3).augment(c.w)
 
 
 def run_capped(argv, limit_mib, timeout=30):

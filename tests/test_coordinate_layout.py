@@ -380,6 +380,21 @@ def test_src_imports_are_used_and_only_extensions_lays_out_module_coordinates():
     assert layout == []
 
 
+# Every other module reads a matrix's kept Smith form (IntMatrix.smith),
+# so a matrix read twice is reduced once.
+def test_only_intmat_calls_smith_normal_form():
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "intmat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "smith_normal_form":
+                    callers.append("%s:%d" % (path.name, node.lineno))
+    assert callers == []
+
+
 # The import layers of the package, lowest first.  A module imports only
 # from layers below its own, so the import graph has no cycle and no
 # module reaches up to a caller.

@@ -34,7 +34,7 @@ from fourfold.groupring import (
     trivial_char,
 )
 from fourfold.homology import bar_homology_oracle, resolution_for
-from fourfold.intmat import AbelianInvariants, IntMatrix
+from fourfold.intmat import AbelianInvariants, IntMatrix, cokernel_invariants, vstack
 from fourfold.manifolds import cp2_complex, rp4_complex, s4_complex, torus4_complex
 from fourfold.complexes import LambdaComplex, presentation_complex
 from fourfold.errors import (
@@ -396,9 +396,18 @@ def test_em_closed_form_symmetry_and_values():
     assert em_closed_form(fam, 6) == AbelianInvariants.from_diag(3, [6, 6, 1, 2])
 
 
+def ref_em_torsion(d3_aug, m):
+    """em_torsion as it was before it read D's kept Smith form: a fresh
+    reduction of the explicit presentation [D; m I] for every m.  Frozen
+    here as the route that shares no Smith form with em_closed_form."""
+    cols = d3_aug.cols
+    mid = IntMatrix(cols, cols, [[m if i == j else 0 for j in range(cols)] for i in range(cols)])
+    return cokernel_invariants(vstack(d3_aug, mid))
+
+
 def test_em_torsion_random_sweep():
-    # the presentation route and the closed form share no code; the
-    # sweep drives both through varied shapes
+    # the frozen presentation route shares no Smith form with the closed
+    # form; the sweep drives both through varied shapes
     rng = random.Random(2024)
     for _ in range(60):
         rows = rng.randint(1, 5)
@@ -407,6 +416,16 @@ def test_em_torsion_random_sweep():
         m = rng.randint(-12, 12)
         inv = em_torsion(d, m)
         assert inv == em_closed_form(EmFamily.from_matrix(d), m)
+        assert inv == ref_em_torsion(d, m)
+
+
+def test_every_twist_of_one_matrix_reduces_it_once(monkeypatch):
+    a = IntMatrix.from_rows([[2, 4, 0], [6, 8, 0], [0, 0, 0], [1, 3, 5]])
+    expected = [ref_em_torsion(a, m) for m in range(-8, 9)]
+    reduced = _counting_reductions(monkeypatch)
+    assert [em_torsion(a, m) for m in range(-8, 9)] == expected
+    # one reduction of A itself, where the presentation route took 17
+    assert len(reduced) == 1 and reduced[0] is a
 
 
 def test_recover_m_round_trip():
@@ -424,6 +443,7 @@ def test_recover_m_round_trip():
         # elementary divisors of the family are units
         ambiguous = all(x == 1 for x in fam.deltas)
         for m in range(-5, 6):
+            assert em_torsion(d, m) == ref_em_torsion(d, m)
             got = recover_m(em_torsion(d, m), fam)
             assert abs(m) in got
             if abs(m) >= 2:

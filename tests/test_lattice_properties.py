@@ -3,17 +3,20 @@ many right-hand sides against one reduction, and for the gcd/lcm
 canonical form of a list of cyclic orders.
 
 Two oracles that share no code with the routes under test: sympy's
-invariant factors on a complex whose homology is known by construction,
-and the per-column route (a fresh Smith form for every right-hand side,
+invariant factors on a complex whose homology is known by construction
+and on the presentation [D; m I] of em_torsion, and the per-column route (a fresh Smith form for every right-hand side,
 homology as cycles modulo boundaries written in a cycle basis) kept here
 as the reference.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+from fourfold.extensions import em_torsion
 from fourfold.intmat import (
     AbelianInvariants,
     IntMatrix,
@@ -142,3 +145,24 @@ def test_from_diag_matches_sympy_invariant_factors(free, orders):
     factors = sympy_factors(k, k, [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)])
     expected = AbelianInvariants(free + k - len(factors), tuple(d for d in factors if d > 1))
     assert AbelianInvariants.from_diag(free, orders) == expected
+
+
+def test_em_torsion_matches_sympy_on_the_stacked_presentation():
+    # sympy reduces [D; m I] itself; em_torsion reads the kept Smith
+    # diagonal of D alone, so the two share no reduction
+    rng = random.Random(1729)
+    drawn = set()
+    for rows in range(1, 9):
+        for cols in range(9):
+            dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            gone = set(rng.sample(range(cols), rng.randint(1, cols))) if cols else set()
+            holed = [[0 if j in gone else x for j, x in enumerate(r)] for r in dense]
+            for data in (dense, holed, [[0] * cols for _ in range(rows)]):
+                d = IntMatrix(rows, cols, data)
+                for m in (rng.randint(-12, 12) for _ in range(3)):
+                    drawn.add(m)
+                    stacked = data + [[m if i == j else 0 for j in range(cols)] for i in range(cols)]
+                    factors = sympy_factors(rows + cols, cols, stacked)
+                    want = AbelianInvariants.from_diag(rows + cols - len(factors), factors)
+                    assert em_torsion(d, m) == want, (data, m)
+    assert drawn == set(range(-12, 13))
