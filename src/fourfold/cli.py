@@ -9,8 +9,11 @@ a negative verdict from a classify-style command, 2 for input errors and
 for a computation that runs out of memory.  An error is written to
 stderr as "error: ..." in text mode, and as an envelope with status
 "error" under --json.  A complex document is parsed and validated once
-per process and text (_complex_document), so later verbs on it reuse
-what earlier ones kept.
+per process and text (_complex_document), and a bare matrix document is
+parsed and charged once (_matrix_document), so later verbs on either
+reuse what earlier ones kept: a complex's augmentations, expansions and
+Smith forms, or a matrix's Smith form, which snf, em-torsion, recover-m
+and classify-aspherical all read.
 """
 
 import argparse
@@ -28,7 +31,7 @@ from fourfold.classify import (
     kreck_equivalent,
 )
 from fourfold.complexes import homology_Lambda, homology_Zw
-from fourfold.errors import FourfoldError, ParseError
+from fourfold.errors import FourfoldError, ParseError, charge
 from fourfold.extensions import em_torsion, pi2_extension
 from fourfold.homology import bar_homology_oracle, group_homology
 from fourfold.intmat import AbelianInvariants
@@ -77,9 +80,35 @@ def _complex_document(text):
     return parse_complex(text)
 
 
+# An entry is a matrix document text and its matrix, with the Smith form
+# that snf and em-torsion keep on it (tracemalloc): about 1.7 kB for a
+# generated matrix of at most 6 x 6, 100 kB for the 60 of the perfbench
+# extensions pass.  In the seed 1 order, maxsize 16, 32, 48 and 64 catch
+# 10, 29, 43 and 60 of its 60 repeats.  One cache shared with the complex
+# memo would need about 80 entries, and a complex entry can weigh 1.24 MB.
+_MATRIX_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+def _matrix_document(text):
+    """The matrix of a bare matrix document, parsed and charged once per
+    process, so every verb on the same text reads the one Smith form that
+    IntMatrix.smith() keeps.  The charge is the square of each side, the
+    cells of the U and V that form keeps, and is made before anything is
+    reduced.  A document that fails or is refused raises, and nothing is
+    kept.  parse_int_matrix itself stays uncached, so a library caller
+    gets a fresh matrix."""
+    m = parse_int_matrix(text)
+    cells = m.rows * m.rows + m.cols * m.cols
+    charge(cells, "Smith form of a %d x %d matrix keeps %d transform cells", m.rows, m.cols, cells)
+    return m
+
+
 def _load_matrix_or_d3(path):
-    """A bare integer matrix, or a complex document contributing its
-    twisted degree-3 boundary."""
+    """A bare integer matrix (through _matrix_document), or a complex
+    document contributing its twisted degree-3 boundary (through
+    _complex_document).  Either way the matrix is the one kept for the
+    text, so its Smith form is reduced once per process."""
     text = _read_file(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -87,7 +116,7 @@ def _load_matrix_or_d3(path):
         if c.top_degree < 3:
             raise ParseError("complex has no degree-3 boundary")
         return c.d(3).augment(c.w)
-    return parse_int_matrix(text)
+    return _matrix_document(text)
 
 
 def _parse_invariants(spec):
@@ -117,7 +146,7 @@ def _status(positive):
 
 
 def _cmd_snf(args):
-    m = parse_int_matrix(_read_file(args.file))
+    m = _matrix_document(_read_file(args.file))
     s = m.smith()
     result = {
         "diag": list(s.diag),

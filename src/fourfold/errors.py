@@ -79,7 +79,8 @@ class FrozenField(FourfoldError, AttributeError):
 def generator_budget():
     """The one size limit of the package: the bar construction, the
     resolution build, the Kunneth split over pi x Z^r, the Kreck orbit
-    search and the lens witness walk are charged against it.  Override
+    search, the lens witness walk and a bare matrix document read by the
+    command line are charged against it.  Override
     with the FOURFOLD_BUDGET variable; a value that is not a
     non-negative integer is a ParseError."""
     raw = os.environ.get("FOURFOLD_BUDGET", "100000")

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -448,7 +449,8 @@ def test_lens_times_circle_document_survives_cli_homology(tmp_path, capsys):
     assert "H_4 = Z" in out
 
 
-# ---- the document memo: one parse and one d.d check per document text -------
+# ---- the document memos: one parse and one d.d check per complex document
+# text, one parse and one Smith form per matrix document text -------------
 
 MEMO_DOCUMENTS = {
     "rp4": rp4_complex,
@@ -471,29 +473,62 @@ MEMO_VERBS = [
 ]
 
 
-def _memo_argvs(path):
+def _random_matrix(seed):
+    """At most 6 x 6, wider than tall, so the family has a free summand."""
+    rng = random.Random(seed)
+    rows = rng.randint(1, 5)
+    cols = rng.randint(rows + 1, 6)
+    return json.dumps([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
+
+
+MATRIX_DOCUMENTS = {
+    "m-2468": "[[2, 4], [6, 8]]",
+    "m-zero": "[[0, 0], [0, 0]]",
+    "m-20-digit": "[[12345678901234567890, 6, 0], [4, 10, 0]]",
+}
+MATRIX_DOCUMENTS.update(("m-random-%d" % seed, _random_matrix(seed)) for seed in range(3))
+# every verb that reads a bare matrix document
+MATRIX_VERBS = (
+    [["snf"]]
+    + [["em-torsion", str(m)] for m in range(-3, 4)]
+    + [
+        ["recover-m", "1:2,2"],
+        ["classify-aspherical", "2:"],
+        ["classify-aspherical", "2:", "--inv2", "2:", "--proj", "1", "--proj2", "0"],
+    ]
+)
+MEMO_CASES = [
+    pytest.param(cli._complex_document, lambda make=make: emit_complex(make()), MEMO_VERBS, id=name)
+    for name, make in sorted(MEMO_DOCUMENTS.items())
+] + [
+    pytest.param(cli._matrix_document, lambda text=text: text, MATRIX_VERBS, id=name)
+    for name, text in sorted(MATRIX_DOCUMENTS.items())
+]
+
+
+def _memo_argvs(path, verbs):
     argvs = []
-    for verb in MEMO_VERBS:
+    for verb in verbs:
         argv = [verb[0], path] + verb[1:]
         argvs += [argv, ["--json"] + argv]
     return argvs
 
 
-@pytest.mark.parametrize("name", sorted(MEMO_DOCUMENTS))
-def test_a_warm_document_answers_as_a_cold_one(tmp_path, capsys, name):
-    f = tmp_path / (name + ".json")
-    f.write_text(emit_complex(MEMO_DOCUMENTS[name]()))
-    argvs = _memo_argvs(str(f))
+@pytest.mark.parametrize("memo, document, verbs", MEMO_CASES)
+def test_a_warm_document_answers_as_a_cold_one(tmp_path, capsys, memo, document, verbs):
+    f = tmp_path / "doc.json"
+    f.write_text(document())
+    argvs = _memo_argvs(str(f), verbs)
     cold = []
     for argv in argvs:
-        cli._complex_document.cache_clear()
+        memo.cache_clear()
         cold.append(run(capsys, argv))
-    # every verb in turn on the one kept complex, then once more
-    cli._complex_document.cache_clear()
+    # every verb in turn on the one kept document, then once more
+    memo.cache_clear()
     for _ in range(2):
-        before = cli._complex_document.cache_info()
+        before = memo.cache_info()
         assert [run(capsys, argv) for argv in argvs] == cold
-        after = cli._complex_document.cache_info()
+        after = memo.cache_info()
         assert after.currsize == 1 and after.misses - before.misses == (1 if before.currsize == 0 else 0)
     assert any(code == 0 for code, _, _ in cold)
 
@@ -504,29 +539,57 @@ def _not_a_complex():
     return json.dumps(doc)
 
 
+COMPLEX_CASE = (cli._complex_document, "homology", "ext-class", emit_complex(rp4_complex()))
+MATRIX_CASE = (cli._matrix_document, "snf", "snf", "[[2, 4], [6, 8]]")
+
+
 @pytest.mark.parametrize(
-    "text, error",
+    "case, text, error",
     [
-        ("{broken", ParseError),
-        ('{"group": "cyclic:2", "ranks": [1, 1], "boundaries": []}', ParseError),
-        ('{"group": ' + "[" * 100000 + "]" * 100000 + "}", ParseError),
-        (_not_a_complex(), NotAComplex),
+        (COMPLEX_CASE, "{broken", ParseError),
+        (COMPLEX_CASE, '{"group": "cyclic:2", "ranks": [1, 1], "boundaries": []}', ParseError),
+        (COMPLEX_CASE, '{"group": ' + "[" * 100000 + "]" * 100000 + "}", ParseError),
+        (COMPLEX_CASE, _not_a_complex(), NotAComplex),
+        (MATRIX_CASE, "[[1, 2], [3]]", ParseError),
+        (MATRIX_CASE, "[[1, true]]", ParseError),
+        (MATRIX_CASE, "[]", ParseError),
+        (MATRIX_CASE, '{"rows": [[1]]}', ParseError),
+        (MATRIX_CASE, "[" * 100000 + "]" * 100000, ParseError),
     ],
-    ids=["json", "shape", "depth", "d.d"],
+    ids=["json", "shape", "depth", "d.d", "ragged", "bool", "empty", "object", "matrix-depth"],
 )
-def test_a_failing_document_is_not_kept(tmp_path, capsys, text, error):
-    cli._complex_document.cache_clear()
+def test_a_failing_document_is_not_kept(tmp_path, capsys, case, text, error):
+    memo, good_verb, bad_verb, good = case
+    memo.cache_clear()
     f = tmp_path / "bad.json"
-    f.write_text(emit_complex(rp4_complex()))
-    assert run(capsys, ["homology", str(f)])[0] == 0
+    f.write_text(good)
+    assert run(capsys, [good_verb, str(f)])[0] == 0
     f.write_text(text)
+    messages = []
     for _ in range(2):
-        with pytest.raises(error):
-            cli._complex_document(text)
-        assert cli._complex_document.cache_info().currsize == 1
-        code, out, err = run(capsys, ["ext-class", str(f)])
-        assert (code, out) == (2, "") and err.startswith("error: ")
-        assert cli._complex_document.cache_info().currsize == 1
+        with pytest.raises(error) as raised:
+            memo(text)
+        assert memo.cache_info().currsize == 1
+        code, out, err = run(capsys, [bad_verb, str(f)])
+        assert (code, out, err) == (2, "", "error: %s\n" % raised.value)
+        assert memo.cache_info().currsize == 1
+        messages.append(err)
+    assert messages[0] == messages[1]
+
+
+def test_a_refused_matrix_document_is_not_kept(tmp_path, capsys, monkeypatch):
+    cli._matrix_document.cache_clear()
+    f = tmp_path / "m.json"
+    f.write_text("[[1, 2, 3]]")
+    monkeypatch.setenv("FOURFOLD_BUDGET", "9")
+    for argv in (["snf", str(f)], ["em-torsion", str(f), "2"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: Smith form of a 1 x 3 matrix keeps 10 transform cells, budget 9\n"
+        assert cli._matrix_document.cache_info().currsize == 0
+    # the charge is rows^2 + cols^2, so a budget of exactly that answers
+    monkeypatch.setenv("FOURFOLD_BUDGET", "10")
+    assert run(capsys, ["snf", str(f)]) == (0, "matrix 1 x 3\nrank 1\ninvariant factors: 1\n", "")
 
 
 def test_a_rewritten_file_gives_the_new_answer(tmp_path, capsys):
@@ -537,6 +600,14 @@ def test_a_rewritten_file_gives_the_new_answer(tmp_path, capsys):
     assert run(capsys, ["homology", str(f)])[1] == "H_0 = Z\nH_1 = 0\nH_2 = Z\nH_3 = 0\nH_4 = Z\n"
     f.write_text(emit_complex(rp4_complex()))
     assert run(capsys, ["ext-class", str(f)])[1].startswith("extension group: Z/2\n")
+    # a bare matrix document, rewritten between verbs
+    f.write_text("[[2, 4], [6, 8]]")
+    assert run(capsys, ["snf", str(f)])[1].endswith("invariant factors: 2 4\n")
+    f.write_text("[[1, 0, 0], [0, 3, 0]]")
+    assert run(capsys, ["snf", str(f)])[1].endswith("invariant factors: 1 3\n")
+    assert run(capsys, ["em-torsion", str(f), "6"])[1] == "E_6 = Z^2 + Z/3 + Z/6\n"
+    f.write_text("[[2, 4], [6, 8]]")
+    assert run(capsys, ["em-torsion", str(f), "6"])[1] == "E_6 = Z^2 + Z/2 + Z/2\n"
 
 
 def test_parse_complex_returns_a_fresh_complex():
@@ -564,6 +635,44 @@ def test_every_twist_of_a_kept_document_reads_one_reduction(t4_file, capsys, mon
     # T^4's augmented d_3, once, and no other matrix
     c = cli._complex_document(pathlib.Path(t4_file).read_text())
     assert len(reduced) == 1 and reduced[0] is c.d(3).augment(c.w)
+
+
+def test_every_verb_on_a_kept_matrix_document_reads_one_reduction(tmp_path, capsys, monkeypatch):
+    cli._matrix_document.cache_clear()
+    f = tmp_path / "d.json"
+    f.write_text("[[2, 0, 0], [0, 6, 0]]")
+    reduced = []
+    snf = intmat.smith_normal_form
+
+    def counting(a):
+        reduced.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    assert run(capsys, ["snf", str(f)])[1].endswith("invariant factors: 2 6\n")
+    for m in range(16):
+        assert run(capsys, ["em-torsion", str(f), str(m)])[0] == 0
+    assert run(capsys, ["recover-m", str(f), "2:2,2,2"])[1] == "candidates: [2]\n"
+    assert run(capsys, ["classify-aspherical", str(f), "2:2,2,2"])[1] == "candidates: [2]\n"
+    # the kept matrix, once, where each of the 19 verbs reduced it afresh
+    assert len(reduced) == 1 and reduced[0] is cli._matrix_document(f.read_text())
+
+
+def test_an_evicted_matrix_document_answers_as_a_cold_one(tmp_path, capsys):
+    size = cli._matrix_document.cache_parameters()["maxsize"]
+    paths = []
+    for k in range(size + 1):
+        f = tmp_path / ("m%d.json" % k)
+        f.write_text("[[%d, 2], [0, %d]]" % (k + 1, 2 * k + 4))
+        paths.append(str(f))
+    cli._matrix_document.cache_clear()
+    cold = run(capsys, ["--json", "em-torsion", paths[0], "4"])
+    for path in paths[1:]:
+        assert run(capsys, ["snf", path])[0] == 0
+    info = cli._matrix_document.cache_info()
+    assert info.currsize == size
+    assert run(capsys, ["--json", "em-torsion", paths[0], "4"]) == cold
+    assert cli._matrix_document.cache_info().misses == info.misses + 1
 
 
 def run_capped(argv, limit_mib, timeout=30):
@@ -620,22 +729,37 @@ BAR_PROBES = [("cyclic:16", 3), ("cyclic:12", 3), ("cyclic:8", 4), ("product:2,2
 # and 4.2-6.7 s (bordism, r = 40) under the 1 GiB cap while nothing
 # charged the pairwise canonicalisation of their torsion lists
 KUNNETH_PROBES = [["group-homology", "--group", "cyclic:2*Z^30", "--degree", "4"], ["bordism", "--group", "cyclic:2*Z^40"]]
-CHARGED_PROBES = [
-    pytest.param(["group-homology", "--group", g, "--degree", str(d), "--oracle", "bar"], id="%s-%d" % (g, d))
-    for g, d in BAR_PROBES
-] + [pytest.param(argv, id="kunneth-" + argv[0]) for argv in KUNNETH_PROBES]
+# a 60 kB bare matrix of one row and 20000 columns, whose Smith form would
+# keep a 20000 x 20000 V: snf ran out of memory under the 1 GiB cap after
+# 2.7 s while nothing charged a matrix document
+WIDE_PROBES = [["snf", "{wide}"], ["em-torsion", "{wide}", "3"]]
+CHARGED_PROBES = (
+    [
+        pytest.param(["group-homology", "--group", g, "--degree", str(d), "--oracle", "bar"], id="%s-%d" % (g, d))
+        for g, d in BAR_PROBES
+    ]
+    + [pytest.param(argv, id="kunneth-" + argv[0]) for argv in KUNNETH_PROBES]
+    + [pytest.param(argv, id="wide-" + argv[0]) for argv in WIDE_PROBES]
+)
 
 
 @pytest.mark.parametrize("argv", CHARGED_PROBES)
-def test_a_bar_oracle_request_is_charged_by_its_smith_form(monkeypatch, argv):
+def test_a_bar_oracle_request_is_charged_by_its_smith_form(monkeypatch, tmp_path, argv):
     monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps([[1] * 20000]))
     start = time.monotonic()
-    proc = run_capped(argv, 1024, timeout=20)
+    proc = run_capped([a.format(wide=wide) for a in argv], 1024, timeout=20)
     assert time.monotonic() - start < 2
     assert (proc.returncode, proc.stdout) == (2, "")
-    what = "Kunneth split of H_4 needs " if argv in KUNNETH_PROBES else "bar resolution needs "
+    if argv in WIDE_PROBES:
+        what = "Smith form of a 1 x 20000 matrix keeps 400000001 transform cells"
+    elif argv in KUNNETH_PROBES:
+        what = "Kunneth split of H_4 needs "
+    else:
+        what = "bar resolution needs "
     assert proc.stderr.startswith("error: " + what) and proc.stderr.endswith(", budget 100000\n")
-    if argv[2] == "cyclic:16":
+    if argv[2:3] == ["cyclic:16"]:
         assert proc.stderr == (
             "error: bar resolution needs 50625 generators in degree 4 and 2562890625 cells for their Smith form,"
             " budget 100000\n"

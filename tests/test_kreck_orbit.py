@@ -306,5 +306,6 @@ def test_every_lru_cache_is_bounded():
         "groupring._element_table",
         "cli._parser",
         "cli._complex_document",
+        "cli._matrix_document",
     }
     assert all(size is not None for size in found.values()), found
