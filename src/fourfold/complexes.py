@@ -189,6 +189,13 @@ def presentation_complex(group, wedge_cells=0):
     return _exact_complex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
 
 
+def _circle(group, i, w):
+    """The circle factor 0 -> Z[pi] --(t_i - 1)--> Z[pi] of free generator
+    i: a resolution of Z over the infinite cyclic group t_i generates."""
+    d1 = RingMatrix(group, 1, 1, [[ring_generator(group, i) - ring_one(group)]])
+    return _exact_complex(group, w, (1, 1), (d1,))
+
+
 def cross_circle(c, sign=1):
     """Tensor with the standard circle complex over a new Laurent variable.
 
@@ -202,20 +209,13 @@ def cross_circle(c, sign=1):
     def embed(el):
         return el + (0,)
 
-    circle_d1 = RingMatrix(
-        new_group,
-        1,
-        1,
-        [[ring_generator(new_group, new_group.ngens - 1) - ring_one(new_group)]],
-    )
-    circle = _exact_complex(new_group, w, (1, 1), (circle_d1,))
     lifted = _exact_complex(
         new_group,
         w,
         c.ranks,
         tuple(b.map_entries(lambda e: e.map_group(new_group, embed), new_group) for b in c.boundaries),
     )
-    return tensor_complex(lifted, circle)
+    return tensor_complex(lifted, _circle(new_group, new_group.ngens - 1, w))
 
 
 def tensor_complex(a, b, top=None):

@@ -78,11 +78,11 @@ class FrozenField(FourfoldError, AttributeError):
 
 def generator_budget():
     """The one size limit of the package: the bar construction, the
-    resolution build, the Kunneth split over pi x Z^r, the Kreck orbit
-    search, the lens witness walk and a bare matrix document read by the
-    command line are charged against it.  Override
-    with the FOURFOLD_BUDGET variable; a value that is not a
-    non-negative integer is a ParseError."""
+    resolution build (its length, its largest norm element and its
+    largest boundary), the Kreck orbit search, the lens witness walk and
+    a bare matrix document read by the command line are charged against
+    it.  Override with the FOURFOLD_BUDGET variable; a value that is not
+    a non-negative integer is a ParseError."""
     raw = os.environ.get("FOURFOLD_BUDGET", "100000")
     try:
         budget = int(raw)

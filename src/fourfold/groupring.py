@@ -236,11 +236,6 @@ class OrientationChar(FrozenValue):
                 parity += e
         return -1 if parity % 2 else 1
 
-    def restrict_finite(self):
-        """The character on the finite part of a Laurent extension."""
-        k = len(self.group.orders)
-        return OrientationChar(self.group.finite_part(), self.signs[:k])
-
 
 def trivial_char(group):
     return OrientationChar(group, (1,) * group.ngens)

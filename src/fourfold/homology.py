@@ -1,28 +1,26 @@
-"""Group homology of finite products of cyclic groups, and of their
-products with Z^r.
+"""Group homology of pi x Z^r, pi a finite product of cyclic groups and
+r >= 0.
 
-group_homology owns both: a finite group reads a resolution, and
-pi x Z^r with a character trivial on Z^r reads the Kunneth split
-H_n(pi x Z^r) = sum over k of H_(n-k)(pi)^C(r,k) in closed form, from
-the finite part's cached homology (H_*(Z^r) is free, so no Tor term).
+Two independent routes are implemented: tensor products of one
+resolution per factor of the group (the production route, for every
+supported group), and the normalized bar resolution (the oracle for
+finite groups, exponentially larger but assembled straight from the
+group law).  The acceptance suite insists the two agree; the bar route
+exists so nothing is ever checked against itself.
 
-Two independent routes are implemented: tensor products of the periodic
-resolutions of the cyclic factors (the production route), and the
-normalized bar resolution (the oracle, exponentially larger but assembled
-straight from the group law).  The acceptance suite insists the two
-agree; the bar route exists so nothing is ever checked against itself.
-
-The periodic resolution of each factor is written directly over the
-requested group (t_i - 1 in odd degree, the norm of factor i in even
-degree), and the factors are tensored only through the requested bound,
-so no boundary is built over another group or above the bound.
+Each factor is resolved over the requested group itself: a cyclic factor
+by its periodic resolution (t_i - 1 in odd degree, the norm of factor i
+in even degree), a free generator by the circle 0 -> Z[pi] --(t - 1)-->
+Z[pi] of complexes._circle.  The factors are tensored only through the
+requested bound, so no boundary is built over another group or above
+the bound.
 
 A resolution is a plain LambdaComplex over Z[pi] with trivial character,
 truncated at top_degree: its augmented homology is Z in degree 0 and
 zero in degrees 1..top_degree-1.  That holds by construction (the
-periodic resolution of Z/p, and the Kunneth theorem for tensor
-products), so it is checked by the test suite, not at run time.  Twisted
-integer homology reads the resolution's augmented boundaries
+periodic resolution of Z/p, the circle of Z, and the Kunneth theorem for
+tensor products), so it is checked by the test suite, not at run time.
+Twisted integer homology reads the resolution's augmented boundaries
 (RingMatrix.augment), each kept per matrix and character with its Smith
 form: H_n and H_(n+1) share the reduction of d_(n+1), and a periodic
 resolution reduces its one odd and one even boundary once each.  With
@@ -31,14 +29,12 @@ coefficients in a module, the module cuts the subquotient (FPModule).
 
 import functools
 import itertools
-import math
 
-from fourfold.complexes import _exact_complex, _twisted_homology, tensor_complex
+from fourfold.complexes import _circle, _exact_complex, _twisted_homology, tensor_complex
 from fourfold.errors import (
     DegreeOutOfRange,
     GroupMismatch,
     InfiniteGroup,
-    UnsupportedCharacter,
     charge,
     generator_budget,
 )
@@ -49,7 +45,7 @@ from fourfold.groupring import (
     ring_one,
     trivial_char,
 )
-from fourfold.intmat import AbelianInvariants, IntMatrix, homology_invariants
+from fourfold.intmat import IntMatrix, homology_invariants
 
 __all__ = [
     "group_homology",
@@ -86,72 +82,70 @@ _HOMOLOGY_CACHE_SIZE = 1024
 
 
 def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
-    """A resolution of Z for a finite product of cyclic groups.
+    """A resolution of Z for pi x Z^r, pi a finite product of cyclic
+    groups.
 
     The tensor product, through degree bound, of the periodic resolutions
-    of the factors of order > 1, each written over group itself; with no
-    such factor it is Z in degree 0.  Cached per (group, bound) in a
+    of the cyclic factors of order > 1 and the circles of the free
+    generators, each written over group itself.  The first periodic
+    factor seeds the product; with none, Z in degree 0 does, so the
+    product always reaches the bound.  Cached per (group, bound) in a
     bounded cache; a rebuilt resolution is equal to the evicted one, so
     classes computed against it keep their coordinates.
     """
-    if not group.is_finite:
-        raise InfiniteGroup("resolutions are built for finite groups only")
     return _resolution(group, bound)
 
 
 @functools.lru_cache(maxsize=_RESOLUTION_CACHE_SIZE)
 def _resolution(group, bound):
-    factors = [i for i, o in enumerate(group.orders) if o > 1]
-    if not factors:
-        ranks = (1,) + (0,) * bound
-        boundaries = tuple(RingMatrix.zeros(group, ranks[i - 1], ranks[i]) for i in range(1, bound + 1))
-        return _exact_complex(group, trivial_char(group), ranks, boundaries)
-    # degree n has rank C(n+k-1, k-1) over k factors, so the top boundary,
-    # which H_(bound-1) reduces, is the largest, and the norm element of a
-    # factor of order n has n terms; charge both before building
-    k = len(factors)
-    cells = math.comb(bound + k - 2, k - 1) * math.comb(bound + k - 1, k - 1)
-    n = max(group.orders)
-    charge(n, "the norm element of Z/%d needs %d terms", n, n)
-    charge(cells, "resolution through degree %d needs %d cells in its top boundary", bound, cells)
-    res = _periodic_factor(group, factors[0], bound)
-    for i in factors[1:]:
+    cyclic = [i for i, o in enumerate(group.orders) if o > 1]
+    free = range(len(group.orders), group.ngens)
+    # charge the length, then the norm element of the largest cyclic
+    # factor (n terms for Z/n), then the largest boundary, before building
+    charge(bound, "resolution through degree %d needs %d boundaries", bound, bound)
+    if cyclic:
+        n = max(group.orders)
+        charge(n, "the norm element of Z/%d needs %d terms", n, n)
+    # the ranks of a product are the convolution of its factors' ranks: 1
+    # in every degree for a periodic factor, 1 in degrees 0 and 1 for a
+    # circle.  With a cyclic factor they never fall, so the top boundary is
+    # the largest; over Z^r alone they peak at degree r/2
+    ranks = [1] + [0] * bound
+    for _ in cyclic:
+        ranks = list(itertools.accumulate(ranks))
+    for _ in free:
+        ranks = [1] + [a + b for a, b in zip(ranks[1:], ranks)]
+    cells, top = max(((ranks[i - 1] * ranks[i], i) for i in range(1, bound + 1)), default=(0, bound))
+    where = "top boundary" if top == bound else "boundary d_%d" % top
+    charge(cells, "resolution through degree %d needs %d cells in its %s", bound, cells, where)
+    w = trivial_char(group)
+    if cyclic:
+        res = _periodic_factor(group, cyclic[0], bound)
+    else:
+        unit = (1,) + (0,) * bound
+        zeros = tuple(RingMatrix.zeros(group, unit[i - 1], unit[i]) for i in range(1, bound + 1))
+        res = _exact_complex(group, w, unit, zeros)
+    for i in cyclic[1:]:
         res = tensor_complex(res, _periodic_factor(group, i, bound), top=bound)
+    for i in free:
+        res = tensor_complex(res, _circle(group, i, w), top=bound)
     return res
 
 
 def group_homology(group, w, degree):
-    """H_degree(pi; Z^w) for a finite product of cyclic groups, or for
-    such a group times Z^r.
+    """H_degree(pi; Z^w) for pi x Z^r, pi a finite product of cyclic
+    groups, with any character w.
 
     Twisting happens at augmentation time: the resolution itself is
     untwisted and the boundary matrices are collapsed with the signed
-    augmentation.  On a Laurent extension the character must be +1 on
-    every free direction (UnsupportedCharacter otherwise), and the answer
-    is the Kunneth split sum_(k <= min(r, n)) H_(n-k)(pi; Z^w)^C(r,k) of
-    the finite part pi, whose n torsion orders are charged n^2 against
-    the budget before they are listed.  A character of another group is
-    a GroupMismatch.
+    augmentation, so a character that reverses a free direction is read
+    like any other.  A character of another group is a GroupMismatch.
     """
     if w.group is not group and w.group != group:
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if degree < 0:
         raise DegreeOutOfRange("negative degree")
-    if group.is_finite:
-        return _group_homology(group, w, degree)
-    if any(s != 1 for s in w.signs[len(group.orders) :]):
-        raise UnsupportedCharacter("character must be trivial on free directions")
-    base, w_base, r = group.finite_part(), w.restrict_finite(), group.laurent_rank
-    terms = [(_group_homology(base, w_base, degree - k), math.comb(r, k)) for k in range(min(r, degree) + 1)]
-    # from_diag canonicalises the torsion list pair by pair, so its work
-    # is the square of the list's length
-    n = sum(copies * len(h.torsion) for h, copies in terms)
-    charge(n * n, "Kunneth split of H_%d needs %d torsion orders and %d pairs to combine", degree, n, n * n)
-    free, orders = 0, []
-    for h, copies in terms:
-        free += copies * h.free_rank
-        orders += h.torsion * copies
-    return AbelianInvariants.from_diag(free, orders)
+    return _group_homology(group, w, degree)
 
 
 @functools.lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)

@@ -50,7 +50,6 @@ from fourfold.errors import (
     InfiniteGroup,
     InvalidLens,
     TypeMismatch,
-    UnsupportedCharacter,
 )
 from test_extensions import ref_em_torsion
 
@@ -160,8 +159,8 @@ def test_bordism_anchors():
     assert bordism_group(g2, char_from_signs(g2, (-1,))) == (c(2), c(2))
     gx = laurent_extension(cyclic_group(5), 1)
     assert bordism_group(gx, trivial_char(gx)) == (Z, c(5))
-    with pytest.raises(UnsupportedCharacter):
-        bordism_group(gx, char_from_signs(gx, (1, -1)))
+    # reversing the free direction: H_4(Z/5)/2 + H_3(Z/5)[2] = 0
+    assert bordism_group(gx, char_from_signs(gx, (1, -1))) == (c(2), ZERO)
 
 
 def test_kreck_orbit_mod5_and_mod7():

@@ -282,19 +282,18 @@ def test_bordism_command(capsys):
     assert doc["result"]["h4"] == {"free": 0, "torsion": [5]}
 
 
-def test_laurent_character_must_be_trivial_on_free_directions(tmp_path, capsys):
+def test_laurent_character_may_reverse_free_directions(tmp_path, capsys):
     # H_0 of trivial x Z with the free generator reversing orientation is
-    # Z/2, which the Kunneth split over the finite part cannot give; both
-    # verbs refuse it the same way
-    for group, w in (("trivial*Z", "-1"), ("cyclic:2*Z", "1,-1")):
-        for verb, extra in (("group-homology", ["--degree", "0"]), ("bordism", [])):
-            code, out, err = run(capsys, [verb, "--group", group, "--w=" + w] + extra)
-            assert code == 2, (verb, group)
-            assert out == "" and err == "error: character must be trivial on free directions\n"
+    # coker(-2) = Z/2, and over Z/2 x Z with w = (1, -1) the degree-4 piece
+    # is H_4(Z/2)/2 + H_3(Z/2)[2] = Z/2
+    code, out, err = run(capsys, ["group-homology", "--group", "trivial*Z", "--w=-1", "--degree", "0"])
+    assert (code, out, err) == (0, "H_0(trivial x Z) = Z/2\n", "")
+    code, out, err = run(capsys, ["bordism", "--group", "cyclic:2*Z", "--w=1,-1"])
+    assert (code, out, err) == (0, "Z/2 x Z/2\n", "")
     record = tmp_path / "rec.json"
-    record.write_text(json.dumps({"group": "cyclic:2*Z", "w": [1, -1], "class_h4": [0]}))
-    code, _, err = run(capsys, ["classify-kreck", str(record), str(record)])
-    assert code == 2 and "free directions" in err
+    record.write_text(json.dumps({"group": "cyclic:2*Z", "w": [1, -1], "class_h4": [1]}))
+    code, out, err = run(capsys, ["classify-kreck", str(record), str(record)])
+    assert (code, out, err) == (0, "EQUIVALENT  {'multiplier': 1, 'sign': 1}\n", "")
     # a sign -1 on the finite factor is allowed
     code, out, _ = run(capsys, ["group-homology", "--group", "cyclic:2*Z", "--w=-1,1", "--degree", "1"])
     assert code == 0
@@ -725,10 +724,10 @@ def test_lens_classify_of_a_large_prime_is_refused_by_the_budget(monkeypatch):
 # while the charge counted generators: the Smith form of the top boundary
 # keeps a square transform over them.
 BAR_PROBES = [("cyclic:16", 3), ("cyclic:12", 3), ("cyclic:8", 4), ("product:2,2,4", 3), ("cyclic:50000", 0)]
-# Kunneth splits over Z/2 x Z^r that took 0.8-1.2 s (r = 30, degree 4)
-# and 4.2-6.7 s (bordism, r = 40) under the 1 GiB cap while nothing
-# charged the pairwise canonicalisation of their torsion lists
-KUNNETH_PROBES = [["group-homology", "--group", "cyclic:2*Z^30", "--degree", "4"], ["bordism", "--group", "cyclic:2*Z^40"]]
+# Homology of Z/2 x Z^r that took 0.8-1.2 s (r = 30, degree 4) and
+# 4.2-6.7 s (bordism, r = 40) under the 1 GiB cap while nothing charged
+# it; the cells of the resolution's top boundary refuse both at once
+LAURENT_PROBES = [["group-homology", "--group", "cyclic:2*Z^30", "--degree", "4"], ["bordism", "--group", "cyclic:2*Z^40"]]
 # a 60 kB bare matrix of one row and 20000 columns, whose Smith form would
 # keep a 20000 x 20000 V: snf ran out of memory under the 1 GiB cap after
 # 2.7 s while nothing charged a matrix document
@@ -738,7 +737,7 @@ CHARGED_PROBES = (
         pytest.param(["group-homology", "--group", g, "--degree", str(d), "--oracle", "bar"], id="%s-%d" % (g, d))
         for g, d in BAR_PROBES
     ]
-    + [pytest.param(argv, id="kunneth-" + argv[0]) for argv in KUNNETH_PROBES]
+    + [pytest.param(argv, id="laurent-" + argv[0]) for argv in LAURENT_PROBES]
     + [pytest.param(argv, id="wide-" + argv[0]) for argv in WIDE_PROBES]
 )
 
@@ -754,8 +753,8 @@ def test_a_bar_oracle_request_is_charged_by_its_smith_form(monkeypatch, tmp_path
     assert (proc.returncode, proc.stdout) == (2, "")
     if argv in WIDE_PROBES:
         what = "Smith form of a 1 x 20000 matrix keeps 400000001 transform cells"
-    elif argv in KUNNETH_PROBES:
-        what = "Kunneth split of H_4 needs "
+    elif argv in LAURENT_PROBES:
+        what = "resolution through degree 6 needs "
     else:
         what = "bar resolution needs "
     assert proc.stderr.startswith("error: " + what) and proc.stderr.endswith(", budget 100000\n")
@@ -766,7 +765,7 @@ def test_a_bar_oracle_request_is_charged_by_its_smith_form(monkeypatch, tmp_path
         )
     if argv[0] == "bordism":
         assert proc.stderr == (
-            "error: Kunneth split of H_4 needs 9920 torsion orders and 98406400 pairs to combine, budget 100000\n"
+            "error: resolution through degree 6 needs 3495299289421 cells in its top boundary, budget 100000\n"
         )
 
 
@@ -800,6 +799,59 @@ def test_group_homology_of_a_high_degree_is_refused_by_the_budget(monkeypatch):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: resolution through degree 61 needs 3693123 cells in its top boundary, budget 100000\n"
+
+
+def test_a_long_resolution_is_charged_by_its_length(monkeypatch):
+    # a periodic resolution has one 1 x 1 boundary per degree, so only its
+    # length bounds it: through degree 30000001 it answered after 20.8 s at
+    # 708 MB while nothing charged the length
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    start = time.monotonic()
+    proc = run_capped(["group-homology", "--group", "cyclic:2", "--degree", "30000000"], 1024, timeout=20)
+    assert time.monotonic() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: resolution through degree 30000001 needs 30000001 boundaries, budget 100000\n"
+
+
+# The limits the README states for the default budget, each on both sides:
+# the command that answers, the next one up, which exits 2, and its need.
+README_LIMITS = {
+    "cyclic:2*Z^8": (
+        "group-homology --group cyclic:2*Z^8 --degree 4",
+        "group-homology --group cyclic:2*Z^9 --degree 4",
+        (6, 178012, "cells in its top boundary"),
+    ),
+    "trivial*Z^10": (
+        "group-homology --group trivial*Z^10 --degree 4",
+        "group-homology --group trivial*Z^11 --degree 4",
+        (6, 213444, "cells in its top boundary"),
+    ),
+    "product:2,2,2": (
+        "group-homology --group product:2,2,2 --degree 23",
+        "group-homology --group product:2,2,2 --degree 24",
+        (25, 114075, "cells in its top boundary"),
+    ),
+    "length": (
+        "group-homology --group cyclic:2 --degree 99999",
+        "group-homology --group cyclic:2 --degree 100000",
+        (100001, 100001, "boundaries"),
+    ),
+}
+README = " ".join((pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+
+
+@pytest.mark.parametrize("case", list(README_LIMITS))
+def test_the_readme_limits_are_the_enforced_ones(monkeypatch, case):
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    inside, outside, (bound, need, unit) = README_LIMITS[case]
+    proc = run_capped(inside.split(), 1024, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    proc = run_capped(outside.split(), 1024, timeout=20)
+    message = "error: resolution through degree %d needs %d %s, budget 100000\n" % (bound, need, unit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    # the README names the command that answers and the need of the next
+    assert "`%s`" % inside in README
+    assert "{:,}".format(need) in README
 
 
 def test_lens_linking_without_a_witness_is_refused_by_the_budget(monkeypatch):

@@ -446,8 +446,11 @@ def test_src_imports_only_from_lower_layers():
 # Underscore names that one package module may import from another, each
 # with its reason.  Any other private name stays in the module that owns it.
 PRIVATE_IMPORTS = {
+    ("homology.py", "complexes", "_circle"): (
+        "the circle of a free generator is one builder, for cross_circle and for the resolution of pi x Z^r"
+    ),
     ("homology.py", "complexes", "_exact_complex"): (
-        "periodic resolutions and the trivial group's resolution are complexes by construction"
+        "periodic resolutions and the Z-in-degree-0 seed of Z^r are complexes by construction"
     ),
     ("homology.py", "complexes", "_twisted_homology"): (
         "group homology twists a resolution by a character other than its own, which homology_Zw does not take"
@@ -472,10 +475,11 @@ EXACT_BUILDERS = {
     ("complexes.py", "twisted_dual"): "the twisted dual of a complex is a complex",
     ("complexes.py", "point_complex"): "one module, no boundary",
     ("complexes.py", "presentation_complex"): "power and commutator relators are killed by t_i - 1",
-    ("complexes.py", "cross_circle"): "the circle has one boundary, and a ring map keeps d.d = 0",
+    ("complexes.py", "_circle"): "one boundary, so there is no d.d to check",
+    ("complexes.py", "cross_circle"): "a ring map into pi x Z keeps d.d = 0",
     ("complexes.py", "tensor_complex"): "the Koszul sign makes a product of complexes a complex",
     ("homology.py", "_periodic_factor"): "(t - 1) . N = 0 in Z[Z/n]",
-    ("homology.py", "_resolution"): "the trivial group's resolution has zero boundaries",
+    ("homology.py", "_resolution"): "Z in degree 0, the seed of a group with no cyclic factor, has zero boundaries",
 }
 # The shape half of the constructor, which skips validate, is reached only
 # from the constructor itself and from _exact_complex.

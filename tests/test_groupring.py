@@ -125,14 +125,6 @@ def test_char_is_multiplicative():
             assert w.sign(g.mul(a, b)) == w.sign(a) * w.sign(b)
 
 
-def test_char_restrict_finite():
-    g = laurent_extension(cyclic_group(2))
-    w = char_from_signs(g, (-1, 1))
-    wf = w.restrict_finite()
-    assert wf.group.order() == 2
-    assert wf.signs == (-1,)
-
-
 def test_ring_element_arithmetic():
     g = cyclic_group(5)
     t = ring_generator(g, 0)

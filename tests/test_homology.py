@@ -11,6 +11,7 @@ expansion, for every resolution the benchmark groups use.  The built-in
 model complexes are likewise checked for d.d = 0 here.
 """
 
+import itertools
 import math
 import os
 import sys
@@ -53,9 +54,7 @@ from fourfold.manifolds import (
 from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
-    InfiniteGroup,
     ParseError,
-    UnsupportedCharacter,
 )
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -190,8 +189,11 @@ def test_resolution_for_products(monkeypatch):
         BudgetExceeded, match="resolution through degree 6 needs 116424 cells in its top boundary, budget 100000"
     ):
         resolution_for(product_group((2,) * 6))
-    with pytest.raises(InfiniteGroup):
-        resolution_for(laurent_extension(cyclic_group(2)))
+    monkeypatch.undo()
+    # a free generator adds a circle factor: Z/2 x Z has rank 2 above degree 0
+    res = resolution_for(laurent_extension(cyclic_group(2)))
+    assert validate(res)
+    assert res.ranks == (1,) + (2,) * DEFAULT_DEGREE_BOUND
 
 
 def test_groups_of_four_and_five_factors_answer_within_the_budget(monkeypatch):
@@ -353,22 +355,45 @@ def test_a_resolution_is_charged_by_its_top_boundary(monkeypatch):
         group_homology(g, trivial_char(g), 2)
     monkeypatch.setenv("FOURFOLD_BUDGET", "588")
     assert group_homology(g, trivial_char(g), 2) == c(2, 2, 2)
-    # the charge is the product of the two top ranks of what gets built, or
-    # the terms of the largest norm element (the order of its factor) when
-    # that is more: 5 > 1 x 1 for Z/5
+    # the charge is the product of the two top ranks of what gets built,
+    # the terms of the largest norm element (the order of its factor) or
+    # the number of boundaries, whichever is most: 9 > 5 > 1 x 1 for Z/5
+    # through degree 9
     for orders, bound in (((5,), 9), ((2, 3), 7), ((2, 2, 2), 6), ((2, 4, 4), 4), ((3, 3, 3), 8), ((2, 2, 2, 2), 6)):
         homology._resolution.cache_clear()
         monkeypatch.delenv("FOURFOLD_BUDGET")
         res = resolution_for(product_group(orders), bound)
         cells = res.ranks[-2] * res.ranks[-1]
-        charge = max(cells, max(orders))
+        # the length is charged first, then the norm element, then the cells
+        needs = {cells: "cells", max(orders): "terms", bound: "boundaries"}
+        charge = max(needs)
         homology._resolution.cache_clear()
         monkeypatch.setenv("FOURFOLD_BUDGET", str(charge - 1))
-        with pytest.raises(BudgetExceeded, match="needs %d %s" % (charge, "cells" if charge == cells else "terms")):
+        with pytest.raises(BudgetExceeded, match="needs %d %s" % (charge, needs[charge])):
             resolution_for(product_group(orders), bound)
         monkeypatch.setenv("FOURFOLD_BUDGET", str(charge))
         assert resolution_for(product_group(orders), bound).ranks == res.ranks
     homology._group_homology.cache_clear()
+    homology._resolution.cache_clear()
+
+
+def test_a_free_abelian_resolution_is_charged_by_its_largest_boundary(monkeypatch):
+    # over Z^r alone the ranks C(r, n) fall after degree r/2, so the
+    # largest boundary is charged, not the top one: Z^4 through degree 6
+    # has ranks 1, 4, 6, 4, 1, 0, 0 and d_3 is 4 x 6
+    g = laurent_extension(trivial_group(), 4)
+    homology._resolution.cache_clear()
+    monkeypatch.setenv("FOURFOLD_BUDGET", "23")
+    with pytest.raises(BudgetExceeded, match="resolution through degree 6 needs 24 cells in its boundary d_3, budget 23"):
+        resolution_for(g)
+    monkeypatch.setenv("FOURFOLD_BUDGET", "24")
+    assert resolution_for(g).ranks == (1, 4, 6, 4, 1, 0, 0)
+    # Z^20 through degree 20 would build d_11, C(20, 10) x C(20, 11), where
+    # its top boundary is 20 x 1
+    monkeypatch.delenv("FOURFOLD_BUDGET")
+    cells = math.comb(20, 10) * math.comb(20, 11)
+    with pytest.raises(BudgetExceeded, match="needs %d cells in its boundary d_11, budget 100000" % cells):
+        resolution_for(laurent_extension(trivial_group(), 20), 20)
     homology._resolution.cache_clear()
 
 
@@ -401,6 +426,65 @@ def test_laurent_extension_homology():
             assert [group_homology(g, w, n) for n in range(5)] == hs, (base, signs, r)
 
 
+def _circle_step(hs, sign):
+    """H_0..H_top of G x Z from those of G, when the new generator acts on
+    the coefficients by sign: Kunneth with the circle, whose complex
+    Z --(sign - 1)--> Z has homology Z, Z for sign +1 and Z/2, 0 for -1, so
+    H_n(G x Z; Z^w) = H_n(G)/2 + H_(n-1)(G)[2] for sign -1."""
+    if sign == 1:
+        return _split_once(hs)
+
+    def evens(h):
+        return sum(1 for t in h.torsion if t % 2 == 0)
+
+    below = [ZERO] + hs[:-1]
+    return [AbelianInvariants(0, (2,) * (a.free_rank + evens(a) + evens(b))) for a, b in zip(hs, below)]
+
+
+def _laurent_ranks(k, r, bound):
+    """The ranks of k periodic factors tensored with r circles, in closed
+    form: the coefficient of x^n in (1 + x)^r / (1 - x)^k."""
+    if k == 0:
+        return tuple(math.comb(r, n) for n in range(bound + 1))
+    return tuple(
+        sum(math.comb(r, j) * math.comb(n - j + k - 1, k - 1) for j in range(min(r, n) + 1)) for n in range(bound + 1)
+    )
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (3,), (4,), (2, 2)], ids=lambda o: "x".join(map(str, o)) or "1")
+def test_laurent_homology_matches_the_circle_closed_forms(orders):
+    # every character of pi x Z^r, r <= 3, in degrees 0..5: the closed-form
+    # step above from perfbench's finite homology, and perfbench's Kunneth
+    # of the finite part with one circle per free generator; neither shares
+    # code with the resolution
+    top = 5
+    base = product_group(orders)
+    finite_signs = list(itertools.product(*((1, -1) if o % 2 == 0 else (1,) for o in orders)))
+    for r in (1, 2, 3):
+        g = laurent_extension(base, r)
+        res = resolution_for(g)
+        assert validate(res)
+        assert res.ranks == _laurent_ranks(len(orders), r, DEFAULT_DEGREE_BOUND), (orders, r)
+        for signs in finite_signs:
+            if orders:
+                finite = [oracles.group_homology(orders, signs, n) for n in range(top + 1)]
+            else:
+                finite = [(1, ())] + [(0, ())] * top
+            for free_signs in itertools.product((1, -1), repeat=r):
+                hs = [AbelianInvariants.from_diag(f, t) for f, t in finite]
+                kunneth = finite
+                for sign in free_signs:
+                    hs = _circle_step(hs, sign)
+                    circle = [(1, []), (1, [])] if sign == 1 else [(0, [2]), (0, [])]
+                    kunneth = oracles.kunneth(kunneth, circle + [(0, [])] * (top - 1))
+                w = char_from_signs(g, signs + free_signs)
+                got = [group_homology(g, w, n) for n in range(top + 1)]
+                assert got == hs, (orders, signs, free_signs)
+                assert [oracles.canonical(h.free_rank, h.torsion) for h in got] == [
+                    oracles.canonical(f, t) for f, t in kunneth
+                ], (orders, signs, free_signs)
+
+
 def test_h4_of_pi_cross_z():
     g = laurent_extension(cyclic_group(5))
     w = trivial_char(g)
@@ -410,8 +494,8 @@ def test_h4_of_pi_cross_z():
     wx = char_from_signs(gx, (-1, 1))
     # H_4 + H_3 of Z/2 with the twisted system: Z/2 + 0
     assert group_homology(gx, wx, 4) == c(2)
-    with pytest.raises(UnsupportedCharacter):
-        group_homology(gx, char_from_signs(gx, (1, -1)), 4)
+    # reversing the free direction: H_4(Z/2)/2 + H_3(Z/2)[2] = 0 + Z/2
+    assert group_homology(gx, char_from_signs(gx, (1, -1)), 4) == c(2)
 
 
 def trivial_module(group):
