@@ -8,6 +8,10 @@ consumer re-checks it.  Builders whose output is a complex by
 construction take the private _exact_complex, which checks shapes only;
 the test suite runs validate on each of them.
 
+Every model and resolution is built from three pieces, or tensor products
+of them: zero_complex, periodic_complex (of a cyclic factor) and
+circle_complex (of a free generator).
+
 Homology is read off the integer images each boundary keeps, d (x) Z^w
 (augment) and d (x) Z[pi] (expand), so each is reduced once.  The
 pi-module structure of H_*(C; Z[pi]) is extensions.fpmodule_homology.
@@ -41,6 +45,9 @@ __all__ = [
     "twisted_dual",
     "homology_Zw",
     "homology_Lambda",
+    "zero_complex",
+    "periodic_complex",
+    "circle_complex",
     "point_complex",
     "presentation_complex",
     "cross_circle",
@@ -150,10 +157,35 @@ def homology_Lambda(c, i):
     return homology_invariants(d_out, d_in, c.ranks[i] * c.group.order())
 
 
+def zero_complex(group, w, ranks):
+    """The complex of the given ranks with every boundary zero.  Boundaries
+    of one shape are one RingMatrix, so each is augmented and reduced once."""
+    shapes = list(zip(ranks, ranks[1:]))
+    zeros = {shape: RingMatrix.zeros(group, *shape) for shape in set(shapes)}
+    return _exact_complex(group, w, ranks, tuple(zeros[shape] for shape in shapes))
+
+
+def periodic_complex(group, i, top, w):
+    """The periodic resolution of cyclic factor i through degree top,
+    written over group: one RingMatrix t_i - 1 in every odd degree and one,
+    the norm of factor i, in every even degree, so each is reduced once."""
+    odd = RingMatrix(group, 1, 1, [[ring_generator(group, i) - ring_one(group)]])
+    even = RingMatrix(group, 1, 1, [[factor_norm(group, i)]])
+    boundaries = tuple(odd if k % 2 else even for k in range(1, top + 1))
+    return _exact_complex(group, w, (1,) * (top + 1), boundaries)
+
+
+def circle_complex(group, i, w):
+    """The circle factor 0 -> Z[pi] --(t_i - 1)--> Z[pi] of free generator
+    i: a resolution of Z over the infinite cyclic group t_i generates."""
+    d1 = RingMatrix(group, 1, 1, [[ring_generator(group, i) - ring_one(group)]])
+    return _exact_complex(group, w, (1, 1), (d1,))
+
+
 def point_complex():
     """The one-point space: rank (1,) over the trivial group."""
     g = trivial_group()
-    return _exact_complex(g, trivial_char(g), (1,), ())
+    return zero_complex(g, trivial_char(g), (1,))
 
 
 def presentation_complex(group, wedge_cells=0):
@@ -189,13 +221,6 @@ def presentation_complex(group, wedge_cells=0):
     return _exact_complex(group, trivial_char(group), (1, k, len(cols)), (d1, d2))
 
 
-def _circle(group, i, w):
-    """The circle factor 0 -> Z[pi] --(t_i - 1)--> Z[pi] of free generator
-    i: a resolution of Z over the infinite cyclic group t_i generates."""
-    d1 = RingMatrix(group, 1, 1, [[ring_generator(group, i) - ring_one(group)]])
-    return _exact_complex(group, w, (1, 1), (d1,))
-
-
 def cross_circle(c, sign=1):
     """Tensor with the standard circle complex over a new Laurent variable.
 
@@ -215,7 +240,7 @@ def cross_circle(c, sign=1):
         c.ranks,
         tuple(b.map_entries(lambda e: e.map_group(new_group, embed), new_group) for b in c.boundaries),
     )
-    return tensor_complex(lifted, _circle(new_group, new_group.ngens - 1, w))
+    return tensor_complex(lifted, circle_complex(new_group, new_group.ngens - 1, w))
 
 
 def tensor_complex(a, b, top=None):
@@ -246,11 +271,12 @@ def tensor_complex(a, b, top=None):
         for k in range(n + 1)
     ]
     zero = ring_zero(g)
+    # dB_j with its Koszul sign (-1)^i is signed_b[i % 2][j - 1]: each
+    # boundary of B is negated once per call, not once per degree
+    signed_b = (b.boundaries[:n], tuple(-d for d in b.boundaries[:n]))
     boundaries = []
     for k in range(1, n + 1):
         row_of = {label: r for r, label in enumerate(bases[k - 1])}
-        # dB with its Koszul sign, negated once for each i of degree k
-        d_b = {i: -b.d(k - i) if i % 2 else b.d(k - i) for i in range(max(0, k - nb), min(k - 1, na) + 1)}
         entries = [[zero] * len(bases[k]) for _ in row_of]
         for col, (i, x, y) in enumerate(bases[k]):
             if i:
@@ -258,7 +284,7 @@ def tensor_complex(a, b, top=None):
                     if row[x].terms:
                         entries[row_of[i - 1, r, y]][col] = row[x]
             if i < k:
-                for r, row in enumerate(d_b[i].entries):
+                for r, row in enumerate(signed_b[i % 2][k - i - 1].entries):
                     if row[y].terms:
                         entries[row_of[i, x, r]][col] = row[y]
         boundaries.append(RingMatrix(g, len(row_of), len(bases[k]), entries))

@@ -8,12 +8,13 @@ finite groups, exponentially larger but assembled straight from the
 group law).  The acceptance suite insists the two agree; the bar route
 exists so nothing is ever checked against itself.
 
-Each factor is resolved over the requested group itself: a cyclic factor
-by its periodic resolution (t_i - 1 in odd degree, the norm of factor i
-in even degree), a free generator by the circle 0 -> Z[pi] --(t - 1)-->
-Z[pi] of complexes._circle.  The factors are tensored only through the
-requested bound, so no boundary is built over another group or above
-the bound.
+Each factor is resolved over the requested group itself, by a piece of
+complexes: a cyclic factor by its periodic_complex (t_i - 1 in odd
+degree, the norm of factor i in even degree), a free generator by its
+circle_complex 0 -> Z[pi] --(t - 1)--> Z[pi], and a group with no cyclic
+factor is seeded by the zero_complex of Z in degree 0.  The pieces are
+tensored only through the requested bound, so no boundary is built over
+another group or above the bound.
 
 A resolution is a plain LambdaComplex over Z[pi] with trivial character,
 truncated at top_degree: its augmented homology is Z in degree 0 and
@@ -29,8 +30,9 @@ coefficients in a module, the module cuts the subquotient (FPModule).
 
 import functools
 import itertools
+import math
 
-from fourfold.complexes import _circle, _exact_complex, _twisted_homology, tensor_complex
+from fourfold.complexes import _twisted_homology, circle_complex, periodic_complex, tensor_complex, zero_complex
 from fourfold.errors import (
     DegreeOutOfRange,
     GroupMismatch,
@@ -38,13 +40,7 @@ from fourfold.errors import (
     charge,
     generator_budget,
 )
-from fourfold.groupring import (
-    RingMatrix,
-    factor_norm,
-    ring_generator,
-    ring_one,
-    trivial_char,
-)
+from fourfold.groupring import trivial_char
 from fourfold.intmat import IntMatrix, homology_invariants
 
 __all__ = [
@@ -58,14 +54,6 @@ __all__ = [
 # H_n reads d_n and d_(n+1), so one resolution through degree 6 serves
 # H_0..H_5.
 DEFAULT_DEGREE_BOUND = 6
-
-
-def _periodic_factor(group, i, bound):
-    """The periodic resolution of cyclic factor i, written over group."""
-    odd = RingMatrix(group, 1, 1, [[ring_generator(group, i) - ring_one(group)]])
-    even = RingMatrix(group, 1, 1, [[factor_norm(group, i)]])
-    boundaries = tuple(odd if k % 2 else even for k in range(1, bound + 1))
-    return _exact_complex(group, trivial_char(group), (1,) * (bound + 1), boundaries)
 
 
 # An entry is one resolution: 2 kB for Z/2 to 23 kB for Z/4 x Z/4 x Z/4
@@ -106,30 +94,33 @@ def _resolution(group, bound):
     if cyclic:
         n = max(group.orders)
         charge(n, "the norm element of Z/%d needs %d terms", n, n)
-    # the ranks of a product are the convolution of its factors' ranks: 1
-    # in every degree for a periodic factor, 1 in degrees 0 and 1 for a
-    # circle.  With a cyclic factor they never fall, so the top boundary is
-    # the largest; over Z^r alone they peak at degree r/2
-    ranks = [1] + [0] * bound
-    for _ in cyclic:
-        ranks = list(itertools.accumulate(ranks))
-    for _ in free:
-        ranks = [1] + [a + b for a, b in zip(ranks[1:], ranks)]
-    cells, top = max(((ranks[i - 1] * ranks[i], i) for i in range(1, bound + 1)), default=(0, bound))
+    # rank n is the coefficient of x^n in (1+x)^r/(1-x)^k.  With a cyclic
+    # factor the ranks never fall, so the top boundary is the largest; over
+    # Z^r alone they peak at degree r/2, and d_(r//2+1) is the largest
+    k, r = len(cyclic), len(free)
+    top = bound if cyclic else min(bound, r // 2 + 1)
+    cells = _rank(k, r, top - 1) * _rank(k, r, top) if top else 0
     where = "top boundary" if top == bound else "boundary d_%d" % top
     charge(cells, "resolution through degree %d needs %d cells in its %s", bound, cells, where)
     w = trivial_char(group)
-    if cyclic:
-        res = _periodic_factor(group, cyclic[0], bound)
-    else:
-        unit = (1,) + (0,) * bound
-        zeros = tuple(RingMatrix.zeros(group, unit[i - 1], unit[i]) for i in range(1, bound + 1))
-        res = _exact_complex(group, w, unit, zeros)
+    res = periodic_complex(group, cyclic[0], bound, w) if cyclic else zero_complex(group, w, (1,) + (0,) * bound)
     for i in cyclic[1:]:
-        res = tensor_complex(res, _periodic_factor(group, i, bound), top=bound)
+        res = tensor_complex(res, periodic_complex(group, i, bound, w), top=bound)
     for i in free:
-        res = tensor_complex(res, _circle(group, i, w), top=bound)
+        res = tensor_complex(res, circle_complex(group, i, w), top=bound)
     return res
+
+
+def _rank(k, r, n):
+    """Rank n of the resolution of k cyclic factors and r free generators:
+    C(r, n), or with k > 0 the sum over j of C(r, j) C(n - j + k - 1, k - 1)."""
+    if not k:
+        return math.comb(r, n)
+    total, row = 0, 1
+    for j in range(min(r, n) + 1):
+        total += row * math.comb(n - j + k - 1, k - 1)
+        row = row * (r - j) // (j + 1)
+    return total
 
 
 def group_homology(group, w, degree):

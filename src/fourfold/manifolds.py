@@ -2,21 +2,22 @@
 
 Lens spaces L_{p,q} with their linking forms and homotopy
 classification, the mapping tori L x S^1, and the small closed
-4-manifolds used as anchors (S^4, CP^2, RP^4, T^4).
+4-manifolds used as anchors (S^4, CP^2, RP^4, T^4), each built from the
+pieces of complexes: zero complexes, periodic complexes, circle products.
 """
 
 import math
 
-from fourfold.complexes import LambdaComplex, cross_circle, point_complex
+from fourfold.complexes import LambdaComplex, cross_circle, periodic_complex, point_complex, zero_complex
 from fourfold.errors import BudgetExceeded, InvalidLens, OrderMismatch, generator_budget
 from fourfold.groupring import (
     RingMatrix,
     char_from_signs,
     cyclic_group,
-    norm_element,
     ring_generator,
     ring_one,
     trivial_char,
+    trivial_group,
 )
 from fourfold.values import FrozenValue
 
@@ -84,13 +85,9 @@ def lens_complex(lens):
     the chosen identification of the fundamental class.
     """
     g = cyclic_group(lens.p)
-    t = ring_generator(g, 0)
-    one = ring_one(g)
-    e = pow(lens.q, -1, lens.p)
-    d1 = RingMatrix(g, 1, 1, [[t - one]])
-    d2 = RingMatrix(g, 1, 1, [[norm_element(g)]])
-    d3 = RingMatrix(g, 1, 1, [[ring_generator(g, 0, e) - one]])
-    return LambdaComplex(g, trivial_char(g), (1, 1, 1, 1), (d1, d2, d3))
+    low = periodic_complex(g, 0, 2, trivial_char(g))
+    d3 = RingMatrix(g, 1, 1, [[ring_generator(g, 0, pow(lens.q, -1, lens.p)) - ring_one(g)]])
+    return LambdaComplex(g, low.w, (1, 1, 1, 1), low.boundaries + (d3,))
 
 
 def fundamental_class_invariant(lens):
@@ -182,42 +179,20 @@ def lens_times_circle(lens):
 
 def s4_complex():
     """S^4: one 0-cell and one 4-cell over the trivial group."""
-    base = point_complex()
-    g = base.group
-    w = base.w
-    z01 = RingMatrix.zeros(g, 1, 0)
-    z00 = RingMatrix.zeros(g, 0, 0)
-    z10 = RingMatrix.zeros(g, 0, 1)
-    return LambdaComplex(g, w, (1, 0, 0, 0, 1), (z01, z00, z00, z10))
+    g = trivial_group()
+    return zero_complex(g, trivial_char(g), (1, 0, 0, 0, 1))
 
 
 def cp2_complex():
     """CP^2: cells in degrees 0, 2, 4 over the trivial group."""
-    base = point_complex()
-    g = base.group
-    w = base.w
-    return LambdaComplex(
-        g,
-        w,
-        (1, 0, 1, 0, 1),
-        (
-            RingMatrix.zeros(g, 1, 0),
-            RingMatrix.zeros(g, 0, 1),
-            RingMatrix.zeros(g, 1, 0),
-            RingMatrix.zeros(g, 0, 1),
-        ),
-    )
+    g = trivial_group()
+    return zero_complex(g, trivial_char(g), (1, 0, 1, 0, 1))
 
 
 def rp4_complex():
     """RP^4 over Z[Z/2] with the orientation character sending t to -1."""
     g = cyclic_group(2)
-    t = ring_generator(g, 0)
-    one = ring_one(g)
-    minus = RingMatrix(g, 1, 1, [[t - one]])
-    plus = RingMatrix(g, 1, 1, [[t + one]])
-    w = char_from_signs(g, (-1,))
-    return LambdaComplex(g, w, (1, 1, 1, 1, 1), (minus, plus, minus, plus))
+    return periodic_complex(g, 0, 4, char_from_signs(g, (-1,)))
 
 
 def torus4_complex():

@@ -4,6 +4,7 @@ import argparse
 import ast
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -811,6 +812,22 @@ def test_a_long_resolution_is_charged_by_its_length(monkeypatch):
     assert time.monotonic() - start < 2
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: resolution through degree 30000001 needs 30000001 boundaries, budget 100000\n"
+
+
+@pytest.mark.parametrize("r", [100, 400])
+def test_many_free_generators_are_refused_at_once(monkeypatch, r):
+    # the cell charge reads the two ranks around d_(r/2+1), C(r, n) over
+    # Z^r, where it summed every rank up to the bound before: at degree
+    # 99998, Z^400 exited 2 after 1.91 s and Z^100 after 0.65 s
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    argv = ["group-homology", "--group", "trivial*Z^%d" % r, "--degree", "99998"]
+    start = time.monotonic()
+    proc = run_capped(argv, 1024, timeout=20)
+    assert time.monotonic() - start < 0.5
+    top = r // 2 + 1
+    need = math.comb(r, top - 1) * math.comb(r, top)
+    message = "error: resolution through degree 99999 needs %d cells in its boundary d_%d, budget 100000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message % (need, top))
 
 
 # The limits the README states for the default budget, each on both sides:

@@ -5,14 +5,17 @@ import pytest
 from fourfold.complexes import (
     LambdaComplex,
     _exact_complex,
+    circle_complex,
     cross_circle,
     homology_Lambda,
     homology_Zw,
+    periodic_complex,
     point_complex,
     presentation_complex,
     tensor_complex,
     twisted_dual,
     validate,
+    zero_complex,
 )
 from fourfold.groupring import (
     RingMatrix,
@@ -214,6 +217,54 @@ def test_tensor_complex_validates_its_factors():
     good = presentation_complex(g)
     for top in (None, 2):
         assert validate(tensor_complex(good, good, top=top))
+
+
+def test_the_three_pieces_are_complexes_that_share_their_boundaries():
+    g = laurent_extension(product_group((2, 3)))
+    w = char_from_signs(g, (-1, 1, -1))
+    zero = zero_complex(g, w, (1, 0, 1, 0, 1, 2))
+    assert validate(zero) and zero.ranks == (1, 0, 1, 0, 1, 2) and zero.w == w
+    # one matrix per shape: d_1 and d_3 are 1 x 0, d_2 and d_4 are 0 x 1
+    assert zero.d(1) is zero.d(3) and zero.d(2) is zero.d(4) and zero.d(5).is_zero()
+    assert [homology_Zw(zero, i) for i in range(6)] == [
+        AbelianInvariants(1, ()),
+        AbelianInvariants(0, ()),
+        AbelianInvariants(1, ()),
+        AbelianInvariants(0, ()),
+        AbelianInvariants(1, ()),
+        AbelianInvariants(2, ()),
+    ]
+    for i, n in enumerate(g.orders):
+        periodic = periodic_complex(g, i, 5, w)
+        assert validate(periodic) and periodic.ranks == (1,) * 6 and periodic.w == w
+        # one odd and one even matrix
+        assert periodic.d(1) is periodic.d(3) is periodic.d(5) and periodic.d(2) is periodic.d(4)
+        assert periodic.d(1).entries == [[ring_generator(g, i) - ring_one(g)]]
+        assert periodic.d(2).entries == [[sum((ring_generator(g, i, k) for k in range(1, n)), ring_one(g))]]
+    assert periodic_complex(g, 0, 0, w).ranks == (1,)
+    circle = circle_complex(g, 2, w)
+    assert validate(circle) and circle.ranks == (1, 1)
+    assert circle.d(1).entries == [[ring_generator(g, 2) - ring_one(g)]]
+
+
+def test_tensor_complex_negates_each_boundary_of_its_second_factor_once(monkeypatch):
+    g = laurent_extension(cyclic_group(3))
+    w = trivial_char(g)
+    a, b = periodic_complex(g, 0, 6, w), circle_complex(g, 1, w)
+    negate = RingMatrix.__neg__
+    negated = []
+
+    def counting(m):
+        negated.append(m)
+        return negate(m)
+
+    monkeypatch.setattr(RingMatrix, "__neg__", counting)
+    product = tensor_complex(a, b, top=6)
+    # the circle's one boundary carries the Koszul sign in degrees 2, 4, 6
+    assert negated == [b.d(1)]
+    monkeypatch.undo()
+    assert validate(product)
+    assert product.ranks == (1,) + (2,) * 6
 
 
 def test_homology_lambda_needs_finite_group():

@@ -395,6 +395,24 @@ def test_only_intmat_calls_smith_normal_form():
     assert callers == []
 
 
+# Zero boundaries and the norm of a cyclic factor are built by the pieces
+# of complexes (zero_complex, periodic_complex), so the models and the
+# resolutions are assembled from them and build neither by hand.
+def test_models_and_resolutions_build_no_zero_or_periodic_boundary():
+    calls = []
+    for name in ("manifolds.py", "homology.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in (
+                    "zeros",
+                    "factor_norm",
+                    "norm_element",
+                ):
+                    calls.append("%s:%d" % (name, node.lineno))
+    assert calls == []
+
+
 # The import layers of the package, lowest first.  A module imports only
 # from layers below its own, so the import graph has no cycle and no
 # module reaches up to a caller.
@@ -446,12 +464,6 @@ def test_src_imports_only_from_lower_layers():
 # Underscore names that one package module may import from another, each
 # with its reason.  Any other private name stays in the module that owns it.
 PRIVATE_IMPORTS = {
-    ("homology.py", "complexes", "_circle"): (
-        "the circle of a free generator is one builder, for cross_circle and for the resolution of pi x Z^r"
-    ),
-    ("homology.py", "complexes", "_exact_complex"): (
-        "periodic resolutions and the Z-in-degree-0 seed of Z^r are complexes by construction"
-    ),
     ("homology.py", "complexes", "_twisted_homology"): (
         "group homology twists a resolution by a character other than its own, which homology_Zw does not take"
     ),
@@ -473,13 +485,12 @@ def test_src_imports_no_private_name_of_another_module():
 # goes through the public constructor, which validates.
 EXACT_BUILDERS = {
     ("complexes.py", "twisted_dual"): "the twisted dual of a complex is a complex",
-    ("complexes.py", "point_complex"): "one module, no boundary",
+    ("complexes.py", "zero_complex"): "every boundary is zero",
+    ("complexes.py", "periodic_complex"): "(t - 1) . N = 0 in Z[Z/n]",
+    ("complexes.py", "circle_complex"): "one boundary, so there is no d.d to check",
     ("complexes.py", "presentation_complex"): "power and commutator relators are killed by t_i - 1",
-    ("complexes.py", "_circle"): "one boundary, so there is no d.d to check",
     ("complexes.py", "cross_circle"): "a ring map into pi x Z keeps d.d = 0",
     ("complexes.py", "tensor_complex"): "the Koszul sign makes a product of complexes a complex",
-    ("homology.py", "_periodic_factor"): "(t - 1) . N = 0 in Z[Z/n]",
-    ("homology.py", "_resolution"): "Z in degree 0, the seed of a group with no cyclic factor, has zero boundaries",
 }
 # The shape half of the constructor, which skips validate, is reached only
 # from the constructor itself and from _exact_complex.

@@ -183,7 +183,7 @@ def test_resolution_for_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("resolution built")
 
-    monkeypatch.setattr(homology, "_periodic_factor", refuse)
+    monkeypatch.setattr(homology, "periodic_complex", refuse)
     homology._resolution.cache_clear()
     with pytest.raises(
         BudgetExceeded, match="resolution through degree 6 needs 116424 cells in its top boundary, budget 100000"
@@ -375,6 +375,15 @@ def test_a_resolution_is_charged_by_its_top_boundary(monkeypatch):
         assert resolution_for(product_group(orders), bound).ranks == res.ranks
     homology._group_homology.cache_clear()
     homology._resolution.cache_clear()
+
+
+def test_the_charged_ranks_are_the_built_ones(monkeypatch):
+    # the charge reads rank n of k cyclic factors and r free generators in
+    # closed form; the tensor product builds the same ranks
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    for orders, r, bound in (((2,), 1, 6), ((2, 3), 2, 5), ((3,), 3, 4), ((2, 2, 2), 1, 3), ((), 5, 7), ((), 2, 1)):
+        res = resolution_for(laurent_extension(product_group(orders), r), bound)
+        assert res.ranks == tuple(homology._rank(len(orders), r, n) for n in range(bound + 1))
 
 
 def test_a_free_abelian_resolution_is_charged_by_its_largest_boundary(monkeypatch):
