@@ -187,7 +187,7 @@ def _orbit(h4, start, mults, target=None):
     for t in h4.torsion:
         classes *= t
     moves = len(gens) + 1
-    charge(classes * moves, "orbit search needs %d classes x %d moves", classes, moves)
+    charge(classes * moves, "orbit search needs %s classes x %s moves", classes, moves)
     mods = (None,) * h4.free_rank + h4.torsion
     seen = {start: (1, 1)}
     frontier = [] if start == target else [start]

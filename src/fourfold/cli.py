@@ -8,12 +8,15 @@ exit code: 0 for a completed computation (and positive verdicts), 1 for
 a negative verdict from a classify-style command, 2 for input errors and
 for a computation that runs out of memory.  An error is written to
 stderr as "error: ..." in text mode, and as an envelope with status
-"error" under --json.  A complex document is parsed and validated once
-per process and text (_complex_document), and a bare matrix document is
-parsed and charged once (_matrix_document), so later verbs on either
-reuse what earlier ones kept: a complex's augmentations, expansions and
-Smith forms, or a matrix's Smith form, which snf, em-torsion, recover-m
-and classify-aspherical all read.
+"error" under --json.  A call [--json] VERB ARGS parses only ARGS, with
+VERB's parser; the full argument tree serves the top-level help, usage
+errors outside one verb and any argument the verb leaves over (_parse).
+A complex document is parsed and validated once per process and text
+(_complex_document), and a bare matrix document is parsed and charged
+once (_matrix_document), so later verbs on either reuse what earlier
+ones kept: a complex's augmentations, expansions and Smith forms, or a
+matrix's Smith form, which snf, em-torsion, recover-m and
+classify-aspherical all read.
 """
 
 import argparse
@@ -100,7 +103,7 @@ def _matrix_document(text):
     gets a fresh matrix."""
     m = parse_int_matrix(text)
     cells = m.rows * m.rows + m.cols * m.cols
-    charge(cells, "Smith form of a %d x %d matrix keeps %d transform cells", m.rows, m.cols, cells)
+    charge(cells, "Smith form of a %s x %s matrix keeps %s transform cells", m.rows, m.cols, cells)
     return m
 
 
@@ -384,8 +387,8 @@ def build_parser():
     p.add_argument("file", help="integer matrix file, or a complex document (uses d3)")
     p.add_argument("inv", help="observed invariants, FREE:TORSION")
     p.add_argument("--inv2", default=None, help="second observation to compare")
-    p.add_argument("--proj", type=int, default=None, help="projectivity flag for the first")
-    p.add_argument("--proj2", type=int, default=None, help="projectivity flag for the second")
+    p.add_argument("--proj", type=int, choices=(0, 1), default=None, help="projectivity flag for the first")
+    p.add_argument("--proj2", type=int, choices=(0, 1), default=None, help="projectivity flag for the second")
     p.set_defaults(func=_cmd_classify_aspherical)
 
     p = sub.add_parser("bordism", help="stable bordism of a 1-type")
@@ -402,17 +405,42 @@ def build_parser():
 
 @functools.lru_cache(maxsize=1)
 def _parser():
-    """The parser, built on the first call and reused for the process."""
-    return build_parser()
+    """The parser and its map from verb to verb parser, built on the
+    first call and reused for the process."""
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return ap, sub.choices
+
+
+def _parse(argv):
+    """The namespace of argv.  A call [--json] VERB ARGS is parsed by
+    VERB's parser alone, and the namespace gets json and command as the
+    full parse sets them; the full parse would rescan argv and then hand
+    ARGS to the same parser.  Every other argv, and one whose verb parser
+    leaves arguments over, goes to the full parse, which writes the
+    top-level help and usage errors.  An argument starting with "--=" is
+    an ambiguous option to the top-level scan alone, so it goes there
+    too."""
+    ap, verbs = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    start = 1 if argv[:1] == ["--json"] else 0
+    if start < len(argv) and argv[start] in verbs:
+        verb, rest = argv[start], argv[start + 1:]
+        if not any(a.startswith("--=") for a in rest):
+            ns, extra = verbs[verb].parse_known_args(rest)
+            if not extra:
+                # the verb parser's defaults win, as they do in the full
+                # parse, so classify-lens reports lens-classify
+                return argparse.Namespace(**{"json": start == 1, "command": verb, **vars(ns)})
+    return ap.parse_args(argv)
 
 
 _EXIT_CODES = {"ok": 0, "negative": 1, "error": 2}
 
 
 def main(argv=None):
-    ap = _parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     message = None

@@ -93,10 +93,21 @@ def generator_budget():
     return budget
 
 
+def _printable(n):
+    """str(n), or "at least 10^N" for an integer with more digits than
+    str() writes (sys.get_int_max_str_digits): N = floor((bits - 1) x
+    0.30102) <= log10(n), a lower bound that needs no decimal digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return "at least 10^%d" % ((n.bit_length() - 1) * 30102 // 100000)
+
+
 def charge(need, what, *args):
     """Refuse work of size need above the budget, before it allocates:
     raise BudgetExceeded("<what % args>, budget N").  The message is
-    formatted only on refusal."""
+    formatted only on refusal, each argument through %s as _printable
+    writes it, so a need too long to print still refuses."""
     budget = generator_budget()
     if need > budget:
-        raise BudgetExceeded("%s, budget %d" % (what % args, budget))
+        raise BudgetExceeded("%s, budget %d" % (what % tuple(map(_printable, args)), budget))

@@ -90,10 +90,10 @@ def _resolution(group, bound):
     free = range(len(group.orders), group.ngens)
     # charge the length, then the norm element of the largest cyclic
     # factor (n terms for Z/n), then the largest boundary, before building
-    charge(bound, "resolution through degree %d needs %d boundaries", bound, bound)
+    charge(bound, "resolution through degree %s needs %s boundaries", bound, bound)
     if cyclic:
         n = max(group.orders)
-        charge(n, "the norm element of Z/%d needs %d terms", n, n)
+        charge(n, "the norm element of Z/%s needs %s terms", n, n)
     # rank n is the coefficient of x^n in (1+x)^r/(1-x)^k.  With a cyclic
     # factor the ranks never fall, so the top boundary is the largest; over
     # Z^r alone they peak at degree r/2, and d_(r//2+1) is the largest
@@ -101,7 +101,7 @@ def _resolution(group, bound):
     top = bound if cyclic else min(bound, r // 2 + 1)
     cells = _rank(k, r, top - 1) * _rank(k, r, top) if top else 0
     where = "top boundary" if top == bound else "boundary d_%d" % top
-    charge(cells, "resolution through degree %d needs %d cells in its %s", bound, cells, where)
+    charge(cells, "resolution through degree %s needs %s cells in its %s", bound, cells, where)
     w = trivial_char(group)
     res = periodic_complex(group, cyclic[0], bound, w) if cyclic else zero_complex(group, w, (1,) + (0,) * bound)
     for i in cyclic[1:]:
@@ -166,7 +166,7 @@ def bar_homology_oracle(group, w, degree, normalized=True):
     n = group.order()
     count = (n - 1 if normalized else n) ** (degree + 1)
     cells = count * count
-    what = "bar resolution needs %d generators in degree %d and %d cells for their Smith form"
+    what = "bar resolution needs %s generators in degree %s and %s cells for their Smith form"
     charge(cells, what, count, degree + 1, cells)
     d_out = _bar_boundary(group, w, degree, normalized) if degree >= 1 else None
     d_in = _bar_boundary(group, w, degree + 1, normalized)

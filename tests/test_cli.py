@@ -21,7 +21,7 @@ from fourfold.classify import default_aut_multipliers, lens_times_circle_record
 from fourfold.cli import main
 from fourfold.complexes import LambdaComplex, presentation_complex
 from fourfold.groupring import RingMatrix, product_group
-from fourfold.errors import NotAComplex, ParseError
+from fourfold.errors import BudgetExceeded, NotAComplex, ParseError, charge
 from fourfold.manifolds import (
     LensSpace,
     cp2_complex,
@@ -270,6 +270,18 @@ def test_classify_aspherical_command(t4_file, capsys):
         ],
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("flags", [["--proj", "5"], ["--proj2", "-1"], ["--proj", "1", "--proj2", "2"]])
+def test_projectivity_flags_are_0_or_1(t4_file, capsys, flags):
+    # any other integer was taken as bool(flag): --proj 5 --proj2 -1 gave
+    # EQUIVALENT with projectivity [true, true]
+    argv = ["--json", "classify-aspherical", t4_file, "6:", "--inv2", "6:"] + flags
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error: argument --proj" in err and "invalid choice" in err
+    code, out, _ = run(capsys, argv[:6] + ["--proj", "0", "--proj2", "1"])
+    assert code in (0, 1) and validate_report(json.loads(out))
 
 
 def test_bordism_command(capsys):
@@ -828,6 +840,46 @@ def test_many_free_generators_are_refused_at_once(monkeypatch, r):
     need = math.comb(r, top - 1) * math.comb(r, top)
     message = "error: resolution through degree 99999 needs %d cells in its boundary d_%d, budget 100000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message % (need, top))
+
+
+# Needs with more than 4300 digits, which str() refuses to write: the
+# refusal printed a ValueError traceback and exited 1 while the charge
+# wrote every need in full
+HUGE_NEEDS = [
+    (
+        ["group-homology", "--group", "cyclic:3", "--degree", "20000", "--oracle", "bar"],
+        "bar resolution needs at least 10^6020 generators in degree 20001 and at least 10^12041 cells for their"
+        " Smith form, budget 100000",
+    ),
+    (
+        ["group-homology", "--group", "trivial*Z^20000", "--degree", "99998"],
+        "resolution through degree 99999 needs at least 10^12036 cells in its boundary d_10001, budget 100000",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", HUGE_NEEDS, ids=["bar", "laurent"])
+def test_a_need_too_long_to_print_is_refused_by_its_magnitude(monkeypatch, argv, message):
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    proc = run_capped(["--json"] + argv, 1024, timeout=20)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    doc = json.loads(proc.stdout)
+    assert validate_report(doc)
+    assert (doc["status"], doc["result"]) == ("error", {"message": message})
+    proc = run_capped(argv, 1024, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)
+    # 2^20001 and 2^40002 lie between the written power of ten and the next
+    assert 10**6020 <= 2**20001 < 10**6021 and 10**12041 <= 2**40002 < 10**12042
+
+
+def test_a_need_that_fits_is_written_in_full(monkeypatch):
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    need = 10**4300 - 1  # the most digits str() writes by default
+    with pytest.raises(BudgetExceeded) as info:
+        charge(need, "work needs %s cells", need)
+    assert str(info.value) == "work needs %s cells, budget 100000" % ("9" * 4300)
+    with pytest.raises(BudgetExceeded, match=r"^work needs at least 10\^4299 cells, budget 100000$"):
+        charge(need + 1, "work needs %s cells", need + 1)
 
 
 # The limits the README states for the default budget, each on both sides:

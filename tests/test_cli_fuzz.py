@@ -156,9 +156,10 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@FUZZ
-@given(args=argv())
-def test_cli_exits_0_1_or_2_without_traceback(workdir, args):
+def resolve(workdir, args):
+    """The argv of a draw: each document is written to a file in workdir
+    and replaced by its path; a missing one names a file that is not
+    there."""
     resolved = []
     for i, a in enumerate(args):
         if isinstance(a, str):
@@ -170,6 +171,13 @@ def test_cli_exits_0_1_or_2_without_traceback(workdir, args):
         else:
             path.write_bytes(a)
         resolved.append(str(path))
+    return resolved
+
+
+@FUZZ
+@given(args=argv())
+def test_cli_exits_0_1_or_2_without_traceback(workdir, args):
+    resolved = resolve(workdir, args)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(resolved)
