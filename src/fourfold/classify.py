@@ -19,6 +19,7 @@ from fourfold.errors import (
     InfiniteGroup,
     TypeMismatch,
     charge,
+    generator_budget,
 )
 from fourfold.extensions import EmFamily, fpmodule_homology, recover_m
 from fourfold.groupring import (
@@ -229,7 +230,7 @@ def classify_lens_family(p, q1, q2):
     """
     LensSpace(p, q1)
     LensSpace(p, q2)
-    equivalent, certificates = _lens_decision(p, q2 * pow(q1, -1, p) % p)
+    equivalent, certificates = _lens_decision(p, q2 * pow(q1, -1, p) % p, generator_budget())
     return LensFamilyReport(
         p=p,
         q1=q1,
@@ -248,9 +249,12 @@ _DECISION_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_DECISION_CACHE_SIZE)
-def _lens_decision(p, x):
-    """The verdict of the lens pair (1, x) mod p, and its four
-    certificates in the order of _CRITERIA, each a tuple of items or None.
+def _lens_decision(p, x, budget):
+    """The verdict of the lens pair (1, x) mod p under the budget in
+    force, and its four certificates in the order of _CRITERIA, each a
+    tuple of items or None.  The budget is a key argument only: the
+    searches and resolutions below charge it, so a kept decision is one
+    that this budget admitted, and another budget decides anew.
 
     That is the answer of every pair (q1, q2) with q2 q1^-1 = x.  The
     homotopy and linking criteria ask the witness search of x, and the

@@ -2,7 +2,7 @@
 
 Each verb's handler computes its answer and returns (status, result,
 lines): status is "ok" or "negative", result is the JSON-ready payload
-and lines are the text report.  main alone names the verb, prints the
+and lines() builds the text report.  main alone names the verb, prints the
 lines or, under --json, the report envelope, and maps the status to the
 exit code: 0 for a completed computation (and positive verdicts), 1 for
 a negative verdict from a classify-style command, 2 for input errors and
@@ -11,12 +11,14 @@ stderr as "error: ..." in text mode, and as an envelope with status
 "error" under --json.  A call [--json] VERB ARGS parses only ARGS, with
 VERB's parser; the full argument tree serves the top-level help, usage
 errors outside one verb and any argument the verb leaves over (_parse).
+Each call reads FOURFOLD_BUDGET once and runs its verb under that
+budget, and main builds the whole output before it prints any of it.
 A complex document is parsed and validated once per process and text
 (_complex_document), and a bare matrix document is parsed and charged
-once (_matrix_document), so later verbs on either reuse what earlier
-ones kept: a complex's augmentations, expansions and Smith forms, or a
-matrix's Smith form, which snf, em-torsion, recover-m and
-classify-aspherical all read.
+once per text and budget (_matrix_document), so later verbs on either
+reuse what earlier ones kept: a complex's augmentations, expansions and
+Smith forms, or a matrix's Smith form, which snf, em-torsion, recover-m
+and classify-aspherical all read.
 """
 
 import argparse
@@ -34,7 +36,16 @@ from fourfold.classify import (
     kreck_equivalent,
 )
 from fourfold.complexes import homology_Lambda, homology_Zw
-from fourfold.errors import FourfoldError, ParseError, charge
+from fourfold.errors import (
+    FourfoldError,
+    ParseError,
+    _printable,
+    _too_long,
+    budget,
+    budget_from_environment,
+    charge,
+    generator_budget,
+)
 from fourfold.extensions import em_torsion, pi2_extension
 from fourfold.homology import bar_homology_oracle, group_homology
 from fourfold.intmat import AbelianInvariants
@@ -93,14 +104,16 @@ _MATRIX_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
-def _matrix_document(text):
+def _matrix_document(text, budget):
     """The matrix of a bare matrix document, parsed and charged once per
-    process, so every verb on the same text reads the one Smith form that
-    IntMatrix.smith() keeps.  The charge is the square of each side, the
-    cells of the U and V that form keeps, and is made before anything is
-    reduced.  A document that fails or is refused raises, and nothing is
-    kept.  parse_int_matrix itself stays uncached, so a library caller
-    gets a fresh matrix."""
+    process and budget, so every verb on the same text reads the one
+    Smith form that IntMatrix.smith() keeps.  The charge is the square of
+    each side, the cells of the U and V that form keeps, and is made
+    before anything is reduced.  The budget is a key argument only, the
+    one the charge reads, so a kept matrix serves only calls under the
+    budget that admitted it.  A document that fails or is refused raises,
+    and nothing is kept.  parse_int_matrix itself stays uncached, so a
+    library caller gets a fresh matrix."""
     m = parse_int_matrix(text)
     cells = m.rows * m.rows + m.cols * m.cols
     charge(cells, "Smith form of a %s x %s matrix keeps %s transform cells", m.rows, m.cols, cells)
@@ -119,7 +132,7 @@ def _load_matrix_or_d3(path):
         if c.top_degree < 3:
             raise ParseError("complex has no degree-3 boundary")
         return c.d(3).augment(c.w)
-    return _matrix_document(text)
+    return _matrix_document(text, generator_budget())
 
 
 def _parse_invariants(spec):
@@ -149,7 +162,7 @@ def _status(positive):
 
 
 def _cmd_snf(args):
-    m = _matrix_document(_read_file(args.file))
+    m = _matrix_document(_read_file(args.file), generator_budget())
     s = m.smith()
     result = {
         "diag": list(s.diag),
@@ -157,26 +170,19 @@ def _cmd_snf(args):
         "rows": m.rows,
         "cols": m.cols,
     }
-    lines = [
+    return "ok", result, lambda: [
         "matrix %d x %d" % (m.rows, m.cols),
         "rank %d" % len(s.diag),
         "invariant factors: %s" % (" ".join(str(d) for d in s.diag) or "(none)"),
     ]
-    return "ok", result, lines
 
 
 def _cmd_homology(args):
     c = _complex_document(_read_file(args.file))
-    lines = []
-    result = {"coefficients": args.coeff, "degrees": []}
-    for i in range(c.top_degree + 1):
-        if args.coeff == "zw":
-            inv = homology_Zw(c, i)
-        else:
-            inv = homology_Lambda(c, i)
-        result["degrees"].append(invariants_to_json(inv))
-        lines.append("H_%d = %s" % (i, inv))
-    return "ok", result, lines
+    homology = homology_Zw if args.coeff == "zw" else homology_Lambda
+    invs = [homology(c, i) for i in range(c.top_degree + 1)]
+    result = {"coefficients": args.coeff, "degrees": [invariants_to_json(inv) for inv in invs]}
+    return "ok", result, lambda: ["H_%d = %s" % (i, inv) for i, inv in enumerate(invs)]
 
 
 def _cmd_group_homology(args):
@@ -188,15 +194,16 @@ def _cmd_group_homology(args):
         "degree": args.degree,
         "invariants": invariants_to_json(inv),
     }
-    lines = ["H_%d(%s) = %s" % (args.degree, group, inv)]
-    agree = True
-    if args.oracle == "bar":
-        oracle = bar_homology_oracle(group, w, args.degree)
-        agree = oracle == inv
-        result["oracle"] = invariants_to_json(oracle)
-        result["oracle_agrees"] = agree
-        lines.append("bar oracle: %s (%s)" % (oracle, "agrees" if agree else "MISMATCH"))
-    return _status(agree), result, lines
+    if args.oracle is None:
+        return "ok", result, lambda: ["H_%d(%s) = %s" % (args.degree, group, inv)]
+    oracle = bar_homology_oracle(group, w, args.degree)
+    agree = oracle == inv
+    result["oracle"] = invariants_to_json(oracle)
+    result["oracle_agrees"] = agree
+    return _status(agree), result, lambda: [
+        "H_%d(%s) = %s" % (args.degree, group, inv),
+        "bar oracle: %s (%s)" % (oracle, "agrees" if agree else "MISMATCH"),
+    ]
 
 
 def _cmd_lens_classify(args):
@@ -210,11 +217,11 @@ def _cmd_lens_classify(args):
         "criteria": rep.verdicts,
         "certificates": rep.certificates,
     }
-    lines = ["%s  (p=%d, q1=%d, q2=%d)" % (verdict, args.p, args.q1, args.q2)]
-    for name in sorted(rep.verdicts):
-        cert = rep.certificates[name]
-        lines.append("  %s: %s%s" % (name, rep.verdicts[name], "  %s" % cert if cert else ""))
-    return _status(rep.equivalent), result, lines
+    head = "%s  (p=%d, q1=%d, q2=%d)" % (verdict, args.p, args.q1, args.q2)
+    return _status(rep.equivalent), result, lambda: [head] + [
+        "  %s: %s%s" % (name, rep.verdicts[name], "  %s" % rep.certificates[name] if rep.certificates[name] else "")
+        for name in sorted(rep.verdicts)
+    ]
 
 
 def _cmd_lens_linking(args):
@@ -229,15 +236,14 @@ def _cmd_lens_linking(args):
         "verdict": verdict,
         "certificate": {"unit": u, "sign": sign} if iso else None,
     }
-    lines = [verdict + ("" if not iso else "  unit=%d sign=%d" % (u, sign))]
-    return _status(iso), result, lines
+    return _status(iso), result, lambda: [verdict + ("" if not iso else "  unit=%d sign=%d" % (u, sign))]
 
 
 def _cmd_em_torsion(args):
     mat = _load_matrix_or_d3(args.file)
     inv = em_torsion(mat, args.m)
     result = {"m": args.m, "invariants": invariants_to_json(inv)}
-    return "ok", result, ["E_%d = %s" % (args.m, inv)]
+    return "ok", result, lambda: ["E_%d = %s" % (args.m, inv)]
 
 
 def _cmd_recover_m(args):
@@ -245,7 +251,7 @@ def _cmd_recover_m(args):
     inv = _parse_invariants(args.invariants)
     cands = classify_aspherical(mat, inv)
     result = {"invariants": invariants_to_json(inv), "candidates": sorted(cands)}
-    return _status(cands), result, ["candidates: %s" % (sorted(cands) or "(none)")]
+    return _status(cands), result, lambda: ["candidates: %s" % (sorted(cands) or "(none)")]
 
 
 def _cmd_ext_class(args):
@@ -259,12 +265,11 @@ def _cmd_ext_class(args):
         "class_trivial": trivial,
         "sequence_exact": True,
     }
-    lines = [
+    return "ok", result, lambda: [
         "extension group: %s" % inv,
         "class trivial: %s" % trivial,
         "sequence exact: True",
     ]
-    return "ok", result, lines
 
 
 def _record_from_file(path):
@@ -277,7 +282,7 @@ def _cmd_classify_kreck(args):
     eq, cert = kreck_equivalent(r1, r2)
     verdict = "EQUIVALENT" if eq else "NOT_EQUIVALENT"
     result = {"verdict": verdict, "certificate": cert}
-    return _status(eq), result, [verdict + ("" if cert is None else "  %s" % cert)]
+    return _status(eq), result, lambda: [verdict + ("" if cert is None else "  %s" % cert)]
 
 
 def _cmd_classify_aspherical(args):
@@ -285,12 +290,12 @@ def _cmd_classify_aspherical(args):
     inv1 = _parse_invariants(args.inv)
     if args.inv2 is None:
         cands = classify_aspherical(mat, inv1)
-        return _status(cands), {"candidates": sorted(cands)}, ["candidates: %s" % sorted(cands)]
+        return _status(cands), {"candidates": sorted(cands)}, lambda: ["candidates: %s" % sorted(cands)]
     inv2 = _parse_invariants(args.inv2)
     same, cert = aspherical_equivalent(mat, inv1, inv2, proj1=args.proj, proj2=args.proj2)
     verdict = "EQUIVALENT" if same else "NOT_EQUIVALENT"
     result = {"verdict": verdict, "certificate": cert}
-    return _status(same), result, [verdict + "  %s" % cert]
+    return _status(same), result, lambda: [verdict + "  %s" % cert]
 
 
 def _cmd_bordism(args):
@@ -302,7 +307,7 @@ def _cmd_bordism(args):
         "stable": invariants_to_json(stable),
         "h4": invariants_to_json(h4),
     }
-    return "ok", result, ["%s x %s" % (stable, h4)]
+    return "ok", result, lambda: ["%s x %s" % (stable, h4)]
 
 
 def _cmd_hopf_check(args):
@@ -314,14 +319,12 @@ def _cmd_hopf_check(args):
         "checks": rep.checks,
         "notes": rep.notes,
     }
-    lines = ["passed: %s" % rep.passed]
-    for k in sorted(rep.groups):
-        lines.append("  %s = %s" % (k, rep.groups[k]))
-    for k in sorted(rep.checks):
-        lines.append("  check %s: %s" % (k, rep.checks[k]))
-    for note in rep.notes:
-        lines.append("  note: %s" % note)
-    return _status(rep.passed), result, lines
+    return _status(rep.passed), result, lambda: (
+        ["passed: %s" % rep.passed]
+        + ["  %s = %s" % (k, rep.groups[k]) for k in sorted(rep.groups)]
+        + ["  check %s: %s" % (k, rep.checks[k]) for k in sorted(rep.checks)]
+        + ["  note: %s" % note for note in rep.notes]
+    )
 
 
 def build_parser():
@@ -438,30 +441,49 @@ def _parse(argv):
 _EXIT_CODES = {"ok": 0, "negative": 1, "error": 2}
 
 
+def _largest_int(value):
+    """The integer of largest magnitude in a JSON-ready value, or 0."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return max(map(_largest_int, value), key=abs, default=0)
+    return value if isinstance(value, int) else 0
+
+
 def main(argv=None):
     try:
         args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    message = None
+    result = None
     try:
-        status, result, lines = args.func(args)
+        with budget(budget_from_environment()):
+            status, result, lines = args.func(args)
+        if args.json:
+            out = json.dumps(report_envelope(args.command, status, result), sort_keys=True) + "\n"
+        else:
+            out = "".join(line + "\n" for line in lines())
     except FourfoldError as exc:
         message = str(exc)
     except MemoryError:
         # Reported once the handler has ended, so the frames that the
         # traceback holds, and the matrices in them, are freed first.
         message = "out of memory"
-    if message is not None:
-        status, result = "error", {"message": message}
-    if args.json:
-        print(json.dumps(report_envelope(args.command, status, result), sort_keys=True))
-    elif message is not None:
-        print("error: %s" % message, file=sys.stderr)
+    except ValueError:
+        # str() and json.dumps refuse an integer with more digits than
+        # sys.get_int_max_str_digits(); any other ValueError is a bug
+        big = abs(_largest_int(result))
+        if not _too_long(big):
+            raise
+        message = "the answer holds an integer too long to print: %s" % _printable(big)
     else:
-        for line in lines:
-            print(line)
-    return _EXIT_CODES[status]
+        sys.stdout.write(out)
+        return _EXIT_CODES[status]
+    if args.json:
+        print(json.dumps(report_envelope(args.command, "error", {"message": message}), sort_keys=True))
+    else:
+        print("error: %s" % message, file=sys.stderr)
+    return _EXIT_CODES["error"]
 
 
 if __name__ == "__main__":

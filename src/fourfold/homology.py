@@ -37,6 +37,7 @@ from fourfold.errors import (
     DegreeOutOfRange,
     GroupMismatch,
     InfiniteGroup,
+    _too_long,
     charge,
     generator_budget,
 )
@@ -78,14 +79,16 @@ def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
     generators, each written over group itself.  The first periodic
     factor seeds the product; with none, Z in degree 0 does, so the
     product always reaches the bound.  Cached per (group, bound) in a
-    bounded cache; a rebuilt resolution is equal to the evicted one, so
-    classes computed against it keep their coordinates.
+    bounded cache, keyed on the budget too, so a kept resolution serves
+    only calls under the budget that admitted it; a rebuilt resolution is
+    equal to the evicted one, so classes computed against it keep their
+    coordinates.
     """
-    return _resolution(group, bound)
+    return _resolution(group, bound, generator_budget())
 
 
 @functools.lru_cache(maxsize=_RESOLUTION_CACHE_SIZE)
-def _resolution(group, bound):
+def _resolution(group, bound, budget):
     cyclic = [i for i, o in enumerate(group.orders) if o > 1]
     free = range(len(group.orders), group.ngens)
     # charge the length, then the norm element of the largest cyclic
@@ -99,9 +102,17 @@ def _resolution(group, bound):
     # Z^r alone they peak at degree r/2, and d_(r//2+1) is the largest
     k, r = len(cyclic), len(free)
     top = bound if cyclic else min(bound, r // 2 + 1)
-    cells = _rank(k, r, top - 1) * _rank(k, r, top) if top else 0
     where = "top boundary" if top == bound else "boundary d_%d" % top
-    charge(cells, "resolution through degree %s needs %s cells in its %s", bound, cells, where)
+    what = "resolution through degree %s needs %s cells in its %s"
+    if top and k:
+        # the exact ranks step through huge binomials for seconds, so one
+        # term of each is charged first when their product is too long to
+        # print: then the exact need would print as a magnitude too
+        floor = _rank_floor(k, r, top - 1) * _rank_floor(k, r, top)
+        if _too_long(floor):
+            charge(floor, what, bound, floor, where)
+    cells = _rank(k, r, top - 1) * _rank(k, r, top) if top else 0
+    charge(cells, what, bound, cells, where)
     w = trivial_char(group)
     res = periodic_complex(group, cyclic[0], bound, w) if cyclic else zero_complex(group, w, (1,) + (0,) * bound)
     for i in cyclic[1:]:
@@ -123,6 +134,13 @@ def _rank(k, r, n):
     return total
 
 
+def _rank_floor(k, r, n):
+    """A lower bound on _rank(k, r, n), k > 0, that needs no big binomial:
+    its term j = min(r, n) // 2, with C(r, j) >= (r // j)^j."""
+    j = min(r, n) // 2
+    return (r // j) ** j * math.comb(n - j + k - 1, k - 1) if j else math.comb(n + k - 1, k - 1)
+
+
 def group_homology(group, w, degree):
     """H_degree(pi; Z^w) for pi x Z^r, pi a finite product of cyclic
     groups, with any character w.
@@ -136,11 +154,13 @@ def group_homology(group, w, degree):
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if degree < 0:
         raise DegreeOutOfRange("negative degree")
-    return _group_homology(group, w, degree)
+    return _group_homology(group, w, degree, generator_budget())
 
 
 @functools.lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)
-def _group_homology(group, w, degree):
+def _group_homology(group, w, degree, budget):
+    """The memo of group_homology, keyed on the budget that its resolution
+    is charged against."""
     return _twisted_homology(resolution_for(group, max(DEFAULT_DEGREE_BOUND, degree + 1)), w, degree)
 
 

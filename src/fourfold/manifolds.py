@@ -103,10 +103,11 @@ def signed_square_witness(p, x):
     This is the one congruence of the lens criteria: homotopy
     equivalence, linking-form isometry and the signed-square relation of
     the classes each ask it of the ratio of their two parameters.  It
-    keeps no memo (classify memoises the whole lens decision on (p, x)).
-    Its need is known only as it walks, so it charges the budget itself:
-    after budget units with units still left, it raises BudgetExceeded
-    instead of walking every unit of a huge modulus."""
+    keeps no memo (classify memoises the whole lens decision on (p, x)
+    and the budget).  Its need is known only as it walks, so it charges
+    the budget itself: after budget units with units still left, it
+    raises BudgetExceeded instead of walking every unit of a huge
+    modulus."""
     budget = generator_budget()
     minus_x = -x % p
     for i, r in enumerate(units_mod(p)):

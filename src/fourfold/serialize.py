@@ -6,6 +6,7 @@ dropped, so equal inputs emit byte-identical text.
 """
 
 import json
+import sys
 
 from fourfold.complexes import LambdaComplex
 from fourfold.errors import ParseError
@@ -208,6 +209,10 @@ def _load_json(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc)
+    except ValueError:
+        # the one other ValueError of json.loads: an integer literal with
+        # more digits than int() reads
+        raise ParseError("document holds an integer of more than %d digits" % sys.get_int_max_str_digits()) from None
     except RecursionError:
         raise ParseError("document nests deeper than the JSON parser allows") from None
 

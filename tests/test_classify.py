@@ -50,6 +50,8 @@ from fourfold.errors import (
     InfiniteGroup,
     InvalidLens,
     TypeMismatch,
+    budget,
+    generator_budget,
 )
 from test_extensions import ref_em_torsion
 
@@ -257,14 +259,13 @@ def test_multipliers_that_would_grow_a_free_part_are_refused():
     assert kreck_equivalent(rec((1, 1)), rec((1, 0))) == (False, None)
 
 
-def test_kreck_orbit_search_is_charged_against_the_budget(monkeypatch):
+def test_kreck_orbit_search_is_charged_against_the_budget():
     # Z/7: 7 classes, each trying the three squares 1, 2, 4 and the sign
     a, b = lens_times_circle_record(7, 1), lens_times_circle_record(7, 2)
-    monkeypatch.setenv("FOURFOLD_BUDGET", "27")
-    with pytest.raises(BudgetExceeded, match="orbit search needs 7 classes x 4 moves, budget 27"):
+    with budget(27), pytest.raises(BudgetExceeded, match="orbit search needs 7 classes x 4 moves, budget 27"):
         kreck_equivalent(a, b)
-    monkeypatch.setenv("FOURFOLD_BUDGET", "28")
-    assert kreck_equivalent(a, b) == (True, {"multiplier": 4, "sign": 1})
+    with budget(28):
+        assert kreck_equivalent(a, b) == (True, {"multiplier": 4, "sign": 1})
     # with a free part the classes are the two signs of the free part times
     # the 2 torsion values, 3 moves each (-1, 1 and the sign), whatever the
     # target's coordinates
@@ -274,36 +275,32 @@ def test_kreck_orbit_search_is_charged_against_the_budget(monkeypatch):
         return ManifoldRecord(group=trivial_group(), w_signs=(), class_h4=cls, h4=h4, aut_multipliers=(-1, 1))
 
     for target in ((-1, 1), (-12, 0), (10**6, 1)):
-        monkeypatch.setenv("FOURFOLD_BUDGET", "11")
-        with pytest.raises(BudgetExceeded, match="needs 4 classes x 3 moves, budget 11"):
+        with budget(11), pytest.raises(BudgetExceeded, match="needs 4 classes x 3 moves, budget 11"):
             kreck_equivalent(rec((1, 1)), rec(target))
-        monkeypatch.setenv("FOURFOLD_BUDGET", "12")
         expect = (True, {"multiplier": -1, "sign": 1}) if target == (-1, 1) else (False, None)
-        assert kreck_equivalent(rec((1, 1)), rec(target)) == expect
+        with budget(12):
+            assert kreck_equivalent(rec((1, 1)), rec(target)) == expect
 
 
-def test_a_refused_lens_decision_is_not_kept(monkeypatch):
-    # with the homology of Z/29 kept, the orbit search of Z/29 needs 29
-    # classes x 15 moves, and Z/100003 is refused by the norm element of
-    # its resolution before any record is built; nothing of either call
-    # stays in the decision memo (a kept decision is answered without a
-    # search, so the memo starts cold)
-    cases = ((29, "27", "orbit search needs 29 classes x 15 moves, budget 27"),
-             (100003, None, "the norm element of Z/100003 needs 100003 terms, budget 100000"))
+def test_a_refused_lens_decision_is_not_kept():
+    # the resolution of Z/29 x Z needs 29 terms for its norm element, and
+    # the orbit search of Z/29 needs 29 classes x 15 moves, so budget 400
+    # refuses the search and 27 the resolution; Z/100003 is refused by the
+    # norm element of its resolution before any record is built.  Nothing
+    # of any call stays in the decision memo (a kept decision is answered
+    # without a search, so the memo starts cold)
+    cases = ((29, 400, "orbit search needs 29 classes x 15 moves, budget 400"),
+             (29, 27, "the norm element of Z/29 needs 29 terms, budget 27"),
+             (100003, 100000, "the norm element of Z/100003 needs 100003 terms, budget 100000"))
     classify._lens_decision.cache_clear()
     classify_lens_family(29, 1, 1)
-    for p, budget, message in cases:
-        if budget is None:
-            monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
-        else:
-            monkeypatch.setenv("FOURFOLD_BUDGET", budget)
+    for p, n, message in cases:
         kept = classify._lens_decision.cache_info().currsize
         assert kept >= 1
         for q2 in (2, 4):
-            with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            with budget(n), pytest.raises(BudgetExceeded, match=re.escape(message)):
                 classify_lens_family(p, 1, q2)
         assert classify._lens_decision.cache_info().currsize == kept
-    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
     assert classify_lens_family(29, 1, 4).equivalent
 
 
@@ -455,7 +452,7 @@ def test_chain_map_lifts_reduce_each_resolution_boundary_once(monkeypatch):
 
     pairs = [(p, q) for p in range(2, 16) for q in range(1, p) if math.gcd(p, q) == 1]
     # fresh resolutions, one per p, whatever earlier tests left in the cache
-    resolutions = {p: homology._resolution.__wrapped__(cyclic_group(p), 5) for p, _ in pairs}
+    resolutions = {p: homology._resolution.__wrapped__(cyclic_group(p), 5, generator_budget()) for p, _ in pairs}
     complexes = [(lens_complex(LensSpace(p, q)), resolutions[p]) for p, q in pairs]
     monkeypatch.setattr(intmat, "smith_normal_form", counting)
     for c, res in complexes:

@@ -21,7 +21,7 @@ from fourfold.classify import default_aut_multipliers, lens_times_circle_record
 from fourfold.cli import main
 from fourfold.complexes import LambdaComplex, presentation_complex
 from fourfold.groupring import RingMatrix, product_group
-from fourfold.errors import BudgetExceeded, NotAComplex, ParseError, charge
+from fourfold.errors import BudgetExceeded, NotAComplex, ParseError, budget, charge, generator_budget
 from fourfold.manifolds import (
     LensSpace,
     cp2_complex,
@@ -580,7 +580,7 @@ def test_a_failing_document_is_not_kept(tmp_path, capsys, case, text, error):
     messages = []
     for _ in range(2):
         with pytest.raises(error) as raised:
-            memo(text)
+            memo(text) if memo is cli._complex_document else memo(text, generator_budget())
         assert memo.cache_info().currsize == 1
         code, out, err = run(capsys, [bad_verb, str(f)])
         assert (code, out, err) == (2, "", "error: %s\n" % raised.value)
@@ -667,7 +667,7 @@ def test_every_verb_on_a_kept_matrix_document_reads_one_reduction(tmp_path, caps
     assert run(capsys, ["recover-m", str(f), "2:2,2,2"])[1] == "candidates: [2]\n"
     assert run(capsys, ["classify-aspherical", str(f), "2:2,2,2"])[1] == "candidates: [2]\n"
     # the kept matrix, once, where each of the 19 verbs reduced it afresh
-    assert len(reduced) == 1 and reduced[0] is cli._matrix_document(f.read_text())
+    assert len(reduced) == 1 and reduced[0] is cli._matrix_document(f.read_text(), generator_budget())
 
 
 def test_an_evicted_matrix_document_answers_as_a_cold_one(tmp_path, capsys):
@@ -872,14 +872,57 @@ def test_a_need_too_long_to_print_is_refused_by_its_magnitude(monkeypatch, argv,
     assert 10**6020 <= 2**20001 < 10**6021 and 10**12041 <= 2**40002 < 10**12042
 
 
-def test_a_need_that_fits_is_written_in_full(monkeypatch):
-    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+def test_a_need_that_fits_is_written_in_full():
     need = 10**4300 - 1  # the most digits str() writes by default
-    with pytest.raises(BudgetExceeded) as info:
+    with budget(100000), pytest.raises(BudgetExceeded) as info:
         charge(need, "work needs %s cells", need)
     assert str(info.value) == "work needs %s cells, budget 100000" % ("9" * 4300)
-    with pytest.raises(BudgetExceeded, match=r"^work needs at least 10\^4299 cells, budget 100000$"):
+    with budget(100000), pytest.raises(BudgetExceeded, match=r"^work needs at least 10\^4299 cells, budget 100000$"):
         charge(need + 1, "work needs %s cells", need + 1)
+
+
+def test_many_free_generators_over_a_cyclic_factor_are_refused_at_once(monkeypatch):
+    # one term of each rank bounds the cells from below; over Z/2 x Z^100000
+    # at degree 99998 the bound is too long to print, so it is charged
+    # before the exact sums, which stepped big binomials for 4.0 s
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    argv = ["group-homology", "--group", "cyclic:2*Z^100000", "--degree", "99998"]
+    start = time.monotonic()
+    proc = run_capped(argv, 1024, timeout=20)
+    assert time.monotonic() - start < 0.5
+    message = "error: resolution through degree 99999 needs at least 10^30101 cells in its top boundary, budget 100000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+def test_an_answer_too_long_to_print_is_an_error(tmp_path, capsys):
+    # the Smith form of diag(10^4000 + 1, 10^4000 + 3) holds their 8001-digit
+    # product, which str() and json.dumps refuse
+    f = tmp_path / "big.json"
+    f.write_text("[[%d, 0], [0, %d]]" % (10**4000 + 1, 10**4000 + 3))
+    message = "the answer holds an integer too long to print: at least 10^7999"
+    assert run(capsys, ["snf", str(f)]) == (2, "", "error: %s\n" % message)
+    code, out, err = run(capsys, ["--json", "snf", str(f)])
+    doc = json.loads(out)
+    assert (code, err) == (2, "") and validate_report(doc)
+    assert (doc["status"], doc["result"]) == ("error", {"message": message})
+    # an answer of 4300 digits prints in full
+    f.write_text("[[%d]]" % (10**4299 + 7))
+    assert run(capsys, ["snf", str(f)])[:2] == (0, "matrix 1 x 1\nrank 1\ninvariant factors: %d\n" % (10**4299 + 7))
+
+
+def test_an_integer_literal_too_long_to_read_is_a_parse_error(tmp_path, capsys):
+    # a matrix, a complex and a record document, each read by its verb
+    long = "1" + "0" * 5000
+    documents = {
+        "snf": "[[%s]]" % long,
+        "homology": '{"group": "cyclic:2", "ranks": [1, 1], "boundaries": [[[[%s, [0]]]]]}' % long,
+        "classify-kreck": '{"group": "cyclic:5*Z", "class_h4": [%s]}' % long,
+    }
+    f = tmp_path / "doc.json"
+    for verb, text in documents.items():
+        f.write_text(text)
+        argv = [verb] + [str(f)] * (2 if verb == "classify-kreck" else 1)
+        assert run(capsys, argv) == (2, "", "error: document holds an integer of more than 4300 digits\n"), verb
 
 
 # The limits the README states for the default budget, each on both sides:

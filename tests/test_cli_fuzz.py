@@ -48,7 +48,7 @@ RECORDS = [
 ]
 ANY_DOC = list(COMPLEXES.values()) + MATRICES + RECORDS
 MALFORMED = ["", "{broken", "null", "[[1, 2], [3]]", "[[true]]", '"text"', "[[1.5]]", '{"schema_version": "1"}', "{}",
-             "[" * 2000 + "]" * 2000]
+             "[" * 2000 + "]" * 2000, "[[1" + "0" * 5000 + "]]", '{"class_h4": [1' + "0" * 5000 + "]}"]
 
 GROUPS = ["trivial", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "product:2,2", "product:2,3",
           "cyclic:3*Z", "cyclic:2*Z^2", "trivial*Z^4", "product:2,2*Z", "product:2,2,2,2", "cyclic:2*Z^60"]

@@ -16,7 +16,8 @@ lower layer of the package, a third keeps every error the package
 raises a FourfoldError, a fourth keeps every public method read
 somewhere in the package unless it is listed as an operation of its own,
 and a fifth keeps the budget read and enforced by errors.charge and the
-witness walk alone.
+witness walk alone, every memo of charged work keyed on it, and the
+environment read by one function of errors.
 """
 
 import ast
@@ -467,6 +468,11 @@ PRIVATE_IMPORTS = {
     ("homology.py", "complexes", "_twisted_homology"): (
         "group homology twists a resolution by a character other than its own, which homology_Zw does not take"
     ),
+    ("homology.py", "errors", "_too_long"): (
+        "a lower bound on a resolution's cells is charged first only when the exact need would not print in full"
+    ),
+    ("cli.py", "errors", "_too_long"): "an answer holding an integer too long to print is refused, not a traceback",
+    ("cli.py", "errors", "_printable"): "that refusal names the integer's magnitude as every charge writes a need",
 }
 
 
@@ -497,15 +503,20 @@ EXACT_BUILDERS = {
 UNCHECKED_PATHS = {("complexes.py", "LambdaComplex.__init__"), ("complexes.py", "_exact_complex")}
 
 
-def _references(node, scope, names):
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _references(node, scope, names, skip=frozenset()):
     """(scope, name) for every use of one of names under node, by bare name
-    or attribute, scope being the innermost enclosing definition."""
+    or attribute, scope being the innermost enclosing definition; the nodes
+    whose ids are in skip are passed over."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = node.name if scope is None else scope + "." + node.name
-    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-    found = [(scope, name)] if name in names else []
+    name = _name(node)
+    found = [(scope, name)] if name in names and id(node) not in skip else []
     for child in ast.iter_child_nodes(node):
-        found += _references(child, scope, names)
+        found += _references(child, scope, names, skip)
     return found
 
 
@@ -521,17 +532,68 @@ def test_the_unchecked_constructor_serves_only_exact_builders():
 
 # The only callers of generator_budget and raisers of BudgetExceeded: the
 # one up-front charge, and the witness walk, whose need is known only as
-# it walks.  homology re-exports generator_budget by import alone, for
+# it walks.  A call of a charged memo also reads the budget, as the memo's
+# key (below).  homology re-exports generator_budget by import alone, for
 # perfbench's worker to read.
 BUDGET_OWNERS = {("errors.py", "charge"), ("manifolds.py", "signed_square_witness")}
+
+# The memos of charged work, each keyed on the budget as its last argument,
+# budget, which every caller passes as generator_budget(): a hit is then an
+# answer that the same budget admitted.
+CHARGED_MEMOS = {
+    ("homology.py", "_resolution"),
+    ("homology.py", "_group_homology"),
+    ("classify.py", "_lens_decision"),
+    ("cli.py", "_matrix_document"),
+}
+
+
+def _memo_calls(tree):
+    """Every call under tree of a function named as a charged memo."""
+    memos = {name for _, name in CHARGED_MEMOS}
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _name(n.func) in memos]
+
+
+def _is_budget_read(node):
+    return isinstance(node, ast.Call) and _name(node.func) == "generator_budget" and not node.args
 
 
 def test_the_budget_is_charged_in_one_place():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {(path.name, scope) for scope, _ in _references(tree, None, {"BudgetExceeded", "generator_budget"})}
+        keys = {id(call.args[-1].func) for call in _memo_calls(tree) if call.args and _is_budget_read(call.args[-1])}
+        found |= {(path.name, scope) for scope, _ in _references(tree, None, {"BudgetExceeded", "generator_budget"}, keys)}
     assert found == BUDGET_OWNERS
+
+
+def test_each_charged_memo_is_keyed_on_the_budget():
+    keyed, unkeyed = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any("lru_cache" in ast.unparse(d) for d in node.decorator_list):
+                if node.args.args and node.args.args[-1].arg == "budget":
+                    keyed.add((path.name, node.name))
+        for call in _memo_calls(tree):
+            if not (call.args and _is_budget_read(call.args[-1])) or call.keywords:
+                unkeyed.append("%s:%d" % (path.name, call.lineno))
+    assert keyed == CHARGED_MEMOS
+    assert unkeyed == []
+
+
+def test_the_environment_is_read_in_one_place():
+    # FOURFOLD_BUDGET is the package's one setting, parsed by one function;
+    # everything else gets the budget from errors.generator_budget
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, scope) for scope, _ in _references(tree, None, {"environ", "getenv"})}
+    assert found == {("errors.py", "budget_from_environment")}
+    # the guards see what they look for
+    tree = ast.parse("def f():\n    os.getenv('X')\n    g(environ)\n    _resolution(g, 6, generator_budget())\n")
+    assert _references(tree, None, {"environ", "getenv"}) == [("f", "getenv"), ("f", "environ")]
+    assert [_is_budget_read(call.args[-1]) for call in _memo_calls(tree)] == [True]
 
 
 # The one raise of a type outside errors.py: the lens-family criteria

@@ -55,6 +55,7 @@ from fourfold.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
     ParseError,
+    budget,
 )
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -167,7 +168,6 @@ def test_check_exactness_rejects_a_complex_that_is_not_exact(d1_scale, d2_scale,
 
 
 def test_resolution_for_products(monkeypatch):
-    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
     res = resolution_for(product_group((2, 2)))
     assert check_exactness(res)
     assert res.ranks[:5] == (1, 2, 3, 4, 5)
@@ -185,7 +185,7 @@ def test_resolution_for_products(monkeypatch):
 
     monkeypatch.setattr(homology, "periodic_complex", refuse)
     homology._resolution.cache_clear()
-    with pytest.raises(
+    with budget(100000), pytest.raises(
         BudgetExceeded, match="resolution through degree 6 needs 116424 cells in its top boundary, budget 100000"
     ):
         resolution_for(product_group((2,) * 6))
@@ -196,8 +196,7 @@ def test_resolution_for_products(monkeypatch):
     assert res.ranks == (1,) + (2,) * DEFAULT_DEGREE_BOUND
 
 
-def test_groups_of_four_and_five_factors_answer_within_the_budget(monkeypatch):
-    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+def test_groups_of_four_and_five_factors_answer_within_the_budget():
     # Z/2 x Z/3 x Z/5 x Z/7 is Z/210
     g, h = product_group((2, 3, 5, 7)), cyclic_group(210)
     for n in range(8):
@@ -301,14 +300,14 @@ def test_bar_oracle_unnormalized_variant():
         assert bar_homology_oracle(g, w, n, normalized=False) == group_homology(g, w, n)
 
 
-def test_bar_oracle_budget(monkeypatch):
-    monkeypatch.setenv("FOURFOLD_BUDGET", "10")
+def test_bar_oracle_budget():
     g = product_group((2, 2))
-    with pytest.raises(BudgetExceeded):
+    with budget(10), pytest.raises(BudgetExceeded):
         bar_homology_oracle(g, trivial_char(g), 4)
-    monkeypatch.setenv("FOURFOLD_BUDGET", "lots")
-    with pytest.raises(ParseError):
-        bar_homology_oracle(g, trivial_char(g), 1)
+    for n in (-1, "lots", 1.5, True):
+        with pytest.raises(ParseError, match="a budget must be a non-negative integer"):
+            with budget(n):
+                pass
 
 
 def test_bar_oracle_refuses_a_character_of_another_group(monkeypatch):
@@ -345,65 +344,76 @@ def test_resolution_build_does_not_revalidate_its_factors(monkeypatch):
     assert check_exactness(res)
 
 
-def test_a_resolution_is_charged_by_its_top_boundary(monkeypatch):
+def test_a_resolution_is_charged_by_its_top_boundary():
     # three factors through degree 6: the top boundary is 21 x 28
     g = product_group((2, 2, 2))
     homology._group_homology.cache_clear()
     homology._resolution.cache_clear()
-    monkeypatch.setenv("FOURFOLD_BUDGET", "587")
-    with pytest.raises(BudgetExceeded, match="resolution through degree 6 needs 588 cells in its top boundary, budget 587"):
+    with budget(587), pytest.raises(
+        BudgetExceeded, match="resolution through degree 6 needs 588 cells in its top boundary, budget 587"
+    ):
         group_homology(g, trivial_char(g), 2)
-    monkeypatch.setenv("FOURFOLD_BUDGET", "588")
-    assert group_homology(g, trivial_char(g), 2) == c(2, 2, 2)
+    with budget(588):
+        assert group_homology(g, trivial_char(g), 2) == c(2, 2, 2)
     # the charge is the product of the two top ranks of what gets built,
     # the terms of the largest norm element (the order of its factor) or
     # the number of boundaries, whichever is most: 9 > 5 > 1 x 1 for Z/5
     # through degree 9
     for orders, bound in (((5,), 9), ((2, 3), 7), ((2, 2, 2), 6), ((2, 4, 4), 4), ((3, 3, 3), 8), ((2, 2, 2, 2), 6)):
         homology._resolution.cache_clear()
-        monkeypatch.delenv("FOURFOLD_BUDGET")
         res = resolution_for(product_group(orders), bound)
         cells = res.ranks[-2] * res.ranks[-1]
         # the length is charged first, then the norm element, then the cells
         needs = {cells: "cells", max(orders): "terms", bound: "boundaries"}
         charge = max(needs)
         homology._resolution.cache_clear()
-        monkeypatch.setenv("FOURFOLD_BUDGET", str(charge - 1))
-        with pytest.raises(BudgetExceeded, match="needs %d %s" % (charge, needs[charge])):
+        with budget(charge - 1), pytest.raises(BudgetExceeded, match="needs %d %s" % (charge, needs[charge])):
             resolution_for(product_group(orders), bound)
-        monkeypatch.setenv("FOURFOLD_BUDGET", str(charge))
-        assert resolution_for(product_group(orders), bound).ranks == res.ranks
+        with budget(charge):
+            assert resolution_for(product_group(orders), bound).ranks == res.ranks
     homology._group_homology.cache_clear()
     homology._resolution.cache_clear()
 
 
-def test_the_charged_ranks_are_the_built_ones(monkeypatch):
+def test_the_charged_ranks_are_the_built_ones():
     # the charge reads rank n of k cyclic factors and r free generators in
     # closed form; the tensor product builds the same ranks
-    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
     for orders, r, bound in (((2,), 1, 6), ((2, 3), 2, 5), ((3,), 3, 4), ((2, 2, 2), 1, 3), ((), 5, 7), ((), 2, 1)):
         res = resolution_for(laurent_extension(product_group(orders), r), bound)
         assert res.ranks == tuple(homology._rank(len(orders), r, n) for n in range(bound + 1))
 
 
-def test_a_free_abelian_resolution_is_charged_by_its_largest_boundary(monkeypatch):
+def test_a_free_abelian_resolution_is_charged_by_its_largest_boundary():
     # over Z^r alone the ranks C(r, n) fall after degree r/2, so the
     # largest boundary is charged, not the top one: Z^4 through degree 6
     # has ranks 1, 4, 6, 4, 1, 0, 0 and d_3 is 4 x 6
     g = laurent_extension(trivial_group(), 4)
     homology._resolution.cache_clear()
-    monkeypatch.setenv("FOURFOLD_BUDGET", "23")
-    with pytest.raises(BudgetExceeded, match="resolution through degree 6 needs 24 cells in its boundary d_3, budget 23"):
+    with budget(23), pytest.raises(
+        BudgetExceeded, match="resolution through degree 6 needs 24 cells in its boundary d_3, budget 23"
+    ):
         resolution_for(g)
-    monkeypatch.setenv("FOURFOLD_BUDGET", "24")
-    assert resolution_for(g).ranks == (1, 4, 6, 4, 1, 0, 0)
+    with budget(24):
+        assert resolution_for(g).ranks == (1, 4, 6, 4, 1, 0, 0)
     # Z^20 through degree 20 would build d_11, C(20, 10) x C(20, 11), where
     # its top boundary is 20 x 1
-    monkeypatch.delenv("FOURFOLD_BUDGET")
     cells = math.comb(20, 10) * math.comb(20, 11)
-    with pytest.raises(BudgetExceeded, match="needs %d cells in its boundary d_11, budget 100000" % cells):
+    with budget(100000), pytest.raises(BudgetExceeded, match="needs %d cells in its boundary d_11, budget 100000" % cells):
         resolution_for(laurent_extension(trivial_group(), 20), 20)
     homology._resolution.cache_clear()
+
+
+def test_a_cell_bound_that_prints_leaves_the_exact_need_in_the_message():
+    # one term of each rank bounds the cells from below, and is charged
+    # first only when it is too long to print.  Over Z/2 x Z^2000 every
+    # rank above degree 2000 is 2^2000, and the bound 2^1000 x 2^1000
+    # prints, so the message holds the exact need
+    g = laurent_extension(cyclic_group(2), 2000)
+    with budget(100000), pytest.raises(BudgetExceeded) as info:
+        resolution_for(g, 99999)
+    assert str(info.value) == "resolution through degree 99999 needs %d cells in its top boundary, budget 100000" % 4**2000
+    for k, r, n in itertools.product(range(1, 4), range(7), range(12)):
+        assert 1 <= homology._rank_floor(k, r, n) <= homology._rank(k, r, n), (k, r, n)
 
 
 def test_cache_keys_are_normalised():

@@ -307,5 +307,6 @@ def test_every_lru_cache_is_bounded():
         "cli._parser",
         "cli._complex_document",
         "cli._matrix_document",
+        "errors._session_budget",
     }
     assert all(size is not None for size in found.values()), found

@@ -20,7 +20,7 @@ import pytest
 
 from fourfold import classify
 from fourfold.classify import _signed_square_relation, classify_lens_family, kreck_equivalent, lens_times_circle_record
-from fourfold.errors import BudgetExceeded, InvalidLens
+from fourfold.errors import BudgetExceeded, InvalidLens, budget
 from fourfold.manifolds import (
     LensSpace,
     LinkingForm,
@@ -230,7 +230,7 @@ def test_certificates_are_fresh_on_every_call():
 # ---- the witness searches are charged against the budget --------------------
 
 
-def test_witness_searches_are_charged_against_the_budget(monkeypatch):
+def test_witness_searches_are_charged_against_the_budget():
     # 2 is a non-residue mod 29 = 1 mod 4, so no search meets a witness
     # and each walks all 28 units; nothing is memoised, so each asks anew
     searches = (
@@ -239,32 +239,29 @@ def test_witness_searches_are_charged_against_the_budget(monkeypatch):
         (lambda: _signed_square_relation(29, 1, 2), (False, None)),
     )
     for ask, answer in searches:
-        monkeypatch.setenv("FOURFOLD_BUDGET", "27")
-        with pytest.raises(BudgetExceeded, match="mod 29 has no witness in its first 27 units, budget 27"):
+        with budget(27), pytest.raises(BudgetExceeded, match="mod 29 has no witness in its first 27 units, budget 27"):
             ask()
-        monkeypatch.setenv("FOURFOLD_BUDGET", "28")
-        assert ask() == answer
+        with budget(28):
+            assert ask() == answer
     # 4 = 2^2: the witness is the second unit walked
-    monkeypatch.setenv("FOURFOLD_BUDGET", "1")
-    with pytest.raises(BudgetExceeded):
+    with budget(1), pytest.raises(BudgetExceeded):
         lens_homotopy_equivalent(31, 1, 4)
-    monkeypatch.setenv("FOURFOLD_BUDGET", "2")
-    assert lens_homotopy_equivalent(31, 1, 4) == (True, 2, 1)
+    with budget(2):
+        assert lens_homotopy_equivalent(31, 1, 4) == (True, 2, 1)
 
 
-def test_a_witness_search_of_a_huge_modulus_ends_at_the_budget(monkeypatch):
+def test_a_witness_search_of_a_huge_modulus_ends_at_the_budget():
     # 11 is a non-residue mod the prime 1000000009 = 1 mod 4
     p = 1000000009
-    monkeypatch.setenv("FOURFOLD_BUDGET", "1000")
     for ask in (
         lambda: lens_homotopy_equivalent(p, 1, 11),
         lambda: linking_isometric(LinkingForm(p, 1), LinkingForm(p, 11)),
         lambda: _signed_square_relation(p, 1, 11),
     ):
-        with pytest.raises(BudgetExceeded, match="no witness in its first 1000 units"):
+        with budget(1000), pytest.raises(BudgetExceeded, match="no witness in its first 1000 units"):
             ask()
     # the ratio is what is searched: 11 * 3 over 3 is refused the same way
-    with pytest.raises(BudgetExceeded):
+    with budget(1000), pytest.raises(BudgetExceeded):
         lens_homotopy_equivalent(p, 3, 33)
 
 
