@@ -84,6 +84,7 @@ class LambdaComplex:
         self.w = w
         self.ranks = ranks
         self.boundaries = tuple(boundaries)
+        self._homology = {}
 
     @property
     def top_degree(self):
@@ -138,10 +139,14 @@ def homology_Zw(c, i):
 
 def _twisted_homology(c, w, i):
     """H_i(C (x) Z^w) from the kept augmented boundaries: d_i leaves
-    degree i (none in degree 0), d_(i+1) enters it (none at the top)."""
-    d_out = c.d(i).augment(w) if i >= 1 else None
-    d_in = c.d(i + 1).augment(w) if i < c.top_degree else None
-    return homology_invariants(d_out, d_in, c.ranks[i])
+    degree i (none in degree 0), d_(i+1) enters it (none at the top).
+    Kept on the complex per (w, i), as augment keeps d (x) Z^w."""
+    h = c._homology.get((w, i))
+    if h is None:
+        d_out = c.d(i).augment(w) if i >= 1 else None
+        d_in = c.d(i + 1).augment(w) if i < c.top_degree else None
+        h = c._homology[w, i] = homology_invariants(d_out, d_in, c.ranks[i])
+    return h
 
 
 def homology_Lambda(c, i):

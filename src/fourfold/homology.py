@@ -12,9 +12,10 @@ Each factor is resolved over the requested group itself, by a piece of
 complexes: a cyclic factor by its periodic_complex (t_i - 1 in odd
 degree, the norm of factor i in even degree), a free generator by its
 circle_complex 0 -> Z[pi] --(t - 1)--> Z[pi], and a group with no cyclic
-factor is seeded by the zero_complex of Z in degree 0.  The pieces are
-tensored only through the requested bound, so no boundary is built over
-another group or above the bound.
+factor is seeded by the zero_complex of Z in degree 0, so over Z^r alone
+the product is the Koszul resolution, which ends at degree r.  The
+pieces are tensored only through the requested bound, so no boundary is
+built over another group or above the bound.
 
 A resolution is a plain LambdaComplex over Z[pi] with trivial character,
 truncated at top_degree: its augmented homology is Z in degree 0 and
@@ -24,8 +25,9 @@ tensor products), so it is checked by the test suite, not at run time.
 Twisted integer homology reads the resolution's augmented boundaries
 (RingMatrix.augment), each kept per matrix and character with its Smith
 form: H_n and H_(n+1) share the reduction of d_(n+1), and a periodic
-resolution reduces its one odd and one even boundary once each.  With
-coefficients in a module, the module cuts the subquotient (FPModule).
+resolution reduces its one odd and one even boundary once each.  H_n is
+kept on the resolution too.  With coefficients in a module, the module
+cuts the subquotient (FPModule).
 """
 
 import functools
@@ -42,7 +44,7 @@ from fourfold.errors import (
     generator_budget,
 )
 from fourfold.groupring import trivial_char
-from fourfold.intmat import IntMatrix, homology_invariants
+from fourfold.intmat import AbelianInvariants, IntMatrix, homology_invariants
 
 __all__ = [
     "group_homology",
@@ -60,14 +62,12 @@ DEFAULT_DEGREE_BOUND = 6
 # An entry is one resolution: 2 kB for Z/2 to 23 kB for Z/4 x Z/4 x Z/4
 # through degree 6 (tracemalloc).  group_homology over all its degrees
 # keeps one augmented matrix per boundary and character read, with its
-# Smith form: the entry then weighs 5 kB (Z/2) to 70 kB (Z/4^3) for one
-# character, and 392 kB for all eight characters of Z/4^3.  A boundary
-# that chain-map lifts solve against keeps its expansion and Smith form,
-# so after hopf_check an entry holds 1.4 MB (Z/6 x Z/6), 8.0 MB
-# (Z/2 x Z/3 x Z/6) or 24.9 MB (Z/4^3).
+# Smith form, and each H_n it answered: the entry then weighs 5 kB (Z/2)
+# to 70 kB (Z/4^3) for one character, and 392 kB for all eight
+# characters of Z/4^3.  A boundary that chain-map lifts solve against
+# keeps its expansion and Smith form, so after hopf_check an entry holds
+# 1.4 MB (Z/6 x Z/6), 8.0 MB (Z/2 x Z/3 x Z/6) or 24.9 MB (Z/4^3).
 _RESOLUTION_CACHE_SIZE = 64
-# An entry is one AbelianInvariants, a couple of hundred bytes.
-_HOMOLOGY_CACHE_SIZE = 1024
 
 
 def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
@@ -77,12 +77,12 @@ def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
     The tensor product, through degree bound, of the periodic resolutions
     of the cyclic factors of order > 1 and the circles of the free
     generators, each written over group itself.  The first periodic
-    factor seeds the product; with none, Z in degree 0 does, so the
-    product always reaches the bound.  Cached per (group, bound) in a
-    bounded cache, keyed on the budget too, so a kept resolution serves
-    only calls under the budget that admitted it; a rebuilt resolution is
-    equal to the evicted one, so classes computed against it keep their
-    coordinates.
+    factor seeds the product; with none, Z in degree 0 does, and over Z^r
+    alone the product ends at degree min(bound, r).  Cached per (group,
+    bound) in a bounded cache, keyed on the budget too, so a kept
+    resolution serves only calls under the budget that admitted it; a
+    rebuilt resolution is equal to the evicted one, so classes computed
+    against it keep their coordinates.
     """
     return _resolution(group, bound, generator_budget())
 
@@ -91,16 +91,18 @@ def resolution_for(group, bound=DEFAULT_DEGREE_BOUND):
 def _resolution(group, bound, budget):
     cyclic = [i for i, o in enumerate(group.orders) if o > 1]
     free = range(len(group.orders), group.ngens)
-    # charge the length, then the norm element of the largest cyclic
-    # factor (n terms for Z/n), then the largest boundary, before building
-    charge(bound, "resolution through degree %s needs %s boundaries", bound, bound)
+    k, r = len(cyclic), len(free)
+    # the product ends at the bound, or over Z^r alone at degree r; charge
+    # that length, then the norm element of the largest cyclic factor (n
+    # terms for Z/n), then the largest boundary, before building
+    length = min(bound, r) if r and not k else bound
+    charge(length, "resolution through degree %s needs %s boundaries", bound, length)
     if cyclic:
         n = max(group.orders)
         charge(n, "the norm element of Z/%s needs %s terms", n, n)
     # rank n is the coefficient of x^n in (1+x)^r/(1-x)^k.  With a cyclic
     # factor the ranks never fall, so the top boundary is the largest; over
     # Z^r alone they peak at degree r/2, and d_(r//2+1) is the largest
-    k, r = len(cyclic), len(free)
     top = bound if cyclic else min(bound, r // 2 + 1)
     where = "top boundary" if top == bound else "boundary d_%d" % top
     what = "resolution through degree %s needs %s cells in its %s"
@@ -114,7 +116,8 @@ def _resolution(group, bound, budget):
     cells = _rank(k, r, top - 1) * _rank(k, r, top) if top else 0
     charge(cells, what, bound, cells, where)
     w = trivial_char(group)
-    res = periodic_complex(group, cyclic[0], bound, w) if cyclic else zero_complex(group, w, (1,) + (0,) * bound)
+    seed = (1,) + (0,) * (0 if r else bound)
+    res = periodic_complex(group, cyclic[0], bound, w) if cyclic else zero_complex(group, w, seed)
     for i in cyclic[1:]:
         res = tensor_complex(res, periodic_complex(group, i, bound, w), top=bound)
     for i in free:
@@ -148,24 +151,17 @@ def group_homology(group, w, degree):
     Twisting happens at augmentation time: the resolution itself is
     untwisted and the boundary matrices are collapsed with the signed
     augmentation, so a character that reverses a free direction is read
-    like any other.  A character of another group is a GroupMismatch.
+    like any other.  Over Z^r alone H_n is 0 above r, where the resolution
+    ends.  A character of another group is a GroupMismatch.
     """
     if w.group is not group and w.group != group:
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if degree < 0:
         raise DegreeOutOfRange("negative degree")
-    return _group_homology(group, w, degree, generator_budget())
-
-
-@functools.lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)
-def _group_homology(group, w, degree, budget):
-    """The memo of group_homology, keyed on the budget that its resolution
-    is charged against."""
-    return _twisted_homology(resolution_for(group, max(DEFAULT_DEGREE_BOUND, degree + 1)), w, degree)
-
-
-def _bar_tuples(els, k):
-    return list(itertools.product(els, repeat=k))
+    res = resolution_for(group, max(DEFAULT_DEGREE_BOUND, degree + 1))
+    if degree > res.top_degree:
+        return AbelianInvariants(0, ())
+    return _twisted_homology(res, w, degree)
 
 
 def bar_homology_oracle(group, w, degree, normalized=True):
@@ -183,16 +179,14 @@ def bar_homology_oracle(group, w, degree, normalized=True):
         raise GroupMismatch("character over %s, group %s" % (w.group, group))
     if not group.is_finite:
         raise InfiniteGroup("bar resolution needs a finite group")
-    n = group.order()
-    count = (n - 1 if normalized else n) ** (degree + 1)
+    n = group.order() - 1 if normalized else group.order()
+    count = n ** (degree + 1)
     cells = count * count
     what = "bar resolution needs %s generators in degree %s and %s cells for their Smith form"
     charge(cells, what, count, degree + 1, cells)
     d_out = _bar_boundary(group, w, degree, normalized) if degree >= 1 else None
     d_in = _bar_boundary(group, w, degree + 1, normalized)
-    els = _bar_elements(group, normalized)
-    dim = len(_bar_tuples(els, degree))
-    return homology_invariants(d_out, d_in, dim)
+    return homology_invariants(d_out, d_in, n**degree)
 
 
 def _bar_elements(group, normalized):
@@ -207,8 +201,8 @@ def _bar_boundary(group, w, k, normalized):
     """Integer matrix of the bar boundary B_k -> B_{k-1} after twisting
     the coefficients down to Z^w."""
     els = _bar_elements(group, normalized)
-    lower = _bar_tuples(els, k - 1)
-    upper = _bar_tuples(els, k)
+    lower = list(itertools.product(els, repeat=k - 1))
+    upper = list(itertools.product(els, repeat=k))
     index = {t: i for i, t in enumerate(lower)}
     e = group.identity
     data = [[0] * len(upper) for _ in range(len(lower))]

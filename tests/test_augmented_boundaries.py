@@ -11,10 +11,10 @@ built a new matrix, and again when the image was kept per degree.
 
 import pytest
 
-from fourfold import homology, intmat
+from fourfold import complexes, homology, intmat
 from fourfold.classify import bordism_group
 from fourfold.complexes import homology_Zw
-from fourfold.errors import DegreeOutOfRange, GroupMismatch
+from fourfold.errors import DegreeOutOfRange, GroupMismatch, budget
 from fourfold.groupring import (
     char_from_signs,
     cyclic_group,
@@ -31,7 +31,6 @@ from fourfold.manifolds import LensSpace, lens_times_circle, rp4_complex
 def cold_reductions(monkeypatch):
     """Empty the homology caches and list every matrix intmat reduces."""
     homology._resolution.cache_clear()
-    homology._group_homology.cache_clear()
     reduced = []
     snf = intmat.smith_normal_form
 
@@ -42,7 +41,6 @@ def cold_reductions(monkeypatch):
     monkeypatch.setattr(intmat, "smith_normal_form", counting)
     yield reduced
     homology._resolution.cache_clear()
-    homology._group_homology.cache_clear()
 
 
 def test_augment_is_kept_per_character():
@@ -104,6 +102,40 @@ def test_group_homology_through_degree_5_builds_one_resolution(cold_reductions):
     assert len(cold_reductions) == 6
     res = resolution_for(g)
     assert all(any(a is res.d(i).augment(w) for a in cold_reductions) for i in range(1, 7))
+
+
+def test_twisted_homology_is_kept_per_complex_character_and_degree(monkeypatch):
+    calls = []
+    invariants = complexes.homology_invariants
+
+    def counting(d_out, d_in, rank):
+        calls.append(rank)
+        return invariants(d_out, d_in, rank)
+
+    monkeypatch.setattr(complexes, "homology_invariants", counting)
+    homology._resolution.cache_clear()
+    g = product_group((2, 4))
+    chars = (trivial_char(g), char_from_signs(g, (-1, 1)))
+    first = [[group_homology(g, w, n) for n in range(6)] for w in chars]
+    for _ in range(2):
+        assert [[group_homology(g, w, n) for n in range(6)] for w in chars] == first
+    assert len(calls) == 12
+    # budget 42 admits the resolution (its top boundary is 6 x 7), which is
+    # then built again under that key and its homology computed again
+    for _ in range(2):
+        with budget(42):
+            assert [[group_homology(g, w, n) for n in range(6)] for w in chars] == first
+    assert len(calls) == 24
+    assert [[group_homology(g, w, n) for n in range(6)] for w in chars] == first
+    assert len(calls) == 24
+    c = lens_times_circle(LensSpace(7, 2))
+    del calls[:]
+    once = [homology_Zw(c, i) for i in range(c.top_degree + 1)]
+    assert once[1] == AbelianInvariants(1, (7,))
+    for _ in range(2):
+        assert [homology_Zw(c, i) for i in range(c.top_degree + 1)] == once
+    assert len(calls) == c.top_degree + 1
+    homology._resolution.cache_clear()
 
 
 def test_homology_zw_reduces_each_boundary_once(cold_reductions):

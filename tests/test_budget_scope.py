@@ -3,12 +3,13 @@ under the budget that admitted it.
 
 errors.generator_budget() is the n of the innermost fourfold.budget(n)
 scope, or FOURFOLD_BUDGET read once per process; cli.main reads the
-variable once per call and runs its verb in that scope.  Each of the four
-memos of charged work (homology._resolution, homology._group_homology,
-classify._lens_decision and cli._matrix_document) takes the budget as a
-key argument, so a call warmed under one budget is refused under a lower
-one with the message of a cold call, byte for byte, and a raised budget
-after a refusal still gets its answer.
+variable once per call and runs its verb in that scope.  Each of the three
+memos of charged work (homology._resolution, classify._lens_decision and
+cli._matrix_document) takes the budget as a key argument, so a call
+warmed under one budget is refused under a lower one with the message of
+a cold call, byte for byte, and a raised budget after a refusal still
+gets its answer.  Group homology is kept on its resolution, so it is
+served only under a budget that admits the resolution.
 """
 
 import json
@@ -26,7 +27,7 @@ from fourfold.intmat import AbelianInvariants
 from fourfold.manifolds import cp2_complex
 from fourfold.serialize import emit_complex
 
-MEMOS = (classify._lens_decision, homology._group_homology, homology._resolution, cli._matrix_document)
+MEMOS = (classify._lens_decision, homology._resolution, cli._matrix_document)
 
 
 def cold(ask):
@@ -76,14 +77,14 @@ def test_a_kept_resolution_is_not_served_under_a_lower_budget():
 
 
 def test_a_kept_homology_is_not_served_under_a_lower_budget():
-    # the answer itself is kept: H_2 at the default budget answered H_2 at
-    # budget 500 without asking the resolution
+    # the answer itself is kept, on the resolution: a memo of H_2 keyed
+    # apart from the resolution answered H_2 at budget 500
     g = product_group((2, 2, 2))
     w = trivial_char(g)
     for memo in MEMOS:
         memo.cache_clear()
     answer = group_homology(g, w, 2)
-    assert homology._group_homology.cache_info().currsize == 1
+    assert homology.resolution_for(g)._homology == {(w, 2): answer}
     with budget(500), pytest.raises(BudgetExceeded) as warm:
         group_homology(g, w, 2)
     with budget(500):

@@ -485,7 +485,6 @@ def test_hopf_check_reduces_no_matrix_for_unread_subquotients(monkeypatch):
     for build in (rp4_complex, cp2_complex, s4_complex, _padded_z6_z6):
         c = build()
         homology._resolution.cache_clear()
-        homology._group_homology.cache_clear()
         del reduced[:]
         assert hopf_check(c).passed
         counts.append(len(reduced))

@@ -826,6 +826,19 @@ def test_a_long_resolution_is_charged_by_its_length(monkeypatch):
     assert proc.stderr == "error: resolution through degree 30000001 needs 30000001 boundaries, budget 100000\n"
 
 
+@pytest.mark.parametrize("r, degree", [(10, 99998), (3, 200000)])
+def test_free_abelian_homology_above_the_rank_answers_at_once(monkeypatch, r, degree):
+    # the resolution of Z^r ends at degree r, so it builds r boundaries
+    # whatever the degree: padded to the degree, Z^10 answered after 4.5 s
+    # and Z^3 was refused for its 200001 boundaries
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    argv = ["group-homology", "--group", "trivial*Z^%d" % r, "--degree", str(degree)]
+    start = time.monotonic()
+    proc = run_capped(argv, 1024, timeout=20)
+    assert time.monotonic() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "H_%d(trivial x Z^%d) = 0\n" % (degree, r), "")
+
+
 @pytest.mark.parametrize("r", [100, 400])
 def test_many_free_generators_are_refused_at_once(monkeypatch, r):
     # the cell charge reads the two ranks around d_(r/2+1), C(r, n) over

@@ -542,7 +542,6 @@ BUDGET_OWNERS = {("errors.py", "charge"), ("manifolds.py", "signed_square_witnes
 # answer that the same budget admitted.
 CHARGED_MEMOS = {
     ("homology.py", "_resolution"),
-    ("homology.py", "_group_homology"),
     ("classify.py", "_lens_decision"),
     ("cli.py", "_matrix_document"),
 }

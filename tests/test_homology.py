@@ -347,7 +347,6 @@ def test_resolution_build_does_not_revalidate_its_factors(monkeypatch):
 def test_a_resolution_is_charged_by_its_top_boundary():
     # three factors through degree 6: the top boundary is 21 x 28
     g = product_group((2, 2, 2))
-    homology._group_homology.cache_clear()
     homology._resolution.cache_clear()
     with budget(587), pytest.raises(
         BudgetExceeded, match="resolution through degree 6 needs 588 cells in its top boundary, budget 587"
@@ -371,22 +370,26 @@ def test_a_resolution_is_charged_by_its_top_boundary():
             resolution_for(product_group(orders), bound)
         with budget(charge):
             assert resolution_for(product_group(orders), bound).ranks == res.ranks
-    homology._group_homology.cache_clear()
     homology._resolution.cache_clear()
 
 
 def test_the_charged_ranks_are_the_built_ones():
     # the charge reads rank n of k cyclic factors and r free generators in
-    # closed form; the tensor product builds the same ranks
+    # closed form; the tensor product builds the same ranks, through the
+    # bound, or over Z^r alone through min(bound, r)
     for orders, r, bound in (((2,), 1, 6), ((2, 3), 2, 5), ((3,), 3, 4), ((2, 2, 2), 1, 3), ((), 5, 7), ((), 2, 1)):
         res = resolution_for(laurent_extension(product_group(orders), r), bound)
-        assert res.ranks == tuple(homology._rank(len(orders), r, n) for n in range(bound + 1))
+        length = bound if orders else min(bound, r)
+        assert res.ranks == tuple(homology._rank(len(orders), r, n) for n in range(length + 1))
+    # a finite group keeps its length, the trivial group too
+    assert resolution_for(trivial_group(), 6).ranks == (1, 0, 0, 0, 0, 0, 0)
+    assert resolution_for(product_group((1, 1)), 3).ranks == (1, 0, 0, 0)
 
 
 def test_a_free_abelian_resolution_is_charged_by_its_largest_boundary():
     # over Z^r alone the ranks C(r, n) fall after degree r/2, so the
     # largest boundary is charged, not the top one: Z^4 through degree 6
-    # has ranks 1, 4, 6, 4, 1, 0, 0 and d_3 is 4 x 6
+    # ends at degree 4, with ranks 1, 4, 6, 4, 1, and d_3 is 4 x 6
     g = laurent_extension(trivial_group(), 4)
     homology._resolution.cache_clear()
     with budget(23), pytest.raises(
@@ -394,7 +397,7 @@ def test_a_free_abelian_resolution_is_charged_by_its_largest_boundary():
     ):
         resolution_for(g)
     with budget(24):
-        assert resolution_for(g).ranks == (1, 4, 6, 4, 1, 0, 0)
+        assert resolution_for(g).ranks == (1, 4, 6, 4, 1)
     # Z^20 through degree 20 would build d_11, C(20, 10) x C(20, 11), where
     # its top boundary is 20 x 1
     cells = math.comb(20, 10) * math.comb(20, 11)
@@ -462,9 +465,10 @@ def _circle_step(hs, sign):
 
 def _laurent_ranks(k, r, bound):
     """The ranks of k periodic factors tensored with r circles, in closed
-    form: the coefficient of x^n in (1 + x)^r / (1 - x)^k."""
+    form: the coefficient of x^n in (1 + x)^r / (1 - x)^k.  With k = 0 this
+    is the Koszul resolution of Z^r, which ends at degree r."""
     if k == 0:
-        return tuple(math.comb(r, n) for n in range(bound + 1))
+        return tuple(math.comb(r, n) for n in range(min(bound, r) + 1))
     return tuple(
         sum(math.comb(r, j) * math.comb(n - j + k - 1, k - 1) for j in range(min(r, n) + 1)) for n in range(bound + 1)
     )
@@ -502,6 +506,22 @@ def test_laurent_homology_matches_the_circle_closed_forms(orders):
                 assert [oracles.canonical(h.free_rank, h.torsion) for h in got] == [
                     oracles.canonical(f, t) for f, t in kunneth
                 ], (orders, signs, free_signs)
+
+
+def test_free_abelian_homology_is_the_exterior_algebra():
+    # H_n(Z^r) = Z^C(r, n), which is 0 above r, where the resolution ends;
+    # a character that is -1 on some generator leaves (Z/2)^C(r-1, n), by
+    # Kunneth with the circle Z --(-2)--> Z in that direction
+    for r in range(1, 5):
+        g = laurent_extension(trivial_group(), r)
+        assert resolution_for(g).top_degree == r
+        for signs in itertools.product((1, -1), repeat=r):
+            got = [group_homology(g, char_from_signs(g, signs), n) for n in range(r + 3)]
+            if -1 in signs:
+                expected = [AbelianInvariants(0, (2,) * math.comb(r - 1, n)) for n in range(r + 3)]
+            else:
+                expected = [AbelianInvariants(math.comb(r, n), ()) for n in range(r + 3)]
+            assert got == expected, (r, signs)
 
 
 def test_h4_of_pi_cross_z():

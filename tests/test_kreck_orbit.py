@@ -14,8 +14,10 @@ import importlib
 import inspect
 import itertools
 import math
+import pathlib
 import pkgutil
 import random
+import re
 
 import pytest
 
@@ -288,7 +290,8 @@ def test_lens_record_is_shared_by_equal_classes(monkeypatch):
     assert len(searches) == 1
 
 
-def test_every_lru_cache_is_bounded():
+def _lru_caches():
+    """Every lru_cache of the package, as module.name, with its maxsize."""
     found = {}
     for info in pkgutil.iter_modules(fourfold.__path__):
         module = importlib.import_module("fourfold." + info.name)
@@ -297,11 +300,15 @@ def test_every_lru_cache_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     found["%s.%s" % (info.name, name)] = value.cache_parameters()["maxsize"]
+    return found
+
+
+def test_every_lru_cache_is_bounded():
+    found = _lru_caches()
     # the exact set: a new cache is named here before it lands
     assert set(found) == {
         "classify._lens_decision",
         "homology._resolution",
-        "homology._group_homology",
         "groupring._get_descriptor",
         "groupring._element_table",
         "cli._parser",
@@ -310,3 +317,11 @@ def test_every_lru_cache_is_bounded():
         "errors._session_budget",
     }
     assert all(size is not None for size in found.values()), found
+
+
+def test_the_readme_cache_table_names_every_cache():
+    # README's table of hits and misses has one row per cache of computed
+    # results: every cache but the parser's and the session budget's
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+\.\w+)` \|", readme, re.M)
+    assert sorted(rows) == sorted(set(_lru_caches()) - {"cli._parser", "errors._session_budget"})
