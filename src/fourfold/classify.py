@@ -10,6 +10,7 @@ sequence linking manifold homology to group homology.
 
 import functools
 import math
+import threading
 
 from fourfold.complexes import homology_Zw
 from fourfold.errors import (
@@ -43,10 +44,8 @@ from fourfold.intmat import (
 from fourfold.manifolds import (
     LensSpace,
     fundamental_class_invariant,
-    lens_homotopy_equivalent,
-    linking_form,
-    linking_isometric,
     signed_square_witness,
+    square_walk,
     squares_mod,
 )
 from fourfold.values import FrozenValue, Value
@@ -149,7 +148,7 @@ def bordism_group(group, w):
     return stable, group_homology(group, w, 4)
 
 
-def kreck_equivalent(m1, m2):
+def kreck_equivalent(m1, m2, walk=None):
     """Same stable class over a fixed 1-type: orbit membership of the
     degree-4 classes under signed automorphism multipliers.
 
@@ -157,28 +156,47 @@ def kreck_equivalent(m1, m2):
     and sign that carry the first class to the second, or None.  It is
     the first breadth-first discovery of the second class from the
     first.  Every multiplier is an automorphism of H_4, so the orbit is
-    the orbit of a group and the verdict is symmetric.  Each query runs
-    one search, which stops at the second class; the lens family
-    memoises its whole decision instead.
+    the orbit of a group and the verdict is symmetric.  A query walks
+    the orbit from the first class, charged in full when the walk
+    starts, and stops once the second class is discovered; it keeps
+    nothing.  walk, when given, is a kept _OrbitWalk from the first
+    class under the multipliers of both records (the lens family passes
+    the one each modulus keeps): the query resumes it instead, so a
+    later query from the same class walks only the classes not yet met.
     """
     if m1.group != m2.group or m1.w_signs != m2.w_signs:
         raise TypeMismatch("records carry different groups or characters")
     if m1.h4 != m2.h4:
         raise TypeMismatch("records disagree on the degree-4 homology")
     mults = (m1.aut_multipliers, m2.aut_multipliers)
-    hit = _orbit(m1.h4, m1.class_h4, mults, m2.class_h4).get(m2.class_h4)
+    hit = _orbit(m1.h4, m1.class_h4, mults, m2.class_h4, walk)
     if hit is None:
         return False, None
     mult, sign = hit
     return True, {"multiplier": mult, "sign": sign}
 
 
-def _orbit(h4, start, mults, target=None):
-    """Every class reachable from start by the multipliers of the pair of
-    records mults and the global sign, breadth-first, each mapped to the
-    (multiplier, sign) of its first discovery.  Given a target, the
-    search returns once the target is discovered, so its entry is the
-    one the full search gives."""
+def _orbit(h4, start, mults, target=None, walk=None):
+    """The orbit of start under the multipliers of the pair of records
+    mults and the global sign, walked breadth-first by walk, or by a
+    fresh walk charged here.  With no target, a fresh dict that maps
+    every class of the orbit to the (multiplier, sign) of its first
+    discovery.  Given a target, the walk goes on only until the target
+    is discovered, and the target's entry is returned, or None when the
+    target lies outside the orbit; it is the entry that the full search
+    gives."""
+    if walk is None:
+        walk = _start_walk(h4, start, mults)
+    if target is None:
+        return walk.orbit()
+    return walk.entry(target)
+
+
+def _start_walk(h4, start, mults):
+    """A new breadth-first walk of the orbit of start under the
+    multipliers of the pair of records mults and the global sign.  The
+    whole orbit is charged here, before the walk takes a step, so a walk
+    that exists is one that the budget in force admitted."""
     gens = tuple(dict.fromkeys(mults[0] + mults[1])) or (1,)
     # Every multiplier is an automorphism, so the free coordinates keep
     # their absolute values: the orbit has at most (2 if free else 1) x
@@ -189,28 +207,89 @@ def _orbit(h4, start, mults, target=None):
         classes *= t
     moves = len(gens) + 1
     charge(classes * moves, "orbit search needs %s classes x %s moves", classes, moves)
-    mods = (None,) * h4.free_rank + h4.torsion
-    seen = {start: (1, 1)}
-    frontier = [] if start == target else [start]
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            mult, sign = seen[vec]
-            for m in gens:
-                cand = tuple([m * x if t is None else m * x % t for x, t in zip(vec, mods)])
+    return _OrbitWalk(start, gens, (None,) * h4.free_rank + h4.torsion)
+
+
+class _OrbitWalk:
+    """One breadth-first walk, resumed where the last query stopped.
+
+    seen maps every class met so far to the move of its first discovery:
+    the class it was met from and the multiplier, or None for the sign;
+    the start maps to (None, None).  order lists the classes in the
+    order of their discovery, and order[head] is the next to expand.  An
+    entry (multiplier, sign) is read back along the moves, so a walk
+    keeps small integers only, however deep the product of its
+    multipliers grows.
+
+    Every step can be taken twice: a class joins order before seen, and
+    head moves on only after its class is expanded, so a walk cut off
+    mid-step by an exception (an interrupt, a timeout) resumes where it
+    stood.  Expanding a class again skips the classes it already met,
+    and a class listed twice expands to nothing new.  The lock lets one
+    thread at a time take steps.
+    """
+
+    __slots__ = ("seen", "order", "head", "moves", "mods", "lock")
+
+    def __init__(self, start, gens, mods):
+        self.seen = {start: (None, None)}
+        self.order = [start]
+        self.head = 0
+        self.moves = gens + (None,)
+        self.mods = mods
+        self.lock = threading.Lock()
+
+    def entry(self, target):
+        """The (multiplier, sign) of the target's first discovery, walking
+        on only until it is met; None when it lies outside the orbit."""
+        seen = self.seen
+        with self.lock:
+            if target not in seen and not self._walk_to(target):
+                return None
+            mult, sign = 1, 1
+            parent, m = seen[target]
+            while parent is not None:
+                if m is None:
+                    sign = -sign
+                else:
+                    mult *= m
+                parent, m = seen[parent]
+        return mult, sign
+
+    def orbit(self):
+        """A fresh dict of the whole orbit, in the order of discovery: each
+        entry is that of the class it was met from, times its move."""
+        seen = self.seen
+        with self.lock:
+            self._walk_to(None)
+            entries = {}
+            for cls in self.order:
+                parent, m = seen[cls]
+                if parent is None:
+                    entries[cls] = (1, 1)
+                else:
+                    mult, sign = entries[parent]
+                    entries[cls] = (mult, -sign) if m is None else (mult * m, sign)
+        return entries
+
+    def _walk_to(self, target):
+        """Step on until target is discovered (True) or the orbit is
+        exhausted (False); no class is None, so None walks the orbit."""
+        seen, order, mods = self.seen, self.order, self.mods
+        while self.head < len(order):
+            vec = order[self.head]
+            for m in self.moves:
+                if m is None:
+                    cand = tuple([-x if t is None else -x % t for x, t in zip(vec, mods)])
+                else:
+                    cand = tuple([m * x if t is None else m * x % t for x, t in zip(vec, mods)])
                 if cand not in seen:
-                    seen[cand] = (mult * m, sign)
+                    order.append(cand)
+                    seen[cand] = (vec, m)
                     if cand == target:
-                        return seen
-                    nxt.append(cand)
-            cand = tuple([-x if t is None else -x % t for x, t in zip(vec, mods)])
-            if cand not in seen:
-                seen[cand] = (mult, -sign)
-                if cand == target:
-                    return seen
-                nxt.append(cand)
-        frontier = nxt
-    return seen
+                        return True
+            self.head += 1
+        return False
 
 
 _CRITERIA = ("kreck_orbit", "class_square_orbit", "lens_homotopy", "linking_form")
@@ -225,66 +304,109 @@ def classify_lens_family(p, q1, q2):
     the lens spaces, and isometry of their linking forms.  The verdicts
     must agree; a split raises AssertionError.  Every verdict and
     certificate depends on p and x = q2 q1^-1 mod p only, so the pair
-    is decided as (1, x) by the memoised _lens_decision, and each call
-    gets fresh dicts.
+    is decided as (1, x) by the kept state of the modulus,
+    _lens_modulus(p, budget), which decides each x once; each call gets
+    fresh dicts.
     """
     LensSpace(p, q1)
     LensSpace(p, q2)
-    equivalent, certificates = _lens_decision(p, q2 * pow(q1, -1, p) % p, generator_budget())
-    return LensFamilyReport(
-        p=p,
-        q1=q1,
-        q2=q2,
-        equivalent=equivalent,
-        verdicts=dict.fromkeys(_CRITERIA, equivalent),
-        certificates={name: None if cert is None else dict(cert) for name, cert in zip(_CRITERIA, certificates)},
-    )
+    modulus = _lens_modulus(p, generator_budget())
+    x = q2 * pow(q1, -1, p) % p
+    equivalent, kreck, orbit, homot, link = modulus.decisions.get(x) or modulus.decide(x)
+    verdicts = {"kreck_orbit": equivalent, "class_square_orbit": equivalent,
+                "lens_homotopy": equivalent, "linking_form": equivalent}
+    if equivalent:
+        certificates = {"kreck_orbit": kreck.copy(), "class_square_orbit": orbit.copy(),
+                        "lens_homotopy": homot.copy(), "linking_form": link.copy()}
+    else:
+        certificates = dict.fromkeys(_CRITERIA)
+    return LensFamilyReport(p, q1, q2, equivalent, verdicts, certificates)
 
 
-# An entry is one decision: a (p, x) key, a bool and four certificates
-# of two items each, about 0.95 kB (tracemalloc: 958 bytes a decision
-# over the 277 of a sweep of p <= 30, 934 at p = 1021).  The sweep's
-# keys all fit, and 1024 decisions stay under 1 MB.
-_DECISION_CACHE_SIZE = 1024
+# A kept modulus holds its record, a witness table of at most p - 1
+# residues and one decision a ratio asked, about 1 kB a unit when every
+# ratio is decided (tracemalloc: 15 kB for the 28 ratios of p = 29,
+# 0.44 MB for the 442 of p = 443, each an equivalence that keeps four
+# certificate dicts; its walk is kept apart, above).  The worst case at
+# the default budget of 100000 is about 0.5 MB: an admitted modulus has
+# p x (squares + 1) <= 100000, so at most about 450 equivalent ratios,
+# and p = 443 has 442.  32 moduli stay under 17 MB, and the 29 moduli of
+# the sweep of p <= 30 all fit.
+_MODULUS_CACHE_SIZE = 64
 
 
-@functools.lru_cache(maxsize=_DECISION_CACHE_SIZE)
-def _lens_decision(p, x, budget):
-    """The verdict of the lens pair (1, x) mod p under the budget in
-    force, and its four certificates in the order of _CRITERIA, each a
-    tuple of items or None.  The budget is a key argument only: the
-    searches and resolutions below charge it, so a kept decision is one
-    that this budget admitted, and another budget decides anew.
+@functools.lru_cache(maxsize=_MODULUS_CACHE_SIZE)
+def _lens_modulus(p, budget):
+    """The kept state of the lens modulus p under the budget in force.
+    The budget is a key argument only: every charge is made while the
+    state is built, so a refused modulus is not kept and a kept one is
+    one that this budget admitted; another budget builds anew."""
+    return _LensModulus(p)
 
-    That is the answer of every pair (q1, q2) with q2 q1^-1 = x.  The
-    homotopy and linking criteria ask the witness search of x, and the
-    class criterion asks it of x^-1, the ratio of the classes q^-1.
-    Multiplying by the unit q1^-1 carries the orbit search from class 1
-    onto the search from class q1^-1 step for step, since the
-    multipliers act by scalars, so the Kreck certificate is that of
-    (1, x) too.  The Kreck criterion runs first, so its refusal is the
-    first error; a refusal is not memoised.
+
+class _LensModulus:
+    """What the lens family keeps of one modulus p: the record of
+    L(p,1) x S^1, the witness table of the unit walk mod p, and the
+    decision of every ratio x asked so far, each resuming one orbit walk
+    from the record's class.
+
+    The constructor makes every charge before the state is kept: the
+    resolution's norm element, through the record, then the orbit's
+    classes x moves, by starting the walk, so a refusal names the first
+    charge that fails.  The witness table is one walk of every unit mod
+    p, each residue mapped to the (r, sign) of its first discovery; the
+    orbit charge admits that walk, since it needs a budget of at least
+    2p > phi(p) units.
     """
-    l1, l2 = LensSpace(p, 1), LensSpace(p, x)
-    kreck, kreck_cert = kreck_equivalent(lens_times_circle_record(p, 1), lens_times_circle_record(p, x))
-    orbit, orbit_cert = _signed_square_relation(p, fundamental_class_invariant(l1), fundamental_class_invariant(l2))
-    homot, r_wit, sign_wit = lens_homotopy_equivalent(p, 1, x)
-    link, u_wit, lsign = linking_isometric(linking_form(l1), linking_form(l2))
-    verdicts = (kreck, orbit, homot, link)
-    if len(set(verdicts)) != 1:
-        raise AssertionError("criteria disagree: %r" % dict(zip(_CRITERIA, verdicts)))
-    certificates = (
-        kreck_cert,
-        orbit_cert,
-        {"r": r_wit, "sign": sign_wit} if homot else None,
-        {"unit": u_wit, "sign": lsign} if link else None,
-    )
-    return kreck, tuple(None if cert is None else tuple(cert.items()) for cert in certificates)
+
+    __slots__ = ("p", "record", "walk", "witnesses", "decisions")
+
+    def __init__(self, p):
+        record = lens_times_circle_record(p, 1)
+        walk = _start_walk(record.h4, record.class_h4, (record.aut_multipliers,) * 2)
+        witnesses = {}
+        for r, rr in square_walk(p):
+            witnesses.setdefault(rr, (r, 1))
+            witnesses.setdefault(-rr % p, (r, -1))
+        self.p = p
+        self.record = record
+        self.walk = walk
+        self.witnesses = witnesses
+        self.decisions = {}
+
+    def decide(self, x):
+        """The verdict of the lens pair (1, x) and its four certificates
+        in the order of _CRITERIA, each a dict or None, kept.
+
+        The homotopy and linking criteria ask the witness of x, the ratio
+        of the lens parameters and of the linking values, and the class
+        criterion asks it of x^-1, the ratio of the classes q^-1.
+        Multiplying by the unit q1^-1 carries the orbit search from class
+        1 onto the search from class q1^-1 step for step, since the
+        multipliers act by scalars, so the Kreck certificate of (1, x) is
+        that of every pair with ratio x."""
+        record = self.record
+        inv = pow(x, -1, self.p)
+        other = ManifoldRecord(record.group, record.w_signs, (inv,), record.h4, record.aut_multipliers)
+        kreck, kreck_cert = kreck_equivalent(record, other, walk=self.walk)
+        orbit, homot = self.witnesses.get(inv), self.witnesses.get(x)
+        verdicts = (kreck, orbit is not None, homot is not None, homot is not None)
+        if len(set(verdicts)) != 1:
+            raise AssertionError("criteria disagree: %r" % dict(zip(_CRITERIA, verdicts)))
+        if kreck:
+            decision = (True, kreck_cert, {"r": orbit[0], "sign": orbit[1]},
+                        {"r": homot[0], "sign": homot[1]}, {"unit": homot[0], "sign": homot[1]})
+        else:
+            decision = (False, None, None, None, None)
+        self.decisions[x] = decision
+        return decision
 
 
 def _signed_square_relation(p, a, b):
     """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert), read
-    off the signed_square_witness of p and b / a."""
+    off the signed_square_witness of p and b / a.  The lens family reads
+    its witness table instead; this stays as the class criterion of the
+    per-pair route, the oracle that the tests hold the table to."""
     found, r, sign = signed_square_witness(p, b * pow(a, -1, p) % p)
     return (True, {"r": r, "sign": sign}) if found else (False, None)
 

@@ -415,7 +415,7 @@ def psi_chase(resolution, c2, w, z, rng=None):
         raise NotACycle("input chain is not a cycle for the twisted boundary")
     # chains on D_p (x) C_q are ring matrices with a row per C-index and a
     # column per D-index: d^C acts on the left, delta (x) id is F * delta^T
-    dt = {i: resolution.d(i).twist(w).transpose() for i in (2, 3, 4)}
+    dt = {i: resolution.d(i).transpose_involute(w) for i in (2, 3, 4)}
 
     c_d1 = c2.d(1)
     c_d2 = c2.d(2)

@@ -6,6 +6,7 @@ classification, the mapping tori L x S^1, and the small closed
 pieces of complexes: zero complexes, periodic complexes, circle products.
 """
 
+import itertools
 import math
 
 from fourfold.complexes import LambdaComplex, cross_circle, periodic_complex, point_complex, zero_complex
@@ -25,6 +26,7 @@ __all__ = [
     "LensSpace",
     "units_mod",
     "squares_mod",
+    "square_walk",
     "signed_square_witness",
     "lens_complex",
     "fundamental_class_invariant",
@@ -95,6 +97,25 @@ def fundamental_class_invariant(lens):
     return pow(lens.q, -1, lens.p)
 
 
+def square_walk(p):
+    """The walk of the lens criteria: (r, r^2 mod p) for each unit r in
+    the order of units_mod, lazily.
+
+    Its need is known only as it walks, so it charges the budget itself:
+    after budget units with units still left, it raises BudgetExceeded
+    instead of walking every unit of a huge modulus.  The witness search
+    below stops at its first witness; classify walks every unit of a
+    modulus once to fill its table of witnesses."""
+    budget = generator_budget()
+    units = units_mod(p)
+    for r in itertools.islice(units, budget):
+        yield r, r * r % p
+    if next(units, None) is not None:
+        raise BudgetExceeded(
+            "witness search mod %d has no witness in its first %d units, budget %d" % (p, budget, budget)
+        )
+
+
 def signed_square_witness(p, x):
     """Is x = +-r^2 mod p for a unit r?  Returns (True, r, sign) with the
     first such unit in the order of units_mod and x = sign * r^2, or
@@ -103,19 +124,11 @@ def signed_square_witness(p, x):
     This is the one congruence of the lens criteria: homotopy
     equivalence, linking-form isometry and the signed-square relation of
     the classes each ask it of the ratio of their two parameters.  It
-    keeps no memo (classify memoises the whole lens decision on (p, x)
-    and the budget).  Its need is known only as it walks, so it charges
-    the budget itself: after budget units with units still left, it
-    raises BudgetExceeded instead of walking every unit of a huge
-    modulus."""
-    budget = generator_budget()
+    keeps no memo, and it reads square_walk up to the first witness, so
+    it is charged as that walk is (classify keeps a table of the whole
+    walk per modulus and budget)."""
     minus_x = -x % p
-    for i, r in enumerate(units_mod(p)):
-        if i == budget:
-            raise BudgetExceeded(
-                "witness search mod %d has no witness in its first %d units, budget %d" % (p, budget, budget)
-            )
-        rr = r * r % p
+    for r, rr in square_walk(p):
         if rr == x:
             return True, r, 1
         if rr == minus_x:

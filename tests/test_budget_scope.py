@@ -4,7 +4,7 @@ under the budget that admitted it.
 errors.generator_budget() is the n of the innermost fourfold.budget(n)
 scope, or FOURFOLD_BUDGET read once per process; cli.main reads the
 variable once per call and runs its verb in that scope.  Each of the three
-memos of charged work (homology._resolution, classify._lens_decision and
+memos of charged work (homology._resolution, classify._lens_modulus and
 cli._matrix_document) takes the budget as a key argument, so a call
 warmed under one budget is refused under a lower one with the message of
 a cold call, byte for byte, and a raised budget after a refusal still
@@ -27,7 +27,7 @@ from fourfold.intmat import AbelianInvariants
 from fourfold.manifolds import cp2_complex
 from fourfold.serialize import emit_complex
 
-MEMOS = (classify._lens_decision, homology._resolution, cli._matrix_document)
+MEMOS = (classify._lens_modulus, homology._resolution, cli._matrix_document)
 
 
 def cold(ask):
@@ -46,8 +46,9 @@ def run(capsys, argv):
 
 
 def test_a_kept_lens_decision_is_not_served_under_a_lower_budget():
-    # (29, 3, 6) has the ratio of (29, 1, 2): one decision, kept at the
-    # default budget, which answered (29, 3, 6) at budget 27
+    # (29, 3, 6) has the ratio of (29, 1, 2): one decision of one kept
+    # modulus, kept at the default budget, which answered (29, 3, 6) at
+    # budget 27
     for memo in MEMOS:
         memo.cache_clear()
     assert not classify_lens_family(29, 1, 2).equivalent

@@ -287,20 +287,20 @@ def test_a_refused_lens_decision_is_not_kept():
     # the orbit search of Z/29 needs 29 classes x 15 moves, so budget 400
     # refuses the search and 27 the resolution; Z/100003 is refused by the
     # norm element of its resolution before any record is built.  Nothing
-    # of any call stays in the decision memo (a kept decision is answered
-    # without a search, so the memo starts cold)
+    # of any call stays in the modulus memo (a kept modulus answers
+    # without a charge, so the memo starts cold)
     cases = ((29, 400, "orbit search needs 29 classes x 15 moves, budget 400"),
              (29, 27, "the norm element of Z/29 needs 29 terms, budget 27"),
              (100003, 100000, "the norm element of Z/100003 needs 100003 terms, budget 100000"))
-    classify._lens_decision.cache_clear()
+    classify._lens_modulus.cache_clear()
     classify_lens_family(29, 1, 1)
     for p, n, message in cases:
-        kept = classify._lens_decision.cache_info().currsize
-        assert kept >= 1
+        kept = classify._lens_modulus.cache_info().currsize
+        assert kept == 1
         for q2 in (2, 4):
             with budget(n), pytest.raises(BudgetExceeded, match=re.escape(message)):
                 classify_lens_family(p, 1, q2)
-        assert classify._lens_decision.cache_info().currsize == kept
+        assert classify._lens_modulus.cache_info().currsize == kept
     assert classify_lens_family(29, 1, 4).equivalent
 
 

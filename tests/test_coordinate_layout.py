@@ -531,18 +531,19 @@ def test_the_unchecked_constructor_serves_only_exact_builders():
 
 
 # The only callers of generator_budget and raisers of BudgetExceeded: the
-# one up-front charge, and the witness walk, whose need is known only as
+# one up-front charge, and the walk of the units that the witness search
+# and the lens family's witness table read, whose need is known only as
 # it walks.  A call of a charged memo also reads the budget, as the memo's
 # key (below).  homology re-exports generator_budget by import alone, for
 # perfbench's worker to read.
-BUDGET_OWNERS = {("errors.py", "charge"), ("manifolds.py", "signed_square_witness")}
+BUDGET_OWNERS = {("errors.py", "charge"), ("manifolds.py", "square_walk")}
 
 # The memos of charged work, each keyed on the budget as its last argument,
 # budget, which every caller passes as generator_budget(): a hit is then an
 # answer that the same budget admitted.
 CHARGED_MEMOS = {
     ("homology.py", "_resolution"),
-    ("classify.py", "_lens_decision"),
+    ("classify.py", "_lens_modulus"),
     ("cli.py", "_matrix_document"),
 }
 
@@ -598,7 +599,7 @@ def test_the_environment_is_read_in_one_place():
 # The one raise of a type outside errors.py: the lens-family criteria
 # are proved to agree, so a split is a bug in the package, not an input
 # error for the caller to handle.
-RAISES_OUTSIDE_ERRORS = {("classify.py", "_lens_decision", "AssertionError")}
+RAISES_OUTSIDE_ERRORS = {("classify.py", "decide", "AssertionError")}
 
 
 def _raises(node, scope):

@@ -1,6 +1,8 @@
 """Modules over group rings, Ext groups, extension classes, and the
 second-homotopy chasing machinery."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -487,3 +489,59 @@ def test_recover_m_needs_free_summand():
     fam = EmFamily(0, (2,), 1)
     with pytest.raises(HypothesisViolated):
         recover_m(AbelianInvariants(1, (2,)), fam)
+
+
+# ---- psi off (Z/2)^k: the dual boundaries carry the involution ---------------
+
+
+def _admissible_signs(orders):
+    """Every character of the product: -1 only on generators of even order."""
+    choices = [(1, -1) if n % 2 == 0 else (1,) for n in orders]
+    return [signs for signs in itertools.product(*choices)]
+
+
+PSI_SWEEP = [(orders, signs) for orders in ((2, 3), (2, 4), (3, 3), (4, 4)) for signs in _admissible_signs(orders)]
+
+
+@pytest.mark.parametrize("orders,signs", PSI_SWEEP, ids=["x".join(map(str, o)) + ":" + ",".join("%+d" % s for s in w)
+                                                          for o, w in PSI_SWEEP])
+def test_psi_chase_is_an_injective_homomorphism_on_h4(orders, signs):
+    # boundaries chase to the trivial class, the basis cycles of
+    # ker(d_4 (x) Z^w) chase without leaving the cocycle lattice, psi is
+    # additive, and only the zero class of H_4 goes to the trivial class
+    from fourfold.homology import group_homology
+    from fourfold.intmat import kernel_basis, smith_normal_form, solve_columns, solve_integer
+
+    g = product_group(orders)
+    w = char_from_signs(g, signs)
+    res = resolution_for(g)
+    c2 = presentation_complex(g)
+
+    def psi(z):
+        return psi_chase(res, c2, w, list(z))
+
+    bounds = res.d(5).augment(w)
+    for b in bounds.columns():
+        assert psi(b).is_trivial()
+    cycles = kernel_basis(res.d(4).augment(w))
+    basis = [psi(z) for z in cycles.columns()]
+    for (a, za), (b, zb) in itertools.combinations(zip(basis, cycles.columns()), 2):
+        assert psi([x + y for x, y in zip(za, zb)]).same_class(baer_sum(a, b))
+    # H_4 = ker / im in the coordinates of the kernel basis: generator i is
+    # column i of U^-1, of order diag[i]
+    coords = IntMatrix.from_columns(solve_columns(cycles, bounds.columns()), cycles.cols)
+    snf = smith_normal_form(coords)
+    h4 = group_homology(g, w, 4)
+    assert h4.free_rank == 0 and tuple(d for d in snf.diag if d > 1) == h4.torsion
+    size = math.prod(h4.torsion)
+    assert size <= 16
+    gens = []
+    for i, d in enumerate(snf.diag):
+        if d > 1:
+            e = [int(j == i) for j in range(cycles.cols)]
+            gens.append((d, cycles.mul_vec(solve_integer(snf.U, e))))
+    trivial = []
+    for coeffs in itertools.product(*(range(d) for d, _ in gens)):
+        z = [sum(a * zi[k] for a, (_, zi) in zip(coeffs, gens)) for k in range(cycles.rows)]
+        trivial.append(psi(z).is_trivial())
+    assert len(trivial) == size and trivial == [True] + [False] * (size - 1)

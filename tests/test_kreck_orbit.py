@@ -1,11 +1,14 @@
-"""The Kreck orbit search runs once per lens decision.
+"""The Kreck orbit search runs once per lens modulus.
 
 ref_kreck_equivalent below is a frozen copy of kreck_equivalent as it was
 before the breadth-first search moved into classify._orbit: one full
 search per query.  The search must give the same verdict and the same
 certificate (the first breadth-first discovery) on every query, asked
-twice.  The reference is asked in both orders.  Every multiplier is an
-automorphism of H_4, so the orbits are those of a finite group;
+twice.  The reference is asked in both orders.  A walk from a start
+class can be kept and resumed by later queries, so any order of
+targeted queries, and a walk cut off by an exception mid-step, must read
+the entries of a fresh full walk.  Every multiplier is
+an automorphism of H_4, so the orbits are those of a finite group;
 Burnside's lemma counts them with no search, and a record with any other
 multiplier is refused.
 """
@@ -18,6 +21,7 @@ import pathlib
 import pkgutil
 import random
 import re
+import threading
 
 import pytest
 
@@ -29,9 +33,10 @@ from fourfold.classify import (
     kreck_equivalent,
     lens_times_circle_record,
 )
-from fourfold.errors import HypothesisViolated, TypeMismatch
+from fourfold.errors import HypothesisViolated, TypeMismatch, generator_budget
 from fourfold.groupring import cyclic_group, laurent_extension, trivial_group
 from fourfold.intmat import AbelianInvariants
+from fourfold.manifolds import squares_mod
 
 
 # ---- frozen reference: the per-query search as it was ----------------------
@@ -180,8 +185,9 @@ def test_a_non_unit_multiplier_is_refused():
 
 
 def test_a_search_for_a_target_stops_with_the_full_search_entry():
-    # the search that kreck_equivalent runs returns at the target's first
-    # discovery, so its verdict and certificate are a lookup in the full orbit
+    # a targeted search on a fresh walk returns at the target's first
+    # discovery, so its verdict and certificate are a lookup in the full
+    # orbit; each targeted search counted here starts its own walk
     rng = random.Random(27)
     cases = hits = stopped_early = 0
     for torsion in ((2,), (4,), (12,), (2, 4), (3, 6), (2, 2, 6)):
@@ -196,8 +202,9 @@ def test_a_search_for_a_target_stops_with_the_full_search_entry():
                 full = classify._orbit(h4, start, mults)
                 # a target in the orbit, one that may lie outside it, and the start itself
                 for target in (rng.choice(sorted(full)), other, start):
-                    stopped = classify._orbit(h4, start, mults, target)
-                    assert stopped.get(target) == full.get(target)
+                    walk = classify._start_walk(h4, start, mults)
+                    assert classify._orbit(h4, start, mults, target, walk) == full.get(target)
+                    stopped = walk.seen
                     assert set(stopped) <= set(full)
                     stopped_early += len(stopped) < len(full)
                     a = trivial_record(h4, start, mults[0])
@@ -208,6 +215,144 @@ def test_a_search_for_a_target_stops_with_the_full_search_entry():
                     cases += 1
                     hits += hit is not None
     assert cases == 6 * 3 * 12 * 3 and 0 < hits < cases and stopped_early > 0
+
+
+def test_any_order_of_targeted_queries_reads_the_full_walk():
+    # one kept walk, resumed by targets in a random order, some asked
+    # twice and some outside the orbit, gives each the entry of a fresh
+    # full walk; the walk is then complete and still gives them
+    rng = random.Random(36)
+    cases = 0
+    for torsion in ((12,), (2, 4), (3, 6), (2, 2, 6), (29,), (443,)):
+        for free in (0, 1):
+            h4 = AbelianInvariants(free, torsion)
+            pool = [m for m in (-1, 1, 3, 5, 7, 11, 13)
+                    if math.gcd(m, torsion[-1]) == 1 and (not free or m in (1, -1))]
+            classes = [tuple(rng.randint(-3, 3) for _ in range(free)) + tuple(rng.randrange(t) for t in torsion)
+                       for _ in range(40)]
+            for _ in range(3):
+                start = rng.choice(classes)
+                mults = tuple(tuple(rng.sample(pool, rng.randint(0, min(3, len(pool))))) for _ in range(2))
+                full = classify._orbit(h4, start, mults)
+                walk = classify._start_walk(h4, start, mults)
+                targets = rng.sample(sorted(full), min(8, len(full))) + rng.sample(classes, 8)
+                targets += rng.sample(targets, 4)
+                for target in targets:
+                    assert classify._orbit(h4, start, mults, target, walk) == full.get(target)
+                    a = trivial_record(h4, start, mults[0])
+                    b = trivial_record(h4, target, mults[1])
+                    hit = full.get(target)
+                    expect = (False, None) if hit is None else (True, {"multiplier": hit[0], "sign": hit[1]})
+                    assert kreck_equivalent(a, b, walk=walk) == kreck_equivalent(a, b) == expect
+                assert classify._orbit(h4, start, mults, None, walk) == full
+                cases += 1
+    assert cases == 6 * 2 * 3
+
+
+def test_a_full_orbit_is_a_copy_of_the_kept_walk():
+    # 2 has order 28 mod 29, so the orbit of 1 is every unit, each entry
+    # that of the class it was met from times the move that met it
+    h4 = AbelianInvariants(0, (29,))
+    mults = ((2, 5), ())
+    walk = classify._start_walk(h4, (1,), mults)
+    assert classify._orbit(h4, (1,), mults, (16,), walk) == (16, 1)
+    full = classify._orbit(h4, (1,), mults, None, walk)
+    assert full is not walk.seen and set(full) == set(walk.seen) and len(full) == 28
+    assert all(mult * sign % 29 == cls[0] for cls, (mult, sign) in full.items())
+    assert all(walk.entry(cls) == entry for cls, entry in full.items())
+    kept = dict(full)
+    full.clear()
+    again = classify._orbit(h4, (1,), mults, None, walk)
+    assert again == kept and again is not full and again is not walk.seen
+    assert classify._orbit(h4, (1,), mults) == kept
+
+
+class Interrupt(BaseException):
+    """Stands for a KeyboardInterrupt or a timeout raised in a step."""
+
+
+class CutSeen(dict):
+    """A seen dict whose n-th new entry raises Interrupt, before or after
+    the entry is made: a step cut off at its most fragile point, a class
+    in order but not yet (or just) in seen."""
+
+    def __init__(self, seen, n, after):
+        super().__init__(seen)
+        self.n, self.after = n, after
+
+    def __setitem__(self, key, value):
+        self.n -= 1
+        if self.n == 0 and not self.after:
+            raise Interrupt
+        super().__setitem__(key, value)
+        if self.n == 0:
+            raise Interrupt
+
+
+def test_a_walk_cut_off_mid_step_resumes_where_it_stood():
+    # an exception thrown into a kept walk at any step leaves it a walk
+    # that later queries resume: every target, asked after the cut in a
+    # random order, reads the entry of a fresh full walk
+    rng = random.Random(37)
+    cases = cuts = 0
+    # a free coordinate admits only the multipliers +-1
+    for torsion, free, mults in (((29,), 0, ((2, 5), ())), ((2, 6), 1, ((-1,), ())),
+                                 ((3, 42), 0, ((5, 11), (13,))), ((443,), 0, (squares_mod(443),) * 2)):
+        h4 = AbelianInvariants(free, torsion)
+        start = (1,) * free + tuple(1 % t for t in torsion)
+        full = classify._orbit(h4, start, mults)
+        cuts += 2 * min(12, len(full) - 1)
+        for n in sorted(rng.sample(range(1, len(full)), min(12, len(full) - 1))):
+            for after in (False, True):
+                walk = classify._start_walk(h4, start, mults)
+                walk.seen = CutSeen(walk.seen, n, after)
+                with pytest.raises(Interrupt):
+                    walk.orbit()
+                targets = list(full) + [tuple(-1 for _ in start)]
+                rng.shuffle(targets)
+                assert [walk.entry(t) for t in targets] == [full.get(t) for t in targets]
+                assert classify._orbit(h4, start, mults, None, walk) == full
+                cases += 1
+    assert cases == cuts == 2 * (12 + 1 + 11 + 12)
+
+
+def test_threads_share_one_walk():
+    # queries from several threads, each walking the kept walk of Z/443
+    # to its own targets, read the entries of a fresh full walk
+    mults = (squares_mod(443),) * 2
+    h4 = AbelianInvariants(0, (443,))
+    full = classify._orbit(h4, (1,), mults)
+    walk = classify._start_walk(h4, (1,), mults)
+    targets = sorted(full)
+    random.Random(38).shuffle(targets)
+    got = {}
+
+    def ask(part):
+        for target in part:
+            got[target] = walk.entry(target)
+
+    threads = [threading.Thread(target=ask, args=(targets[i::4],)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == full and classify._orbit(h4, (1,), mults, None, walk) == full
+
+
+def test_a_cold_lens_query_stops_the_walk_at_its_target():
+    # 4 is a square mod 443, so the class 4^-1 of L(443, 4) is met on the
+    # first level of the walk from 1: at most |squares| + 2 discoveries of
+    # the 442 classes of the orbit
+    classify._lens_modulus.cache_clear()
+    assert classify_lens_family(443, 1, 4).equivalent
+    record = lens_times_circle_record(443, 1)
+    mults = (record.aut_multipliers,) * 2
+    walk = classify._lens_modulus(443, generator_budget()).walk
+    assert classify._lens_modulus.cache_info().misses == 1
+    squares = len(squares_mod(443))
+    assert squares == 221
+    assert len(walk.order) - 1 <= squares + 2
+    assert len(classify._orbit(record.h4, record.class_h4, mults, None, walk)) == 442
 
 
 # ---- an orbit count that shares no code with the search ----------------------
@@ -250,7 +395,7 @@ def test_orbit_partition_matches_burnside_count():
     assert cases == 4 * 34
 
 
-# ---- the mechanism: one decision, and one search, per (p, q2 / q1) ----------
+# ---- the mechanism: one walk per modulus, one decision per (p, q2 / q1) ------
 
 
 def count_searches(monkeypatch):
@@ -266,17 +411,22 @@ def count_searches(monkeypatch):
 
 
 def test_lens_family_searches_once_per_start_class(monkeypatch):
-    # the 36 pairs over p = 7 have 6 ratios q2 / q1, each decided as (1, q2 / q1)
+    # the 36 pairs over p = 7 have 6 ratios q2 / q1, each decided once as
+    # (1, q2 / q1) by one kept modulus, whose one walk from the class 1
+    # each decision resumes
     searches = count_searches(monkeypatch)
-    classify._lens_decision.cache_clear()
+    classify._lens_modulus.cache_clear()
     qs = units(7)
     for q1 in qs:
         for q2 in qs:
             classify_lens_family(7, q1, q2)
     assert len(qs) ** 2 == 36
-    assert classify._lens_decision.cache_info().misses == 6
+    assert classify._lens_modulus.cache_info().misses == 1
+    modulus = classify._lens_modulus(7, generator_budget())
+    assert len(modulus.decisions) == 6
     assert len(searches) == 6
     assert {args[1] for args in searches} == {(1,)}
+    assert all(args[4] is modulus.walk for args in searches)
 
 
 def test_lens_record_is_shared_by_equal_classes(monkeypatch):
@@ -284,9 +434,10 @@ def test_lens_record_is_shared_by_equal_classes(monkeypatch):
     # share one decision
     assert lens_times_circle_record(7, 3) == lens_times_circle_record(7, 10)
     searches = count_searches(monkeypatch)
-    classify._lens_decision.cache_clear()
+    classify._lens_modulus.cache_clear()
     assert classify_lens_family(7, 3, 5).certificates == classify_lens_family(7, 10, 5).certificates
-    assert classify._lens_decision.cache_info()[:2] == (1, 1)
+    assert classify._lens_modulus.cache_info()[:2] == (1, 1)
+    assert len(classify._lens_modulus(7, generator_budget()).decisions) == 1
     assert len(searches) == 1
 
 
@@ -307,7 +458,7 @@ def test_every_lru_cache_is_bounded():
     found = _lru_caches()
     # the exact set: a new cache is named here before it lands
     assert set(found) == {
-        "classify._lens_decision",
+        "classify._lens_modulus",
         "homology._resolution",
         "groupring._get_descriptor",
         "groupring._element_table",

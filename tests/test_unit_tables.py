@@ -1,16 +1,18 @@
 """The lens criteria walk the units of a modulus and ask one congruence.
 
 manifolds.units_mod lists the units mod n lazily, in increasing order,
-and squares_mod and manifolds.signed_square_witness walk that listing.
-Homotopy equivalence, linking-form isometry and the signed-square
-relation of the classes each read signed_square_witness of the ratio of
-their two parameters, so a lens pair is decided by p and q2 / q1 alone,
-and one memo on (p, q2 / q1) serves the whole report.  The functions
-below are frozen copies of the four as they were when each scanned
-range(1, n) with its own gcd test; they share no code with the package,
-and they are the oracle: the first witness found must be the same unit
-as before, for small and large moduli.  The decision memo must hold
-every ratio of a lens-family sweep of p <= 30.
+and squares_mod and manifolds.square_walk walk that listing.  Homotopy
+equivalence, linking-form isometry and the signed-square relation of the
+classes each read signed_square_witness of the ratio of their two
+parameters, which is the first discovery of that residue in the walk, so
+a lens pair is decided by p and q2 / q1 alone.  The lens family keeps
+one table of the whole walk per modulus, and one decision per
+(p, q2 / q1) serves the whole report.  The functions below are frozen
+copies of the four as they were when each scanned range(1, n) with its
+own gcd test; they share no code with the package, and they are the
+oracle: the first witness found must be the same unit as before, for
+small and large moduli.  The modulus memo must hold every modulus of a
+lens-family sweep of p <= 30.
 """
 
 import math
@@ -20,13 +22,15 @@ import pytest
 
 from fourfold import classify
 from fourfold.classify import _signed_square_relation, classify_lens_family, kreck_equivalent, lens_times_circle_record
-from fourfold.errors import BudgetExceeded, InvalidLens, budget
+from fourfold.errors import BudgetExceeded, InvalidLens, budget, generator_budget
 from fourfold.manifolds import (
     LensSpace,
     LinkingForm,
     lens_homotopy_equivalent,
     linking_form,
     linking_isometric,
+    signed_square_witness,
+    square_walk,
     squares_mod,
     units_mod,
 )
@@ -177,21 +181,41 @@ def test_lens_sweep_searches_each_start_class_once(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(classify, "_orbit", counted)
-    classify._lens_decision.cache_clear()
+    classify._lens_modulus.cache_clear()
     pairs = [(p, q1, q2) for p in range(2, 31) for q1 in brute_units(p) for q2 in brute_units(p)]
     random.Random(21).shuffle(pairs)
     for p, q1, q2 in pairs:
         classify_lens_family(p, q1, q2)
     assert len(pairs) == 3889
-    # one decision, and so one orbit search and one witness search per
-    # criterion, per (p, q2 / q1); 277 orbit and 277 witness searches when
-    # the orbits and the witnesses each kept a memo, 3889 x 3 witness
-    # searches before any was memoised
+    # one kept modulus, and so one orbit walk and one walk of the units,
+    # per p; one decision, and so one resumed query of that walk, per
+    # (p, q2 / q1).  277 orbit searches when each decision ran its own,
+    # 3889 x 3 witness searches before any was memoised
     ratios = {(p, q2 * pow(q1, -1, p) % p) for p, q1, q2 in pairs}
     assert len(ratios) == 277
-    info = classify._lens_decision.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (277, 3612, 277)
+    info = classify._lens_modulus.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (29, 3860, 29)
+    moduli = [classify._lens_modulus(p, generator_budget()) for p in range(2, 31)]
+    assert sum(len(modulus.decisions) for modulus in moduli) == 277
     assert len(searches) == 277
+    assert {id(args[4]) for args in searches} == {id(modulus.walk) for modulus in moduli}
+
+
+def test_the_witness_is_the_first_discovery_of_the_walk():
+    # the first unit of the walk to meet each residue as +-r^2, read off
+    # the walk itself and off the kept table of the lens family
+    for p in range(2, 201):
+        first = {}
+        for r, rr in square_walk(p):
+            first.setdefault(rr, (r, 1))
+            first.setdefault(-rr % p, (r, -1))
+        assert classify._lens_modulus(p, generator_budget()).witnesses == first
+        for x in range(p):
+            found, r, sign = signed_square_witness(p, x)
+            assert (found, r, sign) == ((True,) + first[x] if x in first else (False, None, None))
+            if math.gcd(x, p) == 1:
+                assert (found, r, sign) == ref_lens_homotopy_equivalent(p, 1, x)
+                assert (found, {"r": r, "sign": sign} if found else None) == ref_signed_square_relation(p, 1, x)
 
 
 def test_lens_records_over_one_modulus_share_their_multipliers():
