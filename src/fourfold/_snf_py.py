@@ -93,9 +93,10 @@ def snf_inplace(d, u, v, m, n):
             continue
         if p != 1:
             # every entry below and right of the pivot must be a multiple
-            # of it; rows below t are zero up to column t
+            # of it; rows below t are zero up to column t, and only their
+            # nonzero entries can fail, so the same row is picked
             mod = p.__rmod__
-            bad = next((b for b in range(t + 1, m) if any(map(mod, d[b]))), 0)
+            bad = next((b for b in range(t + 1, m) if any(map(mod, filter(None, d[b])))), 0)
             if bad:
                 # row_t += row_bad, then re-pick
                 d[t] = [x + y for x, y in zip(dt, d[bad])]

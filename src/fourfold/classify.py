@@ -308,13 +308,14 @@ def classify_lens_family(p, q1, q2):
     _lens_modulus(p, budget), which decides each x once; each call gets
     fresh dicts.
     """
-    LensSpace(p, q1)
-    LensSpace(p, q2)
+    if p < 2 or math.gcd(p, q1) != 1 or math.gcd(p, q2) != 1:
+        # LensSpace raises InvalidLens with the message for the bad one
+        LensSpace(p, q1)
+        LensSpace(p, q2)
     modulus = _lens_modulus(p, generator_budget())
     x = q2 * pow(q1, -1, p) % p
     equivalent, kreck, orbit, homot, link = modulus.decisions.get(x) or modulus.decide(x)
-    verdicts = {"kreck_orbit": equivalent, "class_square_orbit": equivalent,
-                "lens_homotopy": equivalent, "linking_form": equivalent}
+    verdicts = dict.fromkeys(_CRITERIA, equivalent)
     if equivalent:
         certificates = {"kreck_orbit": kreck.copy(), "class_square_orbit": orbit.copy(),
                         "lens_homotopy": homot.copy(), "linking_form": link.copy()}

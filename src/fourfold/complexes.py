@@ -13,8 +13,12 @@ of them: zero_complex, periodic_complex (of a cyclic factor) and
 circle_complex (of a free generator).
 
 Homology is read off the integer images each boundary keeps, d (x) Z^w
-(augment) and d (x) Z[pi] (expand), so each is reduced once.  The
-pi-module structure of H_*(C; Z[pi]) is extensions.fpmodule_homology.
+(augment) and d (x) Z[pi] (expand), so each is reduced once.  It comes
+from their Smith diagonals alone (intmat.smith_homology): reading it
+does not re-check d.d = 0, which holds for every LambdaComplex and
+carries over to both images, since the twisted augmentation and the
+regular representation are ring homomorphisms.  The pi-module structure
+of H_*(C; Z[pi]) is extensions.fpmodule_homology.
 """
 
 from fourfold.errors import (
@@ -37,7 +41,7 @@ from fourfold.groupring import (
     trivial_char,
     trivial_group,
 )
-from fourfold.intmat import homology_invariants
+from fourfold.intmat import smith_homology
 
 __all__ = [
     "LambdaComplex",
@@ -138,20 +142,22 @@ def homology_Zw(c, i):
 
 
 def _twisted_homology(c, w, i):
-    """H_i(C (x) Z^w) from the kept augmented boundaries: d_i leaves
-    degree i (none in degree 0), d_(i+1) enters it (none at the top).
-    Kept on the complex per (w, i), as augment keeps d (x) Z^w."""
+    """H_i(C (x) Z^w) from the Smith forms of the kept augmented
+    boundaries: d_i leaves degree i (none in degree 0), d_(i+1) enters it
+    (none at the top).  Kept on the complex per (w, i), as augment keeps
+    d (x) Z^w."""
     h = c._homology.get((w, i))
     if h is None:
         d_out = c.d(i).augment(w) if i >= 1 else None
         d_in = c.d(i + 1).augment(w) if i < c.top_degree else None
-        h = c._homology[w, i] = homology_invariants(d_out, d_in, c.ranks[i])
+        h = c._homology[w, i] = smith_homology(d_out, d_in, c.ranks[i])
     return h
 
 
 def homology_Lambda(c, i):
     """The abelian invariants of H_i(C (x) Z[pi]), finite groups, read off
-    the kept expansions as _twisted_homology reads the augmented maps."""
+    the Smith forms of the kept expansions as _twisted_homology reads the
+    augmented maps."""
     if not c.group.is_finite:
         raise InfiniteGroup("group ring homology needs a finite group")
     n = c.top_degree
@@ -159,7 +165,7 @@ def homology_Lambda(c, i):
         raise DegreeOutOfRange("degree %d outside 0..%d" % (i, n))
     d_out = c.d(i).expand() if i >= 1 else None
     d_in = c.d(i + 1).expand() if i < n else None
-    return homology_invariants(d_out, d_in, c.ranks[i] * c.group.order())
+    return smith_homology(d_out, d_in, c.ranks[i] * c.group.order())
 
 
 def zero_complex(group, w, ranks):

@@ -371,7 +371,7 @@ def ring_generator(group, i, power=1):
 
 def norm_element(group):
     """Sum of all elements of a finite group."""
-    return RingElement(group, {el: 1 for el in group.elements()})
+    return RingElement._from_reduced(group, dict.fromkeys(group.elements(), 1))
 
 
 def factor_norm(group, i):
@@ -379,7 +379,7 @@ def factor_norm(group, i):
     if not 0 <= i < len(group.orders):
         raise GroupMismatch("cyclic factor index %d is outside range(%d)" % (i, len(group.orders)))
     e = group.identity
-    return RingElement(group, {e[:i] + (k,) + e[i + 1 :]: 1 for k in range(group.orders[i])})
+    return RingElement._from_reduced(group, {e[:i] + (k,) + e[i + 1 :]: 1 for k in range(group.orders[i])})
 
 
 def regular_representation(a):
@@ -507,7 +507,10 @@ class RingMatrix:
 
         Built the first time a character is read and then kept, so its
         Smith form is kept with it: a boundary that a resolution reuses in
-        several degrees is augmented and reduced once per character.  A
+        several degrees is augmented and reduced once per character.  Each
+        distinct entry object is collapsed once, since tensor_complex and
+        periodic_complex share entries across many cells; under the
+        trivial character an entry collapses to its coefficient sum.  A
         character over another group is a GroupMismatch.
         """
         if w is None:
@@ -516,7 +519,12 @@ class RingMatrix:
             raise GroupMismatch("character over %s, matrix over %s" % (w.group, self.group))
         m = self._augmented.get(w.signs)
         if m is None:
-            data = [[e.twisted_augmentation(w) for e in r] for r in self.entries]
+            distinct = {id(e): e for r in self.entries for e in r}
+            if w.is_trivial:
+                value = {k: sum(e.terms.values()) for k, e in distinct.items()}
+            else:
+                value = {k: e.twisted_augmentation(w) for k, e in distinct.items()}
+            data = [[value[id(e)] for e in r] for r in self.entries]
             m = self._augmented[w.signs] = IntMatrix._adopt(self.rows, self.cols, data)
         return m
 

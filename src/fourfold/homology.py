@@ -26,8 +26,11 @@ Twisted integer homology reads the resolution's augmented boundaries
 (RingMatrix.augment), each kept per matrix and character with its Smith
 form: H_n and H_(n+1) share the reduction of d_(n+1), and a periodic
 resolution reduces its one odd and one even boundary once each.  H_n is
-kept on the resolution too.  With coefficients in a module, the module
-cuts the subquotient (FPModule).
+read off the two Smith diagonals alone and kept on the resolution too:
+reading it does not re-check d.d = 0, which the resolution satisfies by
+construction and its augmentation keeps (Brown, GTM 87, ch. I).  The
+bar oracle checks it, through intmat.homology_invariants.  With
+coefficients in a module, the module cuts the subquotient (FPModule).
 """
 
 import functools

@@ -30,6 +30,7 @@ __all__ = [
     "preimage_kernel",
     "quotient_invariants",
     "homology_invariants",
+    "smith_homology",
     "SubquotientMap",
     "induced_map_invariants",
     "hstack",
@@ -202,6 +203,16 @@ class AbelianInvariants(FrozenValue):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
 
+    @classmethod
+    def _adopt(cls, free_rank, torsion):
+        """The group of a Smith diagonal, without the checks of the
+        constructor: the caller hands over free_rank >= 0 and a torsion
+        tuple that is a divisibility chain of entries > 1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
@@ -350,10 +361,8 @@ def rank(A):
 
 def cokernel_invariants(A):
     """Invariants of Z^rows / column-span(A)."""
-    s = A.smith()
-    free = A.rows - len(s.diag)
-    torsion = tuple(d for d in s.diag if d > 1)
-    return AbelianInvariants(free, torsion)
+    diag = A.smith().diag
+    return AbelianInvariants._adopt(A.rows - len(diag), tuple([d for d in diag if d > 1]))
 
 
 def kernel_basis(A):
@@ -476,12 +485,13 @@ def homology_invariants(d_out, d_in, dim):
     """ker(d_out) / im(d_in) at a chain group of rank dim.
 
     d_out maps the group down (dim columns), d_in maps into it (dim
-    rows); either may be None for a zero map.  Requires d_out . d_in = 0.
-
-    Z^dim / ker(d_out) embeds in the free target of d_out, so
-    coker(d_in) = H + Z^rank(d_out): the torsion of H is the Smith
-    diagonal of d_in without its units, and H has free rank
-    dim - rank(d_out) - rank(d_in).
+    rows); either may be None for a zero map.  The shapes and
+    d_out . d_in = 0 are checked, for callers whose matrices are not
+    known to form a complex: library users (fourfold exports it) and the
+    bar oracle, which assembles its boundaries from the group law.  The
+    boundaries of a LambdaComplex are a complex by construction, so
+    complexes reads their homology through smith_homology, which checks
+    nothing.
     """
     if d_out is not None and d_out.cols != dim:
         raise DimensionMismatch("boundary out has %d cols, chain rank %d" % (d_out.cols, dim))
@@ -489,8 +499,21 @@ def homology_invariants(d_out, d_in, dim):
         raise DimensionMismatch("boundary in has %d rows, chain rank %d" % (d_in.rows, dim))
     if d_out is not None and d_in is not None and not (d_out * d_in).is_zero():
         raise HypothesisViolated("image is not contained in the kernel; not a complex")
+    return smith_homology(d_out, d_in, dim)
+
+
+def smith_homology(d_out, d_in, dim):
+    """homology_invariants with the shapes and d_out . d_in = 0 taken on
+    trust, read off the kept Smith diagonals alone: only for matrices that
+    form a complex by construction.
+
+    Z^dim / ker(d_out) embeds in the free target of d_out, so
+    coker(d_in) = H + Z^rank(d_out): the torsion of H is the Smith
+    diagonal of d_in without its units, and H has free rank
+    dim - rank(d_out) - rank(d_in).
+    """
     free = dim - (rank(d_out) if d_out is not None else 0)
     if d_in is None:
-        return AbelianInvariants(free, ())
+        return AbelianInvariants._adopt(free, ())
     diag = d_in.smith().diag
-    return AbelianInvariants(free - len(diag), tuple(d for d in diag if d > 1))
+    return AbelianInvariants._adopt(free - len(diag), tuple([d for d in diag if d > 1]))

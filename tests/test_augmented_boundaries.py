@@ -9,6 +9,8 @@ counts below are taken on cold caches; each was higher when every read
 built a new matrix, and again when the image was kept per degree.
 """
 
+import random
+
 import pytest
 
 from fourfold import complexes, homology, intmat
@@ -16,6 +18,8 @@ from fourfold.classify import bordism_group
 from fourfold.complexes import homology_Zw
 from fourfold.errors import DegreeOutOfRange, GroupMismatch, budget
 from fourfold.groupring import (
+    RingElement,
+    RingMatrix,
     char_from_signs,
     cyclic_group,
     laurent_extension,
@@ -25,6 +29,8 @@ from fourfold.groupring import (
 from fourfold.homology import group_homology, resolution_for
 from fourfold.intmat import AbelianInvariants
 from fourfold.manifolds import LensSpace, lens_times_circle, rp4_complex
+
+from test_smith_homology import admissible_chars
 
 
 @pytest.fixture
@@ -58,6 +64,35 @@ def test_augment_is_kept_per_character():
     # augment() reads the trivial character and shares its kept matrix
     assert d2.augment() is plain
     assert d2.augment(w) is m
+
+
+def _random_element(rng, g):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        el = tuple(rng.randrange(o) for o in g.orders) + tuple(rng.randint(-3, 3) for _ in range(g.laurent_rank))
+        terms[el] = rng.randint(-5, 5)
+    return RingElement(g, terms)
+
+
+@pytest.mark.parametrize("g", [product_group((2, 4)), laurent_extension(cyclic_group(3))], ids=str)
+def test_augment_collapses_shared_entries_like_distinct_ones(g):
+    # tensor_complex and periodic_complex put one entry object in many
+    # cells; augment collapses each object once, which must give what
+    # twisted_augmentation gives cell by cell, shared or not
+    rng = random.Random(3701)
+    chars = admissible_chars(g)
+    assert len(chars) == (4 if g.laurent_rank == 0 else 2)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        pool = [_random_element(rng, g) for _ in range(rng.randint(1, 4))]
+        shared = RingMatrix(g, rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)])
+        copies = RingMatrix(g, rows, cols, [[RingElement(g, dict(e.terms)) for e in r] for r in shared.entries])
+        assert copies == shared
+        assert len({id(e) for r in copies.entries for e in r}) == rows * cols
+        for w in chars:
+            expect = [[e.twisted_augmentation(w) for e in r] for r in shared.entries]
+            assert shared.augment(w).data == expect, w.signs
+            assert copies.augment(w).data == expect, w.signs
 
 
 def test_augmented_builds_only_the_boundary_it_reads():
@@ -106,13 +141,13 @@ def test_group_homology_through_degree_5_builds_one_resolution(cold_reductions):
 
 def test_twisted_homology_is_kept_per_complex_character_and_degree(monkeypatch):
     calls = []
-    invariants = complexes.homology_invariants
+    invariants = complexes.smith_homology
 
     def counting(d_out, d_in, rank):
         calls.append(rank)
         return invariants(d_out, d_in, rank)
 
-    monkeypatch.setattr(complexes, "homology_invariants", counting)
+    monkeypatch.setattr(complexes, "smith_homology", counting)
     homology._resolution.cache_clear()
     g = product_group((2, 4))
     chars = (trivial_char(g), char_from_signs(g, (-1, 1)))
@@ -144,6 +179,29 @@ def test_homology_zw_reduces_each_boundary_once(cold_reductions):
     assert got[1] == AbelianInvariants(1, (7,))
     # one reduction per boundary of the 4-complex; 8 when rebuilt per read
     assert len(cold_reductions) == 4
+
+def test_group_homology_multiplies_no_integer_matrix(cold_reductions, monkeypatch):
+    # a resolution is a complex by construction, so reading H_n forms no
+    # product d_n . d_(n+1) to re-check it: one reduction per distinct
+    # augmented boundary and no IntMatrix product at all
+    products = []
+    mul = intmat.IntMatrix.__mul__
+
+    def counting(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return mul(a, b)
+
+    monkeypatch.setattr(intmat.IntMatrix, "__mul__", counting)
+    g = product_group((2, 4))
+    for w in (trivial_char(g), char_from_signs(g, (-1, 1)), char_from_signs(g, (1, -1))):
+        del cold_reductions[:]
+        for n in range(6):
+            group_homology(g, w, n)
+        assert products == []
+        res = resolution_for(g)
+        distinct = {id(res.d(i).augment(w)) for i in range(1, res.top_degree + 1)}
+        assert len(cold_reductions) == len(distinct) == 6
+        assert {id(a) for a in cold_reductions} == distinct
 
 
 def test_bordism_group_reduces_each_boundary_once(cold_reductions):

@@ -9,7 +9,11 @@ keeps the pivot rule, so d, u and v must come out bit-identical.
 
 import random
 
+import pytest
+
 from fourfold._snf_py import snf_inplace
+from fourfold.groupring import char_from_signs, product_group
+from fourfold.homology import resolution_for
 
 
 def reference_snf_inplace(d, u, uinv, v, vinv, m, n):
@@ -188,6 +192,15 @@ def sparse_units(rng, m, n):
     return [[entry() for _ in range(n)] for _ in range(m)]
 
 
+def sparse_non_units(rng, m, n):
+    """Mostly zero, nonzeros with no unit among them: pivots above 1, so
+    the check that the pivot divides what is left runs at most pivot
+    steps."""
+    def entry():
+        return rng.choice((2, -2, 3, -3, 4, 6, 12)) if rng.random() < 0.2 else 0
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
 def huge(rng, m, n):
     return [[rng.randint(-10**12, 10**12) for _ in range(n)] for _ in range(m)]
 
@@ -210,3 +223,23 @@ def test_kernel_matches_frozen_reference():
         data = make(rng, m, n)
         assert kernel(m, n, data) == reference(m, n, data), (make.__name__, data)
         trials += 1
+
+
+def test_kernel_matches_frozen_reference_on_sparse_non_unit_pivots():
+    rng = random.Random(3702)
+    for trial in range(80):
+        side = 30 if trial % 4 == 0 else 12
+        m, n = rng.randint(1, side), rng.randint(1, side)
+        data = sparse_non_units(rng, m, n)
+        assert kernel(m, n, data) == reference(m, n, data), data
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (-1, 1, -1)])
+def test_kernel_matches_frozen_reference_on_an_augmented_resolution_boundary(signs):
+    # d_10 of the resolution of Z/2 x Z/2 x Z/2 is 55 x 66; augmented, its
+    # nonzero entries are all +-2, so no pivot is a unit
+    g = product_group((2, 2, 2))
+    w = char_from_signs(g, signs)
+    d10 = resolution_for(g, 10).d(10).augment(w)
+    assert (d10.rows, d10.cols) == (55, 66)
+    assert kernel(d10.rows, d10.cols, d10.data) == reference(d10.rows, d10.cols, d10.data)
