@@ -44,7 +44,6 @@ from fourfold.intmat import (
 from fourfold.manifolds import (
     LensSpace,
     fundamental_class_invariant,
-    signed_square_witness,
     square_walk,
     squares_mod,
 )
@@ -401,15 +400,6 @@ class _LensModulus:
             decision = (False, None, None, None, None)
         self.decisions[x] = decision
         return decision
-
-
-def _signed_square_relation(p, a, b):
-    """Is b = +-r^2 a mod p for some unit r?  Returns (bool, cert), read
-    off the signed_square_witness of p and b / a.  The lens family reads
-    its witness table instead; this stays as the class criterion of the
-    per-pair route, the oracle that the tests hold the table to."""
-    found, r, sign = signed_square_witness(p, b * pow(a, -1, p) % p)
-    return (True, {"r": r, "sign": sign}) if found else (False, None)
 
 
 class LensFamilyReport(Value):

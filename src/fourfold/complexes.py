@@ -123,13 +123,13 @@ def validate(c):
 def twisted_dual(c):
     """Degree-reversed dual with the orientation twist on every entry.
 
-    The boundary of the dual in degree i is the w-twisted involuted
-    transpose of d_{n+1-i}.  Applying the construction twice gives back
-    the original complex entry for entry.
+    The boundary of the dual in degree i is d_{n+1-i}.dual(w), the
+    w-twisted involuted transpose.  Applying the construction twice gives
+    back the original complex entry for entry.
     """
     n = c.top_degree
     ranks = tuple(reversed(c.ranks))
-    boundaries = [c.d(n + 1 - i).transpose_involute(c.w) for i in range(1, n + 1)]
+    boundaries = [c.d(n + 1 - i).dual(c.w) for i in range(1, n + 1)]
     return _exact_complex(c.group, c.w, ranks, boundaries)
 
 

@@ -8,12 +8,17 @@ integer matrices.  FPModule owns the coordinates of N^k and the
 subquotient ker / (im + relations) cut from them, which module_homology,
 hom_lambda and ExtContext all read.  A value matrix in Hom(R^k, N) is
 flattened by its column coordinates (hom_vec), so precomposing with a is
-the coordinate map of a^T.  Free covers of kernels and lifts over the
-ring come from RingMatrix.kernel and RingMatrix.solve.  Kernel and
-homology modules are presented on ring generators spun from the integer
-kernel basis (groupring.spin_generators), and their relations are spun
-the same way, so a presentation has a handful of generators and
-relations instead of one per lattice basis vector.  Class equality is
+the coordinate map of a^T.  Hom(R^k, N) = N^k needs no involution, so
+Hom and the cochains of an ExtContext take the plain transpose.  Duals
+of free modules take RingMatrix.dual(w), and coefficients in M^w take
+involute(w): groupring owns the w-twisted involution, so psi_chase's
+context and module_homology in degree 1 cut one subquotient.  Free
+covers of kernels and lifts over the ring come from RingMatrix.kernel
+and RingMatrix.solve.  Kernel and homology modules are presented on ring
+generators spun from the integer kernel basis (groupring.spin_generators),
+and their relations are spun the same way, so a presentation has a
+handful of generators and relations instead of one per lattice basis
+vector.  Class equality is
 always decided by exact membership in the coboundary lattice, never by
 comparing invariants.  An ExtContext builds that lattice and the
 ambiguity lattice of the cocycle check once, and each keeps its own
@@ -261,7 +266,7 @@ def ext_vanishing_check(c):
     """Does Ext^1 of the second twisted cohomology of a 2-complex into the
     free module of rank one vanish?  True for every finite-group
     presentation complex; computed, not assumed."""
-    dual_d2 = c.d(2).transpose_involute(c.w)
+    dual_d2 = c.d(2).dual(c.w)
     m = fpmodule_cokernel(dual_d2)
     n = fpmodule_free(c.group, 1)
     return ext1(m, n).is_trivial
@@ -415,7 +420,7 @@ def psi_chase(resolution, c2, w, z, rng=None):
         raise NotACycle("input chain is not a cycle for the twisted boundary")
     # chains on D_p (x) C_q are ring matrices with a row per C-index and a
     # column per D-index: d^C acts on the left, delta (x) id is F * delta^T
-    dt = {i: resolution.d(i).transpose_involute(w) for i in (2, 3, 4)}
+    dt = {i: resolution.d(i).dual(w) for i in (2, 3, 4)}
 
     c_d1 = c2.d(1)
     c_d2 = c2.d(2)
@@ -473,8 +478,8 @@ def _psi_context(resolution, c2, w):
     ctx = _psi_contexts.get(key)
     if ctx is None:
         source = fpmodule_kernel(c2.d(2))
-        d1t = resolution.d(1).transpose_involute(w)
-        d2t = resolution.d(2).transpose_involute(w)
+        d1t = resolution.d(1).dual(w)
+        d2t = resolution.d(2).dual(w)
         ctx = ExtContext(source, d2t, d1t)
         _psi_contexts[key] = ctx
     return ctx

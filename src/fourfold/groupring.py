@@ -30,7 +30,11 @@ these and never place coordinates themselves.  expand() keeps its result,
 which keeps its Smith form, so a matrix is expanded and reduced once.
 augment(w) keeps the integer matrix M (x) Z^w per character in the same
 way; it is the one place that collapses a ring matrix to its twisted
-integer image.
+integer image.  RingMatrix.involute(w) is likewise the one place that
+applies the w-twisted involution g -> w(g) g^-1 to a matrix, and
+dual(w) is its transpose: coefficients in a module M^w and the duals of
+complexes and resolutions read them, and every w-image of a ring matrix
+takes its character.
 """
 
 import functools
@@ -482,28 +486,22 @@ class RingMatrix:
         g = group or self.group
         return RingMatrix(g, self.rows, self.cols, [[fn(e) for e in r] for r in self.entries])
 
-    def twist(self, w):
-        return self.map_entries(lambda e: e.twist(w))
+    def involute(self, w):
+        """Each entry under the w-twisted involution g -> w(g) g^-1.
 
-    def transpose_involute(self, w=None):
-        """Involuted transpose; with w also applies the orientation signs.
-
-        This is the dual of a map of free modules in the fixed bases.
+        This is the one place that applies it to a matrix: it makes a free
+        left module a right one, as the tensor P (x) M^w and the dual of a
+        map of free modules need (Brown, GTM 87, ch. III).
         """
-        out = []
-        for j in range(self.cols):
-            row = []
-            for i in range(self.rows):
-                e = self.entries[i][j].involute()
-                if w is not None:
-                    e = e.twist(w)
-                row.append(e)
-            out.append(row)
-        return RingMatrix(self.group, self.cols, self.rows, out)
+        return self.map_entries(lambda e: e.involute().twist(w))
 
-    def augment(self, w=None):
+    def dual(self, w):
+        """The dual of the map in the fixed bases: involute(w) transposed."""
+        return self.involute(w).transpose()
+
+    def augment(self, w):
         """The integer matrix self (x) Z^w: each entry collapsed by the
-        w-twisted augmentation; w None is the trivial character.
+        w-twisted augmentation.
 
         Built the first time a character is read and then kept, so its
         Smith form is kept with it: a boundary that a resolution reuses in
@@ -513,9 +511,7 @@ class RingMatrix:
         trivial character an entry collapses to its coefficient sum.  A
         character over another group is a GroupMismatch.
         """
-        if w is None:
-            w = trivial_char(self.group)
-        elif w.group is not self.group and w.group != self.group:
+        if w.group is not self.group and w.group != self.group:
             raise GroupMismatch("character over %s, matrix over %s" % (w.group, self.group))
         m = self._augmented.get(w.signs)
         if m is None:

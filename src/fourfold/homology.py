@@ -227,11 +227,15 @@ def _bar_boundary(group, w, k, normalized):
 def module_homology(res, w, module, degree):
     """H_degree(pi; M^w) for a presented module M over the same group.
 
-    The module cuts the subquotient itself (FPModule.subquotient).  A
-    character or resolution over another group is a GroupMismatch.
+    The homology of P (x) M^w, P the resolution: the tensor makes P a
+    right module through the w-twisted involution g -> w(g) g^-1, so each
+    boundary acts on M^rank as res.d(i).involute(w), the maps that
+    psi_chase's ExtContext reads in degree 1.  The module cuts the
+    subquotient itself (FPModule.subquotient).  A character or
+    resolution over another group is a GroupMismatch.
     """
     if degree < 0 or degree + 1 > res.top_degree:
         raise DegreeOutOfRange("degree %d outside resolution bound" % degree)
     module.require_group(w.group)
-    d_out = res.d(degree).twist(w) if degree >= 1 else None
-    return module.subquotient(d_out, res.d(degree + 1).twist(w), res.ranks[degree]).invariants
+    d_out = res.d(degree).involute(w) if degree >= 1 else None
+    return module.subquotient(d_out, res.d(degree + 1).involute(w), res.ranks[degree]).invariants

@@ -61,8 +61,10 @@ def test_augment_is_kept_per_character():
     plain = d2.augment(other)
     assert plain.data == [[sum(e.terms.values()) for e in r] for r in d2.entries]
     assert plain is not m
-    # augment() reads the trivial character and shares its kept matrix
-    assert d2.augment() is plain
+    # an equal character shares the kept matrix; every image takes its character
+    assert d2.augment(trivial_char(c.group)) is plain
+    with pytest.raises(TypeError):
+        d2.augment()
     assert d2.augment(w) is m
 
 

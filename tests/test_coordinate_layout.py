@@ -144,12 +144,12 @@ def ref_module_homology(res, w, module, degree):
     dim = res.ranks[degree] * block
     rel_here = ref_chain_relations(module, res.ranks[degree])
     if degree >= 1:
-        d_out = ref_boundary_matrix(res.d(degree).twist(w), module)
+        d_out = ref_boundary_matrix(res.d(degree).involute(w), module)
         rel_below = ref_chain_relations(module, res.ranks[degree - 1])
         cycles = preimage_kernel(d_out, rel_below)
     else:
         cycles = IntMatrix.identity(dim)
-    d_in = ref_boundary_matrix(res.d(degree + 1).twist(w), module)
+    d_in = ref_boundary_matrix(res.d(degree + 1).involute(w), module)
     bound_gens = hstack(d_in, rel_here)
     return quotient_invariants(cycles, bound_gens)
 
@@ -233,11 +233,11 @@ def _model_cases():
     for c in complexes:
         mats = []
         for i in range(1, c.top_degree + 1):
-            mats += [c.d(i), c.d(i).transpose_involute(c.w)]
+            mats += [c.d(i), c.d(i).dual(c.w)]
         modules = [fpmodule_free(c.group, 1), fpmodule_free(c.group, 2)]
         modules += [_homology_module(c, i) for i in range(c.top_degree + 1)]
         modules.append(fpmodule_kernel(c.d(2)))
-        modules.append(fpmodule_cokernel(c.d(2).transpose_involute(c.w)))
+        modules.append(fpmodule_cokernel(c.d(2).dual(c.w)))
         cases.append((c.group, c.w, mats, modules))
     return cases
 
@@ -285,7 +285,7 @@ def test_forward_block_expansions_are_bit_identical(case):
         for module in modules:
             s = module.num_gens
             assert module.coordinate_map(a.transpose()) == ref_precompose_matrix(a, module)
-            delta = a.twist(w)
+            delta = a.involute(w)
             assert delta.kron_identity(s).expand() == ref_boundary_matrix(delta, module)
     for module in modules:
         s = module.num_gens
@@ -325,7 +325,7 @@ def test_module_homology_boundaries_over_resolutions():
         w = char_from_signs(g, [-1] + [1] * (g.ngens - 1))
         c = presentation_complex(g)
         module = fpmodule_homology(c.d(1), c.d(2))
-        for delta in (res.d(i).twist(w) for i in range(1, res.top_degree + 1)):
+        for delta in (res.d(i).involute(w) for i in range(1, res.top_degree + 1)):
             assert delta.kron_identity(module.num_gens).expand() == ref_boundary_matrix(delta, module)
         for k in set(res.ranks):
             assert block_diagonal(module.rel_lattice, k) == ref_chain_relations(module, k)

@@ -207,11 +207,40 @@ def test_ring_matrix_expand_is_functorial():
         a = rand_mat(2, 3)
         b = rand_mat(3, 2)
         assert (a * b).expand() == a.expand() * b.expand()
-        assert (a * b).augment() == a.augment() * b.augment()
         w = char_from_signs(g, (-1, 1))
-        assert (a * b).augment(w) == a.augment(w) * b.augment(w)
-        # involution reverses products on the transpose side
-        assert (a * b).transpose_involute() == b.transpose_involute() * a.transpose_involute()
+        for v in (trivial_char(g), w):
+            assert (a * b).augment(v) == a.augment(v) * b.augment(v)
+            # the dual reverses products
+            assert (a * b).dual(v) == b.dual(v) * a.dual(v)
+
+
+def test_involute_applies_the_twisted_involution_to_every_entry():
+    # over Z/3 the involution is seen: d_1 = t - 1 goes to t^2 - 1
+    g = cyclic_group(3)
+    t = ring_generator(g, 0)
+    d1 = RingMatrix(g, 1, 1, [[t - ring_one(g)]])
+    assert d1.involute(trivial_char(g)) == RingMatrix(g, 1, 1, [[t * t - ring_one(g)]])
+    rng = random.Random(38)
+    g = product_group((2, 4))
+    els = g.elements()
+    from fourfold.groupring import RingElement
+
+    def rand_mat(r, c):
+        return RingMatrix(g, r, c, [[RingElement(g, {rng.choice(els): rng.randint(-3, 3) for _ in range(3)})
+                                     for _ in range(c)] for _ in range(r)])
+
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        w = char_from_signs(g, signs)
+        for _ in range(10):
+            a, b = rand_mat(2, 3), rand_mat(3, 2)
+            inv = a.involute(w)
+            # g -> w(g) g^-1 on each entry, in place; the dual is its transpose
+            assert inv.entries == [[e.involute().twist(w) for e in r] for r in a.entries]
+            assert a.dual(w) == inv.transpose()
+            assert inv.involute(w) == a
+            assert (a * b).involute(w) == inv * b.involute(w)
+            # collapsing the involuted matrix by the trivial character is M (x) Z^w
+            assert inv.augment(trivial_char(g)) == a.augment(w)
 
 
 def test_expand_deexpand_round_trip():

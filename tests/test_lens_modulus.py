@@ -13,7 +13,6 @@ import random
 
 from fourfold import classify
 from fourfold.classify import (
-    _signed_square_relation,
     classify_lens_family,
     kreck_equivalent,
     lens_times_circle_record,
@@ -24,6 +23,7 @@ from fourfold.manifolds import (
     lens_homotopy_equivalent,
     linking_form,
     linking_isometric,
+    signed_square_witness,
 )
 
 CRITERIA = ("kreck_orbit", "class_square_orbit", "lens_homotopy", "linking_form")
@@ -35,7 +35,9 @@ CRITERIA = ("kreck_orbit", "class_square_orbit", "lens_homotopy", "linking_form"
 def ref_lens_decision(p, x):
     l1, l2 = LensSpace(p, 1), LensSpace(p, x)
     kreck, kreck_cert = kreck_equivalent(lens_times_circle_record(p, 1), lens_times_circle_record(p, x))
-    orbit, orbit_cert = _signed_square_relation(p, fundamental_class_invariant(l1), fundamental_class_invariant(l2))
+    a, b = fundamental_class_invariant(l1), fundamental_class_invariant(l2)
+    orbit, r_orb, sign_orb = signed_square_witness(p, b * pow(a, -1, p) % p)
+    orbit_cert = {"r": r_orb, "sign": sign_orb} if orbit else None
     homot, r_wit, sign_wit = lens_homotopy_equivalent(p, 1, x)
     link, u_wit, lsign = linking_isometric(linking_form(l1), linking_form(l2))
     verdicts = (kreck, orbit, homot, link)

@@ -10,7 +10,11 @@ expanded, solved and mapped back by hand.  The new routes must give equal
 ring matrices and bit-identical class representatives.  The old
 tensor_complex is frozen too, block offsets and all, so a change to the
 Koszul sign or the basis order shows here; so is the ring-solve route
-that wrote a column in kernel-module coordinates.
+that wrote a column in kernel-module coordinates.  The frozen chase lets
+the resolution act through the w-twisted involution g -> w(g) g^-1, the
+convention that psi_chase and module_homology share.  Over (Z/2)^k, where
+g = g^-1, the signs of w alone act the same, so the compared chases
+include groups with elements of order 3 and 4.
 """
 
 import itertools
@@ -270,9 +274,9 @@ def ref_solve_blocks(cmat, rhs, blocks, rng):
 
 def ref_psi_chase(resolution, c2, w, z, rng=None):
     group = resolution.group
-    d = {i: resolution.d(i).twist(w) for i in (1, 2, 3, 4)}
+    d = {i: resolution.d(i).involute(w) for i in (1, 2, 3, 4)}
     a = {i: resolution.ranks[i] for i in range(5)}
-    aug4 = d[4].augment()
+    aug4 = d[4].augment(trivial_char(group))
     if any(v != 0 for v in aug4.mul_vec(z)):
         raise NotACycle("input chain is not a cycle for the twisted boundary")
     c_d1 = c2.d(1)
@@ -358,6 +362,13 @@ def _chases():
         out.append((res, presentation_complex(g), w, z))
     z3 = cyclic_group(3)
     out.append((resolution_for(z3), presentation_complex(z3), trivial_char(z3), [0]))
+    # off (Z/2)^k, where g^-1 != g and the dual boundaries see the involution
+    for orders, signs in (((3, 3), (1, 1)), ((2, 3), (1, 1)), ((2, 4), (1, -1)), ((2, 4), (-1, 1))):
+        g = product_group(orders)
+        res = resolution_for(g)
+        w = char_from_signs(g, signs)
+        basis = kernel_basis(res.d(4).augment(w))
+        out += [(res, presentation_complex(g), w, list(z)) for z in basis.columns()]
     return out
 
 

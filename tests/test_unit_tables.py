@@ -21,7 +21,7 @@ import random
 import pytest
 
 from fourfold import classify
-from fourfold.classify import _signed_square_relation, classify_lens_family, kreck_equivalent, lens_times_circle_record
+from fourfold.classify import classify_lens_family, kreck_equivalent, lens_times_circle_record
 from fourfold.errors import BudgetExceeded, InvalidLens, budget, generator_budget
 from fourfold.manifolds import (
     LensSpace,
@@ -117,6 +117,13 @@ def test_large_moduli_are_listed_lazily():
 # ---- the criteria against their frozen copies -------------------------------
 
 
+def class_relation(p, a, b):
+    """The signed-square relation of two classes, as the lens family's
+    class criterion reads it: the witness of b / a, as (found, cert)."""
+    found, r, sign = signed_square_witness(p, b * pow(a, -1, p) % p)
+    return found, ({"r": r, "sign": sign} if found else None)
+
+
 def test_criteria_match_their_frozen_copies():
     for p in range(2, 61):
         assert squares_mod(p) == ref_squares_mod(p), p
@@ -126,7 +133,7 @@ def test_criteria_match_their_frozen_copies():
                 assert lens_homotopy_equivalent(p, q1, q2) == ref_lens_homotopy_equivalent(p, q1, q2)
                 f1, f2 = linking_form(LensSpace(p, q1)), linking_form(LensSpace(p, q2))
                 assert linking_isometric(f1, f2) == ref_linking_isometric(f1, f2)
-                assert _signed_square_relation(p, q1, q2) == ref_signed_square_relation(p, q1, q2)
+                assert class_relation(p, q1, q2) == ref_signed_square_relation(p, q1, q2)
     assert squares_mod(1) == ref_squares_mod(1)
 
 
@@ -140,7 +147,7 @@ def test_the_lazy_walk_matches_the_frozen_copies():
             assert lens_homotopy_equivalent(p, q1, q2) == ref_lens_homotopy_equivalent(p, q1, q2)
             f1, f2 = LinkingForm(p, q1), LinkingForm(p, q2)
             assert linking_isometric(f1, f2) == ref_linking_isometric(f1, f2)
-            assert _signed_square_relation(p, q1, q2) == ref_signed_square_relation(p, q1, q2)
+            assert class_relation(p, q1, q2) == ref_signed_square_relation(p, q1, q2)
 
 
 # ---- one decision per (p, q2 / q1) ------------------------------------------
@@ -244,11 +251,9 @@ def test_certificates_are_fresh_on_every_call():
             cert["sign"] = 0
         rep.certificates.clear()
         rep.verdicts.clear()
-        # these two answer with tuples, which no caller can change
+        # these three answer with tuples, which no caller can change
         assert lens_homotopy_equivalent(29, 1, 4) == linking_isometric(f1, f2) == (True, 2, 1)
-        found, cert = _signed_square_relation(29, 1, 4)
-        assert (found, cert) == (True, {"r": 2, "sign": 1})
-        cert["r"] = 5
+        assert signed_square_witness(29, 4) == (True, 2, 1)
 
 
 # ---- the witness searches are charged against the budget --------------------
@@ -260,7 +265,7 @@ def test_witness_searches_are_charged_against_the_budget():
     searches = (
         (lambda: lens_homotopy_equivalent(29, 1, 2), (False, None, None)),
         (lambda: linking_isometric(LinkingForm(29, 1), LinkingForm(29, 2)), (False, None, None)),
-        (lambda: _signed_square_relation(29, 1, 2), (False, None)),
+        (lambda: signed_square_witness(29, 2), (False, None, None)),
     )
     for ask, answer in searches:
         with budget(27), pytest.raises(BudgetExceeded, match="mod 29 has no witness in its first 27 units, budget 27"):
@@ -280,7 +285,7 @@ def test_a_witness_search_of_a_huge_modulus_ends_at_the_budget():
     for ask in (
         lambda: lens_homotopy_equivalent(p, 1, 11),
         lambda: linking_isometric(LinkingForm(p, 1), LinkingForm(p, 11)),
-        lambda: _signed_square_relation(p, 1, 11),
+        lambda: signed_square_witness(p, 11),
     ):
         with budget(1000), pytest.raises(BudgetExceeded, match="no witness in its first 1000 units"):
             ask()
