@@ -154,11 +154,12 @@ def kreck_equivalent(m1, m2, walk=None):
     Returns (bool, certificate); the certificate names the multiplier
     and sign that carry the first class to the second, or None.  It is
     the first breadth-first discovery of the second class from the
-    first.  Every multiplier is an automorphism of H_4, so the orbit is
-    the orbit of a group and the verdict is symmetric.  A query walks
-    the orbit from the first class, charged in full when the walk
-    starts, and stops once the second class is discovered; it keeps
-    nothing.  walk, when given, is a kept _OrbitWalk from the first
+    first, its multiplier reduced modulo the last torsion order of H_4
+    with its sign kept.  Every multiplier is an automorphism of H_4, so
+    the orbit is the orbit of a group and the verdict is symmetric.  A
+    query walks the orbit from the first class, charged in full when the
+    walk is built, and stops once the second class is discovered; it
+    keeps nothing.  walk, when given, is a kept _OrbitWalk from the first
     class under the multipliers of both records (the lens family passes
     the one each modulus keeps): the query resumes it instead, so a
     later query from the same class walks only the classes not yet met.
@@ -167,58 +168,29 @@ def kreck_equivalent(m1, m2, walk=None):
         raise TypeMismatch("records carry different groups or characters")
     if m1.h4 != m2.h4:
         raise TypeMismatch("records disagree on the degree-4 homology")
-    mults = (m1.aut_multipliers, m2.aut_multipliers)
-    hit = _orbit(m1.h4, m1.class_h4, mults, m2.class_h4, walk)
+    walk = walk or _OrbitWalk(m1.h4, m1.class_h4, (m1.aut_multipliers, m2.aut_multipliers))
+    hit = walk.entry(m2.class_h4)
     if hit is None:
         return False, None
     mult, sign = hit
     return True, {"multiplier": mult, "sign": sign}
 
 
-def _orbit(h4, start, mults, target=None, walk=None):
-    """The orbit of start under the multipliers of the pair of records
-    mults and the global sign, walked breadth-first by walk, or by a
-    fresh walk charged here.  With no target, a fresh dict that maps
-    every class of the orbit to the (multiplier, sign) of its first
-    discovery.  Given a target, the walk goes on only until the target
-    is discovered, and the target's entry is returned, or None when the
-    target lies outside the orbit; it is the entry that the full search
-    gives."""
-    if walk is None:
-        walk = _start_walk(h4, start, mults)
-    if target is None:
-        return walk.orbit()
-    return walk.entry(target)
-
-
-def _start_walk(h4, start, mults):
-    """A new breadth-first walk of the orbit of start under the
-    multipliers of the pair of records mults and the global sign.  The
-    whole orbit is charged here, before the walk takes a step, so a walk
-    that exists is one that the budget in force admitted."""
-    gens = tuple(dict.fromkeys(mults[0] + mults[1])) or (1,)
-    # Every multiplier is an automorphism, so the free coordinates keep
-    # their absolute values: the orbit has at most (2 if free else 1) x
-    # |torsion| classes, each met once, trying every multiplier and the
-    # sign.  That is the charge against the generator budget.
-    classes = 2 if h4.free_rank else 1
-    for t in h4.torsion:
-        classes *= t
-    moves = len(gens) + 1
-    charge(classes * moves, "orbit search needs %s classes x %s moves", classes, moves)
-    return _OrbitWalk(start, gens, (None,) * h4.free_rank + h4.torsion)
-
-
 class _OrbitWalk:
-    """One breadth-first walk, resumed where the last query stopped.
+    """One breadth-first walk of the orbit of start under the multipliers
+    of the pair of records mults and the global sign, resumed where the
+    last query stopped.
 
     seen maps every class met so far to the move of its first discovery:
     the class it was met from and the multiplier, or None for the sign;
     the start maps to (None, None).  order lists the classes in the
     order of their discovery, and order[head] is the next to expand.  An
     entry (multiplier, sign) is read back along the moves, so a walk
-    keeps small integers only, however deep the product of its
-    multipliers grows.
+    keeps small integers only.  The product of the multipliers is reduced
+    modulo lcm, the last torsion order of H_4, keeping its sign, so a
+    product below lcm in absolute value is the product itself and the
+    reduction of a product does not depend on the order of its factors
+    (lcm is 0 with a free part, where every multiplier is +-1).
 
     Every step can be taken twice: a class joins order before seen, and
     head moves on only after its class is expanded, so a walk cut off
@@ -228,20 +200,33 @@ class _OrbitWalk:
     thread at a time take steps.
     """
 
-    __slots__ = ("seen", "order", "head", "moves", "mods", "lock")
+    __slots__ = ("seen", "order", "head", "moves", "mods", "lcm", "lock")
 
-    def __init__(self, start, gens, mods):
+    def __init__(self, h4, start, mults):
+        gens = tuple(dict.fromkeys(mults[0] + mults[1])) or (1,)
+        # Every multiplier is an automorphism, so the free coordinates keep
+        # their absolute values: the orbit has at most (2 if free else 1) x
+        # |torsion| classes, each met once, trying every multiplier and the
+        # sign.  That is the charge against the generator budget, made
+        # before the walk takes a step, so a walk that exists is one that
+        # the budget in force admitted.
+        classes = 2 if h4.free_rank else 1
+        for t in h4.torsion:
+            classes *= t
+        moves = len(gens) + 1
+        charge(classes * moves, "orbit search needs %s classes x %s moves", classes, moves)
         self.seen = {start: (None, None)}
         self.order = [start]
         self.head = 0
         self.moves = gens + (None,)
-        self.mods = mods
+        self.mods = (None,) * h4.free_rank + h4.torsion
+        self.lcm = 0 if h4.free_rank or not h4.torsion else h4.torsion[-1]
         self.lock = threading.Lock()
 
     def entry(self, target):
         """The (multiplier, sign) of the target's first discovery, walking
         on only until it is met; None when it lies outside the orbit."""
-        seen = self.seen
+        seen, lcm = self.seen, self.lcm
         with self.lock:
             if target not in seen and not self._walk_to(target):
                 return None
@@ -252,24 +237,10 @@ class _OrbitWalk:
                     sign = -sign
                 else:
                     mult *= m
+                    if lcm and not -lcm < mult < lcm:
+                        mult = mult % lcm if mult > 0 else -(-mult % lcm)
                 parent, m = seen[parent]
         return mult, sign
-
-    def orbit(self):
-        """A fresh dict of the whole orbit, in the order of discovery: each
-        entry is that of the class it was met from, times its move."""
-        seen = self.seen
-        with self.lock:
-            self._walk_to(None)
-            entries = {}
-            for cls in self.order:
-                parent, m = seen[cls]
-                if parent is None:
-                    entries[cls] = (1, 1)
-                else:
-                    mult, sign = entries[parent]
-                    entries[cls] = (mult, -sign) if m is None else (mult * m, sign)
-        return entries
 
     def _walk_to(self, target):
         """Step on until target is discovered (True) or the orbit is
@@ -363,7 +334,7 @@ class _LensModulus:
 
     def __init__(self, p):
         record = lens_times_circle_record(p, 1)
-        walk = _start_walk(record.h4, record.class_h4, (record.aut_multipliers,) * 2)
+        walk = _OrbitWalk(record.h4, record.class_h4, (record.aut_multipliers,) * 2)
         witnesses = {}
         for r, rr in square_walk(p):
             witnesses.setdefault(rr, (r, 1))

@@ -220,14 +220,6 @@ class OrientationChar(FrozenValue):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "signs", signs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.group, self.signs) == (other.group, other.signs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self.signs))
-
     @property
     def is_trivial(self):
         return all(s == 1 for s in self.signs)

@@ -26,11 +26,12 @@ Twisted integer homology reads the resolution's augmented boundaries
 (RingMatrix.augment), each kept per matrix and character with its Smith
 form: H_n and H_(n+1) share the reduction of d_(n+1), and a periodic
 resolution reduces its one odd and one even boundary once each.  H_n is
-read off the two Smith diagonals alone and kept on the resolution too:
-reading it does not re-check d.d = 0, which the resolution satisfies by
-construction and its augmentation keeps (Brown, GTM 87, ch. I).  The
-bar oracle checks it, through intmat.homology_invariants.  With
-coefficients in a module, the module cuts the subquotient (FPModule).
+read off the two kept Smith diagonals on every call, and is not kept
+itself: reading it does not re-check d.d = 0, which the resolution
+satisfies by construction and its augmentation keeps (Brown, GTM 87,
+ch. I).  The bar oracle checks it, through intmat.homology_invariants.
+With coefficients in a module, the module cuts the subquotient
+(FPModule).
 """
 
 import functools
@@ -62,14 +63,14 @@ __all__ = [
 DEFAULT_DEGREE_BOUND = 6
 
 
-# An entry is one resolution: 2 kB for Z/2 to 23 kB for Z/4 x Z/4 x Z/4
+# An entry is one resolution: 2 kB for Z/2 to 20 kB for Z/4 x Z/4 x Z/4
 # through degree 6 (tracemalloc).  group_homology over all its degrees
 # keeps one augmented matrix per boundary and character read, with its
-# Smith form, and each H_n it answered: the entry then weighs 5 kB (Z/2)
-# to 70 kB (Z/4^3) for one character, and 392 kB for all eight
-# characters of Z/4^3.  A boundary that chain-map lifts solve against
-# keeps its expansion and Smith form, so after hopf_check an entry holds
-# 1.4 MB (Z/6 x Z/6), 8.0 MB (Z/2 x Z/3 x Z/6) or 24.9 MB (Z/4^3).
+# Smith form: the entry then weighs 4 kB (Z/2) to 66 kB (Z/4^3) for one
+# character, and 382 kB for all eight characters of Z/4^3.  A boundary
+# that chain-map lifts solve against keeps its expansion and Smith form,
+# so after hopf_check an entry holds 1.4 MB (Z/6 x Z/6), 8.0 MB
+# (Z/2 x Z/3 x Z/6) or 24.9 MB (Z/4^3).
 _RESOLUTION_CACHE_SIZE = 64
 
 

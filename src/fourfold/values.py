@@ -5,9 +5,10 @@ a hand-written __init__, through object.__setattr__ when it is frozen.
 Value gives it == by class and fields, a repr of the fields, and no
 hash; FrozenValue adds a hash of the fields and refuses assignment.  A
 class compared on hot paths spells out __eq__ and __hash__ over its
-field tuple, which is faster than the generic pair.  Plain classes keep
-the standard library's generated ones out of start-up: that module
-imports inspect, ast, dis and tokenize and compiles methods with exec.
+field tuple, which is faster than the generic pair: GroupDescriptor, a
+key of the group caches.  Plain classes keep the standard library's
+generated ones out of start-up: that module imports inspect, ast, dis
+and tokenize and compiles methods with exec.
 """
 
 from fourfold.errors import FrozenField

@@ -213,6 +213,25 @@ KRECK_FREE_EQUIVALENT = (
 )
 
 
+def test_a_deep_kreck_certificate_is_reduced_to_a_printable_multiplier(tmp_path, capsys):
+    # H_4(Z/49999 x Z) = Z/49999; the class 3^20000 lies deep in the orbit
+    # of 1 under 3, where the product of the multipliers along the walk
+    # once ran to about 10^9542 and the answer was refused as too long to
+    # print.  It is reduced modulo 49999 with its sign kept, and still
+    # carries the first class to the second.
+    target = pow(3, 20000, 49999)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"group": "cyclic:49999*Z", "class_h4": [1], "aut_multipliers": [3]}))
+    b.write_text(json.dumps({"group": "cyclic:49999*Z", "class_h4": [target], "aut_multipliers": [3]}))
+    code, out, err = run(capsys, ["--json", "classify-kreck", str(a), str(b)])
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "classify-kreck", "result": {"certificate": {"multiplier": 19074, "sign": 1}, '
+        '"verdict": "EQUIVALENT"}, "schema_version": "1", "status": "ok"}\n'
+    )
+    assert 19074 * 1 % 49999 == target
+
+
 # Captured from classify-kreck before the default rule moved into
 # classify: the multipliers a record without aut_multipliers gets, and the
 # orbits of its classes.  A pair in one orbit is equivalent with the

@@ -1,15 +1,18 @@
 """The Kreck orbit search runs once per lens modulus.
 
 ref_kreck_equivalent below is a frozen copy of kreck_equivalent as it was
-before the breadth-first search moved into classify._orbit: one full
+before the breadth-first search moved into classify._OrbitWalk: one full
 search per query.  The search must give the same verdict and the same
-certificate (the first breadth-first discovery) on every query, asked
-twice.  The reference is asked in both orders.  A walk from a start
-class can be kept and resumed by later queries, so any order of
-targeted queries, and a walk cut off by an exception mid-step, must read
-the entries of a fresh full walk.  Every multiplier is
-an automorphism of H_4, so the orbits are those of a finite group;
-Burnside's lemma counts them with no search, and a record with any other
+certificate (the first breadth-first discovery, its multiplier reduced
+modulo the last torsion order with its sign kept) on every query, asked
+twice, and every certificate must carry the first class to the second.
+The reference is asked in both orders.  A walk from a start class can
+be kept and resumed by later queries, so any order of targeted queries,
+and a walk cut off by an exception mid-step, must read the entries of a
+fresh walk run to exhaustion.  Every multiplier is an automorphism of
+H_4, so the orbits are those of a finite group: each is the closure of
+a class under the products of the multipliers and the sign, Burnside's
+lemma counts them with no search, and a record with any other
 multiplier is refused.
 """
 
@@ -17,10 +20,12 @@ import importlib
 import inspect
 import itertools
 import math
+import os
 import pathlib
 import pkgutil
 import random
 import re
+import sys
 import threading
 
 import pytest
@@ -37,6 +42,8 @@ from fourfold.errors import HypothesisViolated, TypeMismatch, generator_budget
 from fourfold.groupring import cyclic_group, laurent_extension, trivial_group
 from fourfold.intmat import AbelianInvariants
 from fourfold.manifolds import squares_mod
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 # ---- frozen reference: the per-query search as it was ----------------------
@@ -91,12 +98,54 @@ def units(p):
     return [q for q in range(1, p) if math.gcd(q, p) == 1]
 
 
+def reduced(mult, h4):
+    """mult modulo the last torsion order of h4, sign kept, as the walk
+    reduces a product of multipliers; whole when h4 has a free part."""
+    n = 0 if h4.free_rank or not h4.torsion else h4.torsion[-1]
+    if not n or -n < mult < n:
+        return mult
+    return mult % n if mult > 0 else -(-mult % n)
+
+
+def assert_relates(a, b, cert):
+    """multiplier x sign x class_1 = class_2 in each coordinate, the torsion
+    ones modulo their orders."""
+    k = a.h4.free_rank
+    scaled = [cert["multiplier"] * cert["sign"] * x for x in a.class_h4]
+    assert scaled[:k] == list(b.class_h4[:k])
+    assert all((x - y) % t == 0 for x, y, t in zip(scaled[k:], b.class_h4[k:], a.h4.torsion))
+
+
 def assert_matches_reference(pairs):
-    """Every pair agrees with the reference, asked twice."""
-    expect = [ref_kreck_equivalent(a, b) for a, b in pairs]
+    """Every pair agrees with the reference, its multiplier reduced, asked
+    twice, and every certificate relates the two classes."""
+    expect = []
+    for a, b in pairs:
+        eq, cert = ref_kreck_equivalent(a, b)
+        expect.append((eq, cert and dict(cert, multiplier=reduced(cert["multiplier"], a.h4))))
     for _ in range(2):
         assert [kreck_equivalent(a, b) for a, b in pairs] == expect
+    for (a, b), (eq, cert) in zip(pairs, expect):
+        if eq:
+            assert_relates(a, b, cert)
     return expect
+
+
+def walk_entries(walk):
+    """Run walk to exhaustion (None is no class) and read the entry of
+    every class it met, each a lookup in the walk's moves."""
+    assert walk.entry(None) is None
+    return {cls: walk.entry(cls) for cls in walk.seen}
+
+
+def full_orbit(h4, start, mults):
+    """Every class of the orbit mapped to its entry, off a fresh walk run
+    to exhaustion; each entry carries the start to its class."""
+    full = walk_entries(classify._OrbitWalk(h4, start, mults))
+    a = trivial_record(h4, start, ())
+    for cls, (mult, sign) in full.items():
+        assert_relates(a, trivial_record(h4, cls, ()), {"multiplier": mult, "sign": sign})
+    return full
 
 
 def trivial_record(h4, cls, mults):
@@ -199,11 +248,11 @@ def test_a_search_for_a_target_stops_with_the_full_search_entry():
                 start, other = (tuple(rng.randint(-6, 6) for _ in range(free)) + tuple(rng.randrange(t) for t in torsion)
                                 for _ in range(2))
                 mults = tuple(tuple(rng.sample(pool, rng.randint(0, min(3, len(pool))))) for _ in range(2))
-                full = classify._orbit(h4, start, mults)
+                full = full_orbit(h4, start, mults)
                 # a target in the orbit, one that may lie outside it, and the start itself
                 for target in (rng.choice(sorted(full)), other, start):
-                    walk = classify._start_walk(h4, start, mults)
-                    assert classify._orbit(h4, start, mults, target, walk) == full.get(target)
+                    walk = classify._OrbitWalk(h4, start, mults)
+                    assert walk.entry(target) == full.get(target)
                     stopped = walk.seen
                     assert set(stopped) <= set(full)
                     stopped_early += len(stopped) < len(full)
@@ -233,38 +282,41 @@ def test_any_order_of_targeted_queries_reads_the_full_walk():
             for _ in range(3):
                 start = rng.choice(classes)
                 mults = tuple(tuple(rng.sample(pool, rng.randint(0, min(3, len(pool))))) for _ in range(2))
-                full = classify._orbit(h4, start, mults)
-                walk = classify._start_walk(h4, start, mults)
+                full = full_orbit(h4, start, mults)
+                walk = classify._OrbitWalk(h4, start, mults)
                 targets = rng.sample(sorted(full), min(8, len(full))) + rng.sample(classes, 8)
                 targets += rng.sample(targets, 4)
                 for target in targets:
-                    assert classify._orbit(h4, start, mults, target, walk) == full.get(target)
+                    assert walk.entry(target) == full.get(target)
                     a = trivial_record(h4, start, mults[0])
                     b = trivial_record(h4, target, mults[1])
                     hit = full.get(target)
                     expect = (False, None) if hit is None else (True, {"multiplier": hit[0], "sign": hit[1]})
                     assert kreck_equivalent(a, b, walk=walk) == kreck_equivalent(a, b) == expect
-                assert classify._orbit(h4, start, mults, None, walk) == full
+                assert walk_entries(walk) == full
                 cases += 1
     assert cases == 6 * 2 * 3
 
 
-def test_a_full_orbit_is_a_copy_of_the_kept_walk():
+def test_an_entry_is_read_back_along_the_moves():
     # 2 has order 28 mod 29, so the orbit of 1 is every unit, each entry
-    # that of the class it was met from times the move that met it
+    # that of the class it was met from times the move that met it, its
+    # multiplier reduced below 29 in absolute value with its sign kept
     h4 = AbelianInvariants(0, (29,))
     mults = ((2, 5), ())
-    walk = classify._start_walk(h4, (1,), mults)
-    assert classify._orbit(h4, (1,), mults, (16,), walk) == (16, 1)
-    full = classify._orbit(h4, (1,), mults, None, walk)
-    assert full is not walk.seen and set(full) == set(walk.seen) and len(full) == 28
-    assert all(mult * sign % 29 == cls[0] for cls, (mult, sign) in full.items())
-    assert all(walk.entry(cls) == entry for cls, entry in full.items())
-    kept = dict(full)
-    full.clear()
-    again = classify._orbit(h4, (1,), mults, None, walk)
-    assert again == kept and again is not full and again is not walk.seen
-    assert classify._orbit(h4, (1,), mults) == kept
+    walk = classify._OrbitWalk(h4, (1,), mults)
+    assert walk.entry((16,)) == (16, 1)
+    full = walk_entries(walk)
+    assert len(full) == 28 and full == full_orbit(h4, (1,), mults)
+    assert all(mult * sign % 29 == cls[0] and 0 < mult < 29 for cls, (mult, sign) in full.items())
+    for cls, (parent, m) in walk.seen.items():
+        if parent is not None:
+            mult, sign = full[parent]
+            assert full[cls] == ((mult, -sign) if m is None else (reduced(mult * m, h4), sign))
+    # -1 and 3 mod 7: the products keep their sign while they stay below 7
+    h4 = AbelianInvariants(0, (7,))
+    full = full_orbit(h4, (1,), ((-1, 3), ()))
+    assert full == {(1,): (1, 1), (6,): (-1, 1), (3,): (3, 1), (4,): (-3, 1), (2,): (2, 1), (5,): (-2, 1)}
 
 
 class Interrupt(BaseException):
@@ -300,18 +352,18 @@ def test_a_walk_cut_off_mid_step_resumes_where_it_stood():
                                  ((3, 42), 0, ((5, 11), (13,))), ((443,), 0, (squares_mod(443),) * 2)):
         h4 = AbelianInvariants(free, torsion)
         start = (1,) * free + tuple(1 % t for t in torsion)
-        full = classify._orbit(h4, start, mults)
+        full = full_orbit(h4, start, mults)
         cuts += 2 * min(12, len(full) - 1)
         for n in sorted(rng.sample(range(1, len(full)), min(12, len(full) - 1))):
             for after in (False, True):
-                walk = classify._start_walk(h4, start, mults)
+                walk = classify._OrbitWalk(h4, start, mults)
                 walk.seen = CutSeen(walk.seen, n, after)
                 with pytest.raises(Interrupt):
-                    walk.orbit()
+                    walk.entry(None)
                 targets = list(full) + [tuple(-1 for _ in start)]
                 rng.shuffle(targets)
                 assert [walk.entry(t) for t in targets] == [full.get(t) for t in targets]
-                assert classify._orbit(h4, start, mults, None, walk) == full
+                assert walk_entries(walk) == full
                 cases += 1
     assert cases == cuts == 2 * (12 + 1 + 11 + 12)
 
@@ -321,8 +373,8 @@ def test_threads_share_one_walk():
     # to its own targets, read the entries of a fresh full walk
     mults = (squares_mod(443),) * 2
     h4 = AbelianInvariants(0, (443,))
-    full = classify._orbit(h4, (1,), mults)
-    walk = classify._start_walk(h4, (1,), mults)
+    full = full_orbit(h4, (1,), mults)
+    walk = classify._OrbitWalk(h4, (1,), mults)
     targets = sorted(full)
     random.Random(38).shuffle(targets)
     got = {}
@@ -336,7 +388,7 @@ def test_threads_share_one_walk():
         thread.start()
     for thread in threads:
         thread.join()
-    assert got == full and classify._orbit(h4, (1,), mults, None, walk) == full
+    assert got == full and walk_entries(walk) == full
 
 
 def test_a_cold_lens_query_stops_the_walk_at_its_target():
@@ -345,17 +397,28 @@ def test_a_cold_lens_query_stops_the_walk_at_its_target():
     # the 442 classes of the orbit
     classify._lens_modulus.cache_clear()
     assert classify_lens_family(443, 1, 4).equivalent
-    record = lens_times_circle_record(443, 1)
-    mults = (record.aut_multipliers,) * 2
     walk = classify._lens_modulus(443, generator_budget()).walk
     assert classify._lens_modulus.cache_info().misses == 1
     squares = len(squares_mod(443))
     assert squares == 221
     assert len(walk.order) - 1 <= squares + 2
-    assert len(classify._orbit(record.h4, record.class_h4, mults, None, walk)) == 442
+    assert len(walk_entries(walk)) == 442
 
 
-# ---- an orbit count that shares no code with the search ----------------------
+# ---- orbit sets and counts that share no code with the search ----------------
+
+
+def closure_orbit(torsion, cls, mults):
+    """{+-g.cls : g in <mults> mod n}, n the last torsion order, from the
+    products of the multipliers listed outright."""
+    n = torsion[-1]
+    products = {1}
+    while True:
+        more = {g * m % n for g in products for m in mults} - products
+        if not more:
+            break
+        products |= more
+    return {tuple(s * g * x % t for x, t in zip(cls, torsion)) for g in products for s in (1, -1)}
 
 
 def burnside_orbit_count(torsion, mults):
@@ -384,7 +447,10 @@ def test_orbit_partition_matches_burnside_count():
                 mults = tuple(rng.sample(units, rng.randint(0, min(3, len(units)))))
                 orbits = {}
                 for cls in classes:
-                    orbits[cls] = frozenset(classify._orbit(h4, cls, (mults, mults)))
+                    walk = classify._OrbitWalk(h4, cls, (mults, mults))
+                    assert walk.entry(None) is None
+                    orbits[cls] = frozenset(walk.seen)
+                    assert orbits[cls] == closure_orbit(torsion, cls, mults)
                 # each member's orbit is the same set, so the orbits partition H_4
                 assert all(orbits[x] == orbit for orbit in orbits.values() for x in orbit)
                 assert len(set(orbits.values())) == burnside_orbit_count(torsion, mults), (torsion, mults)
@@ -399,22 +465,30 @@ def test_orbit_partition_matches_burnside_count():
 
 
 def count_searches(monkeypatch):
-    calls = []
-    search = classify._orbit
+    """The walks built and the (walk, target) of each entry asked, from
+    here on."""
+    walks, entries = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
+    class Counted(classify._OrbitWalk):
+        __slots__ = ()
 
-    monkeypatch.setattr(classify, "_orbit", counted)
-    return calls
+        def __init__(self, *args):
+            super().__init__(*args)
+            walks.append(self)
+
+        def entry(self, target):
+            entries.append((self, target))
+            return super().entry(target)
+
+    monkeypatch.setattr(classify, "_OrbitWalk", Counted)
+    return walks, entries
 
 
 def test_lens_family_searches_once_per_start_class(monkeypatch):
     # the 36 pairs over p = 7 have 6 ratios q2 / q1, each decided once as
     # (1, q2 / q1) by one kept modulus, whose one walk from the class 1
     # each decision resumes
-    searches = count_searches(monkeypatch)
+    walks, searches = count_searches(monkeypatch)
     classify._lens_modulus.cache_clear()
     qs = units(7)
     for q1 in qs:
@@ -424,25 +498,25 @@ def test_lens_family_searches_once_per_start_class(monkeypatch):
     assert classify._lens_modulus.cache_info().misses == 1
     modulus = classify._lens_modulus(7, generator_budget())
     assert len(modulus.decisions) == 6
+    assert walks == [modulus.walk] and modulus.walk.order[0] == (1,)
     assert len(searches) == 6
-    assert {args[1] for args in searches} == {(1,)}
-    assert all(args[4] is modulus.walk for args in searches)
+    assert all(walk is modulus.walk for walk, _ in searches)
 
 
 def test_lens_record_is_shared_by_equal_classes(monkeypatch):
     # q and q + p name the same lens class, so they have equal records and
     # share one decision
     assert lens_times_circle_record(7, 3) == lens_times_circle_record(7, 10)
-    searches = count_searches(monkeypatch)
+    walks, searches = count_searches(monkeypatch)
     classify._lens_modulus.cache_clear()
     assert classify_lens_family(7, 3, 5).certificates == classify_lens_family(7, 10, 5).certificates
     assert classify._lens_modulus.cache_info()[:2] == (1, 1)
     assert len(classify._lens_modulus(7, generator_budget()).decisions) == 1
-    assert len(searches) == 1
+    assert len(walks) == len(searches) == 1
 
 
 def _lru_caches():
-    """Every lru_cache of the package, as module.name, with its maxsize."""
+    """Every lru_cache of the package, as module.name."""
     found = {}
     for info in pkgutil.iter_modules(fourfold.__path__):
         module = importlib.import_module("fourfold." + info.name)
@@ -450,7 +524,7 @@ def _lru_caches():
         for owner in owners:
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
-                    found["%s.%s" % (info.name, name)] = value.cache_parameters()["maxsize"]
+                    found["%s.%s" % (info.name, name)] = value
     return found
 
 
@@ -467,7 +541,8 @@ def test_every_lru_cache_is_bounded():
         "cli._matrix_document",
         "errors._session_budget",
     }
-    assert all(size is not None for size in found.values()), found
+    sizes = {name: cache.cache_parameters()["maxsize"] for name, cache in found.items()}
+    assert all(size is not None for size in sizes.values()), sizes
 
 
 def test_the_readme_cache_table_names_every_cache():
@@ -476,3 +551,29 @@ def test_the_readme_cache_table_names_every_cache():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+\.\w+)` \|", readme, re.M)
     assert sorted(rows) == sorted(set(_lru_caches()) - {"cli._parser", "errors._session_budget"})
+
+
+def test_the_readme_cache_table_reads_one_pass_of_each_workload(tmp_path, monkeypatch):
+    # every row's hits / misses, from one seed 1 pass of each perfbench
+    # workload run in process after every cache is emptied, as a fresh
+    # interpreter starts (perfbench is only read)
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+\.\w+)` \| (.*) \|$", readme, re.M))
+    sys.path.append(PERFBENCH)
+    import workloads
+
+    monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    caches = _lru_caches()
+    assert len(rows) == len(caches) - 2
+    counted = {name: [] for name in rows}
+    for workload in ("homology", "lens-sweep", "extensions"):
+        for cache in caches.values():
+            cache.cache_clear()
+        queries = workloads.make_queries(workload, 1)
+        for query in workloads.write_inputs(queries, os.path.join(PERFBENCH, "data"), str(tmp_path / workload)):
+            workloads.run_query(fourfold, query)
+        for name in rows:
+            counted[name].append("%d / %d" % caches[name].cache_info()[:2])
+    for cache in caches.values():
+        cache.cache_clear()
+    assert {name: " | ".join(got) for name, got in counted.items()} == rows

@@ -35,6 +35,8 @@ from fourfold.manifolds import (
     units_mod,
 )
 
+from test_kreck_orbit import count_searches
+
 
 # ---- frozen reference: one gcd scan per criterion ---------------------------
 
@@ -180,14 +182,7 @@ def test_a_pair_is_decided_as_one_and_its_ratio():
 
 
 def test_lens_sweep_searches_each_start_class_once(monkeypatch):
-    searches = []
-    search = classify._orbit
-
-    def counted(*args):
-        searches.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(classify, "_orbit", counted)
+    walks, searches = count_searches(monkeypatch)
     classify._lens_modulus.cache_clear()
     pairs = [(p, q1, q2) for p in range(2, 31) for q1 in brute_units(p) for q2 in brute_units(p)]
     random.Random(21).shuffle(pairs)
@@ -205,7 +200,8 @@ def test_lens_sweep_searches_each_start_class_once(monkeypatch):
     moduli = [classify._lens_modulus(p, generator_budget()) for p in range(2, 31)]
     assert sum(len(modulus.decisions) for modulus in moduli) == 277
     assert len(searches) == 277
-    assert {id(args[4]) for args in searches} == {id(modulus.walk) for modulus in moduli}
+    assert len(walks) == 29 and {id(walk) for walk in walks} == {id(modulus.walk) for modulus in moduli}
+    assert {id(walk) for walk, _ in searches} == {id(modulus.walk) for modulus in moduli}
 
 
 def test_the_witness_is_the_first_discovery_of_the_walk():
